@@ -56,27 +56,70 @@ class AuditReport:
         }
 
 
+# Up to this many disks one all-pairs block costs less than the sweep's
+# fixed numpy work (short adversary sequences hold 1-40 circles).
+_ALL_PAIRS_MAX = 48
+
+# Candidate pairs tested per numpy pass; bounds the sweep's temporaries
+# when many disks share an x-range.
+_PAIR_CHUNK = 1 << 18
+
+
+def _swept_pairs(xs: np.ndarray, rs: np.ndarray, eps: float):
+    """Index arrays (a, b), a chunk at a time, covering every pair of disks
+    whose x-extents intersect.
+
+    The extents are padded by |eps| plus a relative rounding margin, so no
+    pair that overlaps by more than eps (including pairs with
+    r_a + r_b < eps) is skipped.
+    """
+    n = len(xs)
+    half = rs + abs(eps) + 1e-12 * (np.abs(xs) + rs + abs(eps))
+    order = np.argsort(xs - half, kind="stable")
+    lo = (xs - half)[order]
+    hi = (xs + half)[order]
+    # Sorted positions k + 1 .. k + counts[k] start inside the extent of k.
+    counts = np.maximum(
+        np.searchsorted(lo, hi, side="right") - np.arange(1, n + 1), 0)
+    ends = np.cumsum(counts)
+    row = 0
+    while row < n:
+        budget = ends[row] - counts[row] + _PAIR_CHUNK
+        stop = max(row + 1, int(np.searchsorted(ends, budget, side="right")))
+        c = counts[row:stop]
+        first = np.repeat(np.arange(row, stop), c)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
+        yield order[first], order[first + 1 + offset]
+        row = stop
+
+
 def _pairwise_overlaps(placements: Sequence[PlacedCircle],
                        eps: float) -> list[tuple[int, int]]:
-    n = len(placements)
-    if n < 2:
-        return []
+    """Sorted pairs (i, j), i < j, of disks overlapping by more than eps.
+
+    Small sets test all pairs in one block; larger ones only the pairs a
+    sort-and-sweep on x-extents finds, with the same arithmetic.
+    """
     xs = np.array([c.x for c in placements])
     ys = np.array([c.y for c in placements])
     rs = np.array([c.r for c in placements])
+    if len(xs) <= _ALL_PAIRS_MAX:
+        dx = xs[:, None] - xs
+        dy = ys[:, None] - ys
+        rsum = rs[:, None] + rs - eps
+        i, j = np.nonzero(np.triu(dx * dx + dy * dy < rsum * rsum, 1))
+        return list(zip(i.tolist(), j.tolist()))
     hits = []
-    chunk = 512
-    for start in range(0, n, chunk):
-        end = min(start + chunk, n)
-        dx = xs[start:end, None] - xs[None, :]
-        dy = ys[start:end, None] - ys[None, :]
-        rsum = rs[start:end, None] + rs[None, :] - eps
+    for a, b in _swept_pairs(xs, rs, eps):
+        # The test is symmetric in a and b, bit for bit.
+        dx = xs[a] - xs[b]
+        dy = ys[a] - ys[b]
+        rsum = rs[a] + rs[b] - eps
         bad = dx * dx + dy * dy < rsum * rsum
-        for i, j in zip(*np.nonzero(bad)):
-            gi = int(start + i)
-            if gi < j:
-                hits.append((gi, int(j)))
-    return hits
+        if bad.any():
+            pairs = zip(a[bad].tolist(), b[bad].tolist())
+            hits.extend((min(p), max(p)) for p in pairs)
+    return sorted(hits)
 
 
 def _class_bounds(table: ClassTable, class_index: int

@@ -6,9 +6,11 @@ moved, and the run stops at the first circle that cannot be placed.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import bounds
 from .classification import (ClassTable, TooLarge, TooSmall,
@@ -123,7 +125,9 @@ class PackResult:
             per_lane=d.get("per_lane", {}), eps=d.get("eps", EPS))
 
 
+@functools.lru_cache(maxsize=16)
 def table_for(container: str, mode: Optional[str], w: float) -> ClassTable:
+    """Class table of a container; cached, since tables are immutable."""
     if container == "rect":
         return build_class_table(1.0)
     if mode == "no_tiny":
@@ -138,12 +142,60 @@ def container_rect(result: PackResult) -> Rect:
     return Rect(0.0, 0.0, 1.0, 1.0)
 
 
-def _check_radius(r: float) -> None:
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-        raise ValueError(f"radii must be positive finite numbers, got {r}")
+class _OnlineRun:
+    """Arrival bookkeeping shared by the container runs.
+
+    A run may be fed in several pack() calls; arrival indices continue
+    across calls.  Every call checks all of its radii before committing
+    any, and a run that has rejected a circle takes no further input.
+    """
+
+    def _start(self, min_radius: float = 0.0) -> None:
+        """Empty run; radii at or below min_radius are invalid input."""
+        self.packing = Packing()
+        self.min_radius = min_radius
+        self.arrivals = 0
+        self.rejected_index: Optional[int] = None
+        self.rejected_radius: Optional[float] = None
+
+    def _checked(self, radii: Iterable[float]) -> list[float]:
+        out = []
+        for i, r in enumerate(radii):
+            # bool is an int subclass; numpy scalars register as Real.
+            if isinstance(r, bool) or not isinstance(r, numbers.Real):
+                raise ValueError(f"radius at input {i} must be a real "
+                                 f"number, got {r!r}")
+            r = float(r)
+            if not (math.isfinite(r) and r > 0):
+                raise ValueError(f"radius at input {i} must be positive "
+                                 f"and finite, got {r!r}")
+            if r <= self.min_radius:
+                raise ValueError(f"radius {r!r} at input {i} is not above "
+                                 f"the deepest class bound "
+                                 f"{self.min_radius!r}")
+            out.append(r)
+        return out
+
+    def pack(self, radii: Iterable[float]) -> PackResult:
+        """Place radii in arrival order; the result covers the whole run."""
+        if self.rejected_index is not None:
+            raise ValueError(f"run stopped at arrival {self.rejected_index};"
+                             f" it accepts no further circles")
+        for r in self._checked(radii):
+            seq = self.arrivals
+            self.arrivals += 1
+            if not self._pack_one(r, seq):
+                self.rejected_index = seq
+                self.rejected_radius = r
+                break
+        return self._result()
+
+    def _status(self) -> str:
+        return (STATUS_ALL_PACKED if self.rejected_index is None
+                else STATUS_REJECTED)
 
 
-class RectRun:
+class RectRun(_OnlineRun):
     """One online packing run into a 1 x b rectangle."""
 
     def __init__(self, b: float, eps: float = EPS):
@@ -151,33 +203,20 @@ class RectRun:
             raise ValueError(f"aspect b must be >= 1, got {b}")
         self.b = b
         self.eps = eps
-        self.table = build_class_table(1.0)
-        self.packing = Packing()
+        self.table = table_for("rect", None, 1.0)
+        self._start()
         self.dslp: DslpLane = make_dslp(
             "L1", Rect(0.0, 0.0, b, 1.0), Orientation.RIGHTWARDS, self.table)
 
-    def pack(self, radii: Sequence[float]) -> PackResult:
-        status = STATUS_ALL_PACKED
-        rejected_index = None
-        rejected_radius = None
-        for i, r in enumerate(radii):
-            _check_radius(r)
-            try:
-                cls = classify(r, self.table)
-            except (TooLarge, TooSmall):
-                cls = None
-            circle = None
-            if cls is not None:
-                circle = dslp_pack(self.dslp, r, cls, i, self.packing,
-                                   self.eps)
-            if circle is None:
-                status = STATUS_REJECTED
-                rejected_index = i
-                rejected_radius = r
-                break
-        return self._result(status, rejected_index, rejected_radius)
+    def _pack_one(self, r: float, seq: int) -> bool:
+        try:
+            cls = classify(r, self.table)
+        except (TooLarge, TooSmall):
+            return False
+        return dslp_pack(self.dslp, r, cls, seq, self.packing,
+                         self.eps) is not None
 
-    def _result(self, status, rejected_index, rejected_radius) -> PackResult:
+    def _result(self) -> PackResult:
         d = self.dslp
         lanes = [LaneInfo.from_lane(d.host), LaneInfo.from_lane(d.top),
                  LaneInfo.from_lane(d.bottom)]
@@ -191,10 +230,12 @@ class RectRun:
             }
         }
         return PackResult(
-            status=status, container="rect", mode=None, w=1.0, b=self.b,
+            status=self._status(), container="rect", mode=None, w=1.0,
+            b=self.b,
             guarantee=bounds.guarantee_rect(self.b),
             placements=list(self.packing.circles), lanes=lanes,
-            rejected_index=rejected_index, rejected_radius=rejected_radius,
+            rejected_index=self.rejected_index,
+            rejected_radius=self.rejected_radius,
             per_lane=per_lane, eps=self.eps)
 
 
@@ -215,7 +256,7 @@ def square_layout(w: float) -> dict[str, tuple[Rect, Orientation]]:
     }
 
 
-class SquareRun:
+class SquareRun(_OnlineRun):
     """One online packing run into the unit square."""
 
     def __init__(self, mode: str = "general", eps: float = EPS):
@@ -226,7 +267,8 @@ class SquareRun:
         self.w = (SQUARE_WIDTH_GENERAL if mode == "general"
                   else SQUARE_WIDTH_NO_TINY)
         self.table = table_for("square", mode, self.w)
-        self.packing = Packing()
+        # No-tiny inputs must fall into a class of the truncated table.
+        self._start(self.table.min_radius if mode == "no_tiny" else 0.0)
         layout = square_layout(self.w)
         rect0, orient0 = layout["L0"]
         self.large_lane = LaneState(
@@ -236,23 +278,6 @@ class SquareRun:
             make_dslp(name, layout[name][0], layout[name][1], self.table)
             for name in ("L1", "L2", "L3", "L4")
         ]
-
-    def pack(self, radii: Sequence[float]) -> PackResult:
-        status = STATUS_ALL_PACKED
-        rejected_index = None
-        rejected_radius = None
-        for i, r in enumerate(radii):
-            _check_radius(r)
-            if self.mode == "no_tiny" and r < NO_TINY_MIN_RADIUS:
-                raise ValueError(
-                    f"radius {r} below the no-tiny minimum "
-                    f"{NO_TINY_MIN_RADIUS} (input {i})")
-            if not self._pack_one(r, i):
-                status = STATUS_REJECTED
-                rejected_index = i
-                rejected_radius = r
-                break
-        return self._result(status, rejected_index, rejected_radius)
 
     def _pack_one(self, r: float, seq: int) -> bool:
         try:
@@ -269,7 +294,7 @@ class SquareRun:
                 return True
         return False
 
-    def _result(self, status, rejected_index, rejected_radius) -> PackResult:
+    def _result(self) -> PackResult:
         lanes = [LaneInfo.from_lane(self.large_lane)]
         per_lane = {
             "L0": {"n": len(self.large_lane.placed),
@@ -286,18 +311,19 @@ class SquareRun:
                 "blocks": d.ledger.to_dict(),
             }
         return PackResult(
-            status=status, container="square", mode=self.mode, w=self.w,
-            b=None, guarantee=bounds.guarantee_square(self.mode),
+            status=self._status(), container="square", mode=self.mode,
+            w=self.w, b=None, guarantee=bounds.guarantee_square(self.mode),
             placements=list(self.packing.circles), lanes=lanes,
-            rejected_index=rejected_index, rejected_radius=rejected_radius,
+            rejected_index=self.rejected_index,
+            rejected_radius=self.rejected_radius,
             per_lane=per_lane, eps=self.eps)
 
 
 def pack_rect_online(b: float, radii: Iterable[float],
                      eps: float = EPS) -> PackResult:
-    return RectRun(b, eps).pack(list(radii))
+    return RectRun(b, eps).pack(radii)
 
 
 def pack_square_online(mode: str, radii: Iterable[float],
                        eps: float = EPS) -> PackResult:
-    return SquareRun(mode, eps).pack(list(radii))
+    return SquareRun(mode, eps).pack(radii)

@@ -201,24 +201,24 @@ def forbidden_interval(obstacle: PlacedCircle, y: float, r: float
 
 
 def _obstacle_intervals(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray,
-                        y: float, r: float, eps: float) -> np.ndarray:
-    """Forbidden open x-intervals, shrunk by eps/2 so tangency stays feasible.
+                        y: float, r: float, eps: float,
+                        lo: float = -math.inf) -> list[tuple[float, float]]:
+    """Forbidden open x-intervals ending after lo, shrunk by eps/2 so
+    tangency stays feasible.
 
     Half the tolerance keeps the committed penetration strictly below eps
-    even after rounding.
+    even after rounding.  An interval is dropped when x + rsum <= lo: its
+    half-length sqrt(rsum^2 - dy^2) never exceeds rsum in floating point,
+    so it ends at or before lo and no sweep starting at lo can meet it.
     """
-    if len(xs) == 0:
-        return np.empty((0, 2))
     rsum = rs + r - 0.5 * eps
     dy = ys - y
-    mask = np.abs(dy) < rsum
-    if not mask.any():
-        return np.empty((0, 2))
+    mask = (np.abs(dy) < rsum) & (xs + rsum > lo)
     rsum = rsum[mask]
     dy = dy[mask]
     d = np.sqrt(rsum * rsum - dy * dy)
     cx = xs[mask]
-    return np.column_stack((cx - d, cx + d))
+    return list(zip((cx - d).tolist(), (cx + d).tolist()))
 
 
 def leftmost_feasible(x_min: float, x_max: float, y: float, r: float,
@@ -229,22 +229,19 @@ def leftmost_feasible(x_min: float, x_max: float, y: float, r: float,
 
     Feasible means: x avoids every obstacle's forbidden interval and
     [x - r, x + r] does not enter the interior of any exclusion interval.
+    The sweep's answer is the smallest uncovered point from lo on, so the
+    order of intervals with equal starts does not matter.
     """
     lo = max(x_min, floor)
     if lo > x_max:
         return None
-    intervals = _obstacle_intervals(obs_x, obs_y, obs_r, y, r, eps)
-    extra = [(a - r + 0.5 * eps, b + r - 0.5 * eps) for a, b in exclusions]
-    if extra:
-        extra_arr = np.array(extra)
-        extra_arr = extra_arr[extra_arr[:, 0] < extra_arr[:, 1]]
-        if len(extra_arr):
-            intervals = np.vstack((intervals, extra_arr)) if len(intervals) else extra_arr
-    if len(intervals) == 0:
-        return lo
-    order = np.argsort(intervals[:, 0], kind="stable")
+    intervals = _obstacle_intervals(obs_x, obs_y, obs_r, y, r, eps, lo)
+    for a, b in exclusions:
+        s, e = a - r + 0.5 * eps, b + r - 0.5 * eps
+        if s < e:
+            intervals.append((s, e))
     x = lo
-    for s, e in intervals[order]:
+    for s, e in sorted(intervals):
         if e <= x:
             continue
         if s >= x:

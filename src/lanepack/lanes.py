@@ -30,27 +30,31 @@ class Strategy(Enum):
 
 
 class Packing:
-    """Container-wide registry of committed circles."""
+    """Container-wide registry of committed circles.
+
+    Centers and radii live in one preallocated (3, capacity) buffer that
+    doubles when full, so arrays() hands out views instead of rebuilding
+    arrays after every commit.  Committed columns are never rewritten,
+    which keeps views taken before a later add() valid.
+    """
 
     def __init__(self):
         self.circles: list[PlacedCircle] = []
-        self._xs: list[float] = []
-        self._ys: list[float] = []
-        self._rs: list[float] = []
-        self._cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._buf = np.empty((3, 64))
 
     def add(self, c: PlacedCircle) -> None:
+        n = len(self.circles)
+        if n == self._buf.shape[1]:
+            grown = np.empty((3, 2 * n))
+            grown[:, :n] = self._buf
+            self._buf = grown
+        self._buf[:, n] = (c.x, c.y, c.r)
         self.circles.append(c)
-        self._xs.append(c.x)
-        self._ys.append(c.y)
-        self._rs.append(c.r)
-        self._cache = None
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._cache is None:
-            self._cache = (np.array(self._xs), np.array(self._ys),
-                           np.array(self._rs))
-        return self._cache
+        """Views of the x, y and r columns of the committed circles."""
+        n = len(self.circles)
+        return self._buf[0, :n], self._buf[1, :n], self._buf[2, :n]
 
     def __len__(self) -> int:
         return len(self.circles)

@@ -1,9 +1,14 @@
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from lanepack import audit
 from lanepack.audit import (audit_dslp_lane, audit_slp_lane,
                             circle_rect_intersection_area, occupied, validate)
 from lanepack.bounds import delta, min_slp
@@ -234,3 +239,73 @@ class TestLaneAudits:
         run = RectRun(2.0)
         with pytest.raises(ValueError):
             audit_dslp_lane(run.dslp)
+
+
+def dense_overlaps(placements, eps):
+    """All-pairs oracle: every pair (i, j), i < j, tested in one block."""
+    xs = np.array([c.x for c in placements])
+    ys = np.array([c.y for c in placements])
+    rs = np.array([c.r for c in placements])
+    dx = xs[:, None] - xs[None, :]
+    dy = ys[:, None] - ys[None, :]
+    rsum = rs[:, None] + rs[None, :] - eps
+    bad = dx * dx + dy * dy < rsum * rsum
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(bad)) if i < j]
+
+
+OVERLAP_GRID = 2.0 ** -8
+
+
+def disk(x, y, r, seq):
+    return PlacedCircle(x=x, y=y, r=r, seq=seq, lane_id="t")
+
+
+@st.composite
+def disk_sets(draw):
+    def grid(lo, hi):
+        return draw(st.integers(lo, hi)) * OVERLAP_GRID
+
+    disks = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["free", "overlap", "tangent",
+                                     "pythagorean", "duplicate"]))
+        r = grid(1, 64)
+        if kind == "free" or not disks:
+            disks.append((grid(-256, 512), grid(-256, 512), r))
+            continue
+        x, y, ro = disks[draw(st.integers(0, len(disks) - 1))]
+        if kind == "overlap":
+            disks.append((x + grid(-8, 8), y + grid(-8, 8), r))
+        elif kind == "tangent":
+            sx, sy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1),
+                                           (0, -1)]))
+            disks.append((x + sx * (ro + r), y + sy * (ro + r), r))
+        elif kind == "pythagorean":
+            # Centres 5k apart along a 3-4-5 triangle, radii summing to 5k.
+            k = grid(1, 16)
+            disks.append((x + 3 * k, y + 4 * k, max(5 * k - ro, k)))
+        else:
+            disks.append((x, y, r))
+    return [disk(x, y, r, i) for i, (x, y, r) in enumerate(disks)]
+
+
+class TestPairwiseOverlaps:
+    @settings(max_examples=300, deadline=None)
+    @given(disk_sets(), st.sampled_from([0.0, 1e-9, 2.0 ** -6, 0.5]),
+           st.sampled_from([1, 7, 1 << 18]))
+    def test_equals_dense_oracle(self, disks, eps, chunk):
+        want = dense_overlaps(disks, eps) if disks else []
+        assert audit._pairwise_overlaps(disks, eps) == want
+        # Force the sweep, whatever the size.
+        with mock.patch.multiple(audit, _PAIR_CHUNK=chunk, _ALL_PAIRS_MAX=0):
+            assert audit._pairwise_overlaps(disks, eps) == want
+
+    def test_packed_stream_matches_dense_oracle(self):
+        radii = [0.002 + 0.002 * ((k * 7919) % 1000) / 1000
+                 for k in range(1500)]
+        placements = pack_square_online("general", radii).placements
+        shifted = placements + [disk(c.x + 1e-3, c.y, c.r, len(radii) + k)
+                                for k, c in enumerate(placements[::50])]
+        found = audit._pairwise_overlaps(shifted, 1e-9)
+        assert found == dense_overlaps(shifted, 1e-9)
+        assert len(found) >= len(placements[::50])

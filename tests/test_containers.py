@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lanepack.audit import validate
 from lanepack.bounds import guarantee_rect, guarantee_square
 from lanepack.containers import (NO_TINY_MIN_RADIUS, NO_TINY_Q2,
                                  SQUARE_WIDTH_GENERAL, SQUARE_WIDTH_NO_TINY,
@@ -153,6 +154,90 @@ class TestSquareRun:
         a = pack_square_online("general", radii).to_json_dict()
         b = pack_square_online("general", radii).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestRunInput:
+    """A run checks all radii of a call before committing any."""
+
+    def test_second_pack_call_continues_arrivals(self):
+        run = SquareRun("general")
+        run.pack([0.05, 0.04])
+        result = run.pack([0.03])
+        assert [c.seq for c in result.placements] == [0, 1, 2]
+        assert validate(result).valid
+
+    def test_second_pack_call_on_rect_run(self):
+        run = RectRun(2.0)
+        run.pack([0.3])
+        result = run.pack([0.2, 0.1])
+        assert [c.seq for c in result.placements] == [0, 1, 2]
+        assert validate(result).valid
+
+    def test_rejection_index_counts_earlier_calls(self):
+        run = RectRun(1.0)
+        run.pack([0.5])
+        result = run.pack([0.5])
+        assert result.status == "rejected"
+        assert result.rejected_index == 1
+        assert validate(result).valid
+
+    def test_pack_after_rejection_raises(self):
+        run = SquareRun("general")
+        assert run.pack([0.4]).status == "rejected"
+        with pytest.raises(ValueError, match="arrival 0"):
+            run.pack([0.01])
+        assert len(run.packing) == 0
+
+    def test_float32_radius_accepted(self):
+        result = pack_square_online("general", [np.float32(0.05)])
+        assert result.status == "all_packed"
+        assert result.placements[0].r == float(np.float32(0.05))
+        assert type(result.placements[0].r) is float
+
+    def test_float64_and_int_radii_accepted(self):
+        assert pack_rect_online(2.0, [np.float64(0.1)]).status == "all_packed"
+        result = pack_rect_online(2.0, [0.1, 1])
+        assert result.status == "rejected"
+        assert result.rejected_index == 1
+
+    @pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+    def test_bool_radius_rejected(self, flag):
+        with pytest.raises(ValueError, match="input 1"):
+            pack_square_online("general", [0.05, flag])
+
+    def test_non_number_rejected(self):
+        with pytest.raises(ValueError, match="input 0"):
+            pack_rect_online(2.0, ["0.1"])
+
+    def test_no_tiny_accepts_radius_just_above_class_bound(self):
+        table = table_for("square", "no_tiny", SQUARE_WIDTH_NO_TINY)
+        assert table.min_radius < 0.0266226 < NO_TINY_MIN_RADIUS
+        result = pack_square_online("no_tiny", [0.0266226])
+        assert result.status == "all_packed"
+        assert result.placements[0].class_index == 2
+
+    def test_no_tiny_class_bound_is_exclusive(self):
+        table = table_for("square", "no_tiny", SQUARE_WIDTH_NO_TINY)
+        with pytest.raises(ValueError, match="input 0"):
+            pack_square_online("no_tiny", [table.min_radius])
+
+    @pytest.mark.parametrize("make_run,radii", [
+        (lambda: SquareRun("no_tiny"), [0.1, 0.05, 0.01]),
+        (lambda: SquareRun("general"), [0.1, 0.05, math.inf]),
+        (lambda: RectRun(2.0), [0.3, 0.2, math.nan]),
+        (lambda: RectRun(2.0), [0.3, 0.2, -0.1]),
+    ])
+    def test_value_error_commits_nothing(self, make_run, radii):
+        run = make_run()
+        with pytest.raises(ValueError, match="input 2"):
+            run.pack(radii)
+        assert len(run.packing) == 0
+        assert run.pack([0.05]).placements[0].seq == 0
+
+    def test_table_is_cached(self):
+        assert table_for("rect", None, 1.0) is RectRun(2.0).table
+        assert (table_for("square", "general", SQUARE_WIDTH_GENERAL)
+                is SquareRun("general").table)
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -168,6 +169,108 @@ class TestLeftmostFeasible:
             if loose is not None:
                 assert tight is not None
                 assert tight <= loose + 1e-9
+
+
+def sweep_oracle(x_min, x_max, y, r, obstacles, exclusions, floor, eps):
+    """Scalar leftmost feasible x over every obstacle, with no windowing.
+
+    A circle of radius r at height y against an obstacle is a point
+    against the obstacle inflated by r - eps/2, so each forbidden interval
+    comes from forbidden_interval with the same arithmetic as the solver.
+    The answer is the smallest candidate (the floor or an interval end)
+    that no open interval covers.
+    """
+    lo = max(x_min, floor)
+    if lo > x_max:
+        return None
+    intervals = []
+    for o in obstacles:
+        inflated = dataclasses.replace(o, r=o.r + r - 0.5 * eps)
+        iv = forbidden_interval(inflated, y, 0.0)
+        if iv is not None:
+            intervals.append(iv)
+    for a, b in exclusions:
+        s, e = a - r + 0.5 * eps, b + r - 0.5 * eps
+        if s < e:
+            intervals.append((s, e))
+    candidates = sorted([lo] + [e for _, e in intervals if e > lo])
+    for c in candidates:
+        if not any(s < c < e for s, e in intervals):
+            return c if c <= x_max else None
+    raise AssertionError("the largest interval end is always free")
+
+
+GRID = 2.0 ** -10  # coarse grid, so tangencies are exact
+
+
+@st.composite
+def sweep_instances(draw):
+    def grid(lo, hi):
+        return draw(st.integers(lo, hi)) * GRID
+
+    length = 4.0
+    r = grid(8, 256)
+    y = draw(st.one_of(st.just(r), st.just(1.0 - r), st.builds(
+        lambda k: k * GRID, st.integers(0, 1024))))
+    floor = grid(0, 4096)
+    eps = draw(st.sampled_from([0.0, EPS, 2.0 ** -20]))
+    lo = max(r, floor)
+    obstacles = []
+    anchor = lo  # tangent obstacles chain forward from the sweep's start
+    for _ in range(draw(st.integers(0, 30))):
+        ro = grid(8, 512)
+        kind = draw(st.sampled_from(["anywhere", "behind", "at_start",
+                                     "hairline", "tangent"]))
+        if kind == "anywhere":
+            xo, yo = grid(-1024, 5120), grid(-256, 1280)
+        elif kind == "behind":
+            # The forbidden interval ends well before the sweep's start.
+            xo = lo - r - ro - grid(0, 2048)
+            yo = y + grid(-512, 512)
+        elif kind == "at_start":
+            # On the circle's line, ending a few grid steps around lo.
+            xo, yo = lo - r - ro + grid(-3, 3), y
+        elif kind == "hairline":
+            # Ending within rounding distance of lo.
+            delta = draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-11]))
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            xo, yo = lo - (r + ro - 0.5 * eps) + sign * delta, y
+        else:
+            # On the circle's line, its interval starting exactly at the
+            # anchor, so a circle at the anchor would touch it.
+            xo, yo = anchor + r + ro, y
+            anchor = xo + ro + r + grid(0, 2) * draw(st.booleans())
+        obstacles.append(circ(xo, yo, ro))
+    exclusions = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = grid(0, 4096)
+        exclusions.append((a, a + grid(0, 256)))
+    return (r, length - r, y, r, obstacles, exclusions, floor, eps)
+
+
+class TestLeftmostFeasibleOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(sweep_instances())
+    def test_equals_scalar_sweep(self, inst):
+        x_min, x_max, y, r, obstacles, exclusions, floor, eps = inst
+        xs = np.array([o.x for o in obstacles])
+        ys = np.array([o.y for o in obstacles])
+        rs = np.array([o.r for o in obstacles])
+        got = leftmost_feasible(x_min, x_max, y, r, xs, ys, rs,
+                                exclusions=exclusions, floor=floor, eps=eps)
+        assert got == sweep_oracle(x_min, x_max, y, r, obstacles,
+                                   exclusions, floor, eps)
+
+    def test_touching_chain_stops_at_the_gap(self):
+        # Two obstacles on the line leave a gap of exactly 2r.
+        r = 0.25
+        obstacles = [circ(1.0, r, r), circ(2.0, r, r)]
+        xs, ys, rs = (np.array([getattr(o, a) for o in obstacles])
+                      for a in "xyr")
+        got = leftmost_feasible(r, 4 - r, r, r, xs, ys, rs, floor=1.0,
+                                eps=0.0)
+        assert got == 1.5
+        assert got == sweep_oracle(r, 4 - r, r, r, obstacles, (), 1.0, 0.0)
 
 
 class TestFrame:

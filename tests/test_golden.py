@@ -2,7 +2,8 @@
 
 Each case packs a fixed seeded sequence and hashes the serialized result
 together with its audit report.  The digests were recorded before the
-placement solver and the audit were vectorized; any change to a single
+placement sweep was windowed to the lane's frontier and the audit's
+overlap check became a sort-and-sweep; any change to a single
 coordinate, lane, class or audit finding changes them.  Placements must
 stay bit-identical, so never regenerate these values to make a test pass.
 """
