@@ -22,7 +22,9 @@ EXIT_INPUT_ERROR = 1
 EXIT_REJECTED = 2
 
 
-def _read_radii(stream) -> list[float]:
+def _read_radii(stream) -> list:
+    """Radii from text lines or a JSON array; JSON values are passed on
+    unconverted, so the run refuses non-numbers as input errors."""
     text = stream.read()
     stripped = text.lstrip()
     if stripped.startswith("["):
@@ -32,7 +34,7 @@ def _read_radii(stream) -> list[float]:
             raise click.ClickException(f"malformed JSON input: {exc}")
         if not isinstance(radii, list):
             raise click.ClickException("JSON input must be an array of radii")
-        return [float(r) for r in radii]
+        return radii
     radii = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

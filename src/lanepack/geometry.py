@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
 # Global default tolerance (container units). Circles may touch exactly;
 # penetration smaller than EPS is legal.
 EPS = 1e-9
@@ -148,7 +146,7 @@ class Frame:
     def to_local(self, x, y):
         """Map container coordinates into the canonical frame.
 
-        Works elementwise on numpy arrays.
+        Works on floats and elementwise on numpy arrays.
         """
         dx = x - self.origin[0]
         dy = y - self.origin[1]
@@ -200,8 +198,8 @@ def forbidden_interval(obstacle: PlacedCircle, y: float, r: float
     return (obstacle.x - d, obstacle.x + d)
 
 
-def _obstacle_intervals(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray,
-                        y: float, r: float, eps: float,
+def _obstacle_intervals(xs: Sequence[float], ys: Sequence[float],
+                        rs: Sequence[float], y: float, r: float, eps: float,
                         lo: float = -math.inf) -> list[tuple[float, float]]:
     """Forbidden open x-intervals ending after lo, shrunk by eps/2 so
     tangency stays feasible.
@@ -211,18 +209,20 @@ def _obstacle_intervals(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray,
     half-length sqrt(rsum^2 - dy^2) never exceeds rsum in floating point,
     so it ends at or before lo and no sweep starting at lo can meet it.
     """
-    rsum = rs + r - 0.5 * eps
-    dy = ys - y
-    mask = (np.abs(dy) < rsum) & (xs + rsum > lo)
-    rsum = rsum[mask]
-    dy = dy[mask]
-    d = np.sqrt(rsum * rsum - dy * dy)
-    cx = xs[mask]
-    return list(zip((cx - d).tolist(), (cx + d).tolist()))
+    half = 0.5 * eps
+    out = []
+    for cx, cy, ro in zip(xs, ys, rs):
+        rsum = ro + r - half
+        dy = cy - y
+        if abs(dy) < rsum and cx + rsum > lo:
+            d = math.sqrt(rsum * rsum - dy * dy)
+            out.append((cx - d, cx + d))
+    return out
 
 
 def leftmost_feasible(x_min: float, x_max: float, y: float, r: float,
-                      obs_x: np.ndarray, obs_y: np.ndarray, obs_r: np.ndarray,
+                      obs_x: Sequence[float], obs_y: Sequence[float],
+                      obs_r: Sequence[float],
                       exclusions: Sequence[tuple[float, float]] = (),
                       floor: float = 0.0, eps: float = EPS) -> Optional[float]:
     """Smallest feasible x in [max(x_min, floor), x_max], or None.

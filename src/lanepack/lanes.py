@@ -8,8 +8,9 @@ for the large lane of the square container.
 
 All logic runs in the lane's canonical frame; the four orientations are
 isometries applied at the boundary.  Placement feasibility is always
-checked against the full container-wide obstacle set, because lanes may
-overlap geometrically.
+checked against the committed circles of every lane, because lanes may
+overlap geometrically; the packing's spatial index hands over those near
+the placement.
 """
 
 from __future__ import annotations
@@ -30,38 +31,77 @@ class Strategy(Enum):
 
 
 class Packing:
-    """Container-wide registry of committed circles.
+    """Container-wide registry of committed circles, with a spatial index.
 
-    Centers and radii live in one preallocated (3, capacity) buffer that
-    doubles when full, so arrays() hands out views instead of rebuilding
-    arrays after every commit.  Committed columns are never rewritten,
-    which keeps views taken before a later add() valid.
+    The index is a multi-level uniform grid.  A circle of radius r is filed
+    once, in the cell holding its center, at the level whose cell side
+    h = 2**e is the smallest power of four above 2r (e even), so a circle
+    never reaches past the cells next to its own.  Levels a factor 4 apart
+    keep the number of levels a query visits small when radii span orders
+    of magnitude.
     """
 
     def __init__(self):
         self.circles: list[PlacedCircle] = []
-        self._buf = np.empty((3, 64))
+        # e -> (cell side, (i, j) -> circles filed in that cell)
+        self._levels: dict[int, tuple[float, dict]] = {}
 
     def add(self, c: PlacedCircle) -> None:
-        n = len(self.circles)
-        if n == self._buf.shape[1]:
-            grown = np.empty((3, 2 * n))
-            grown[:, :n] = self._buf
-            self._buf = grown
-        self._buf[:, n] = (c.x, c.y, c.r)
         self.circles.append(c)
+        e = math.frexp(2.0 * c.r)[1]
+        e += e & 1
+        level = self._levels.get(e)
+        if level is None:
+            level = self._levels[e] = (math.ldexp(1.0, e), {})
+        h, cells = level
+        key = (math.floor(c.x / h), math.floor(c.y / h))
+        cell = cells.get(key)
+        if cell is None:
+            cells[key] = [c]
+        else:
+            cell.append(c)
+
+    def near(self, x0: float, y0: float, x1: float,
+             y1: float) -> list[PlacedCircle]:
+        """The circles whose bounding box meets the rectangle
+        [x0, x1] x [y0, y1], in no particular order.
+
+        A circle of radius r < h/2 filed in cell i has its center in
+        [i*h, (i+1)*h), so its box meets [x0, x1] only if
+        floor((x0 - h/2)/h) <= i <= floor((x1 + h/2)/h); the same holds
+        for y.  A level with fewer occupied cells than cells in that range
+        scans its occupied cells instead of probing the range.  The final
+        box test rounds only towards inclusion, so the result is a
+        superset of the exact answer.
+        """
+        out: list[PlacedCircle] = []
+        floor = math.floor
+        for h, cells in self._levels.values():
+            half = 0.5 * h
+            i0, i1 = floor((x0 - half) / h), floor((x1 + half) / h)
+            j0, j1 = floor((y0 - half) / h), floor((y1 + half) / h)
+            if (i1 - i0 + 1) * (j1 - j0 + 1) > len(cells):
+                for (i, j), cell in cells.items():
+                    if i0 <= i <= i1 and j0 <= j <= j1:
+                        out.extend(cell)
+                continue
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    cell = cells.get((i, j))
+                    if cell is not None:
+                        out.extend(cell)
+        return [c for c in out if c.x - c.r <= x1 and c.x + c.r >= x0
+                and c.y - c.r <= y1 and c.y + c.r >= y0]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the x, y and r columns of the committed circles."""
-        n = len(self.circles)
-        return self._buf[0, :n], self._buf[1, :n], self._buf[2, :n]
+        """The x, y and r columns of the committed circles."""
+        circles = self.circles
+        return (np.array([c.x for c in circles]),
+                np.array([c.y for c in circles]),
+                np.array([c.r for c in circles]))
 
     def __len__(self) -> int:
         return len(self.circles)
-
-    @property
-    def total_area(self) -> float:
-        return sum(c.area for c in self.circles)
 
 
 @dataclass(frozen=True)
@@ -104,7 +144,15 @@ class LaneState:
 
 def find_position(lane: LaneState, r: float, packing: Packing,
                   eps: float = EPS) -> Optional[tuple[float, float]]:
-    """Candidate canonical position for the next circle, without committing."""
+    """Candidate canonical position for the next circle, without committing.
+
+    The sweep sees only the circles the packing's index returns near the
+    window [lo, hi] at height v, widened by r + |eps| and a rounding
+    margin.  Every other circle has no forbidden interval at v, or one
+    that ends before lo or starts after hi, so an answer at or below hi
+    is the answer over all circles.  The window starts 2r long and, when
+    the sweep finds nothing in it, grows once to the end of the lane.
+    """
     if lane.closed:
         return None
     w, length = lane.width, lane.length
@@ -118,17 +166,30 @@ def find_position(lane: LaneState, r: float, packing: Packing,
     else:
         # TLP keeps the left-to-right order but allows tight packing.
         floor = lane.last[0]
-    xs, ys, rs = packing.arrays()
-    if len(xs):
-        us, vs = lane.frame.to_local(xs, ys)
-    else:
-        us, vs = xs, ys
-    exclusions = lane.exclusions if lane.strategy is Strategy.SLP else ()
-    u = leftmost_feasible(r, length - r, v, r, us, vs, rs,
-                          exclusions=exclusions, floor=floor, eps=eps)
-    if u is None:
+    x_max = length - r
+    lo = max(r, floor)
+    if lo > x_max:
         return None
-    return (u, v)
+    frame = lane.frame
+    to_local = frame.to_local
+    ox, oy = frame.origin
+    pad = r + abs(eps) + 1e-12 * (abs(ox) + abs(oy) + length + r + abs(eps))
+    exclusions = lane.exclusions if lane.strategy is Strategy.SLP else ()
+    hi = min(x_max, lo + 2.0 * r)
+    while True:
+        xa, ya = frame.to_container(lo - pad, v - pad)
+        xb, yb = frame.to_container(hi + pad, v + pad)
+        near = packing.near(min(xa, xb), min(ya, yb),
+                            max(xa, xb), max(ya, yb))
+        local = [to_local(c.x, c.y) for c in near]
+        u = leftmost_feasible(r, hi, v, r, [p[0] for p in local],
+                              [p[1] for p in local], [c.r for c in near],
+                              exclusions=exclusions, floor=floor, eps=eps)
+        if u is not None:
+            return (u, v)
+        if hi == x_max:
+            return None
+        hi = x_max
 
 
 def commit(lane: LaneState, u: float, v: float, r: float, seq: int,

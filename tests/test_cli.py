@@ -50,6 +50,14 @@ class TestPack:
         assert res.exit_code == 1
         assert "line 2" in res.output
 
+    @pytest.mark.parametrize("text", ['[true, 0.1]', '["0.1"]'])
+    def test_json_non_numbers_are_input_errors(self, runner, text):
+        # JSON values reach the run unconverted, so booleans and strings
+        # are refused instead of being packed as numbers.
+        res = invoke(runner, ["pack", "--container", "square"], input=text)
+        assert res.exit_code == 1
+        assert "must be a real number" in res.output
+
     def test_rect_requires_aspect(self, runner):
         res = invoke(runner, ["pack", "--container", "rect"], input="0.1\n")
         assert res.exit_code == 1
