@@ -14,13 +14,12 @@ from .containers import (PackResult, RectRun, SquareRun, pack_rect_online,
                          pack_square_online, square_layout)
 from .estimators import RectanglePacker, SquarePacker
 from .genseq import GenSpec, generate
-from .geometry import EPS, CircleSpec, PlacedCircle, Rect
+from .geometry import EPS, PlacedCircle, Rect
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EPS",
-    "CircleSpec",
     "ClassTable",
     "GenSpec",
     "PackResult",

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numbers
 
-import numpy as np
-
 from .containers import pack_rect_online, pack_square_online
 from .geometry import EPS
 
 
 def _as_radii(X) -> list[float]:
+    import numpy as np
+
     arr = np.asarray(X, dtype=float).ravel()
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0)):
         raise ValueError("radii must be positive finite numbers")
@@ -38,6 +38,8 @@ class _BasePacker:
         return self
 
     def _store(self, result):
+        import numpy as np
+
         self.result_ = result
         self.placements_ = np.array(
             [[c.x, c.y, c.r] for c in result.placements]).reshape(-1, 3)

@@ -20,27 +20,6 @@ EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class CircleSpec:
-    """An input circle: just a radius."""
-
-    r: float
-
-    def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValueError(f"radius must be positive and finite, got {self.r}")
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.r * self.r
-
-
-@dataclass(frozen=True)
 class PlacedCircle:
     """A committed circle in container coordinates."""
 
@@ -78,9 +57,6 @@ class Rect:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
 
 class Orientation(Enum):

@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .geometry import EPS, Frame, PlacedCircle, leftmost_feasible
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Strategy(Enum):
@@ -95,6 +96,8 @@ class Packing:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The x, y and r columns of the committed circles."""
+        import numpy as np
+
         circles = self.circles
         return (np.array([c.x for c in circles]),
                 np.array([c.y for c in circles]),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from unittest import mock
@@ -81,6 +82,13 @@ def square_result(seed=0, threshold=0.3, r_min=0.01):
     return pack_square_online("general", radii)
 
 
+def seven_circles():
+    result = pack_square_online(
+        "general", [0.3, 0.12, 0.07, 0.05, 0.02, 0.01, 0.003])
+    assert result.status == "all_packed" and validate(result).valid
+    return result
+
+
 class TestValidate:
     def test_clean_runs_are_valid(self):
         for seed in range(5):
@@ -151,6 +159,35 @@ class TestValidate:
 
         report = self._tampered(mutate)
         assert any(v.kind == "order" for v in report.violations)
+
+    def _order_kinds(self, result):
+        return {v.kind for v in validate(result).violations}
+
+    def test_detects_dropped_arrival(self):
+        r = seven_circles()
+        dropped = dataclasses.replace(
+            r, placements=[r.placements[0]] + r.placements[2:])
+        assert self._order_kinds(dropped) == {"order"}
+
+    def test_detects_shifted_arrivals(self):
+        r = seven_circles()
+        shifted = dataclasses.replace(r, placements=[
+            dataclasses.replace(c, seq=c.seq + 5) for c in r.placements])
+        assert self._order_kinds(shifted) == {"order"}
+
+    def test_detects_inconsistent_rejection(self):
+        r = seven_circles()
+        for changes in ({"status": "rejected", "rejected_index": 2},
+                        {"rejected_index": 7}, {"status": "rejected"},
+                        {"status": "stopped", "rejected_index": 7}):
+            assert self._order_kinds(dataclasses.replace(r, **changes)) == {
+                "order"}, changes
+
+    def test_rejected_run_is_consistent(self):
+        result = pack_square_online("general", [0.3, 0.12, 0.9])
+        assert result.status == "rejected"
+        assert result.rejected_index == len(result.placements) == 2
+        assert validate(result).valid
 
     def test_detects_radius_outside_lane_class(self):
         def mutate(result):
@@ -296,9 +333,23 @@ class TestPairwiseOverlaps:
     def test_equals_dense_oracle(self, disks, eps, chunk):
         want = dense_overlaps(disks, eps) if disks else []
         assert audit._pairwise_overlaps(disks, eps) == want
-        # Force the sweep, whatever the size.
+        # Force the plain loop, then the sweep, whatever the size.
+        with mock.patch.object(audit, "_ALL_PAIRS_MAX", 1 << 30):
+            assert audit._pairwise_overlaps(disks, eps) == want
         with mock.patch.multiple(audit, _PAIR_CHUNK=chunk, _ALL_PAIRS_MAX=0):
             assert audit._pairwise_overlaps(disks, eps) == want
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_threshold_sizes(self, extra):
+        # A row of separated unit disks, then one tangent and one
+        # overlapping neighbour, at the threshold and one past it.
+        n = audit._ALL_PAIRS_MAX + extra
+        disks = [disk(3.0 * k, 0.0, 1.0, k) for k in range(n - 2)]
+        disks.append(disk(disks[0].x, 2.0, 1.0, n - 2))  # tangent to 0
+        disks.append(disk(disks[1].x, 1.5, 1.0, n - 1))  # overlaps 1
+        found = audit._pairwise_overlaps(disks, 1e-9)
+        assert found == [(1, n - 1)]
+        assert found == dense_overlaps(disks, 1e-9)
 
     def test_packed_stream_matches_dense_oracle(self):
         radii = [0.002 + 0.002 * ((k * 7919) % 1000) / 1000
