@@ -169,6 +169,14 @@ def validate(result: PackResult, container: Rect | None = None,
         report.violations.append(Violation(
             "order", f"status {result.status!r} with rejected index "
             f"{result.rejected_index!r} after {len(placements)} placements"))
+    # A rejected run names the radius it refused; a complete one none.
+    radius = result.rejected_radius
+    named = (type(radius) in (int, float) and 0 < radius < math.inf)
+    if (result.status == STATUS_REJECTED and not named
+            or result.status == STATUS_ALL_PACKED and radius is not None):
+        report.violations.append(Violation(
+            "order", f"status {result.status!r} with rejected radius "
+            f"{radius!r}"))
 
     for i, j in _pairwise_overlaps(placements, eps):
         a, b = placements[i], placements[j]

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .classification import ClassTable
 from .geometry import EPS, Orientation, Rect
-from .lanes import LaneState, Packing, PlacedCircle, Strategy, slp_place
+from .lanes import LaneState, Packing, PlacedCircle, Strategy, place
 
 FREE = "free"
 CLOSED = "closed"
@@ -184,7 +184,7 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     # Step 1: try the open vertical lane of this class, closing it on failure.
     for vl in ledger.all_vlanes:
         if vl.open and vl.class_index == class_index:
-            circle = slp_place(vl.lane, r, seq, class_index, packing, eps)
+            circle = place(vl.lane, r, seq, class_index, packing, eps)
             if circle is not None:
                 return circle
             vl.open = False
@@ -210,7 +210,7 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
         block.vlanes.append(vl)
         if block.state == FREE:
             block.state = reservation_for(class_index)
-        circle = slp_place(vl.lane, r, seq, class_index, packing, eps)
+        circle = place(vl.lane, r, seq, class_index, packing, eps)
         if circle is not None:
             return circle
         # The fresh lane is obstructed by circles from other lanes.
@@ -224,7 +224,7 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     if pos is not None:
         vl = _create_vlane(ledger, class_index, pos, Orientation.UPWARDS)
         ledger.free_vlanes.append(vl)
-        circle = slp_place(vl.lane, r, seq, class_index, packing, eps)
+        circle = place(vl.lane, r, seq, class_index, packing, eps)
         if circle is not None:
             return circle
         vl.open = False

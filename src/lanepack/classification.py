@@ -139,7 +139,7 @@ def classify(r: float, table: ClassTable) -> int:
     if r > w / 2.0:
         raise TooLarge(f"radius {r} exceeds half the lane width {w / 2.0}")
     for row in table.rows:
-        if r > row.lower_bound:
+        if r > row.q * row.width:  # row.lower_bound, inlined
             return row.index
     raise TooSmall(f"radius {r} is below the deepest class bound "
                    f"{table.min_radius}")

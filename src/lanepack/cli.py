@@ -13,7 +13,7 @@ from .audit import validate
 from .classification import table_csv
 from .containers import (PackResult, pack_rect_online, pack_square_online,
                          table_for)
-from .genseq import GenSpec, generate
+from .genseq import KINDS, GenSpec, generate
 from .geometry import EPS
 from .svg import render_svg
 
@@ -46,6 +46,17 @@ def _read_radii(stream) -> list:
             raise click.ClickException(
                 f"malformed radius on line {lineno}: {line!r}")
     return radii
+
+
+def _pack(container: str, aspect: Optional[float], mode: str, radii,
+          eps: float) -> PackResult:
+    """Pack radii into the chosen container; bad input exits 1."""
+    try:
+        if container == "rect":
+            return pack_rect_online(aspect, radii, eps=eps)
+        return pack_square_online(mode, radii, eps=eps)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
 
 
 def _dump_json(data: dict) -> str:
@@ -87,13 +98,7 @@ def pack_cmd(container, aspect, mode, input_path, json_path, svg_path, eps):
             radii = _read_radii(f)
     else:
         radii = _read_radii(sys.stdin)
-    try:
-        if container == "rect":
-            result = pack_rect_online(aspect, radii, eps=eps)
-        else:
-            result = pack_square_online(mode, radii, eps=eps)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    result = _pack(container, aspect, mode, radii, eps)
     payload = _dump_json(result.to_json_dict())
     if json_path:
         with open(json_path, "w") as f:
@@ -162,9 +167,7 @@ def bounds_cmd(delta_q, rect_b, square_mode, show_table, width):
 
 
 @main.command("gen")
-@click.option("--kind", type=click.Choice(list(
-    ("greedy_adversary", "uniform", "single_worstcase", "class_boundary"))),
-    required=True)
+@click.option("--kind", type=click.Choice(KINDS), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threshold", type=float, default=0.350389, show_default=True)
 @click.option("--rmin", type=float, default=0.001, show_default=True)
@@ -189,7 +192,7 @@ def gen_cmd(kind, seed, threshold, rmin, rmax, count):
 @click.option("--b", "aspect", type=float, default=None)
 @click.option("--mode", type=click.Choice(["general", "no-tiny"]),
               default="general", show_default=True)
-@click.option("--kind", type=click.Choice(["greedy_adversary", "uniform"]),
+@click.option("--kind", type=click.Choice(KINDS),
               default="greedy_adversary", show_default=True)
 @click.option("--seeds", default="0:10", show_default=True,
               help="Seed range start:stop (stop exclusive).")
@@ -213,13 +216,13 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax,
                      else bounds_mod.guarantee_square(mode))
     failures = 0
     for seed in range(start, stop):
-        spec = GenSpec(kind=kind, seed=seed, threshold=threshold,
-                       r_min=rmin, r_max=rmax)
-        radii = generate(spec)
-        if container == "rect":
-            result = pack_rect_online(aspect, radii, eps=eps)
-        else:
-            result = pack_square_online(mode, radii, eps=eps)
+        try:
+            radii = generate(GenSpec(kind=kind, seed=seed,
+                                     threshold=threshold, r_min=rmin,
+                                     r_max=rmax))
+        except ValueError as exc:
+            raise click.ClickException(str(exc))
+        result = _pack(container, aspect, mode, radii, eps)
         summary = {
             "seed": seed,
             "n": len(radii),

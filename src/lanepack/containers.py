@@ -17,7 +17,8 @@ from .classification import (ClassTable, TooLarge, TooSmall,
                              build_class_table, classify)
 from .dslp import DslpLane, dslp_metrics, dslp_pack, make_dslp
 from .geometry import EPS, Frame, Orientation, PlacedCircle, Rect
-from .lanes import LaneState, Packing, Strategy, metrics, tlp_place
+from .lanes import (LaneInfo, LaneState, Packing, Strategy, metrics,
+                    new_lane, place)
 
 SQUARE_WIDTH_GENERAL = 0.288480
 SQUARE_WIDTH_NO_TINY = 0.277927
@@ -26,32 +27,6 @@ NO_TINY_MIN_RADIUS = 0.026623
 
 STATUS_ALL_PACKED = "all_packed"
 STATUS_REJECTED = "rejected"
-
-
-@dataclass(frozen=True)
-class LaneInfo:
-    """Serializable description of one lane, enough to rebuild its frame."""
-
-    lane_id: str
-    origin: tuple[float, float]
-    eu: tuple[int, int]
-    ev: tuple[int, int]
-    length: float
-    width: float
-    strategy: str
-    class_index: int
-
-    @staticmethod
-    def from_lane(lane: LaneState) -> "LaneInfo":
-        f = lane.frame
-        return LaneInfo(lane_id=lane.lane_id, origin=f.origin, eu=f.eu,
-                        ev=f.ev, length=f.length, width=f.width,
-                        strategy=lane.strategy.value,
-                        class_index=lane.class_index)
-
-    def frame(self) -> Frame:
-        return Frame(origin=tuple(self.origin), eu=tuple(self.eu),
-                     ev=tuple(self.ev), length=self.length, width=self.width)
 
 
 @dataclass
@@ -161,11 +136,12 @@ class _OnlineRun:
     def _checked(self, radii: Iterable[float]) -> list[float]:
         out = []
         for i, r in enumerate(radii):
-            # bool is an int subclass; numpy scalars register as Real.
-            if isinstance(r, bool) or not isinstance(r, numbers.Real):
-                raise ValueError(f"radius at input {i} must be a real "
-                                 f"number, got {r!r}")
-            r = float(r)
+            if type(r) is not float:
+                # bool is an int subclass; numpy scalars register as Real.
+                if isinstance(r, bool) or not isinstance(r, numbers.Real):
+                    raise ValueError(f"radius at input {i} must be a real "
+                                     f"number, got {r!r}")
+                r = float(r)
             if not (math.isfinite(r) and r > 0):
                 raise ValueError(f"radius at input {i} must be positive "
                                  f"and finite, got {r!r}")
@@ -218,9 +194,8 @@ class RectRun(_OnlineRun):
 
     def _result(self) -> PackResult:
         d = self.dslp
-        lanes = [LaneInfo.from_lane(d.host), LaneInfo.from_lane(d.top),
-                 LaneInfo.from_lane(d.bottom)]
-        lanes += [LaneInfo.from_lane(vl.lane) for vl in d.ledger.all_vlanes]
+        lanes = [d.host.info, d.top.info, d.bottom.info]
+        lanes += [vl.lane.info for vl in d.ledger.all_vlanes]
         m = dslp_metrics(d)
         per_lane = {
             d.lane_id: {
@@ -256,6 +231,16 @@ def square_layout(w: float) -> dict[str, tuple[Rect, Orientation]]:
     }
 
 
+@functools.lru_cache(maxsize=4)
+def _square_shape(w: float):
+    """The large lane's frame and description, and the four medium lanes'
+    (name, rectangle, orientation); cached per lane width, all frozen."""
+    layout = square_layout(w)
+    large = LaneState("L0", Frame.from_rect(*layout["L0"]), Strategy.TLP, 0)
+    medium = tuple((name, *layout[name]) for name in ("L1", "L2", "L3", "L4"))
+    return (large.frame, large.info), medium
+
+
 class SquareRun(_OnlineRun):
     """One online packing run into the unit square."""
 
@@ -269,15 +254,11 @@ class SquareRun(_OnlineRun):
         self.table = table_for("square", mode, self.w)
         # No-tiny inputs must fall into a class of the truncated table.
         self._start(self.table.min_radius if mode == "no_tiny" else 0.0)
-        layout = square_layout(self.w)
-        rect0, orient0 = layout["L0"]
-        self.large_lane = LaneState(
-            lane_id="L0", frame=Frame.from_rect(rect0, orient0),
-            strategy=Strategy.TLP, class_index=0)
+        large, medium = _square_shape(self.w)
+        self.large_lane = new_lane(*large)
         self.medium_lanes: list[DslpLane] = [
-            make_dslp(name, layout[name][0], layout[name][1], self.table)
-            for name in ("L1", "L2", "L3", "L4")
-        ]
+            make_dslp(name, rect, orientation, self.table)
+            for name, rect, orientation in medium]
 
     def _pack_one(self, r: float, seq: int) -> bool:
         try:
@@ -285,8 +266,8 @@ class SquareRun(_OnlineRun):
         except (TooLarge, TooSmall):
             return False
         if cls == 0:
-            return tlp_place(self.large_lane, r, seq, 0, self.packing,
-                             self.eps) is not None
+            return place(self.large_lane, r, seq, 0, self.packing,
+                         self.eps) is not None
         for d in self.medium_lanes:
             if d.host.closed:
                 continue
@@ -295,16 +276,14 @@ class SquareRun(_OnlineRun):
         return False
 
     def _result(self) -> PackResult:
-        lanes = [LaneInfo.from_lane(self.large_lane)]
+        lanes = [self.large_lane.info]
         per_lane = {
             "L0": {"n": len(self.large_lane.placed),
                    "p": metrics(self.large_lane).packing_length},
         }
         for d in self.medium_lanes:
-            lanes += [LaneInfo.from_lane(d.host), LaneInfo.from_lane(d.top),
-                      LaneInfo.from_lane(d.bottom)]
-            lanes += [LaneInfo.from_lane(vl.lane)
-                      for vl in d.ledger.all_vlanes]
+            lanes += [d.host.info, d.top.info, d.bottom.info]
+            lanes += [vl.lane.info for vl in d.ledger.all_vlanes]
             m = dslp_metrics(d)
             per_lane[d.lane_id] = {
                 "p_t": m.p_t, "p_b": m.p_b, "closed": d.host.closed,

@@ -9,14 +9,15 @@ the bottom lane.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from .blocks import BlockLedger, on_medium_packed, pack_small_class
 from .classification import ClassTable
 from .geometry import EPS, Frame, Orientation, PlacedCircle, Rect
-from .lanes import (LaneState, Packing, Strategy, commit, find_position,
-                    metrics, packing_extent)
+from .lanes import (LaneInfo, LaneState, Packing, Strategy, commit,
+                    find_position, metrics, new_lane, packing_extent)
 
 
 @dataclass
@@ -37,24 +38,35 @@ class DslpMetrics:
     f_b: float
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _dslp_shape(lane_id: str, x0: float, y0: float, x1: float, y1: float,
+                orientation: Orientation
+                ) -> tuple[tuple[Frame, LaneInfo], ...]:
+    """Frames and descriptions of a DSLP lane's host, top and bottom lanes.
+
+    Cached per shape, since both are frozen; each run builds its own
+    lane states from them.  The key holds the typed coordinates, so an
+    int and a float aspect keep their own frames.
+    """
+    frame = Frame.from_rect(Rect(x0, y0, x1, y1), orientation)
+    w, length = frame.width, frame.length
+    frames = {"host": frame,
+              "top": frame.subframe(Rect(0.0, w / 2.0, length, w),
+                                    Orientation.LEFTWARDS),
+              "bottom": frame.subframe(Rect(0.0, 0.0, length, w / 2.0),
+                                       Orientation.LEFTWARDS)}
+    lanes = [LaneState(f"{lane_id}:{name}", f, Strategy.SLP,
+                       1 if name == "host" else 2)
+             for name, f in frames.items()]
+    return tuple((lane.frame, lane.info) for lane in lanes)
+
+
 def make_dslp(lane_id: str, rect: Rect, orientation: Orientation,
               table: ClassTable) -> DslpLane:
-    frame = Frame.from_rect(rect, orientation)
-    w, length = frame.width, frame.length
-    host = LaneState(lane_id=f"{lane_id}:host", frame=frame,
-                     strategy=Strategy.SLP, class_index=1)
-    ledger = BlockLedger(host=host, table=table)
-    top = LaneState(
-        lane_id=f"{lane_id}:top",
-        frame=frame.subframe(Rect(0.0, w / 2.0, length, w),
-                             Orientation.LEFTWARDS),
-        strategy=Strategy.SLP, class_index=2)
-    bottom = LaneState(
-        lane_id=f"{lane_id}:bottom",
-        frame=frame.subframe(Rect(0.0, 0.0, length, w / 2.0),
-                             Orientation.LEFTWARDS),
-        strategy=Strategy.SLP, class_index=2)
-    return DslpLane(lane_id=lane_id, host=host, ledger=ledger,
+    host, top, bottom = (new_lane(frame, info) for frame, info in _dslp_shape(
+        lane_id, rect.x0, rect.y0, rect.x1, rect.y1, orientation))
+    return DslpLane(lane_id=lane_id, host=host,
+                    ledger=BlockLedger(host=host, table=table),
                     top=top, bottom=bottom, table=table)
 
 

@@ -174,28 +174,6 @@ def forbidden_interval(obstacle: PlacedCircle, y: float, r: float
     return (obstacle.x - d, obstacle.x + d)
 
 
-def _obstacle_intervals(xs: Sequence[float], ys: Sequence[float],
-                        rs: Sequence[float], y: float, r: float, eps: float,
-                        lo: float = -math.inf) -> list[tuple[float, float]]:
-    """Forbidden open x-intervals ending after lo, shrunk by eps/2 so
-    tangency stays feasible.
-
-    Half the tolerance keeps the committed penetration strictly below eps
-    even after rounding.  An interval is dropped when x + rsum <= lo: its
-    half-length sqrt(rsum^2 - dy^2) never exceeds rsum in floating point,
-    so it ends at or before lo and no sweep starting at lo can meet it.
-    """
-    half = 0.5 * eps
-    out = []
-    for cx, cy, ro in zip(xs, ys, rs):
-        rsum = ro + r - half
-        dy = cy - y
-        if abs(dy) < rsum and cx + rsum > lo:
-            d = math.sqrt(rsum * rsum - dy * dy)
-            out.append((cx - d, cx + d))
-    return out
-
-
 def leftmost_feasible(x_min: float, x_max: float, y: float, r: float,
                       obs_x: Sequence[float], obs_y: Sequence[float],
                       obs_r: Sequence[float],
@@ -205,13 +183,35 @@ def leftmost_feasible(x_min: float, x_max: float, y: float, r: float,
 
     Feasible means: x avoids every obstacle's forbidden interval and
     [x - r, x + r] does not enter the interior of any exclusion interval.
-    The sweep's answer is the smallest uncovered point from lo on, so the
-    order of intervals with equal starts does not matter.
+    Forbidden intervals are shrunk by eps/2, so tangency stays feasible
+    and the committed penetration stays strictly below eps even after
+    rounding.  An interval is dropped when x + rsum <= lo: its half-length
+    sqrt(rsum^2 - dy^2) never exceeds rsum in floating point, so it ends
+    at or before lo and no sweep starting at lo can meet it.
     """
     lo = max(x_min, floor)
     if lo > x_max:
         return None
-    intervals = _obstacle_intervals(obs_x, obs_y, obs_r, y, r, eps, lo)
+    half = 0.5 * eps
+    intervals = []
+    for cx, cy, ro in zip(obs_x, obs_y, obs_r):
+        rsum = ro + r - half
+        dy = cy - y
+        if abs(dy) < rsum and cx + rsum > lo:
+            d = math.sqrt(rsum * rsum - dy * dy)
+            intervals.append((cx - d, cx + d))
+    return sweep(lo, x_max, r, intervals, exclusions, eps)
+
+
+def sweep(lo: float, x_max: float, r: float,
+          intervals: list[tuple[float, float]],
+          exclusions: Sequence[tuple[float, float]] = (),
+          eps: float = EPS) -> Optional[float]:
+    """Smallest x in [lo, x_max] outside every open interval, with
+    [x - r, x + r] out of the exclusions' interiors; else None.  Adds the
+    exclusions' intervals to `intervals`.  The order of intervals with
+    equal starts does not matter.
+    """
     for a, b in exclusions:
         s, e = a - r + 0.5 * eps, b + r - 0.5 * eps
         if s < e:

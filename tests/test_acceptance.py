@@ -21,7 +21,7 @@ from lanepack.containers import (NO_TINY_MIN_RADIUS, RectRun, SquareRun,
                                  pack_rect_online, pack_square_online)
 from lanepack.genseq import GenSpec, generate
 from lanepack.geometry import Frame, Orientation, Rect
-from lanepack.lanes import LaneState, Packing, Strategy, slp_place
+from lanepack.lanes import LaneState, Packing, Strategy, place
 
 RECT_ASPECTS = (1.0, 1.5, 2.0, 2.36, 3.0, 5.0)
 SEEDS_PER_ASPECT = 200
@@ -211,7 +211,7 @@ def _random_slp_lane(rng):
                      strategy=Strategy.SLP)
     packing = Packing()
     seq = 0
-    while slp_place(lane, rng.uniform(q * w, 0.5 * w), seq, 1,
+    while place(lane, rng.uniform(q * w, 0.5 * w), seq, 1,
                     packing) is not None:
         seq += 1
     return lane, q, w

@@ -17,7 +17,7 @@ from lanepack.containers import pack_rect_online, pack_square_online
 from lanepack.geometry import Frame, Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
 from lanepack.lanes import (LanePlacement, LaneState, Packing, Strategy,
-                            metrics, slp_place)
+                            metrics, place)
 
 
 class TestCircleRectArea:
@@ -183,6 +183,20 @@ class TestValidate:
             assert self._order_kinds(dataclasses.replace(r, **changes)) == {
                 "order"}, changes
 
+    @pytest.mark.parametrize("radius", [None, 0.0, -0.5, math.inf,
+                                        math.nan, True])
+    def test_detects_rejected_run_without_a_refused_radius(self, radius):
+        r = pack_rect_online(2.0, [0.4, 0.3, 2.0])
+        assert r.status == "rejected" and validate(r).valid
+        assert self._order_kinds(dataclasses.replace(
+            r, rejected_radius=radius)) == {"order"}
+
+    def test_detects_complete_run_with_a_refused_radius(self):
+        r = seven_circles()
+        assert r.status == "all_packed"
+        assert self._order_kinds(dataclasses.replace(
+            r, rejected_radius=0.01)) == {"order"}
+
     def test_rejected_run_is_consistent(self):
         result = pack_square_online("general", [0.3, 0.12, 0.9])
         assert result.status == "rejected"
@@ -216,7 +230,7 @@ class TestLaneAudits:
         seq = 0
         while True:
             r = rng.uniform(q * w, 0.5 * w)
-            if slp_place(lane, r, seq, 1, p) is None:
+            if place(lane, r, seq, 1, p) is None:
                 break
             seq += 1
         return lane, q, w

@@ -5,7 +5,7 @@ from lanepack.blocks import (CLOSED, FREE, BlockLedger, fit_in_block,
                              reservation_for, vlane_position)
 from lanepack.classification import build_class_table
 from lanepack.geometry import Frame, Orientation, Rect
-from lanepack.lanes import LaneState, Packing, Strategy, slp_place
+from lanepack.lanes import LaneState, Packing, Strategy, place
 
 TABLE = build_class_table(1.0)
 W3 = TABLE.row(3).width  # width of a class-3 vertical sub-lane
@@ -22,7 +22,7 @@ def make_ledger(length=8.0):
 
 
 def pack_medium(ledger, packing, r, seq):
-    c = slp_place(ledger.host, r, seq, 1, packing)
+    c = place(ledger.host, r, seq, 1, packing)
     assert c is not None
     placement = ledger.host.placed[-1]
     half = "bottom" if placement.v <= ledger.host.width / 2 else "top"

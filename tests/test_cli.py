@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from lanepack.cli import main
+from lanepack.genseq import KINDS
 
 
 @pytest.fixture
@@ -173,6 +174,12 @@ class TestGen:
                             "5"]).output
         assert a == b
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_generator_kind(self, runner, kind):
+        res = invoke(runner, ["gen", "--kind", kind, "--seed", "1"])
+        assert res.exit_code == 0
+        assert all(float(line) > 0 for line in res.output.split())
+
     def test_gen_feeds_pack(self, runner):
         seq = invoke(runner, ["gen", "--kind", "greedy_adversary",
                               "--seed", "2", "--threshold", "0.350389"]).output
@@ -204,6 +211,20 @@ class TestBatch:
         assert res.exit_code == 2
         lines = [json.loads(l) for l in res.output.strip().splitlines()]
         assert any(s["status"] == "rejected" for s in lines)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_generator_kind(self, runner, kind):
+        res = invoke(runner, ["batch", "--container", "rect", "--b", "2",
+                              "--kind", kind, "--seeds", "0:2"])
+        assert res.exit_code in (0, 2)
+        assert len(res.output.strip().splitlines()) == 2
+
+    def test_input_below_the_no_tiny_floor(self, runner):
+        # Class-boundary radii reach below the no-tiny table's last class.
+        res = invoke(runner, ["batch", "--container", "square", "--mode",
+                              "no-tiny", "--kind", "class_boundary"])
+        assert res.exit_code == 1
+        assert "not above the deepest class bound" in res.output
 
     def test_bad_seed_range(self, runner):
         res = invoke(runner, ["batch", "--container", "square",

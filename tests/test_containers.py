@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lanepack import containers, dslp
 from lanepack.audit import validate
 from lanepack.bounds import guarantee_rect, guarantee_square
 from lanepack.containers import (NO_TINY_MIN_RADIUS, NO_TINY_Q2,
@@ -12,6 +13,7 @@ from lanepack.containers import (NO_TINY_MIN_RADIUS, NO_TINY_Q2,
                                  container_rect, pack_rect_online,
                                  pack_square_online, square_layout, table_for)
 from lanepack.genseq import GenSpec, generate
+from lanepack.geometry import Orientation, Rect
 
 
 class TestSquareLayout:
@@ -154,6 +156,48 @@ class TestSquareRun:
         a = pack_square_online("general", radii).to_json_dict()
         b = pack_square_online("general", radii).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestSharedShapes:
+    """Runs of one container shape share frozen frames, nothing else."""
+
+    RUNS = [(lambda: RectRun(2.0), "rect", 2.0),
+            (lambda: SquareRun("general"), "square", "general"),
+            (lambda: SquareRun("no_tiny"), "square", "no_tiny")]
+
+    @pytest.mark.parametrize("make, container, param", RUNS)
+    def test_a_run_leaves_no_state_for_the_next(self, make, container,
+                                                param):
+        budget = (guarantee_rect(param) if container == "rect"
+                  else guarantee_square(param))
+        r_min = NO_TINY_MIN_RADIUS if param == "no_tiny" else 0.001
+
+        def radii(seed):
+            return generate(GenSpec("greedy_adversary", seed=seed,
+                                    threshold=budget, r_min=r_min))
+
+        assert len(make().pack(radii(1)).placements) > 5
+        second = make().pack(radii(2)).to_json_dict()
+        dslp._dslp_shape.cache_clear()
+        containers._square_shape.cache_clear()
+        assert make().pack(radii(2)).to_json_dict() == second
+
+    def test_equal_shapes_of_other_types_keep_their_own_frames(self):
+        # Rect(0, 0, 3, 1) equals Rect(0.0, 0.0, 3.0, 1.0), but frames
+        # built from it hold ints, which serialize differently.
+        ints = dslp.make_dslp("L1", Rect(0, 0, 3, 1), Orientation.RIGHTWARDS,
+                              table_for("rect", None, 1.0))
+        assert [type(x) for x in ints.host.info.origin] == [int, int]
+        result = pack_rect_online(3.0, [0.3])
+        assert [type(x) for x in result.lanes[0].origin] == [float, float]
+
+    def test_frames_shared_lanes_not(self):
+        a, b = SquareRun("general"), SquareRun("general")
+        assert a.large_lane.frame is b.large_lane.frame
+        assert a.medium_lanes[0].top.info is b.medium_lanes[0].top.info
+        assert a.large_lane is not b.large_lane
+        assert a.medium_lanes[0].host.placed is not (
+            b.medium_lanes[0].host.placed)
 
 
 class TestRunInput:

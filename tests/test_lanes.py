@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lanepack import lanes
 from lanepack.geometry import EPS, Frame, Orientation, PlacedCircle, Rect
 from lanepack.lanes import (LaneState, Packing, Strategy, find_position,
-                            metrics, packing_extent, slp_place, tlp_place)
+                            metrics, packing_extent, place)
 from test_geometry import GRID, circ, sweep_oracle
 
 
@@ -25,25 +27,25 @@ class TestSlpPlacement:
     def test_first_circle_in_corner(self):
         lane = make_lane()
         p = Packing()
-        c = slp_place(lane, 0.5, 0, 1, p)
+        c = place(lane, 0.5, 0, 1, p)
         assert (c.x, c.y) == pytest.approx((0.5, 0.5))
 
     def test_alternates_sides(self):
         lane = make_lane()
         p = Packing()
-        a = slp_place(lane, 0.5, 0, 1, p)
-        b = slp_place(lane, 0.5, 1, 1, p)
+        a = place(lane, 0.5, 0, 1, p)
+        b = place(lane, 0.5, 1, 1, p)
         assert a.y == pytest.approx(0.5)
         assert b.y == pytest.approx(0.5)  # w - r with r = w/2
         assert b.x == pytest.approx(1.5, abs=1e-8)
-        c = slp_place(lane, 0.3, 2, 1, p)
+        c = place(lane, 0.3, 2, 1, p)
         assert c.y == pytest.approx(0.3)  # bottom again
 
     def test_two_half_width_circles_touch(self):
         lane = make_lane()
         p = Packing()
-        slp_place(lane, 0.5, 0, 1, p)
-        b = slp_place(lane, 0.5, 1, 1, p)
+        place(lane, 0.5, 0, 1, p)
+        b = place(lane, 0.5, 1, 1, p)
         # Same height, so the second sits tangent one diameter along.
         assert b.x == pytest.approx(1.5, abs=1e-8)
 
@@ -52,16 +54,16 @@ class TestSlpPlacement:
         # far left geometrically; the gap rule keeps it min(r, r') ahead.
         lane = make_lane()
         p = Packing()
-        big = slp_place(lane, 0.5, 0, 1, p)
-        small = slp_place(lane, 0.1, 1, 2, p)
+        big = place(lane, 0.5, 0, 1, p)
+        small = place(lane, 0.1, 1, 2, p)
         u_big, u_small = big.x, small.x
         assert u_small - u_big >= 0.1 - 1e-9
 
     def test_gap_binds_when_geometry_is_loose(self):
         lane = make_lane()
         p = Packing()
-        slp_place(lane, 0.45, 0, 1, p)
-        c = slp_place(lane, 0.05, 1, 2, p)
+        place(lane, 0.45, 0, 1, p)
+        c = place(lane, 0.05, 1, 2, p)
         # Geometrically the tiny top circle could go to u = 0.05; the gap
         # rule forces u >= 0.45 + 0.05.
         assert c.x >= 0.5 - 1e-9
@@ -70,35 +72,35 @@ class TestSlpPlacement:
         lane = make_lane()
         lane.exclusions.append((0.0, 1.0))
         p = Packing()
-        c = slp_place(lane, 0.2, 0, 1, p)
+        c = place(lane, 0.2, 0, 1, p)
         assert c.x - c.r >= 1.0 - 1e-9
 
     def test_too_wide_rejected(self):
         lane = make_lane(width=0.5)
-        assert slp_place(lane, 0.26, 0, 1, Packing()) is None
+        assert place(lane, 0.26, 0, 1, Packing()) is None
 
     def test_longer_than_half_lane_rejected(self):
         lane = make_lane(length=1.0, width=1.0)
-        assert slp_place(lane, 0.51, 0, 1, Packing()) is None
+        assert place(lane, 0.51, 0, 1, Packing()) is None
 
     def test_closed_lane_rejects(self):
         lane = make_lane()
         lane.closed = True
-        assert slp_place(lane, 0.2, 0, 1, Packing()) is None
+        assert place(lane, 0.2, 0, 1, Packing()) is None
 
     def test_full_lane_rejects(self):
         lane = make_lane(length=1.0)
         p = Packing()
-        assert slp_place(lane, 0.5, 0, 1, p) is not None
-        assert slp_place(lane, 0.5, 1, 1, p) is None
+        assert place(lane, 0.5, 0, 1, p) is not None
+        assert place(lane, 0.5, 1, 1, p) is None
 
     def test_cross_lane_obstacles_respected(self):
         # A circle committed by another lane blocks this lane's corner.
         other = make_lane(lane_id="other")
         lane = make_lane(lane_id="mine")
         p = Packing()
-        slp_place(other, 0.5, 0, 1, p)
-        c = slp_place(lane, 0.5, 1, 1, p)
+        place(other, 0.5, 0, 1, p)
+        c = place(lane, 0.5, 1, 1, p)
         assert c.x == pytest.approx(1.5, abs=1e-8)
 
 
@@ -109,10 +111,10 @@ class TestTlpPlacement:
         slp = make_lane(strategy=Strategy.SLP)
         tlp = make_lane(strategy=Strategy.TLP)
         ps, pt = Packing(), Packing()
-        slp_place(slp, 0.25, 0, 1, ps)
-        tlp_place(tlp, 0.25, 0, 1, pt)
-        a = slp_place(slp, 0.25, 1, 1, ps)
-        b = tlp_place(tlp, 0.25, 1, 1, pt)
+        place(slp, 0.25, 0, 1, ps)
+        place(tlp, 0.25, 0, 1, pt)
+        a = place(slp, 0.25, 1, 1, ps)
+        b = place(tlp, 0.25, 1, 1, pt)
         assert a.x == pytest.approx(0.5)
         assert b.x == pytest.approx(0.25)
 
@@ -122,7 +124,7 @@ class TestTlpPlacement:
         us = []
         rng = random.Random(5)
         for i in range(30):
-            c = tlp_place(lane, rng.uniform(0.02, 0.5), i, 1, p)
+            c = place(lane, rng.uniform(0.02, 0.5), i, 1, p)
             if c is None:
                 break
             us.append(c.x)
@@ -132,7 +134,7 @@ class TestTlpPlacement:
         lane = make_lane(strategy=Strategy.TLP)
         lane.exclusions.append((0.0, 1.0))
         p = Packing()
-        c = tlp_place(lane, 0.2, 0, 1, p)
+        c = place(lane, 0.2, 0, 1, p)
         assert c.x == pytest.approx(0.2)
 
     def test_never_longer_than_slp(self):
@@ -143,8 +145,8 @@ class TestTlpPlacement:
                         for s in (Strategy.SLP, Strategy.TLP))
             ps, pt = Packing(), Packing()
             for i, r in enumerate(radii):
-                slp_place(slp, r, i, 1, ps)
-                tlp_place(tlp, r, i, 1, pt)
+                place(slp, r, i, 1, ps)
+                place(tlp, r, i, 1, pt)
             p_slp = metrics(slp).packing_length
             p_tlp = metrics(tlp).packing_length
             assert p_tlp <= p_slp + 1e-9
@@ -157,7 +159,7 @@ class TestOrientations:
         for orientation in Orientation:
             lane = make_lane(length=5, orientation=orientation)
             p = Packing()
-            placed = [slp_place(lane, r, i, 1, p) for i, r in enumerate(radii)]
+            placed = [place(lane, r, i, 1, p) for i, r in enumerate(radii)]
             assert all(c is not None for c in placed)
             local = [(pl.u, pl.v) for pl in lane.placed]
             if canonical is None:
@@ -173,7 +175,7 @@ class TestOrientations:
         lane = LaneState(lane_id="d", frame=frame, strategy=Strategy.SLP)
         p = Packing()
         for i in range(6):
-            c = slp_place(lane, 0.2, i, 1, p)
+            c = place(lane, 0.2, i, 1, p)
             assert c is not None
             assert rect.x0 <= c.x - c.r and c.x + c.r <= rect.x1
             assert rect.y0 <= c.y - c.r and c.y + c.r <= rect.y1
@@ -194,7 +196,7 @@ class TestMetrics:
     def test_single_circle(self):
         lane = make_lane()
         p = Packing()
-        slp_place(lane, 0.5, 0, 1, p)
+        place(lane, 0.5, 0, 1, p)
         m = metrics(lane)
         assert m.packing_length == pytest.approx(1.0)
         assert m.free_length == pytest.approx(9.0)
@@ -203,7 +205,7 @@ class TestMetrics:
     def test_extra_extents_extend_length(self):
         lane = make_lane()
         p = Packing()
-        slp_place(lane, 0.5, 0, 1, p)
+        place(lane, 0.5, 0, 1, p)
         m = metrics(lane, extra_extents=((2.0, 3.5),))
         assert m.packing_length == pytest.approx(3.5)
 
@@ -212,13 +214,26 @@ class TestMetrics:
         p = Packing()
         radii = [0.5, 0.3, 0.2, 0.45]
         for i, r in enumerate(radii):
-            slp_place(lane, r, i, 1, p)
+            place(lane, r, i, 1, p)
         assert metrics(lane).occupied_area == pytest.approx(
             sum(math.pi * r * r for r in radii))
 
 
 # Radii 2^-9 .. 2^-2 fall on four grid levels (cell sides 2^-6 .. 2^0).
 POWER_RADII = tuple(2.0 ** -k for k in range(2, 10))
+
+# _SCAN_MAX values that force the grid and the linear scan.
+GRID_ALWAYS, SCAN_ALWAYS = 0, 1 << 30
+
+
+def refiled(packing, scan_max):
+    """A fresh packing holding the same circles, built with _SCAN_MAX
+    patched to scan_max."""
+    with mock.patch.object(lanes, "_SCAN_MAX", scan_max):
+        fresh = Packing()
+        for c in packing.circles:
+            fresh.add(c)
+    return fresh
 
 
 def full_scan_position(lane, r, packing, eps):
@@ -342,8 +357,11 @@ class TestFindPositionOracle:
     @given(placement_instances())
     def test_equals_full_scan(self, inst):
         lane, r, packing, eps = inst
-        assert find_position(lane, r, packing, eps) == full_scan_position(
-            lane, r, packing, eps)
+        expect = full_scan_position(lane, r, packing, eps)
+        assert find_position(lane, r, packing, eps) == expect
+        for scan_max in (GRID_ALWAYS, SCAN_ALWAYS):
+            assert find_position(lane, r, refiled(packing, scan_max),
+                                 eps) == expect, scan_max
 
     def test_answer_beyond_the_first_window(self):
         # A wall of obstacles fills the first windows, so the sweep has
@@ -423,13 +441,30 @@ class TestPackingNear:
     @given(near_instances())
     def test_superset_of_circles_meeting_the_rectangle(self, inst):
         packing, x0, y0, x1, y1 = inst
-        got = packing.near(x0, y0, x1, y1)
-        ids = {id(c) for c in got}
-        assert len(ids) == len(got)
-        assert ids <= {id(c) for c in packing.circles}
-        for c in packing.circles:
-            if _meets(c, x0, y0, x1, y1):
-                assert id(c) in ids, c
+        for p in (packing, refiled(packing, GRID_ALWAYS),
+                  refiled(packing, SCAN_ALWAYS)):
+            got = p.near(x0, y0, x1, y1)
+            ids = {id(c) for c in got}
+            assert len(ids) == len(got)
+            assert ids <= {id(c) for c in packing.circles}
+            for c in packing.circles:
+                if _meets(c, x0, y0, x1, y1):
+                    assert id(c) in ids, c
+
+    def test_grid_built_at_scan_max_answers_as_from_the_start(self):
+        rng = random.Random(5)
+        grown = Packing()
+        for seq in range(lanes._SCAN_MAX + 1):
+            grown.add(PlacedCircle(x=rng.uniform(0, 2), y=rng.uniform(0, 1),
+                                   r=rng.choice(POWER_RADII), seq=seq,
+                                   lane_id="o"))
+        assert grown._levels is not None
+        filed = refiled(grown, GRID_ALWAYS)
+        for _ in range(200):
+            xa, xb = sorted(rng.uniform(-0.5, 2.5) for _ in range(2))
+            ya, yb = sorted(rng.uniform(-0.5, 1.5) for _ in range(2))
+            assert sorted(c.seq for c in grown.near(xa, ya, xb, yb)) == (
+                sorted(c.seq for c in filed.near(xa, ya, xb, yb)))
 
     def test_touching_boxes_below_zero(self):
         # Boxes touching the rectangle at a corner or an edge, on cell
