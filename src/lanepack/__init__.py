@@ -12,7 +12,6 @@ from .classification import (ClassTable, TooLarge, TooSmall,
                              build_class_table, classify)
 from .containers import (PackResult, RectRun, SquareRun, pack_rect_online,
                          pack_square_online, square_layout)
-from .estimators import RectanglePacker, SquarePacker
 from .genseq import GenSpec, generate
 from .geometry import EPS, PlacedCircle, Rect
 
@@ -26,8 +25,6 @@ __all__ = [
     "PlacedCircle",
     "Rect",
     "RectRun",
-    "RectanglePacker",
-    "SquarePacker",
     "SquareRun",
     "TooLarge",
     "TooSmall",

@@ -18,7 +18,7 @@ from .classification import ClassTable
 from .containers import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
                          container_rect, table_for)
 from .dslp import DslpLane, dslp_metrics, occupied_area
-from .geometry import EPS, PlacedCircle, Rect
+from .geometry import PlacedCircle, Rect
 from .lanes import LaneState, metrics
 
 if TYPE_CHECKING:
@@ -74,8 +74,7 @@ def _swept_pairs(xs: np.ndarray, rs: np.ndarray, eps: float):
     whose x-extents intersect.
 
     The extents are padded by |eps| plus a relative rounding margin, so no
-    pair that overlaps by more than eps (including pairs with
-    r_a + r_b < eps) is skipped.
+    pair that overlaps by more than eps (eps may be negative) is skipped.
     """
     import numpy as np
 
@@ -103,7 +102,8 @@ def _pairwise_overlaps(placements: Sequence[PlacedCircle],
                        eps: float) -> list[tuple[int, int]]:
     """Sorted pairs (i, j), i < j, of disks overlapping by more than eps.
 
-    Small sets test all pairs in a plain loop; larger ones only the pairs a
+    A pair with r_a + r_b <= eps never overlaps by more than eps.  Small
+    sets test all pairs in a plain loop; larger ones only the pairs a
     numpy sort-and-sweep on x-extents finds, with the same arithmetic.
     """
     n = len(placements)
@@ -115,7 +115,7 @@ def _pairwise_overlaps(placements: Sequence[PlacedCircle],
                 dx = a.x - b.x
                 dy = a.y - b.y
                 rsum = a.r + b.r - eps
-                if dx * dx + dy * dy < rsum * rsum:
+                if dx * dx + dy * dy < rsum * rsum and rsum > 0:
                     hits.append((i, j))
         return hits
     import numpy as np
@@ -129,6 +129,7 @@ def _pairwise_overlaps(placements: Sequence[PlacedCircle],
         dx = xs[a] - xs[b]
         dy = ys[a] - ys[b]
         rsum = rs[a] + rs[b] - eps
+        np.maximum(rsum, 0.0, out=rsum)  # rsum <= 0 never overlaps
         bad = dx * dx + dy * dy < rsum * rsum
         if bad.any():
             pairs = zip(a[bad].tolist(), b[bad].tolist())
@@ -148,10 +149,8 @@ def _class_bounds(table: ClassTable, class_index: int
     return (table.row(class_index).lower_bound, prev.lower_bound)
 
 
-def validate(result: PackResult, container: Rect | None = None,
-             eps: float | None = None) -> AuditReport:
-    if container is None:
-        container = container_rect(result)
+def validate(result: PackResult, eps: float | None = None) -> AuditReport:
+    container = container_rect(result)
     if eps is None:
         eps = result.eps
     report = AuditReport(valid=True)

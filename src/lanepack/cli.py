@@ -10,9 +10,8 @@ import click
 
 from . import bounds as bounds_mod
 from .audit import validate
-from .classification import table_csv
-from .containers import (PackResult, pack_rect_online, pack_square_online,
-                         table_for)
+from .classification import build_class_table, table_csv
+from .containers import PackResult, pack_rect_online, pack_square_online
 from .genseq import KINDS, GenSpec, generate
 from .geometry import EPS
 from .svg import render_svg
@@ -153,11 +152,7 @@ def bounds_cmd(delta_q, rect_b, square_mode, show_table, width):
                 square_mode.replace("-", "_"))))
             did = True
         if show_table:
-            mode = None
-            click.echo(table_csv(table_for("rect", mode, width)
-                                 if width == 1.0 else
-                                 table_for("square", "general", width)),
-                       nl=False)
+            click.echo(table_csv(build_class_table(width)), nl=False)
             did = True
     except ValueError as exc:
         raise click.ClickException(str(exc))

@@ -1,7 +1,8 @@
-"""Online container drivers: the 1 x b rectangle and the unit square.
+"""Online packing runs into the 1 x b rectangle and the unit square.
 
-Both drivers are strictly online: circles are placed one at a time, never
-moved, and the run stops at the first circle that cannot be placed.
+One driver runs both containers' lane layouts.  It is strictly online:
+circles are placed one at a time, never moved, and the run stops at the
+first circle that cannot be placed.
 """
 
 from __future__ import annotations
@@ -117,103 +118,6 @@ def container_rect(result: PackResult) -> Rect:
     return Rect(0.0, 0.0, 1.0, 1.0)
 
 
-class _OnlineRun:
-    """Arrival bookkeeping shared by the container runs.
-
-    A run may be fed in several pack() calls; arrival indices continue
-    across calls.  Every call checks all of its radii before committing
-    any, and a run that has rejected a circle takes no further input.
-    """
-
-    def _start(self, min_radius: float = 0.0) -> None:
-        """Empty run; radii at or below min_radius are invalid input."""
-        self.packing = Packing()
-        self.min_radius = min_radius
-        self.arrivals = 0
-        self.rejected_index: Optional[int] = None
-        self.rejected_radius: Optional[float] = None
-
-    def _checked(self, radii: Iterable[float]) -> list[float]:
-        out = []
-        for i, r in enumerate(radii):
-            if type(r) is not float:
-                # bool is an int subclass; numpy scalars register as Real.
-                if isinstance(r, bool) or not isinstance(r, numbers.Real):
-                    raise ValueError(f"radius at input {i} must be a real "
-                                     f"number, got {r!r}")
-                r = float(r)
-            if not (math.isfinite(r) and r > 0):
-                raise ValueError(f"radius at input {i} must be positive "
-                                 f"and finite, got {r!r}")
-            if r <= self.min_radius:
-                raise ValueError(f"radius {r!r} at input {i} is not above "
-                                 f"the deepest class bound "
-                                 f"{self.min_radius!r}")
-            out.append(r)
-        return out
-
-    def pack(self, radii: Iterable[float]) -> PackResult:
-        """Place radii in arrival order; the result covers the whole run."""
-        if self.rejected_index is not None:
-            raise ValueError(f"run stopped at arrival {self.rejected_index};"
-                             f" it accepts no further circles")
-        for r in self._checked(radii):
-            seq = self.arrivals
-            self.arrivals += 1
-            if not self._pack_one(r, seq):
-                self.rejected_index = seq
-                self.rejected_radius = r
-                break
-        return self._result()
-
-    def _status(self) -> str:
-        return (STATUS_ALL_PACKED if self.rejected_index is None
-                else STATUS_REJECTED)
-
-
-class RectRun(_OnlineRun):
-    """One online packing run into a 1 x b rectangle."""
-
-    def __init__(self, b: float, eps: float = EPS):
-        if not (b >= 1 and math.isfinite(b)):
-            raise ValueError(f"aspect b must be >= 1, got {b}")
-        self.b = b
-        self.eps = eps
-        self.table = table_for("rect", None, 1.0)
-        self._start()
-        self.dslp: DslpLane = make_dslp(
-            "L1", Rect(0.0, 0.0, b, 1.0), Orientation.RIGHTWARDS, self.table)
-
-    def _pack_one(self, r: float, seq: int) -> bool:
-        try:
-            cls = classify(r, self.table)
-        except (TooLarge, TooSmall):
-            return False
-        return dslp_pack(self.dslp, r, cls, seq, self.packing,
-                         self.eps) is not None
-
-    def _result(self) -> PackResult:
-        d = self.dslp
-        lanes = [d.host.info, d.top.info, d.bottom.info]
-        lanes += [vl.lane.info for vl in d.ledger.all_vlanes]
-        m = dslp_metrics(d)
-        per_lane = {
-            d.lane_id: {
-                "n": len(self.packing), "p_t": m.p_t, "p_b": m.p_b,
-                "closed": d.host.closed,
-                "blocks": d.ledger.to_dict(),
-            }
-        }
-        return PackResult(
-            status=self._status(), container="rect", mode=None, w=1.0,
-            b=self.b,
-            guarantee=bounds.guarantee_rect(self.b),
-            placements=list(self.packing.circles), lanes=lanes,
-            rejected_index=self.rejected_index,
-            rejected_radius=self.rejected_radius,
-            per_lane=per_lane, eps=self.eps)
-
-
 def square_layout(w: float) -> dict[str, tuple[Rect, Orientation]]:
     """Lane rectangles and orientations for the unit square, given the
 
@@ -241,24 +145,80 @@ def _square_shape(w: float):
     return (large.frame, large.info), medium
 
 
-class SquareRun(_OnlineRun):
-    """One online packing run into the unit square."""
+def _is_real(x) -> bool:
+    # bool is an int subclass; numpy scalars register as Real.  A float
+    # skips the slower ABC check.
+    return type(x) is float or (isinstance(x, numbers.Real)
+                                and not isinstance(x, bool))
 
-    def __init__(self, mode: str = "general", eps: float = EPS):
-        if mode not in ("general", "no_tiny"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
+
+class _OnlineRun:
+    """One online packing run over a container's lane layout.
+
+    The square is a TLP lane for the large class plus four DSLP lanes; the
+    1 x b rectangle is one DSLP lane.  A run may be fed in several pack()
+    calls; arrival indices continue across calls.  Every call checks all
+    of its radii before committing any, and a run that has rejected a
+    circle takes no further input.
+    """
+
+    def __init__(self, container: str, mode: Optional[str], w: float,
+                 b: Optional[float], eps: float):
+        if not (_is_real(eps) and 0 < eps < math.inf):
+            raise ValueError(f"eps must be a positive finite number, "
+                             f"got {eps!r}")
+        if container == "square":
+            self.guarantee = bounds.guarantee_square(mode)  # checks mode
+            large, medium = _square_shape(w)
+        elif _is_real(b) and 1 <= b < math.inf:
+            large = None
+            medium = (("L1", Rect(0.0, 0.0, b, 1.0), Orientation.RIGHTWARDS),)
+            self.guarantee = bounds.guarantee_rect(b)
+        else:
+            raise ValueError(f"aspect b must be a finite number >= 1, "
+                             f"got {b!r}")
+        self.container, self.mode, self.w, self.b = container, mode, w, b
         self.eps = eps
-        self.w = (SQUARE_WIDTH_GENERAL if mode == "general"
-                  else SQUARE_WIDTH_NO_TINY)
-        self.table = table_for("square", mode, self.w)
+        self.table = table_for(container, mode, w)
         # No-tiny inputs must fall into a class of the truncated table.
-        self._start(self.table.min_radius if mode == "no_tiny" else 0.0)
-        large, medium = _square_shape(self.w)
-        self.large_lane = new_lane(*large)
+        self.min_radius = self.table.min_radius if mode == "no_tiny" else 0.0
+        self.large_lane = None if large is None else new_lane(*large)
         self.medium_lanes: list[DslpLane] = [
             make_dslp(name, rect, orientation, self.table)
             for name, rect, orientation in medium]
+        self.packing = Packing()
+        self.arrivals = 0
+        self.rejected_index: Optional[int] = None
+        self.rejected_radius: Optional[float] = None
+
+    def pack(self, radii: Iterable[float]) -> PackResult:
+        """Place radii in arrival order; the result covers the whole run."""
+        if self.rejected_index is not None:
+            raise ValueError(f"run stopped at arrival {self.rejected_index};"
+                             f" it accepts no further circles")
+        checked = []
+        for i, r in enumerate(radii):
+            if type(r) is not float:
+                if not _is_real(r):
+                    raise ValueError(f"radius at input {i} must be a real "
+                                     f"number, got {r!r}")
+                r = float(r)
+            if not (math.isfinite(r) and r > 0):
+                raise ValueError(f"radius at input {i} must be positive "
+                                 f"and finite, got {r!r}")
+            if r <= self.min_radius:
+                raise ValueError(f"radius {r!r} at input {i} is not above "
+                                 f"the deepest class bound "
+                                 f"{self.min_radius!r}")
+            checked.append(r)
+        for r in checked:
+            seq = self.arrivals
+            self.arrivals += 1
+            if not self._pack_one(r, seq):
+                self.rejected_index = seq
+                self.rejected_radius = r
+                break
+        return self._result()
 
     def _pack_one(self, r: float, seq: int) -> bool:
         try:
@@ -266,6 +226,8 @@ class SquareRun(_OnlineRun):
         except (TooLarge, TooSmall):
             return False
         if cls == 0:
+            # Only a table with a large class, hence a layout with a TLP
+            # lane, yields class 0.
             return place(self.large_lane, r, seq, 0, self.packing,
                          self.eps) is not None
         for d in self.medium_lanes:
@@ -276,26 +238,46 @@ class SquareRun(_OnlineRun):
         return False
 
     def _result(self) -> PackResult:
-        lanes = [self.large_lane.info]
-        per_lane = {
-            "L0": {"n": len(self.large_lane.placed),
-                   "p": metrics(self.large_lane).packing_length},
-        }
+        lanes, per_lane = [], {}
+        if self.large_lane is not None:
+            lane = self.large_lane
+            lanes.append(lane.info)
+            per_lane[lane.lane_id] = {
+                "n": len(lane.placed), "p": metrics(lane).packing_length}
+        # The rectangle's one lane also records the run's circle count.
+        count = {"n": len(self.packing)} if self.container == "rect" else {}
         for d in self.medium_lanes:
             lanes += [d.host.info, d.top.info, d.bottom.info]
             lanes += [vl.lane.info for vl in d.ledger.all_vlanes]
             m = dslp_metrics(d)
             per_lane[d.lane_id] = {
-                "p_t": m.p_t, "p_b": m.p_b, "closed": d.host.closed,
-                "blocks": d.ledger.to_dict(),
+                **count, "p_t": m.p_t, "p_b": m.p_b,
+                "closed": d.host.closed, "blocks": d.ledger.to_dict(),
             }
         return PackResult(
-            status=self._status(), container="square", mode=self.mode,
-            w=self.w, b=None, guarantee=bounds.guarantee_square(self.mode),
-            placements=list(self.packing.circles), lanes=lanes,
-            rejected_index=self.rejected_index,
+            status=(STATUS_ALL_PACKED if self.rejected_index is None
+                    else STATUS_REJECTED),
+            container=self.container, mode=self.mode, w=self.w, b=self.b,
+            guarantee=self.guarantee, placements=list(self.packing.circles),
+            lanes=lanes, rejected_index=self.rejected_index,
             rejected_radius=self.rejected_radius,
             per_lane=per_lane, eps=self.eps)
+
+
+class RectRun(_OnlineRun):
+    """One online packing run into a 1 x b rectangle."""
+
+    def __init__(self, b: float, eps: float = EPS):
+        super().__init__("rect", None, 1.0, b, eps)
+
+
+class SquareRun(_OnlineRun):
+    """One online packing run into the unit square."""
+
+    def __init__(self, mode: str = "general", eps: float = EPS):
+        w = (SQUARE_WIDTH_GENERAL if mode == "general"
+             else SQUARE_WIDTH_NO_TINY)
+        super().__init__("square", mode, w, None, eps)
 
 
 def pack_rect_online(b: float, radii: Iterable[float],

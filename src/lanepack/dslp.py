@@ -122,28 +122,21 @@ def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
     return commit(lane, pos[0], pos[1], r, seq, class_index, packing)
 
 
-def host_extent(d: DslpLane) -> Optional[tuple[float, float]]:
-    """Longitudinal extent of everything packed into the host lane itself,
-
-    including circles inside vertical sub-lanes, in host-canonical x.
-    """
+def vlane_extents(d: DslpLane) -> list[tuple[float, float]]:
+    """Longitudinal extents, in host-canonical u, of the circles packed
+    into the host's vertical sub-lanes."""
     extents = []
-    own = packing_extent(d.host)
-    if own is not None:
-        extents.append(own)
     for vl in d.ledger.all_vlanes:
         for p in vl.lane.placed:
             x, y = vl.lane.frame.to_container(p.u, p.v)
             u, _ = d.host.frame.to_local(x, y)
             extents.append((u - p.r, u + p.r))
-    if not extents:
-        return None
-    return (min(e[0] for e in extents), max(e[1] for e in extents))
+    return extents
 
 
 def dslp_metrics(d: DslpLane) -> DslpMetrics:
-    extent = host_extent(d)
-    p_host = 0.0 if extent is None else extent[1] - extent[0]
+    # The host's packing length covers its vertical sub-lanes' circles.
+    p_host = metrics(d.host, vlane_extents(d)).packing_length
     p_top = metrics(d.top).packing_length
     p_bottom = metrics(d.bottom).packing_length
     length = d.host.length

@@ -152,28 +152,6 @@ class Frame:
         return Rect(min(xs), min(ys), max(xs), max(ys))
 
 
-def circles_overlap(a: PlacedCircle, b: PlacedCircle, eps: float = EPS) -> bool:
-    """True iff the disks properly overlap; touching is not overlap."""
-    return math.hypot(a.x - b.x, a.y - b.y) < a.r + b.r - eps
-
-
-def circle_in_rect(c: PlacedCircle, rect: Rect, eps: float = EPS) -> bool:
-    """True iff the disk lies inside the rectangle with slack -eps per side."""
-    return (c.x - c.r >= rect.x0 - eps and c.x + c.r <= rect.x1 + eps
-            and c.y - c.r >= rect.y0 - eps and c.y + c.r <= rect.y1 + eps)
-
-
-def forbidden_interval(obstacle: PlacedCircle, y: float, r: float
-                       ) -> Optional[tuple[float, float]]:
-    """Open x-interval excluded by one obstacle for a circle of radius r at height y."""
-    rsum = r + obstacle.r
-    dy = y - obstacle.y
-    if abs(dy) >= rsum:
-        return None
-    d = math.sqrt(rsum * rsum - dy * dy)
-    return (obstacle.x - d, obstacle.x + d)
-
-
 def leftmost_feasible(x_min: float, x_max: float, y: float, r: float,
                       obs_x: Sequence[float], obs_y: Sequence[float],
                       obs_r: Sequence[float],

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geometry import EPS, Frame, PlacedCircle, sweep
 
@@ -285,13 +285,13 @@ def packing_extent(lane: LaneState) -> Optional[tuple[float, float]]:
     """Longitudinal extent [u_min, u_max] of the lane's own circles."""
     if not lane.placed:
         return None
-    lo = min(p.u - p.r for p in lane.placed)
-    hi = max(p.u + p.r for p in lane.placed)
+    lo = min([p.u - p.r for p in lane.placed])
+    hi = max([p.u + p.r for p in lane.placed])
     return (lo, hi)
 
 
 def metrics(lane: LaneState,
-            extra_extents: tuple[tuple[float, float], ...] = ()) -> LaneMetrics:
+            extra_extents: Sequence[tuple[float, float]] = ()) -> LaneMetrics:
     """Packing length, circle-free length, and occupied area of a lane.
 
     extra_extents lets callers include content that sits geometrically
@@ -303,9 +303,9 @@ def metrics(lane: LaneState,
         extents.append(own)
     extents.extend(extra_extents)
     if extents:
-        p = max(e[1] for e in extents) - min(e[0] for e in extents)
+        p = max([e[1] for e in extents]) - min([e[0] for e in extents])
     else:
         p = 0.0
-    occ = sum(math.pi * c.r * c.r for c in lane.placed)
+    occ = sum([math.pi * c.r * c.r for c in lane.placed])
     return LaneMetrics(packing_length=p, free_length=lane.length - p,
                        occupied_area=occ)

@@ -230,8 +230,8 @@ def test_criterion_7_lemma_audits(rect_guarantee_runs, square_guarantee_runs):
 
     dslp_audits = 0
     for b, seed, _radii, run, _result in rect_guarantee_runs:
-        if run.dslp.host.placed:
-            assert audit_dslp_lane(run.dslp), (b, seed)
+        if run.medium_lanes[0].host.placed:
+            assert audit_dslp_lane(run.medium_lanes[0]), (b, seed)
             dslp_audits += 1
     for seed, _radii, run, _result in square_guarantee_runs:
         for d in run.medium_lanes:

@@ -282,14 +282,14 @@ class TestLaneAudits:
             run = RectRun(2.0)
             result = run.pack(run_radii)
             assert result.status == "rejected"
-            if run.dslp.host.placed:
-                assert audit_dslp_lane(run.dslp)
+            if run.medium_lanes[0].host.placed:
+                assert audit_dslp_lane(run.medium_lanes[0])
 
     def test_dslp_audit_requires_content(self):
         from lanepack.containers import RectRun
         run = RectRun(2.0)
         with pytest.raises(ValueError):
-            audit_dslp_lane(run.dslp)
+            audit_dslp_lane(run.medium_lanes[0])
 
 
 def dense_overlaps(placements, eps):
@@ -300,7 +300,7 @@ def dense_overlaps(placements, eps):
     dx = xs[:, None] - xs[None, :]
     dy = ys[:, None] - ys[None, :]
     rsum = rs[:, None] + rs[None, :] - eps
-    bad = dx * dx + dy * dy < rsum * rsum
+    bad = (rsum > 0) & (dx * dx + dy * dy < rsum * rsum)
     return [(int(i), int(j)) for i, j in zip(*np.nonzero(bad)) if i < j]
 
 
@@ -352,6 +352,17 @@ class TestPairwiseOverlaps:
             assert audit._pairwise_overlaps(disks, eps) == want
         with mock.patch.multiple(audit, _PAIR_CHUNK=chunk, _ALL_PAIRS_MAX=0):
             assert audit._pairwise_overlaps(disks, eps) == want
+
+    def test_disks_below_eps_never_overlap(self):
+        # With r_a + r_b < eps two disks overlap by less than eps even when
+        # they share a centre.
+        result = pack_square_online("general", [1e-10] * 5)
+        assert result.status == "all_packed"
+        assert validate(result).valid
+        disks = [disk(0.0, 0.0, 1e-10, k) for k in range(40)]
+        for all_pairs_max in (1 << 30, 0):
+            with mock.patch.object(audit, "_ALL_PAIRS_MAX", all_pairs_max):
+                assert audit._pairwise_overlaps(disks, 1e-9) == []
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_threshold_sizes(self, extra):

@@ -185,7 +185,7 @@ class TestFiveStepRoutine:
         assert state_after == CLOSED
 
     def test_placements_avoid_host_circles(self):
-        from lanepack.geometry import circles_overlap
+        from oracles import circles_overlap
         ledger, packing = make_ledger()
         pack_medium(ledger, packing, 0.5, 0)
         for seq in range(1, 12):

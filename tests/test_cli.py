@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -73,6 +74,16 @@ class TestPack:
                               "--mode", "no-tiny"], input="0.001\n")
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("args, env", [
+        (["--eps", "0"], {}), (["--eps", "-1e-9"], {}),
+        (["--eps", "nan"], {}), ([], {"CIRCLEPACK_EPS": "0"})],
+        ids=["zero", "negative", "nan", "env-zero"])
+    def test_eps_must_be_positive(self, runner, args, env):
+        res = invoke(runner, ["pack", "--container", "rect", "--b", "2",
+                              *args], input="0.1\n", env=env)
+        assert res.exit_code == 1
+        assert "eps must be a positive finite number" in res.output
+
     def test_output_files(self, runner, tmp_path):
         out_json = tmp_path / "r.json"
         out_svg = tmp_path / "r.svg"
@@ -119,6 +130,15 @@ class TestVerify:
         assert report["valid"] is False
         assert report["violations"]
 
+    def test_disks_below_eps_pack_and_verify(self, runner, tmp_path):
+        out = tmp_path / "r.json"
+        res = invoke(runner, ["pack", "--container", "rect", "--b", "2",
+                              "--json", str(out)],
+                     input="1e-10\n1e-10\n1e-10\n")
+        assert res.exit_code == 0
+        res = invoke(runner, ["verify", str(out)])
+        assert res.exit_code == 0
+
     def test_unreadable_file(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -149,6 +169,20 @@ class TestBounds:
         assert lines[0] == "i,q_i,w_i,q_i*w_i"
         first = lines[1].split(",")
         assert first[:2] == ["1", "0.25"]
+
+    # SHA-256 of the output when --table built the square's table, large
+    # class included, for every width other than 1; that class is never
+    # printed, so the output must not change.
+    @pytest.mark.parametrize("args, digest", [
+        ([], "5e58e18ced2706dd1e6ef105c53f661a"
+             "4c89fbb0c189cb8d14ff3906e0888949"),
+        (["--width", "0.28848"], "7475093fd4988165c4ac5dd224ff1d9c"
+                                 "5c0a2d4633fa0f766e40fea525cc409f")],
+        ids=["default-width", "square-width"])
+    def test_table_output_unchanged(self, runner, args, digest):
+        res = invoke(runner, ["bounds", "--table", *args])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
     def test_requires_an_action(self, runner):
         res = invoke(runner, ["bounds"])
@@ -225,6 +259,12 @@ class TestBatch:
                               "no-tiny", "--kind", "class_boundary"])
         assert res.exit_code == 1
         assert "not above the deepest class bound" in res.output
+
+    def test_eps_must_be_positive(self, runner):
+        res = invoke(runner, ["batch", "--container", "square",
+                              "--seeds", "0:1", "--eps", "0"])
+        assert res.exit_code == 1
+        assert "eps must be a positive finite number" in res.output
 
     def test_bad_seed_range(self, runner):
         res = invoke(runner, ["batch", "--container", "square",

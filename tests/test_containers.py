@@ -284,6 +284,33 @@ class TestRunInput:
                 is SquareRun("general").table)
 
 
+class TestRunArguments:
+    """A run checks eps and the aspect b like radii, before it starts."""
+
+    RUNS = {"rect": lambda eps: RectRun(2.0, eps),
+            "square": lambda eps: SquareRun("no_tiny", eps)}
+
+    @pytest.mark.parametrize("container", ["rect", "square"])
+    @pytest.mark.parametrize("eps", [0, 0.0, -2.0 ** -20, math.nan, math.inf,
+                                     True, None, "1e-9"], ids=repr)
+    def test_eps_must_be_positive_and_finite(self, container, eps):
+        with pytest.raises(ValueError, match="eps must be"):
+            self.RUNS[container](eps)
+
+    @pytest.mark.parametrize("b", [True, np.bool_(True), "2", None], ids=repr)
+    def test_aspect_must_be_a_real_number(self, b):
+        with pytest.raises(ValueError, match="aspect b must be"):
+            pack_rect_online(b, [0.3])
+
+    @pytest.mark.parametrize("b, eps", [(2, 1e-9), (1.0, 1e-6),
+                                        (np.float64(2.0), np.float64(1e-9))],
+                             ids=repr)
+    def test_real_arguments_accepted(self, b, eps):
+        result = pack_rect_online(b, [0.3], eps=eps)
+        assert result.status == "all_packed"
+        assert validate(result).valid
+
+
 class TestSerialization:
     def _result(self):
         radii = generate(GenSpec(kind="greedy_adversary", seed=1,

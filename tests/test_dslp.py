@@ -3,10 +3,11 @@ import math
 import pytest
 
 from lanepack.classification import build_class_table
-from lanepack.dslp import (dslp_metrics, dslp_pack, host_extent, make_dslp,
-                           occupied_area)
-from lanepack.geometry import Orientation, Rect, circles_overlap
-from lanepack.lanes import Packing
+from lanepack.dslp import (dslp_metrics, dslp_pack, make_dslp, occupied_area,
+                           vlane_extents)
+from lanepack.geometry import Orientation, Rect
+from lanepack.lanes import Packing, metrics
+from oracles import circles_overlap
 
 TABLE = build_class_table(1.0)
 R_MEDIUM = 0.4  # class 1: 0.25 < r <= 0.5
@@ -117,7 +118,7 @@ class TestMetrics:
         m = dslp_metrics(d)
         assert m.p_t == m.p_b == 0.0
         assert m.f_t == m.f_b == d.host.length
-        assert host_extent(d) is None
+        assert metrics(d.host, vlane_extents(d)).packing_length == 0.0
         assert occupied_area(d) == 0.0
 
     def test_host_and_small_lengths_add(self):
@@ -132,10 +133,10 @@ class TestMetrics:
     def test_host_extent_includes_vlane_circles(self):
         d, p = make()
         dslp_pack(d, R_MEDIUM, 1, 0, p)
-        ext_before = host_extent(d)
+        before = metrics(d.host, vlane_extents(d)).packing_length
         dslp_pack(d, R_TINY, 3, 1, p)
-        ext_after = host_extent(d)
-        assert ext_after[1] > ext_before[1]
+        assert metrics(d.host).packing_length == before
+        assert metrics(d.host, vlane_extents(d)).packing_length > before
 
     def test_occupied_area_counts_everything(self):
         d, p = make()

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanepack.geometry import (EPS, Frame, Orientation, PlacedCircle, Rect,
-                               circle_in_rect, circles_overlap,
-                               forbidden_interval, leftmost_feasible)
+                               leftmost_feasible)
+from oracles import circle_in_rect, circles_overlap, forbidden_interval
 
 
 def circ(x, y, r, seq=0, lane="t"):

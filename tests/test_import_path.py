@@ -39,7 +39,7 @@ for i, a in enumerate(moved):
     for j in range(i + 1, len(moved)):
         b = moved[j]
         dx, dy, rsum = a.x - b.x, a.y - b.y, a.r + b.r - big.eps
-        if dx * dx + dy * dy < rsum * rsum:
+        if rsum > 0 and dx * dx + dy * dy < rsum * rsum:
             want.append((i, j))
 report = validate(dataclasses.replace(big, placements=moved))
 found = [v.indices for v in report.violations if v.kind == "overlap"]
