@@ -59,42 +59,104 @@ class AuditReport:
 
 
 # Up to this many disks a plain double loop over all pairs costs less than
-# the sweep's fixed numpy work (measured in-process: 0.5x the sweep at 16
-# disks, about even at 26, 1.3x at 32), and the audit of a small packing
-# never imports numpy.
-_ALL_PAIRS_MAX = 26
+# the strip sweep's fixed numpy work (measured in-process, median of
+# interleaved calls: 0.2x the sweep at 16 disks, 0.9x at 36, 1.1x at 40,
+# 1.5x at 48), and the audit of a small packing never imports numpy.
+_ALL_PAIRS_MAX = 38
 
 # Candidate pairs tested per numpy pass; bounds the sweep's temporaries
-# when many disks share an x-range.
+# when many disks crowd one strip.
 _PAIR_CHUNK = 1 << 18
 
 
-def _swept_pairs(xs: np.ndarray, rs: np.ndarray, eps: float):
-    """Index arrays (a, b), a chunk at a time, covering every pair of disks
-    whose x-extents intersect.
+def _extents(d: np.ndarray, eps: float) -> np.ndarray:
+    """Padded extents of disks whose x, y and r are the rows of d, as a
+    (2, 2, n) array: [start, end] x [x, y] x disk.
 
-    The extents are padded by |eps| plus a relative rounding margin, so no
-    pair that overlaps by more than eps (eps may be negative) is skipped.
+    The padding is |r| + |eps| plus a relative rounding margin, so no
+    pair that overlaps by more than eps (eps may be negative) has
+    disjoint extents on either axis.
     """
     import numpy as np
 
-    n = len(xs)
-    half = rs + abs(eps) + 1e-12 * (np.abs(xs) + rs + abs(eps))
-    order = np.argsort(xs - half, kind="stable")
-    lo = (xs - half)[order]
-    hi = (xs + half)[order]
-    # Sorted positions k + 1 .. k + counts[k] start inside the extent of k.
-    counts = np.maximum(
-        np.searchsorted(lo, hi, side="right") - np.arange(1, n + 1), 0)
+    pad = np.abs(d[2]) + abs(eps)
+    half = pad + 1e-12 * (np.abs(d[:2]) + pad)
+    ext = np.empty((2,) + half.shape)
+    np.subtract(d[:2], half, out=ext[0])
+    np.add(d[:2], half, out=ext[1])
+    return ext
+
+
+def _strips(xe: np.ndarray) -> np.ndarray:
+    """First and last vertical strip, rows of an int64 (2, n) array, that
+    each x-extent [xe[0, k], xe[1, k]] meets.
+
+    The strips have width S = 2 max(sum of widths, span) / n, so there
+    are at most n/2 + 1 of them, an extent of width w meets at most
+    w/S + 2, and all n extents together at most 2.5n (about 1.5n when
+    they lie at random).  The strip index is monotone in x, so two
+    intersecting extents both meet the strip of the larger start.
+    Extents that are not all finite, or all of zero width, share one
+    strip.
+    """
+    import numpy as np
+
+    n = xe.shape[1]
+    x0 = xe[0].min()
+    width = 2.0 * max((xe[1] - xe[0]).sum(), xe[1].max() - x0) / n
+    if not (0.0 < width < math.inf and math.isfinite(x0)):
+        return np.zeros((2, n), dtype=np.int64)
+    return np.floor((xe - x0) / width).astype(np.int64)
+
+
+def _swept_pairs(d: np.ndarray, eps: float):
+    """Index arrays (a, b), a chunk at a time, covering every pair of disks
+    whose padded extents (see _extents) intersect on both axes, each pair
+    once; d holds the disks' x, y and r as rows.
+
+    Each disk is filed in every vertical strip (see _strips) its x-extent
+    meets; within a strip, a sort on the y-extents pairs the disks whose
+    y-extents meet, and a pair counts only in the strip of the larger of
+    its two x-extent starts.
+    """
+    import numpy as np
+
+    n = d.shape[1]
+    if n < 2:
+        return
+    ext = _extents(d, eps)
+    # Disks are ranked by the start of their y-extent; the y-extent of
+    # the disk ranked k meets those of the disks ranked k + 1 .. reach[k] - 1.
+    by_y = np.argsort(ext[0, 1])
+    reach = np.searchsorted(ext[0, 1, by_y], ext[1, 1, by_y], side="right")
+    first, last = _strips(ext[:, 0, by_y])
+    # One entry per (strip, disk), keyed strip * m + rank and sorted.
+    m = n + 1
+    spans = last - first + 1
+    total = int(spans.sum())
+    base = np.cumsum(spans) - spans
+    keys = np.sort(np.repeat((first - base) * m + np.arange(n), spans)
+                   + np.arange(0, total * m, m))
+    rank = keys % m
+    row_key = keys - rank  # strip * m
+    # Entries e + 1 .. e + counts[e] share the strip of e, and their
+    # y-extents meet that of e.  A pair is kept only in the first strip
+    # of one of its disks, which is the strip of the larger x-start.
+    counts = (np.searchsorted(keys, row_key + reach[rank], side="left")
+              - np.arange(1, total + 1))
+    np.maximum(counts, 0, out=counts)
+    opens = row_key == first[rank] * m
+    disk = by_y[rank]
     ends = np.cumsum(counts)
     row = 0
-    while row < n:
+    while row < total:
         budget = ends[row] - counts[row] + _PAIR_CHUNK
         stop = max(row + 1, int(np.searchsorted(ends, budget, side="right")))
         c = counts[row:stop]
-        first = np.repeat(np.arange(row, stop), c)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(c) - c, c)
-        yield order[first], order[first + 1 + offset]
+        e = np.repeat(np.arange(row, stop), c)
+        f = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(c) - c, c)
+        keep = opens[e] | opens[f]
+        yield disk[e[keep]], disk[f[keep]]
         row = stop
 
 
@@ -102,9 +164,11 @@ def _pairwise_overlaps(placements: Sequence[PlacedCircle],
                        eps: float) -> list[tuple[int, int]]:
     """Sorted pairs (i, j), i < j, of disks overlapping by more than eps.
 
-    A pair with r_a + r_b <= eps never overlaps by more than eps.  Small
-    sets test all pairs in a plain loop; larger ones only the pairs a
-    numpy sort-and-sweep on x-extents finds, with the same arithmetic.
+    A pair with r_a + r_b <= eps never overlaps by more than eps.  Sets
+    of up to _ALL_PAIRS_MAX disks test all pairs in a plain loop; larger
+    ones only the candidate pairs of a numpy strip sweep (_swept_pairs:
+    vertical strips, then a sort on y within each strip), with the same
+    arithmetic.
     """
     n = len(placements)
     if n <= _ALL_PAIRS_MAX:
@@ -120,11 +184,11 @@ def _pairwise_overlaps(placements: Sequence[PlacedCircle],
         return hits
     import numpy as np
 
-    xs = np.array([c.x for c in placements])
-    ys = np.array([c.y for c in placements])
-    rs = np.array([c.r for c in placements])
+    d = np.array([[c.x for c in placements], [c.y for c in placements],
+                  [c.r for c in placements]])
+    xs, ys, rs = d
     hits = []
-    for a, b in _swept_pairs(xs, rs, eps):
+    for a, b in _swept_pairs(d, eps):
         # The test is symmetric in a and b, bit for bit.
         dx = xs[a] - xs[b]
         dy = ys[a] - ys[b]

@@ -47,6 +47,15 @@ def _read_radii(stream) -> list:
     return radii
 
 
+def _check_aspect(container: str, aspect: Optional[float]) -> None:
+    """--b is required for the rectangle and refused for the square."""
+    if container == "rect":
+        if aspect is None or aspect < 1:
+            raise click.ClickException("rect container requires --b >= 1")
+    elif aspect is not None:
+        raise click.ClickException("--b only applies to the rect container")
+
+
 def _pack(container: str, aspect: Optional[float], mode: str, radii,
           eps: float) -> PackResult:
     """Pack radii into the chosen container; bad input exits 1."""
@@ -87,11 +96,7 @@ def main():
 def pack_cmd(container, aspect, mode, input_path, json_path, svg_path, eps):
     """Pack a radius sequence online; exit 0 if all packed, 2 on rejection."""
     mode = mode.replace("-", "_")
-    if container == "rect":
-        if aspect is None or aspect < 1:
-            raise click.ClickException("rect container requires --b >= 1")
-    elif aspect is not None:
-        raise click.ClickException("--b only applies to the rect container")
+    _check_aspect(container, aspect)
     if input_path is not None:
         with open(input_path) as f:
             radii = _read_radii(f)
@@ -204,8 +209,7 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax,
         start, stop = (int(s) for s in seeds.split(":"))
     except ValueError:
         raise click.ClickException(f"bad --seeds range {seeds!r}")
-    if container == "rect" and (aspect is None or aspect < 1):
-        raise click.ClickException("rect container requires --b >= 1")
+    _check_aspect(container, aspect)
     if threshold is None:
         threshold = (bounds_mod.guarantee_rect(aspect) if container == "rect"
                      else bounds_mod.guarantee_square(mode))

@@ -18,8 +18,8 @@ from .classification import (ClassTable, TooLarge, TooSmall,
                              build_class_table, classify)
 from .dslp import DslpLane, dslp_metrics, dslp_pack, make_dslp
 from .geometry import EPS, Frame, Orientation, PlacedCircle, Rect
-from .lanes import (LaneInfo, LaneState, Packing, Strategy, metrics,
-                    new_lane, place)
+from .lanes import (LaneInfo, LaneState, Packing, Strategy, new_lane,
+                    packing_length, place)
 
 SQUARE_WIDTH_GENERAL = 0.288480
 SQUARE_WIDTH_NO_TINY = 0.277927
@@ -81,15 +81,14 @@ class PackResult:
     @staticmethod
     def from_json_dict(d: dict) -> "PackResult":
         placements = [
-            PlacedCircle(x=p["x"], y=p["y"], r=p["r"], seq=p["i"],
-                         lane_id=p["lane"], class_index=p["class"])
+            PlacedCircle(p["x"], p["y"], p["r"], p["i"], p["lane"],
+                         p["class"])
             for p in d["placements"]
         ]
         lanes = [
-            LaneInfo(lane_id=li["id"], origin=tuple(li["origin"]),
-                     eu=tuple(li["eu"]), ev=tuple(li["ev"]),
-                     length=li["length"], width=li["width"],
-                     strategy=li["strategy"], class_index=li["class"])
+            LaneInfo(li["id"], tuple(li["origin"]), tuple(li["eu"]),
+                     tuple(li["ev"]), li["length"], li["width"],
+                     li["strategy"], li["class"])
             for li in d["lanes"]
         ]
         return PackResult(
@@ -152,6 +151,13 @@ def _is_real(x) -> bool:
                                 and not isinstance(x, bool))
 
 
+def _plain(x):
+    """A checked real as JSON can write it: an int or float stays as it
+    is (an int aspect serializes as "b": 2), any other real becomes a
+    float."""
+    return x if type(x) in (int, float) else float(x)
+
+
 class _OnlineRun:
     """One online packing run over a container's lane layout.
 
@@ -167,10 +173,12 @@ class _OnlineRun:
         if not (_is_real(eps) and 0 < eps < math.inf):
             raise ValueError(f"eps must be a positive finite number, "
                              f"got {eps!r}")
+        eps = _plain(eps)
         if container == "square":
             self.guarantee = bounds.guarantee_square(mode)  # checks mode
             large, medium = _square_shape(w)
         elif _is_real(b) and 1 <= b < math.inf:
+            b = _plain(b)
             large = None
             medium = (("L1", Rect(0.0, 0.0, b, 1.0), Orientation.RIGHTWARDS),)
             self.guarantee = bounds.guarantee_rect(b)
@@ -243,7 +251,7 @@ class _OnlineRun:
             lane = self.large_lane
             lanes.append(lane.info)
             per_lane[lane.lane_id] = {
-                "n": len(lane.placed), "p": metrics(lane).packing_length}
+                "n": len(lane.placed), "p": packing_length(lane)}
         # The rectangle's one lane also records the run's circle count.
         count = {"n": len(self.packing)} if self.container == "rect" else {}
         for d in self.medium_lanes:

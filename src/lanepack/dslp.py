@@ -17,7 +17,8 @@ from .blocks import BlockLedger, on_medium_packed, pack_small_class
 from .classification import ClassTable
 from .geometry import EPS, Frame, Orientation, PlacedCircle, Rect
 from .lanes import (LaneInfo, LaneState, Packing, Strategy, commit,
-                    find_position, metrics, new_lane, packing_extent)
+                    find_position, metrics, new_lane, packing_extent,
+                    packing_length)
 
 
 @dataclass
@@ -136,9 +137,9 @@ def vlane_extents(d: DslpLane) -> list[tuple[float, float]]:
 
 def dslp_metrics(d: DslpLane) -> DslpMetrics:
     # The host's packing length covers its vertical sub-lanes' circles.
-    p_host = metrics(d.host, vlane_extents(d)).packing_length
-    p_top = metrics(d.top).packing_length
-    p_bottom = metrics(d.bottom).packing_length
+    p_host = packing_length(d.host, vlane_extents(d))
+    p_top = packing_length(d.top)
+    p_bottom = packing_length(d.bottom)
     length = d.host.length
     # The host stream and a small-lane stream may interleave once the lane
     # is nearly full; their combined longitudinal extent still cannot

@@ -290,22 +290,26 @@ def packing_extent(lane: LaneState) -> Optional[tuple[float, float]]:
     return (lo, hi)
 
 
-def metrics(lane: LaneState,
-            extra_extents: Sequence[tuple[float, float]] = ()) -> LaneMetrics:
-    """Packing length, circle-free length, and occupied area of a lane.
+def packing_length(lane: LaneState,
+                   extra_extents: Sequence[tuple[float, float]] = ()
+                   ) -> float:
+    """Longitudinal length spanned by the lane's circles.
 
     extra_extents lets callers include content that sits geometrically
     inside the lane but is tracked elsewhere (vertical sub-lanes).
     """
-    extents = []
     own = packing_extent(lane)
-    if own is not None:
-        extents.append(own)
-    extents.extend(extra_extents)
-    if extents:
-        p = max([e[1] for e in extents]) - min([e[0] for e in extents])
-    else:
-        p = 0.0
+    extents = [] if own is None else [own]
+    extents += extra_extents
+    if not extents:
+        return 0.0
+    return max([e[1] for e in extents]) - min([e[0] for e in extents])
+
+
+def metrics(lane: LaneState,
+            extra_extents: Sequence[tuple[float, float]] = ()) -> LaneMetrics:
+    """Packing length, circle-free length, and occupied area of a lane."""
+    p = packing_length(lane, extra_extents)
     occ = sum([math.pi * c.r * c.r for c in lane.placed])
     return LaneMetrics(packing_length=p, free_length=lane.length - p,
                        occupied_area=occ)

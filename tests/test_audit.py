@@ -311,6 +311,34 @@ def disk(x, y, r, seq):
     return PlacedCircle(x=x, y=y, r=r, seq=seq, lane_id="t")
 
 
+def strip_layout(layout):
+    """Disks that stress the strip sweep, some of them overlapping."""
+    rng = random.Random(layout)
+    if layout == "spanning":
+        # One disk as wide as the whole set, then 2,000 tiny ones.
+        xy = [(0.5, 0.5, 0.5)] + [
+            (rng.uniform(0.01, 0.99), rng.uniform(0, 1),
+             rng.uniform(0.001, 0.003)) for _ in range(2000)]
+    elif layout in ("column", "row"):
+        # Each disk overlaps the next, or just misses it.
+        t = [0.0]
+        for _ in range(299):
+            t.append(t[-1] + rng.choice([1.99e-3, 2.01e-3]))
+        xy = [(0.3, s, 1e-3) for s in t]
+        if layout == "row":
+            xy = [(y, x, r) for x, y, r in xy]
+    elif layout == "negative":
+        xy = [(rng.uniform(-3, -1), rng.uniform(-3, -1), rng.uniform(0, 0.05))
+              for _ in range(500)]
+    elif layout == "scattered":
+        # With eps = 0.5, only disks with r_a + r_b > 0.5 can overlap.
+        xy = [(rng.uniform(0, 20), rng.uniform(0, 20), rng.uniform(0.1, 1))
+              for _ in range(300)]
+    else:
+        xy = [(0.25, 0.75, 0.125)] * 200
+    return [disk(x, y, r, k) for k, (x, y, r) in enumerate(xy)]
+
+
 @st.composite
 def disk_sets(draw):
     def grid(lo, hi):
@@ -375,6 +403,24 @@ class TestPairwiseOverlaps:
         found = audit._pairwise_overlaps(disks, 1e-9)
         assert found == [(1, n - 1)]
         assert found == dense_overlaps(disks, 1e-9)
+
+    @pytest.mark.parametrize("layout, eps, chunk", [
+        ("spanning", 1e-9, 1 << 18), ("column", 1e-9, 1 << 18),
+        ("row", 1e-9, 1 << 18), ("negative", 1e-9, 1 << 18),
+        ("scattered", 0.5, 1 << 18), ("coincident", 1e-9, 7)])
+    def test_strip_sweep_matches_dense_oracle(self, layout, eps, chunk):
+        disks = strip_layout(layout)
+        with mock.patch.multiple(audit, _PAIR_CHUNK=chunk, _ALL_PAIRS_MAX=0):
+            found = audit._pairwise_overlaps(disks, eps)
+        assert found == dense_overlaps(disks, eps)
+        assert found
+        # Strip entries stay within the bound that the strip width sets.
+        d = np.array([[c.x for c in disks], [c.y for c in disks],
+                      [c.r for c in disks]])
+        first, last = audit._strips(audit._extents(d, eps)[:, 0])
+        assert (last - first + 1).sum() <= 2.5 * len(disks)
+        if layout == "spanning":
+            assert (first[0], last[0]) == (0, last.max()) and last[0] > 10
 
     def test_packed_stream_matches_dense_oracle(self):
         radii = [0.002 + 0.002 * ((k * 7919) % 1000) / 1000

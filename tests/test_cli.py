@@ -266,6 +266,12 @@ class TestBatch:
         assert res.exit_code == 1
         assert "eps must be a positive finite number" in res.output
 
+    def test_square_refuses_aspect(self, runner):
+        res = invoke(runner, ["batch", "--container", "square", "--b", "0.5",
+                              "--seeds", "0:1"])
+        assert res.exit_code == 1
+        assert "--b only applies to the rect container" in res.output
+
     def test_bad_seed_range(self, runner):
         res = invoke(runner, ["batch", "--container", "square",
                               "--seeds", "oops"])

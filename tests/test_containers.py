@@ -310,6 +310,18 @@ class TestRunArguments:
         assert result.status == "all_packed"
         assert validate(result).valid
 
+    @pytest.mark.parametrize("b, eps, b_json", [
+        (np.float32(2.0), np.float32(1e-9), '"b": 2.0,'),
+        (2, 1e-9, '"b": 2,')], ids=repr)
+    def test_arguments_round_trip_through_json(self, b, eps, b_json):
+        # Real arguments other than int and float are stored as float.
+        result = pack_rect_online(b, [0.3], eps=eps)
+        text = json.dumps(result.to_json_dict())
+        assert b_json in text
+        back = PackResult.from_json_dict(json.loads(text))
+        assert back == result
+        assert validate(back).valid
+
 
 class TestSerialization:
     def _result(self):
