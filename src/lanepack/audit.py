@@ -9,6 +9,7 @@ numerical assertions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -58,11 +59,11 @@ class AuditReport:
         }
 
 
-# Up to this many disks a plain double loop over all pairs costs less than
-# the strip sweep's fixed numpy work (measured in-process, median of
-# interleaved calls: 0.2x the sweep at 16 disks, 0.9x at 36, 1.1x at 40,
-# 1.5x at 48), and the audit of a small packing never imports numpy.
-_ALL_PAIRS_MAX = 38
+# Up to this many disks a pure-Python sort-and-sweep on x costs less than
+# the numpy strip sweep (in-process, prefixes of packed streams, median of
+# interleaved calls: 0.2x at 16 disks, 0.7-1.0x at 44, 1.4-1.8x at 64),
+# and the audit of a small packing never imports numpy.
+_ALL_PAIRS_MAX = 44
 
 # Candidate pairs tested per numpy pass; bounds the sweep's temporaries
 # when many disks crowd one strip.
@@ -165,22 +166,37 @@ def _pairwise_overlaps(placements: Sequence[PlacedCircle],
     """Sorted pairs (i, j), i < j, of disks overlapping by more than eps.
 
     A pair with r_a + r_b <= eps never overlaps by more than eps.  Sets
-    of up to _ALL_PAIRS_MAX disks test all pairs in a plain loop; larger
-    ones only the candidate pairs of a numpy strip sweep (_swept_pairs:
-    vertical strips, then a sort on y within each strip), with the same
-    arithmetic.
+    of up to _ALL_PAIRS_MAX disks sort their padded x-extents (as in
+    _extents) and test the pairs whose extents meet, or every pair when
+    an extent is not finite; larger ones only the candidate pairs of a
+    numpy strip sweep (_swept_pairs: vertical strips, then a sort on y
+    within each strip).  Both paths use the same arithmetic.
     """
     n = len(placements)
     if n <= _ALL_PAIRS_MAX:
+        pad = abs(eps)
+        ext = []
+        total = 0.0
+        for k, c in enumerate(placements):
+            half = abs(c.r) + pad
+            half += 1e-12 * (abs(c.x) + half)
+            total += half
+            ext.append((c.x - half, c.x + half, k, c))
+        if math.isfinite(total):
+            ext.sort()
+        else:  # a NaN does not sort: make every pair a candidate
+            ext = [(-math.inf, math.inf, k, c) for _, _, k, c in ext]
+        starts = [e[0] for e in ext]
         hits = []
-        for i, a in enumerate(placements):
-            for j in range(i + 1, n):
-                b = placements[j]
+        for s, (_, end, i, a) in enumerate(ext, 1):
+            for _, _, j, b in ext[s:bisect.bisect_right(starts, end, s)]:
+                # The test is symmetric in a and b, bit for bit.
                 dx = a.x - b.x
                 dy = a.y - b.y
                 rsum = a.r + b.r - eps
                 if dx * dx + dy * dy < rsum * rsum and rsum > 0:
-                    hits.append((i, j))
+                    hits.append((i, j) if i < j else (j, i))
+        hits.sort()
         return hits
     import numpy as np
 
@@ -220,9 +236,30 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
     report = AuditReport(valid=True)
     placements = result.placements
 
+    # One pass: arrival order, containment, lanes and areas, each area
+    # added left to right.
+    in_order = True
+    escaped = []
+    groups: dict[str, list[PlacedCircle]] = {}
+    occ = report.per_lane_occ
+    total = 0.0
+    x0, x1 = container.x0 - eps, container.x1 + eps
+    y0, y1 = container.y0 - eps, container.y1 + eps
+    for k, c in enumerate(placements):
+        x, y, r = c.x, c.y, c.r
+        if c.seq != k:
+            in_order = False
+        if not (x - r >= x0 and x + r <= x1 and y - r >= y0 and y + r <= y1):
+            escaped.append(Violation(
+                "out_of_container", f"circle {k} leaves the container", (k,)))
+        area = math.pi * r * r
+        total += area
+        groups.setdefault(c.lane_id, []).append(c)
+        occ[c.lane_id] = occ.get(c.lane_id, 0.0) + area
+
     # Arrival order is a packed prefix: placement k holds arrival k, and a
     # rejected run stopped at the arrival right after it.
-    if any(c.seq != k for k, c in enumerate(placements)):
+    if not in_order:
         report.violations.append(Violation(
             "order", "sequence indices are not 0, 1, 2, ... in placement "
             "order"))
@@ -246,77 +283,64 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
         gap = math.hypot(a.x - b.x, a.y - b.y) - a.r - b.r
         report.violations.append(Violation(
             "overlap", f"circles {i} and {j} overlap by {-gap:.3g}", (i, j)))
-
-    for i, c in enumerate(placements):
-        if not (c.x - c.r >= container.x0 - eps
-                and c.x + c.r <= container.x1 + eps
-                and c.y - c.r >= container.y0 - eps
-                and c.y + c.r <= container.y1 + eps):
-            report.violations.append(Violation(
-                "out_of_container", f"circle {i} leaves the container", (i,)))
+    report.violations += escaped
 
     table = table_for(result.container, result.mode, result.w)
     lane_by_id = {li.lane_id: li for li in result.lanes}
-    groups: dict[str, list[PlacedCircle]] = {}
-    for c in placements:
-        groups.setdefault(c.lane_id, []).append(c)
-
     for lane_id, circles in groups.items():
         info = lane_by_id.get(lane_id)
         if info is None:
             report.violations.append(Violation(
                 "class_mismatch", f"unknown lane id {lane_id!r}"))
             continue
-        lo, hi = _class_bounds(table, info.class_index)
+        cls = info.class_index
+        lo, hi = _class_bounds(table, cls)
+        above, below = lo - eps, hi + eps
         for c in circles:
-            if c.class_index != info.class_index:
+            if c.class_index != cls:
                 report.violations.append(Violation(
                     "class_mismatch",
                     f"circle {c.seq} of class {c.class_index} recorded in "
-                    f"class-{info.class_index} lane {lane_id}", (c.seq,)))
-            elif not (lo - eps < c.r <= hi + eps):
+                    f"class-{cls} lane {lane_id}", (c.seq,)))
+            elif not (above < c.r <= below):
                 report.violations.append(Violation(
                     "class_mismatch",
-                    f"radius {c.r} outside class-{info.class_index} range "
+                    f"radius {c.r} outside class-{cls} range "
                     f"({lo}, {hi}] in lane {lane_id}", (c.seq,)))
-        _check_lane_structure(info, circles, report, eps)
+        if not in_order:
+            circles.sort(key=lambda c: c.seq)
+        # Alternation, monotone order, and (for SLP) the minimum gap, in
+        # the lane's canonical frame with the arithmetic of Frame.to_local.
+        (ox, oy), (eu0, eu1), (ev0, ev1) = info.origin, info.eu, info.ev
+        w = info.width
+        slp = info.strategy == "SLP"
+        prev_u = None
+        for k, c in enumerate(circles):
+            dx = c.x - ox
+            dy = c.y - oy
+            u = dx * eu0 + dy * eu1
+            v = dx * ev0 + dy * ev1
+            r = c.r
+            expect_v = w - r if k & 1 else r
+            if abs(v - expect_v) > _STRUCT_TOL:
+                report.violations.append(Violation(
+                    "order", f"circle {c.seq} in {lane_id} off the "
+                    f"alternation height (v={v}, expected {expect_v})",
+                    (c.seq,)))
+            if prev_u is not None:
+                if u < prev_u - _STRUCT_TOL:
+                    report.violations.append(Violation(
+                        "order", f"circle {c.seq} in {lane_id} breaks the "
+                        f"monotone frontier", (c.seq,)))
+                if slp and u - prev_u < min(r, prev_r) - _STRUCT_TOL:
+                    report.violations.append(Violation(
+                        "order", f"circle {c.seq} in {lane_id} violates the "
+                        f"minimum gap", (c.seq,)))
+            prev_u, prev_r = u, r
 
-    occ = result.total_packed_area
-    report.density = occ / container.area
-    for lane_id, circles in groups.items():
-        report.per_lane_occ[lane_id] = sum(c.area for c in circles)
+    report.density = total / container.area
     report.valid = not report.violations
     return report
-
-
-def _check_lane_structure(info, circles: list[PlacedCircle],
-                          report: AuditReport, eps: float) -> None:
-    """Alternation, monotone order, and (for SLP) the minimum gap."""
-    frame = info.frame()
-    w = info.width
-    ordered = sorted(circles, key=lambda c: c.seq)
-    prev_u = None
-    prev_r = None
-    for k, c in enumerate(ordered):
-        u, v = frame.to_local(c.x, c.y)
-        expect_v = c.r if k % 2 == 0 else w - c.r
-        if abs(v - expect_v) > _STRUCT_TOL:
-            report.violations.append(Violation(
-                "order",
-                f"circle {c.seq} in {info.lane_id} off the alternation "
-                f"height (v={v}, expected {expect_v})", (c.seq,)))
-        if prev_u is not None:
-            if u < prev_u - _STRUCT_TOL:
-                report.violations.append(Violation(
-                    "order",
-                    f"circle {c.seq} in {info.lane_id} breaks the monotone "
-                    f"frontier", (c.seq,)))
-            if info.strategy == "SLP" and u - prev_u < min(c.r, prev_r) - _STRUCT_TOL:
-                report.violations.append(Violation(
-                    "order",
-                    f"circle {c.seq} in {info.lane_id} violates the "
-                    f"minimum gap", (c.seq,)))
-        prev_u, prev_r = u, c.r
 
 
 def audit_slp_lane(lane: LaneState, q: float, w: float,

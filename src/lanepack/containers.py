@@ -47,7 +47,10 @@ class PackResult:
 
     @property
     def total_packed_area(self) -> float:
-        return sum(c.area for c in self.placements)
+        total = 0.0  # left to right: sum() compensates from Python 3.12
+        for c in self.placements:
+            total += c.area
+        return total
 
     def to_json_dict(self) -> dict:
         out = {

@@ -310,6 +310,8 @@ def metrics(lane: LaneState,
             extra_extents: Sequence[tuple[float, float]] = ()) -> LaneMetrics:
     """Packing length, circle-free length, and occupied area of a lane."""
     p = packing_length(lane, extra_extents)
-    occ = sum([math.pi * c.r * c.r for c in lane.placed])
+    occ = 0.0  # left to right, as total_packed_area adds
+    for c in lane.placed:
+        occ += math.pi * c.r * c.r
     return LaneMetrics(packing_length=p, free_length=lane.length - p,
                        occupied_area=occ)

@@ -215,6 +215,33 @@ class TestValidate:
         report = self._tampered(mutate)
         assert any(v.kind == "class_mismatch" for v in report.violations)
 
+    def test_areas_add_left_to_right(self):
+        # pi, then ten areas of 2e-16: each rounds away when added to pi
+        # left to right, but not in a compensated sum (math.fsum, and
+        # sum() of floats from Python 3.12 on).
+        r = seven_circles()
+        c = r.placements[0]
+        tiny = math.sqrt(2e-16 / math.pi)
+        placements = [dataclasses.replace(c, r=1.0)] + [
+            dataclasses.replace(c, r=tiny, seq=k) for k in range(1, 11)]
+        areas = [math.pi * p.r * p.r for p in placements]
+        left = 0.0
+        for area in areas:
+            left += area
+        assert left == math.pi != math.fsum(areas)
+        result = dataclasses.replace(r, placements=placements)
+        assert result.total_packed_area == left
+        report = validate(result)
+        assert report.per_lane_occ == {c.lane_id: left}
+        assert report.density == left  # the unit square
+        lane = LaneState(
+            lane_id="L", frame=Frame.from_rect(Rect(0, 0, 10, 1),
+                                               Orientation.RIGHTWARDS),
+            strategy=Strategy.SLP)
+        lane.placed = [LanePlacement(u=p.x, v=p.y, r=p.r, seq=p.seq)
+                       for p in placements]
+        assert metrics(lane).occupied_area == left
+
 
 class TestLaneAudits:
     def _random_lane(self, rng):
@@ -365,6 +392,14 @@ def disk_sets(draw):
             disks.append((x + 3 * k, y + 4 * k, max(5 * k - ro, k)))
         else:
             disks.append((x, y, r))
+    # A few coordinates or radii set to NaN, an infinity, a signed zero
+    # or their own negation.
+    for _ in range(draw(st.integers(0, 3)) if disks else 0):
+        k = draw(st.integers(0, len(disks) - 1))
+        field = draw(st.integers(0, 2))
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0,
+                                      -0.0, -disks[k][field]]))
+        disks[k] = disks[k][:field] + (value,) + disks[k][field + 1:]
     return [disk(x, y, r, i) for i, (x, y, r) in enumerate(disks)]
 
 
@@ -373,13 +408,32 @@ class TestPairwiseOverlaps:
     @given(disk_sets(), st.sampled_from([0.0, 1e-9, 2.0 ** -6, 0.5]),
            st.sampled_from([1, 7, 1 << 18]))
     def test_equals_dense_oracle(self, disks, eps, chunk):
-        want = dense_overlaps(disks, eps) if disks else []
-        assert audit._pairwise_overlaps(disks, eps) == want
-        # Force the plain loop, then the sweep, whatever the size.
-        with mock.patch.object(audit, "_ALL_PAIRS_MAX", 1 << 30):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = dense_overlaps(disks, eps) if disks else []
             assert audit._pairwise_overlaps(disks, eps) == want
-        with mock.patch.multiple(audit, _PAIR_CHUNK=chunk, _ALL_PAIRS_MAX=0):
-            assert audit._pairwise_overlaps(disks, eps) == want
+            # Force the pure-Python sweep, then the strip sweep, whatever
+            # the size.
+            with mock.patch.object(audit, "_ALL_PAIRS_MAX", 1 << 30):
+                assert audit._pairwise_overlaps(disks, eps) == want
+            with mock.patch.multiple(audit, _PAIR_CHUNK=chunk,
+                                     _ALL_PAIRS_MAX=0):
+                assert audit._pairwise_overlaps(disks, eps) == want
+
+    @pytest.mark.parametrize("name, value", [
+        ("r", math.nan), ("r", math.inf), ("r", -0.5), ("r", 0.0),
+        ("x", math.nan), ("x", math.inf), ("y", -math.inf), ("x", -0.0)])
+    def test_special_value_among_overlapping_disks(self, name, value):
+        # Five disks of radius 0.5 in a row, neighbours 0.75 apart, so
+        # neighbours overlap; then one field of the middle disk replaced.
+        disks = [disk(0.75 * k, 0.0, 0.5, k) for k in range(5)]
+        disks[2] = dataclasses.replace(disks[2], **{name: value})
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = dense_overlaps(disks, 1e-9)
+            for all_pairs_max in (1 << 30, 0):
+                with mock.patch.object(audit, "_ALL_PAIRS_MAX",
+                                       all_pairs_max):
+                    assert audit._pairwise_overlaps(disks, 1e-9) == want
+        assert (0, 1) in want and (3, 4) in want
 
     def test_disks_below_eps_never_overlap(self):
         # With r_a + r_b < eps two disks overlap by less than eps even when
@@ -414,6 +468,8 @@ class TestPairwiseOverlaps:
             found = audit._pairwise_overlaps(disks, eps)
         assert found == dense_overlaps(disks, eps)
         assert found
+        with mock.patch.object(audit, "_ALL_PAIRS_MAX", 1 << 30):
+            assert audit._pairwise_overlaps(disks, eps) == found
         # Strip entries stay within the bound that the strip width sets.
         d = np.array([[c.x for c in disks], [c.y for c in disks],
                       [c.r for c in disks]])
