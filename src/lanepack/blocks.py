@@ -10,11 +10,12 @@ routine; when every step fails the whole lane closes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .classification import ClassTable
-from .geometry import EPS, Orientation, Rect
+from .geometry import EPS, Frame
 from .lanes import LaneState, Packing, PlacedCircle, Strategy, place
 
 FREE = "free"
@@ -38,6 +39,9 @@ class VerticalLane:
     x1: float
     lane: LaneState
     open: bool = True
+    # Running extent of the lane's circles along the host's u axis.
+    lo: float = math.inf
+    hi: float = -math.inf
 
 
 @dataclass
@@ -153,19 +157,42 @@ def _eligible(block: SparseBlock, class_index: int) -> bool:
 
 
 def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
-                  orientation: Orientation) -> VerticalLane:
+                  downwards: bool) -> VerticalLane:
+    """Open the strip [x0, x0 + width] across the host, with the frame that
+    Frame.subframe gives it DOWNWARDS or UPWARDS, by the same floats."""
     host = ledger.host
     width = ledger.table.row(class_index).width
-    rect = Rect(x0, 0.0, x0 + width, host.width)
-    frame = host.frame.subframe(rect, orientation)
+    (ox, oy), (eux, euy), (evx, evy) = (host.frame.origin, host.frame.eu,
+                                        host.frame.ev)
+    length, lane_width = host.width, (x0 + width) - x0
+    if lane_width > length + EPS:
+        raise ValueError(f"lane width {lane_width} exceeds length {length}")
+    v, s = (length, -1) if downwards else (0.0, 1)
+    frame = Frame((ox + x0 * eux + v * evx, oy + x0 * euy + v * evy),
+                  (s * evx, s * evy), (eux, euy), length, lane_width)
     n = len(ledger.all_vlanes)
-    lane = LaneState(lane_id=f"{host.lane_id}:v{class_index}#{n}",
-                     frame=frame, strategy=Strategy.SLP,
-                     class_index=class_index)
+    lane = LaneState(f"{host.lane_id}:v{class_index}#{n}", frame,
+                     Strategy.SLP, class_index)
     vl = VerticalLane(class_index=class_index, x0=x0, x1=x0 + width, lane=lane)
     ledger.all_vlanes.append(vl)
     host.exclusions.append((x0, x0 + width))
     return vl
+
+
+def _place_in(ledger: BlockLedger, vl: VerticalLane, r: float, seq: int,
+              class_index: int, packing: Packing,
+              eps: float) -> Optional[PlacedCircle]:
+    """Place into a vertical lane and widen its extent by the circle, with
+    Frame.to_local's float expressions; close the lane if it is full."""
+    circle = place(vl.lane, r, seq, class_index, packing, eps)
+    if circle is None:
+        vl.open = False
+        vl.lane.closed = True
+        return None
+    (ox, oy), (eux, euy) = ledger.host.frame.origin, ledger.host.frame.eu
+    u = (circle.x - ox) * eux + (circle.y - oy) * euy
+    vl.lo, vl.hi = min(vl.lo, u - r), max(vl.hi, u + r)
+    return circle
 
 
 def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
@@ -184,11 +211,9 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     # Step 1: try the open vertical lane of this class, closing it on failure.
     for vl in ledger.all_vlanes:
         if vl.open and vl.class_index == class_index:
-            circle = place(vl.lane, r, seq, class_index, packing, eps)
+            circle = _place_in(ledger, vl, r, seq, class_index, packing, eps)
             if circle is not None:
                 return circle
-            vl.open = False
-            vl.lane.closed = True
             break
 
     # Step 2: close exhausted sparse blocks eligible for this class.
@@ -204,31 +229,26 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
         pos = vlane_position(ledger, block, width)
         if pos is None:
             continue
-        orientation = (Orientation.DOWNWARDS if block.half_side == "bottom"
-                       else Orientation.UPWARDS)
-        vl = _create_vlane(ledger, class_index, pos, orientation)
+        vl = _create_vlane(ledger, class_index, pos,
+                           block.half_side == "bottom")
         block.vlanes.append(vl)
         if block.state == FREE:
             block.state = reservation_for(class_index)
-        circle = place(vl.lane, r, seq, class_index, packing, eps)
+        # A fresh lane fails only when circles of other lanes obstruct it.
+        circle = _place_in(ledger, vl, r, seq, class_index, packing, eps)
         if circle is not None:
             return circle
-        # The fresh lane is obstructed by circles from other lanes.
-        vl.open = False
-        vl.lane.closed = True
         break
 
     # Step 4: place a vertical lane in the free area at the frontier.
     pos = _leftmost_strip(ledger.frontier(), host.length, width,
                           _vlane_intervals(ledger))
     if pos is not None:
-        vl = _create_vlane(ledger, class_index, pos, Orientation.UPWARDS)
+        vl = _create_vlane(ledger, class_index, pos, False)
         ledger.free_vlanes.append(vl)
-        circle = place(vl.lane, r, seq, class_index, packing, eps)
+        circle = _place_in(ledger, vl, r, seq, class_index, packing, eps)
         if circle is not None:
             return circle
-        vl.open = False
-        vl.lane.closed = True
 
     # Step 5: the lane is exhausted for this class; close it for good.
     host.closed = True

@@ -123,10 +123,12 @@ def verify_cmd(result_path, eps):
     """Audit a packing result JSON; exit 0 if valid, 1 otherwise."""
     with open(result_path) as f:
         try:
-            result = PackResult.from_json_dict(json.load(f))
-        except (json.JSONDecodeError, KeyError) as exc:
+            # A wrong JSON type fails in either call, as a TypeError or a
+            # ValueError (json.JSONDecodeError is one).
+            report = validate(PackResult.from_json_dict(json.load(f)),
+                              eps=eps)
+        except (KeyError, TypeError, ValueError) as exc:
             raise click.ClickException(f"unreadable result file: {exc}")
-    report = validate(result, eps=eps)
     click.echo(_dump_json(report.to_json_dict()), nl=False)
     sys.exit(EXIT_OK if report.valid else EXIT_INPUT_ERROR)
 

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from . import bounds
 from .classification import (ClassTable, TooLarge, TooSmall,
                              build_class_table, classify)
-from .dslp import DslpLane, dslp_metrics, dslp_pack, make_dslp
+from .dslp import DslpLane, _dslp_shape, dslp_metrics, dslp_pack, new_dslp
 from .geometry import EPS, Frame, Orientation, PlacedCircle, Rect
 from .lanes import (LaneInfo, LaneState, Packing, Strategy, new_lane,
                     packing_length, place)
@@ -140,10 +140,13 @@ def square_layout(w: float) -> dict[str, tuple[Rect, Orientation]]:
 @functools.lru_cache(maxsize=4)
 def _square_shape(w: float):
     """The large lane's frame and description, and the four medium lanes'
-    (name, rectangle, orientation); cached per lane width, all frozen."""
+    (name, DSLP shape); cached per lane width, all frozen."""
     layout = square_layout(w)
     large = LaneState("L0", Frame.from_rect(*layout["L0"]), Strategy.TLP, 0)
-    medium = tuple((name, *layout[name]) for name in ("L1", "L2", "L3", "L4"))
+    medium = tuple((name, _dslp_shape(name, rect.x0, rect.y0, rect.x1,
+                                      rect.y1, orientation))
+                   for name, (rect, orientation) in layout.items()
+                   if name != "L0")
     return (large.frame, large.info), medium
 
 
@@ -183,7 +186,8 @@ class _OnlineRun:
         elif _is_real(b) and 1 <= b < math.inf:
             b = _plain(b)
             large = None
-            medium = (("L1", Rect(0.0, 0.0, b, 1.0), Orientation.RIGHTWARDS),)
+            medium = (("L1", _dslp_shape("L1", 0.0, 0.0, b, 1.0,
+                                         Orientation.RIGHTWARDS)),)
             self.guarantee = bounds.guarantee_rect(b)
         else:
             raise ValueError(f"aspect b must be a finite number >= 1, "
@@ -195,8 +199,7 @@ class _OnlineRun:
         self.min_radius = self.table.min_radius if mode == "no_tiny" else 0.0
         self.large_lane = None if large is None else new_lane(*large)
         self.medium_lanes: list[DslpLane] = [
-            make_dslp(name, rect, orientation, self.table)
-            for name, rect, orientation in medium]
+            new_dslp(name, shape, self.table) for name, shape in medium]
         self.packing = Packing()
         self.arrivals = 0
         self.rejected_index: Optional[int] = None

@@ -17,8 +17,7 @@ from .blocks import BlockLedger, on_medium_packed, pack_small_class
 from .classification import ClassTable
 from .geometry import EPS, Frame, Orientation, PlacedCircle, Rect
 from .lanes import (LaneInfo, LaneState, Packing, Strategy, commit,
-                    find_position, metrics, new_lane, packing_extent,
-                    packing_length)
+                    find_position, metrics, new_lane, packing_length)
 
 
 @dataclass
@@ -64,18 +63,22 @@ def _dslp_shape(lane_id: str, x0: float, y0: float, x1: float, y1: float,
 
 def make_dslp(lane_id: str, rect: Rect, orientation: Orientation,
               table: ClassTable) -> DslpLane:
-    host, top, bottom = (new_lane(frame, info) for frame, info in _dslp_shape(
-        lane_id, rect.x0, rect.y0, rect.x1, rect.y1, orientation))
-    return DslpLane(lane_id=lane_id, host=host,
-                    ledger=BlockLedger(host=host, table=table),
-                    top=top, bottom=bottom, table=table)
+    return new_dslp(lane_id, _dslp_shape(lane_id, rect.x0, rect.y0, rect.x1,
+                                         rect.y1, orientation), table)
+
+
+def new_dslp(lane_id: str, shape: tuple[tuple[Frame, LaneInfo], ...],
+             table: ClassTable) -> DslpLane:
+    """An empty DSLP lane of a shape that _dslp_shape built."""
+    host, top, bottom = [new_lane(frame, info) for frame, info in shape]
+    return DslpLane(lane_id, host, BlockLedger(host, table), top, bottom,
+                    table)
 
 
 def _length_after(lane: LaneState, u: float, r: float) -> float:
-    extent = packing_extent(lane)
-    if extent is None:
+    if not lane.placed:
         return 2.0 * r
-    return max(extent[1], u + r) - min(extent[0], u - r)
+    return max(lane.hi, u + r) - min(lane.lo, u - r)
 
 
 def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
@@ -123,30 +126,17 @@ def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
     return commit(lane, pos[0], pos[1], r, seq, class_index, packing)
 
 
-def vlane_extents(d: DslpLane) -> list[tuple[float, float]]:
-    """Longitudinal extents, in host-canonical u, of the circles packed
-    into the host's vertical sub-lanes."""
-    extents = []
-    for vl in d.ledger.all_vlanes:
-        for p in vl.lane.placed:
-            x, y = vl.lane.frame.to_container(p.u, p.v)
-            u, _ = d.host.frame.to_local(x, y)
-            extents.append((u - p.r, u + p.r))
-    return extents
-
-
 def dslp_metrics(d: DslpLane) -> DslpMetrics:
     # The host's packing length covers its vertical sub-lanes' circles.
-    p_host = packing_length(d.host, vlane_extents(d))
-    p_top = packing_length(d.top)
-    p_bottom = packing_length(d.bottom)
+    p_host = packing_length(d.host,
+                            [(vl.lo, vl.hi) for vl in d.ledger.all_vlanes])
     length = d.host.length
     # The host stream and a small-lane stream may interleave once the lane
     # is nearly full; their combined longitudinal extent still cannot
     # exceed the lane, so the free length stays nonnegative.
-    p_t = min(length, p_host + p_top)
-    p_b = min(length, p_host + p_bottom)
-    return DslpMetrics(p_t=p_t, p_b=p_b, f_t=length - p_t, f_b=length - p_b)
+    p_t = min(length, p_host + packing_length(d.top))
+    p_b = min(length, p_host + packing_length(d.bottom))
+    return DslpMetrics(p_t, p_b, length - p_t, length - p_b)
 
 
 def occupied_area(d: DslpLane) -> float:

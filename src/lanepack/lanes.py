@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .geometry import EPS, Frame, PlacedCircle, sweep
 
@@ -128,8 +128,7 @@ class Packing:
         return len(self.circles)
 
 
-@dataclass(frozen=True)
-class LanePlacement:
+class LanePlacement(NamedTuple):
     """A circle in lane-canonical coordinates."""
 
     u: float
@@ -174,6 +173,9 @@ class LaneState:
     last: Optional[tuple[float, float]] = None  # (u, r) of the last circle
     closed: bool = False
     exclusions: list[tuple[float, float]] = field(default_factory=list)
+    # Running longitudinal extent of `placed`: min(u - r) and max(u + r).
+    lo: float = math.inf
+    hi: float = -math.inf
     # The lane's fixed description, built here unless a cached one is
     # shared (see new_lane).
     info: Optional[LaneInfo] = None
@@ -197,8 +199,9 @@ class LaneState:
 def new_lane(frame: Frame, info: LaneInfo) -> LaneState:
     """An empty lane of the shape `info` describes, sharing the frozen
     frame and description."""
-    return LaneState(info.lane_id, frame, Strategy(info.strategy),
-                     info.class_index, info=info)
+    strategy = Strategy.SLP if info.strategy == "SLP" else Strategy.TLP
+    return LaneState(info.lane_id, frame, strategy, info.class_index,
+                     info=info)
 
 
 def find_position(lane: LaneState, r: float, packing: Packing,
@@ -237,11 +240,14 @@ def find_position(lane: LaneState, r: float, packing: Packing,
     exclusions = lane.exclusions if slp else ()
     half = 0.5 * eps
     hi = min(x_max, lo + 2.0 * r)
+    va, vb = v - pad, v + pad
     while True:
-        xa, ya = frame.to_container(lo - pad, v - pad)
-        xb, yb = frame.to_container(hi + pad, v + pad)
-        # Frame.to_local and leftmost_feasible's intervals in one pass,
-        # with the same float expressions.
+        # The window's corners by Frame.to_container, then Frame.to_local
+        # and leftmost_feasible's intervals in one pass, all with the same
+        # float expressions.
+        ua, ub = lo - pad, hi + pad
+        xa, ya = ox + ua * eux + va * evx, oy + ua * euy + va * evy
+        xb, yb = ox + ub * eux + vb * evx, oy + ub * euy + vb * evy
         intervals = []
         for c in packing.near(min(xa, xb), min(ya, yb),
                               max(xa, xb), max(ya, yb)):
@@ -268,6 +274,8 @@ def commit(lane: LaneState, u: float, v: float, r: float, seq: int,
     lane.placed.append(LanePlacement(u, v, r, seq))
     lane.last = (u, r)
     lane.parity ^= 1
+    lane.lo = min(lane.lo, u - r)
+    lane.hi = max(lane.hi, u + r)
     packing.add(circle)
     return circle
 
@@ -282,7 +290,8 @@ def place(lane: LaneState, r: float, seq: int, class_index: int,
 
 
 def packing_extent(lane: LaneState) -> Optional[tuple[float, float]]:
-    """Longitudinal extent [u_min, u_max] of the lane's own circles."""
+    """Longitudinal extent [u_min, u_max] of the lane's own circles, by a
+    scan of `placed`; the lane's running extent is (lane.lo, lane.hi)."""
     if not lane.placed:
         return None
     lo = min([p.u - p.r for p in lane.placed])
@@ -293,23 +302,27 @@ def packing_extent(lane: LaneState) -> Optional[tuple[float, float]]:
 def packing_length(lane: LaneState,
                    extra_extents: Sequence[tuple[float, float]] = ()
                    ) -> float:
-    """Longitudinal length spanned by the lane's circles.
+    """Longitudinal length spanned by the lane's circles, from its running
+    extent.
 
     extra_extents lets callers include content that sits geometrically
-    inside the lane but is tracked elsewhere (vertical sub-lanes).
+    inside the lane but is tracked elsewhere (vertical sub-lanes); an
+    empty one is (inf, -inf).
     """
-    own = packing_extent(lane)
-    extents = [] if own is None else [own]
-    extents += extra_extents
-    if not extents:
-        return 0.0
-    return max([e[1] for e in extents]) - min([e[0] for e in extents])
+    lo, hi = lane.lo, lane.hi
+    for a, b in extra_extents:
+        lo, hi = min(lo, a), max(hi, b)
+    return max(0.0, hi - lo)
 
 
 def metrics(lane: LaneState,
             extra_extents: Sequence[tuple[float, float]] = ()) -> LaneMetrics:
-    """Packing length, circle-free length, and occupied area of a lane."""
-    p = packing_length(lane, extra_extents)
+    """Packing length, circle-free length, and occupied area of a lane,
+    from `placed` alone, so that they can check the running extent."""
+    own = packing_extent(lane)
+    extents = ([] if own is None else [own]) + list(extra_extents)
+    p = (max([e[1] for e in extents]) - min([e[0] for e in extents])
+         if extents else 0.0)
     occ = 0.0  # left to right, as total_packed_area adds
     for c in lane.placed:
         occ += math.pi * c.r * c.r

@@ -25,7 +25,8 @@ import sys
 
 from lanepack.audit import validate
 from lanepack.bounds import guarantee_rect, guarantee_square
-from lanepack.containers import pack_rect_online, pack_square_online
+from lanepack.containers import (RectRun, SquareRun, pack_rect_online,
+                                 pack_square_online)
 from lanepack.genseq import GenSpec, generate
 
 RECT_ASPECTS = (1.0, 1.5, 2.0, 3.0)
@@ -56,28 +57,41 @@ def _rect_specs(b: float, seed: int) -> list[GenSpec]:
     ]
 
 
-def _cases():
+def _inputs():
+    """(name, (container, square mode or rectangle aspect, radii builder))
+    of the seeded cases."""
     for b in RECT_ASPECTS:
         for seed in SEEDS:
             for spec in _rect_specs(b, seed):
                 yield (f"rect-{b}-{spec.kind}-{spec.seed}",
-                       lambda b=b, spec=spec: pack_rect_online(
-                           b, generate(spec)))
+                       ("rect", b, functools.partial(generate, spec)))
     for mode in ("general", "no_tiny"):
         for seed in SEEDS:
             for spec in _square_mode_specs(mode, seed):
                 yield (f"square-{mode}-{spec.kind}-{spec.seed}",
-                       lambda mode=mode, spec=spec: pack_square_online(
-                           mode, generate(spec)))
+                       ("square", mode, functools.partial(generate, spec)))
+
+
+def new_run(container: str, param):
+    """A fresh run into the square (param: mode) or the rectangle (param:
+    aspect b)."""
+    return RectRun(param) if container == "rect" else SquareRun(param)
+
+
+def _pack(container: str, param, build):
+    return new_run(container, param).pack(build())
+
+
+def _tiny_radii():
+    rng = random.Random(20190501)
+    return [rng.uniform(0.002, 0.004) for _ in range(TINY_STREAM_N)]
 
 
 def _tiny_stream():
-    rng = random.Random(20190501)
-    radii = [rng.uniform(0.002, 0.004) for _ in range(TINY_STREAM_N)]
-    return pack_square_online("general", radii)
+    return _pack("square", "general", _tiny_radii)
 
 
-def _mixed_stream():
+def _mixed_radii():
     """Medium and small circles among tiny ones in the 1 x 2 rectangle, so
     blocks are cut and vertical sub-lanes open while tiny circles flow."""
     rng = random.Random(20190502)
@@ -90,7 +104,11 @@ def _mixed_stream():
     step = len(radii) // len(others)
     for k, r in enumerate(others):
         radii.insert(k * (step + 1), r)
-    return pack_rect_online(2.0, radii)
+    return radii
+
+
+def _mixed_stream():
+    return _pack("rect", 2.0, _mixed_radii)
 
 
 def digest(result) -> str:
@@ -218,9 +236,15 @@ GOLDEN = {
 }
 
 
-CASES = dict(_cases())
+# name -> (container, square mode or rectangle aspect, radii builder), for
+# the seeded cases and then the two streams.
+INPUTS = dict(_inputs())
+CASES = {name: functools.partial(_pack, *spec)
+         for name, spec in INPUTS.items()}
 STREAMS = {"square-general-tiny-stream": _tiny_stream,
            "rect-2.0-mixed-stream": _mixed_stream}
+INPUTS["square-general-tiny-stream"] = ("square", "general", _tiny_radii)
+INPUTS["rect-2.0-mixed-stream"] = ("rect", 2.0, _mixed_radii)
 
 
 def _replace_at(result, k, **changes):

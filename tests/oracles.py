@@ -1,8 +1,10 @@
-"""Scalar geometry predicates that tests check the packer against.
+"""Scalar geometry predicates and lane extents that tests check the
+packer against.
 
 The packer and the audit never call these: they are written the plain
-way, one pair or one obstacle at a time, so that they can serve as
-oracles for the vectorised and windowed code in src/.
+way, one pair, one obstacle or one circle at a time, so that they can
+serve as oracles for the vectorised, windowed and incremental code in
+src/.
 """
 
 import math
@@ -31,3 +33,16 @@ def forbidden_interval(obstacle: PlacedCircle, y: float, r: float
         return None
     d = math.sqrt(rsum * rsum - dy * dy)
     return (obstacle.x - d, obstacle.x + d)
+
+
+def vlane_extents(d) -> list[tuple[float, float]]:
+    """Longitudinal extents, in host-canonical u, of the circles packed
+    into a DSLP lane's vertical sub-lanes: each circle is mapped from its
+    sub-lane's frame to the container and back into the host's frame."""
+    extents = []
+    for vl in d.ledger.all_vlanes:
+        for p in vl.lane.placed:
+            x, y = vl.lane.frame.to_container(p.u, p.v)
+            u, _ = d.host.frame.to_local(x, y)
+            extents.append((u - p.r, u + p.r))
+    return extents

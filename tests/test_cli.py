@@ -145,6 +145,23 @@ class TestVerify:
         res = invoke(runner, ["verify", str(bad)])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("tamper", ["list", "placements", "x"])
+    def test_wrong_json_types_are_unreadable(self, runner, tmp_path, tamper):
+        out = tmp_path / "r.json"
+        invoke(runner, ["pack", "--container", "rect", "--b", "2",
+                        "--json", str(out)], input="0.4\n0.3\n")
+        data = json.loads(out.read_text())
+        if tamper == "list":
+            data = []
+        elif tamper == "placements":
+            data = {"placements": 5}
+        else:
+            data["placements"][0]["x"] = "a"
+        out.write_text(json.dumps(data))
+        res = invoke(runner, ["verify", str(out)])
+        assert res.exit_code == 1
+        assert "unreadable result file" in res.output
+
 
 class TestBounds:
     def test_delta(self, runner):

@@ -3,11 +3,10 @@ import math
 import pytest
 
 from lanepack.classification import build_class_table
-from lanepack.dslp import (dslp_metrics, dslp_pack, make_dslp, occupied_area,
-                           vlane_extents)
+from lanepack.dslp import dslp_metrics, dslp_pack, make_dslp, occupied_area
 from lanepack.geometry import Orientation, Rect
 from lanepack.lanes import Packing, metrics
-from oracles import circles_overlap
+from oracles import circles_overlap, vlane_extents
 
 TABLE = build_class_table(1.0)
 R_MEDIUM = 0.4  # class 1: 0.25 < r <= 0.5

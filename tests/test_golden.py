@@ -1,11 +1,19 @@
 """Golden digests of whole packings and of tampered packings' audit
-reports; the cases and digests live in tests/golden.py."""
+reports; the cases and digests live in tests/golden.py.  The same inputs
+also check that feeding a run one radius per call changes nothing, and
+that the lanes' running extents match a scan of their circles."""
+
+import json
+import math
 
 import pytest
 
-from golden import (CASES, GOLDEN, TAMPERED_GOLDEN, TINY_STREAM_N,
-                    _mixed_stream, _tiny_stream, digest, report_digest,
-                    tampered)
+from golden import (CASES, GOLDEN, INPUTS, TAMPERED_GOLDEN, TINY_STREAM_N,
+                    _mixed_stream, _tiny_stream, digest, new_run,
+                    report_digest, tampered)
+from lanepack.dslp import dslp_metrics
+from lanepack.lanes import metrics, packing_extent
+from oracles import vlane_extents
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -28,3 +36,44 @@ def test_golden_mixed_stream():
 @pytest.mark.parametrize("name", sorted(TAMPERED_GOLDEN))
 def test_golden_tampered_report(name):
     assert report_digest(tampered()[name]) == TAMPERED_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_one_radius_per_call(name):
+    container, param, build = INPUTS[name]
+    radii = list(build())
+    whole = new_run(container, param).pack(radii)
+    run = new_run(container, param)
+    for r in radii:
+        result = run.pack([r])
+        if result.status == "rejected":
+            break
+    assert (json.dumps(result.to_json_dict())
+            == json.dumps(whole.to_json_dict()))
+
+
+def _bits(*xs):
+    return [x.hex() for x in xs]
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_running_extents(name):
+    container, param, build = INPUTS[name]
+    run = new_run(container, param)
+    run.pack(build())
+    lanes = [] if run.large_lane is None else [run.large_lane]
+    for d in run.medium_lanes:
+        # dslp_metrics against the same formula over lanes.metrics, which
+        # scans `placed`, and the per-circle frame round trip.
+        length = d.host.length
+        p_host = metrics(d.host, vlane_extents(d)).packing_length
+        p_t = min(length, p_host + metrics(d.top).packing_length)
+        p_b = min(length, p_host + metrics(d.bottom).packing_length)
+        m = dslp_metrics(d)
+        assert _bits(m.p_t, m.p_b, m.f_t, m.f_b) == _bits(
+            p_t, p_b, length - p_t, length - p_b)
+        lanes += [d.host, d.top, d.bottom]
+        lanes += [vl.lane for vl in d.ledger.all_vlanes]
+    for lane in lanes:
+        scan = packing_extent(lane) or (math.inf, -math.inf)
+        assert _bits(lane.lo, lane.hi) == _bits(*scan), lane.lane_id
