@@ -12,14 +12,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import bounds
 from .classification import ClassTable
 from .containers import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
                          container_rect, table_for)
 from .dslp import DslpLane, dslp_metrics, occupied_area
-from .geometry import PlacedCircle, Rect
+from .geometry import PlacedCircle
 from .lanes import LaneState, metrics
 
 if TYPE_CHECKING:
@@ -360,69 +360,10 @@ def audit_dslp_lane(d: DslpLane, tol: float = BOUND_TOL) -> bool:
     """
     if not d.host.placed:
         raise ValueError("audit requires a nonempty host lane")
-    w = d.host.width
+    w = d.host.frame.width
     row2 = d.table.row(2)
     z = row2.lower_bound
     m = dslp_metrics(d)
     bound = (bounds.min_dslp(m.p_t, m.p_b, w, z, bounds.delta(row2.q))
              - bounds.overhead_bound(w))
     return occupied_area(d) >= bound - tol
-
-
-def _quadrant_corner_area(x: float, y: float, r: float) -> float:
-    """Area of the disk x^2+y^2 <= r^2 within the region {X <= x, Y <= y}."""
-    x = min(max(x, -r), r)
-    if y >= r:
-        y = r
-    if y <= -r:
-        return 0.0
-
-    def ic(t: float) -> float:
-        # Antiderivative of sqrt(r^2 - t^2).
-        t = min(max(t, -r), r)
-        return 0.5 * (t * math.sqrt(max(r * r - t * t, 0.0))
-                      + r * r * math.asin(min(max(t / r, -1.0), 1.0)))
-
-    s = math.sqrt(max(r * r - y * y, 0.0))
-    total = 0.0
-    if y >= 0:
-        a = min(x, -s)
-        if a > -r:
-            total += 2.0 * (ic(a) - ic(-r))
-        if x > -s:
-            b = min(x, s)
-            total += (ic(b) - ic(-s)) + y * (b + s)
-            if x > s:
-                total += 2.0 * (ic(x) - ic(s))
-    else:
-        if x > -s:
-            b = min(x, s)
-            total += (ic(b) - ic(-s)) + y * (b + s)
-    return total
-
-
-def circle_rect_intersection_area(cx: float, cy: float, r: float,
-                                  rect: Rect) -> float:
-    """Exact area of disk((cx, cy), r) intersected with rect."""
-    x0, x1 = rect.x0 - cx, rect.x1 - cx
-    y0, y1 = rect.y0 - cy, rect.y1 - cy
-    area = (_quadrant_corner_area(x1, y1, r)
-            - _quadrant_corner_area(x0, y1, r)
-            - _quadrant_corner_area(x1, y0, r)
-            + _quadrant_corner_area(x0, y0, r))
-    return max(0.0, area)
-
-
-def occupied(region: Rect, placements: Iterable[PlacedCircle]) -> float:
-    """Total circle area inside the region, boundary circles clipped exactly."""
-    total = 0.0
-    for c in placements:
-        if (c.x - c.r >= region.x0 and c.x + c.r <= region.x1
-                and c.y - c.r >= region.y0 and c.y + c.r <= region.y1):
-            total += c.area
-        elif (c.x + c.r <= region.x0 or c.x - c.r >= region.x1
-                or c.y + c.r <= region.y0 or c.y - c.r >= region.y1):
-            continue
-        else:
-            total += circle_rect_intersection_area(c.x, c.y, c.r, region)
-    return total

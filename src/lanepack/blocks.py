@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .classification import ClassTable
-from .geometry import EPS, Frame
-from .lanes import LaneState, Packing, PlacedCircle, Strategy, place
+from .geometry import EPS
+from .lanes import LaneInfo, LaneState, Packing, PlacedCircle, place
 
 FREE = "free"
 CLOSED = "closed"
@@ -38,7 +38,6 @@ class VerticalLane:
     x0: float  # host-canonical interval occupied by the lane
     x1: float
     lane: LaneState
-    open: bool = True
     # Running extent of the lane's circles along the host's u axis.
     lo: float = math.inf
     hi: float = -math.inf
@@ -76,6 +75,9 @@ class DenseBlock:
 class BlockLedger:
     host: LaneState
     table: ClassTable
+    # The host's vertical sub-lane strips are host.exclusions; these are
+    # the same strips in the small lanes' u, which runs opposite.
+    mirrored: list[tuple[float, float]] = field(default_factory=list)
     dense: list[DenseBlock] = field(default_factory=list)
     sparse: list[SparseBlock] = field(default_factory=list)
     free_vlanes: list[VerticalLane] = field(default_factory=list)
@@ -117,7 +119,7 @@ def on_medium_packed(ledger: BlockLedger, u: float, r: float,
             prev.x_cap = u - r
             ledger.dense.append(DenseBlock(prev.owner_u, u, mixed=True))
     block = SparseBlock(owner_u=u, owner_r=r, half_side=half_side,
-                        x_cap=ledger.host.length)
+                        x_cap=ledger.host.frame.length)
     ledger.sparse.append(block)
     ledger.current = block
 
@@ -137,19 +139,11 @@ def _leftmost_strip(start: float, cap: float, width: float,
     return None
 
 
-def _vlane_intervals(ledger: BlockLedger) -> list[tuple[float, float]]:
-    return [(vl.x0, vl.x1) for vl in ledger.all_vlanes]
-
-
 def vlane_position(ledger: BlockLedger, block: SparseBlock,
                    width: float) -> Optional[float]:
     """Leftmost feasible position for a new vertical lane inside a block."""
     return _leftmost_strip(block.owner_u + block.owner_r, block.x_cap,
-                           width, _vlane_intervals(ledger))
-
-
-def fit_in_block(ledger: BlockLedger, block: SparseBlock, width: float) -> bool:
-    return vlane_position(ledger, block, width) is not None
+                           width, ledger.host.exclusions)
 
 
 def _eligible(block: SparseBlock, class_index: int) -> bool:
@@ -160,33 +154,31 @@ def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
                   downwards: bool) -> VerticalLane:
     """Open the strip [x0, x0 + width] across the host, with the frame that
     Frame.subframe gives it DOWNWARDS or UPWARDS, by the same floats."""
-    host = ledger.host
+    host = ledger.host.frame
     width = ledger.table.row(class_index).width
-    (ox, oy), (eux, euy), (evx, evy) = (host.frame.origin, host.frame.eu,
-                                        host.frame.ev)
-    length, lane_width = host.width, (x0 + width) - x0
+    (ox, oy), (eux, euy), (evx, evy) = host.origin, host.eu, host.ev
+    x1 = x0 + width
+    length, lane_width = host.width, x1 - x0
     if lane_width > length + EPS:
         raise ValueError(f"lane width {lane_width} exceeds length {length}")
     v, s = (length, -1) if downwards else (0.0, 1)
-    frame = Frame((ox + x0 * eux + v * evx, oy + x0 * euy + v * evy),
-                  (s * evx, s * evy), (eux, euy), length, lane_width)
-    n = len(ledger.all_vlanes)
-    lane = LaneState(f"{host.lane_id}:v{class_index}#{n}", frame,
-                     Strategy.SLP, class_index)
-    vl = VerticalLane(class_index=class_index, x0=x0, x1=x0 + width, lane=lane)
+    info = LaneInfo((ox + x0 * eux + v * evx, oy + x0 * euy + v * evy),
+                    (s * evx, s * evy), (eux, euy), length, lane_width,
+                    f"{host.lane_id}:v{class_index}#{len(ledger.all_vlanes)}",
+                    "SLP", class_index)
+    vl = VerticalLane(class_index, x0, x1, LaneState(info))
     ledger.all_vlanes.append(vl)
-    host.exclusions.append((x0, x0 + width))
+    ledger.host.exclusions.append((x0, x1))
+    ledger.mirrored.append((host.length - x1, host.length - x0))
     return vl
 
 
 def _place_in(ledger: BlockLedger, vl: VerticalLane, r: float, seq: int,
-              class_index: int, packing: Packing,
-              eps: float) -> Optional[PlacedCircle]:
+              packing: Packing, eps: float) -> Optional[PlacedCircle]:
     """Place into a vertical lane and widen its extent by the circle, with
     Frame.to_local's float expressions; close the lane if it is full."""
-    circle = place(vl.lane, r, seq, class_index, packing, eps)
+    circle = place(vl.lane, r, seq, packing, eps)
     if circle is None:
-        vl.open = False
         vl.lane.closed = True
         return None
     (ox, oy), (eux, euy) = ledger.host.frame.origin, ledger.host.frame.eu
@@ -210,16 +202,16 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
 
     # Step 1: try the open vertical lane of this class, closing it on failure.
     for vl in ledger.all_vlanes:
-        if vl.open and vl.class_index == class_index:
-            circle = _place_in(ledger, vl, r, seq, class_index, packing, eps)
+        if not vl.lane.closed and vl.class_index == class_index:
+            circle = _place_in(ledger, vl, r, seq, packing, eps)
             if circle is not None:
                 return circle
             break
 
     # Step 2: close exhausted sparse blocks eligible for this class.
     for block in ledger.sparse:
-        if _eligible(block, class_index) and not fit_in_block(ledger, block,
-                                                              width):
+        if (_eligible(block, class_index)
+                and vlane_position(ledger, block, width) is None):
             block.state = CLOSED
 
     # Step 3: open a new vertical lane inside the leftmost eligible block.
@@ -235,18 +227,18 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
         if block.state == FREE:
             block.state = reservation_for(class_index)
         # A fresh lane fails only when circles of other lanes obstruct it.
-        circle = _place_in(ledger, vl, r, seq, class_index, packing, eps)
+        circle = _place_in(ledger, vl, r, seq, packing, eps)
         if circle is not None:
             return circle
         break
 
     # Step 4: place a vertical lane in the free area at the frontier.
-    pos = _leftmost_strip(ledger.frontier(), host.length, width,
-                          _vlane_intervals(ledger))
+    pos = _leftmost_strip(ledger.frontier(), host.frame.length, width,
+                          host.exclusions)
     if pos is not None:
         vl = _create_vlane(ledger, class_index, pos, False)
         ledger.free_vlanes.append(vl)
-        circle = _place_in(ledger, vl, r, seq, class_index, packing, eps)
+        circle = _place_in(ledger, vl, r, seq, packing, eps)
         if circle is not None:
             return circle
 

@@ -22,10 +22,6 @@ _Q_LOW = 1.0 / (3.0 * math.sqrt(3.0))
 _Q_MID = 1.0 / 3.0
 
 
-def rect_area(a: float, b: float) -> float:
-    return a * b
-
-
 def semicircle_area(r: float) -> float:
     return 0.5 * math.pi * r * r
 

@@ -84,10 +84,6 @@ class ClassTable:
     def min_radius(self) -> float:
         return self.rows[-1].lower_bound
 
-    @property
-    def max_class(self) -> int:
-        return self.rows[-1].index
-
 
 def build_class_table(w: float, q2_override: Optional[float] = None,
                       min_radius: Optional[float] = None,

@@ -17,9 +17,8 @@ from . import bounds
 from .classification import (ClassTable, TooLarge, TooSmall,
                              build_class_table, classify)
 from .dslp import DslpLane, _dslp_shape, dslp_metrics, dslp_pack, new_dslp
-from .geometry import EPS, Frame, Orientation, PlacedCircle, Rect
-from .lanes import (LaneInfo, LaneState, Packing, Strategy, new_lane,
-                    packing_length, place)
+from .geometry import EPS, Orientation, PlacedCircle, Rect
+from .lanes import LaneInfo, LaneState, Packing, packing_length, place
 
 SQUARE_WIDTH_GENERAL = 0.288480
 SQUARE_WIDTH_NO_TINY = 0.277927
@@ -89,9 +88,9 @@ class PackResult:
             for p in d["placements"]
         ]
         lanes = [
-            LaneInfo(li["id"], tuple(li["origin"]), tuple(li["eu"]),
-                     tuple(li["ev"]), li["length"], li["width"],
-                     li["strategy"], li["class"])
+            LaneInfo(tuple(li["origin"]), tuple(li["eu"]), tuple(li["ev"]),
+                     li["length"], li["width"], li["id"], li["strategy"],
+                     li["class"])
             for li in d["lanes"]
         ]
         return PackResult(
@@ -139,15 +138,15 @@ def square_layout(w: float) -> dict[str, tuple[Rect, Orientation]]:
 
 @functools.lru_cache(maxsize=4)
 def _square_shape(w: float):
-    """The large lane's frame and description, and the four medium lanes'
-    (name, DSLP shape); cached per lane width, all frozen."""
+    """The large lane's description and the four medium lanes' (name,
+    DSLP shape); cached per lane width, all frozen."""
     layout = square_layout(w)
-    large = LaneState("L0", Frame.from_rect(*layout["L0"]), Strategy.TLP, 0)
+    large = LaneInfo.from_rect(*layout["L0"], "L0", "TLP", 0)
     medium = tuple((name, _dslp_shape(name, rect.x0, rect.y0, rect.x1,
                                       rect.y1, orientation))
                    for name, (rect, orientation) in layout.items()
                    if name != "L0")
-    return (large.frame, large.info), medium
+    return large, medium
 
 
 def _is_real(x) -> bool:
@@ -197,7 +196,7 @@ class _OnlineRun:
         self.table = table_for(container, mode, w)
         # No-tiny inputs must fall into a class of the truncated table.
         self.min_radius = self.table.min_radius if mode == "no_tiny" else 0.0
-        self.large_lane = None if large is None else new_lane(*large)
+        self.large_lane = None if large is None else LaneState(large)
         self.medium_lanes: list[DslpLane] = [
             new_dslp(name, shape, self.table) for name, shape in medium]
         self.packing = Packing()
@@ -242,7 +241,7 @@ class _OnlineRun:
         if cls == 0:
             # Only a table with a large class, hence a layout with a TLP
             # lane, yields class 0.
-            return place(self.large_lane, r, seq, 0, self.packing,
+            return place(self.large_lane, r, seq, self.packing,
                          self.eps) is not None
         for d in self.medium_lanes:
             if d.host.closed:
@@ -255,14 +254,14 @@ class _OnlineRun:
         lanes, per_lane = [], {}
         if self.large_lane is not None:
             lane = self.large_lane
-            lanes.append(lane.info)
-            per_lane[lane.lane_id] = {
+            lanes.append(lane.frame)
+            per_lane[lane.frame.lane_id] = {
                 "n": len(lane.placed), "p": packing_length(lane)}
         # The rectangle's one lane also records the run's circle count.
         count = {"n": len(self.packing)} if self.container == "rect" else {}
         for d in self.medium_lanes:
-            lanes += [d.host.info, d.top.info, d.bottom.info]
-            lanes += [vl.lane.info for vl in d.ledger.all_vlanes]
+            lanes += [d.host.frame, d.top.frame, d.bottom.frame]
+            lanes += [vl.lane.frame for vl in d.ledger.all_vlanes]
             m = dslp_metrics(d)
             per_lane[d.lane_id] = {
                 **count, "p_t": m.p_t, "p_b": m.p_b,

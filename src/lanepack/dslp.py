@@ -15,9 +15,9 @@ from typing import Optional
 
 from .blocks import BlockLedger, on_medium_packed, pack_small_class
 from .classification import ClassTable
-from .geometry import EPS, Frame, Orientation, PlacedCircle, Rect
-from .lanes import (LaneInfo, LaneState, Packing, Strategy, commit,
-                    find_position, metrics, new_lane, packing_length)
+from .geometry import EPS, Orientation, PlacedCircle, Rect
+from .lanes import (LaneInfo, LaneState, Packing, commit, find_position,
+                    metrics, packing_length)
 
 
 @dataclass
@@ -40,39 +40,33 @@ class DslpMetrics:
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _dslp_shape(lane_id: str, x0: float, y0: float, x1: float, y1: float,
-                orientation: Orientation
-                ) -> tuple[tuple[Frame, LaneInfo], ...]:
-    """Frames and descriptions of a DSLP lane's host, top and bottom lanes.
+                orientation: Orientation) -> tuple[LaneInfo, ...]:
+    """Descriptions of a DSLP lane's host, top and bottom lanes.
 
-    Cached per shape, since both are frozen; each run builds its own
+    Cached per shape, since they are frozen; each run builds its own
     lane states from them.  The key holds the typed coordinates, so an
-    int and a float aspect keep their own frames.
+    int and a float aspect keep their own descriptions.
     """
-    frame = Frame.from_rect(Rect(x0, y0, x1, y1), orientation)
-    w, length = frame.width, frame.length
-    frames = {"host": frame,
-              "top": frame.subframe(Rect(0.0, w / 2.0, length, w),
-                                    Orientation.LEFTWARDS),
-              "bottom": frame.subframe(Rect(0.0, 0.0, length, w / 2.0),
-                                       Orientation.LEFTWARDS)}
-    lanes = [LaneState(f"{lane_id}:{name}", f, Strategy.SLP,
-                       1 if name == "host" else 2)
-             for name, f in frames.items()]
-    return tuple((lane.frame, lane.info) for lane in lanes)
+    host = LaneInfo.from_rect(Rect(x0, y0, x1, y1), orientation,
+                              f"{lane_id}:host", "SLP", 1)
+    w, length = host.width, host.length
+    halves = {"top": Rect(0.0, w / 2.0, length, w),
+              "bottom": Rect(0.0, 0.0, length, w / 2.0)}
+    return (host,) + tuple(
+        host.subframe(rect, Orientation.LEFTWARDS, f"{lane_id}:{name}", "SLP",
+                      2)
+        for name, rect in halves.items())
 
 
-def make_dslp(lane_id: str, rect: Rect, orientation: Orientation,
-              table: ClassTable) -> DslpLane:
-    return new_dslp(lane_id, _dslp_shape(lane_id, rect.x0, rect.y0, rect.x1,
-                                         rect.y1, orientation), table)
-
-
-def new_dslp(lane_id: str, shape: tuple[tuple[Frame, LaneInfo], ...],
+def new_dslp(lane_id: str, shape: tuple[LaneInfo, ...],
              table: ClassTable) -> DslpLane:
-    """An empty DSLP lane of a shape that _dslp_shape built."""
-    host, top, bottom = [new_lane(frame, info) for frame, info in shape]
-    return DslpLane(lane_id, host, BlockLedger(host, table), top, bottom,
-                    table)
+    """An empty DSLP lane of a shape that _dslp_shape built.  The small
+    lanes share the ledger's list of mirrored sub-lane strips."""
+    host = LaneState(shape[0])
+    ledger = BlockLedger(host, table)
+    top, bottom = [LaneState(info, exclusions=ledger.mirrored)
+                   for info in shape[1:]]
+    return DslpLane(lane_id, host, ledger, top, bottom, table)
 
 
 def _length_after(lane: LaneState, u: float, r: float) -> float:
@@ -95,19 +89,15 @@ def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
         if pos is None:
             return None
         u, v = pos
-        circle = commit(d.host, u, v, r, seq, class_index, packing)
-        half_side = "bottom" if v <= d.host.width / 2.0 else "top"
+        circle = commit(d.host, u, v, r, seq, packing)
+        half_side = "bottom" if v <= d.host.frame.width / 2.0 else "top"
         on_medium_packed(d.ledger, u, r, half_side)
         return circle
     if class_index >= 3:
         return pack_small_class(d.ledger, r, class_index, seq, packing, eps)
     # Class 2: tentatively place into both small lanes, keep the shorter one.
-    # The small lanes honor the host's vertical sub-lane strips; their u
-    # axis runs opposite to the host's, so the intervals mirror.
-    ell = d.host.length
-    strips = [(ell - vl.x1, ell - vl.x0) for vl in d.ledger.all_vlanes]
-    d.top.exclusions = strips
-    d.bottom.exclusions = list(strips)
+    # The small lanes honor the host's vertical sub-lane strips, mirrored
+    # (see BlockLedger.mirrored).
     pos_top = find_position(d.top, r, packing, eps)
     pos_bottom = find_position(d.bottom, r, packing, eps)
     if pos_top is None and pos_bottom is None:
@@ -123,14 +113,14 @@ def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
             lane, pos = d.bottom, pos_bottom
         else:
             lane, pos = d.top, pos_top
-    return commit(lane, pos[0], pos[1], r, seq, class_index, packing)
+    return commit(lane, pos[0], pos[1], r, seq, packing)
 
 
 def dslp_metrics(d: DslpLane) -> DslpMetrics:
     # The host's packing length covers its vertical sub-lanes' circles.
     p_host = packing_length(d.host,
                             [(vl.lo, vl.hi) for vl in d.ledger.all_vlanes])
-    length = d.host.length
+    length = d.host.frame.length
     # The host stream and a small-lane stream may interleave once the lane
     # is nearly full; their combined longitudinal extent still cannot
     # exceed the lane, so the free length stays nonnegative.

@@ -9,11 +9,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .classification import build_class_table
 
 KINDS = ("greedy_adversary", "uniform", "single_worstcase", "class_boundary")
+
+# The base lane width whose class table class_boundary straddles, and how
+# far above 1/2 the single_worstcase radius lies.
+BOUNDARY_WIDTH = 1.0
+WORSTCASE_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -24,8 +28,6 @@ class GenSpec:
     r_min: float = 0.001
     r_max: float = 0.5
     count: int = 100  # uniform kind only
-    width: float = 1.0  # class_boundary kind only
-    epsilon: float = 1e-6  # single_worstcase kind only
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -61,12 +63,12 @@ def uniform(spec: GenSpec) -> list[float]:
 
 
 def single_worstcase(spec: GenSpec) -> list[float]:
-    return [0.5 + spec.epsilon]
+    return [0.5 + WORSTCASE_EPSILON]
 
 
 def class_boundary(spec: GenSpec) -> list[float]:
-    """Radii straddling every class boundary of the table at the given width."""
-    table = build_class_table(spec.width)
+    """Radii straddling every class boundary of the table at BOUNDARY_WIDTH."""
+    table = build_class_table(BOUNDARY_WIDTH)
     radii = []
     for row in table.rows:
         for r in (row.lower_bound - 1e-9, row.lower_bound + 1e-9):

@@ -84,7 +84,8 @@ class Frame:
     Canonical coordinates: u in [0, length] along the packing direction,
     v in [0, width] across the lane, (0, 0) at the corner where packing
     starts on the canonical bottom side.  The basis vectors are axis-aligned
-    unit vectors, so composition stays exact.
+    unit vectors, so composition stays exact.  A subclass adds fields
+    after these; from_rect and subframe pass it their trailing arguments.
     """
 
     origin: tuple[float, float]
@@ -93,8 +94,8 @@ class Frame:
     length: float
     width: float
 
-    @staticmethod
-    def from_rect(rect: Rect, orientation: Orientation) -> "Frame":
+    @classmethod
+    def from_rect(cls, rect: Rect, orientation: Orientation, *tag) -> "Frame":
         (eux, euy), (evx, evy) = _AXES[orientation]
         if orientation in (Orientation.RIGHTWARDS, Orientation.LEFTWARDS):
             length, width = rect.width, rect.height
@@ -111,7 +112,7 @@ class Frame:
             origin = (rect.x0, rect.y0)
         else:  # DOWNWARDS
             origin = (rect.x0, rect.y1)
-        return Frame(origin, (eux, euy), (evx, evy), length, width)
+        return cls(origin, (eux, euy), (evx, evy), length, width, *tag)
 
     def to_container(self, u: float, v: float) -> tuple[float, float]:
         return (
@@ -130,8 +131,10 @@ class Frame:
         v = dx * self.ev[0] + dy * self.ev[1]
         return u, v
 
-    def subframe(self, local_rect: Rect, orientation: Orientation) -> "Frame":
-        """Frame of a sub-lane given by its rectangle in canonical coordinates."""
+    def subframe(self, local_rect: Rect, orientation: Orientation,
+                 *tag) -> "Frame":
+        """Frame, of this frame's class, of a sub-lane given by its
+        rectangle in canonical coordinates."""
         inner = Frame.from_rect(local_rect, orientation)
         ox, oy = self.to_container(inner.origin[0], inner.origin[1])
 
@@ -141,8 +144,8 @@ class Frame:
                 d[0] * self.eu[1] + d[1] * self.ev[1],
             )
 
-        return Frame((ox, oy), _map_dir(inner.eu), _map_dir(inner.ev),
-                     inner.length, inner.width)
+        return type(self)((ox, oy), _map_dir(inner.eu), _map_dir(inner.ev),
+                          inner.length, inner.width, *tag)
 
     def bounding_rect(self) -> Rect:
         corners = [self.to_container(u, v)

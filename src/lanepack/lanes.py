@@ -17,18 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .geometry import EPS, Frame, PlacedCircle, sweep
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class Strategy(Enum):
-    SLP = "SLP"
-    TLP = "TLP"
 
 
 # Below this many circles a packing is scanned whole; once it holds this
@@ -145,29 +139,21 @@ class LaneMetrics:
 
 
 @dataclass(frozen=True)
-class LaneInfo:
-    """Serializable description of one lane, enough to rebuild its frame."""
+class LaneInfo(Frame):
+    """One lane: its frame, the strategy it packs by ("SLP" or "TLP") and
+    its size class.  Frozen, so a container shape builds it once; a
+    result's JSON writes it."""
 
     lane_id: str
-    origin: tuple[float, float]
-    eu: tuple[int, int]
-    ev: tuple[int, int]
-    length: float
-    width: float
     strategy: str
     class_index: int
-
-    def frame(self) -> Frame:
-        return Frame(origin=tuple(self.origin), eu=tuple(self.eu),
-                     ev=tuple(self.ev), length=self.length, width=self.width)
 
 
 @dataclass
 class LaneState:
-    lane_id: str
-    frame: Frame
-    strategy: Strategy
-    class_index: int = -1
+    """A lane's running packing state in the frame of its description."""
+
+    frame: LaneInfo
     parity: int = 0  # 0: next circle touches the canonical bottom
     placed: list[LanePlacement] = field(default_factory=list)
     last: Optional[tuple[float, float]] = None  # (u, r) of the last circle
@@ -176,32 +162,6 @@ class LaneState:
     # Running longitudinal extent of `placed`: min(u - r) and max(u + r).
     lo: float = math.inf
     hi: float = -math.inf
-    # The lane's fixed description, built here unless a cached one is
-    # shared (see new_lane).
-    info: Optional[LaneInfo] = None
-
-    def __post_init__(self):
-        if self.info is None:
-            f = self.frame
-            self.info = LaneInfo(self.lane_id, f.origin, f.eu, f.ev, f.length,
-                                 f.width, self.strategy.value,
-                                 self.class_index)
-
-    @property
-    def width(self) -> float:
-        return self.frame.width
-
-    @property
-    def length(self) -> float:
-        return self.frame.length
-
-
-def new_lane(frame: Frame, info: LaneInfo) -> LaneState:
-    """An empty lane of the shape `info` describes, sharing the frozen
-    frame and description."""
-    strategy = Strategy.SLP if info.strategy == "SLP" else Strategy.TLP
-    return LaneState(info.lane_id, frame, strategy, info.class_index,
-                     info=info)
 
 
 def find_position(lane: LaneState, r: float, packing: Packing,
@@ -223,7 +183,7 @@ def find_position(lane: LaneState, r: float, packing: Packing,
         return None
     v = r if lane.parity == 0 else w - r
     last = lane.last
-    slp = lane.strategy is Strategy.SLP
+    slp = frame.strategy == "SLP"
     if last is None:
         floor = 0.0
     elif slp:
@@ -268,9 +228,11 @@ def find_position(lane: LaneState, r: float, packing: Packing,
 
 
 def commit(lane: LaneState, u: float, v: float, r: float, seq: int,
-           class_index: int, packing: Packing) -> PlacedCircle:
-    x, y = lane.frame.to_container(u, v)
-    circle = PlacedCircle(x, y, r, seq, lane.lane_id, class_index)
+           packing: Packing) -> PlacedCircle:
+    """Commit a circle at (u, v), in the lane's class."""
+    frame = lane.frame
+    x, y = frame.to_container(u, v)
+    circle = PlacedCircle(x, y, r, seq, frame.lane_id, frame.class_index)
     lane.placed.append(LanePlacement(u, v, r, seq))
     lane.last = (u, r)
     lane.parity ^= 1
@@ -280,13 +242,13 @@ def commit(lane: LaneState, u: float, v: float, r: float, seq: int,
     return circle
 
 
-def place(lane: LaneState, r: float, seq: int, class_index: int,
-          packing: Packing, eps: float = EPS) -> Optional[PlacedCircle]:
+def place(lane: LaneState, r: float, seq: int, packing: Packing,
+          eps: float = EPS) -> Optional[PlacedCircle]:
     """Commit the lane's next circle at its candidate position, if any."""
     pos = find_position(lane, r, packing, eps)
     if pos is None:
         return None
-    return commit(lane, pos[0], pos[1], r, seq, class_index, packing)
+    return commit(lane, pos[0], pos[1], r, seq, packing)
 
 
 def packing_extent(lane: LaneState) -> Optional[tuple[float, float]]:
@@ -326,5 +288,5 @@ def metrics(lane: LaneState,
     occ = 0.0  # left to right, as total_packed_area adds
     for c in lane.placed:
         occ += math.pi * c.r * c.r
-    return LaneMetrics(packing_length=p, free_length=lane.length - p,
+    return LaneMetrics(packing_length=p, free_length=lane.frame.length - p,
                        occupied_area=occ)

@@ -54,7 +54,7 @@ def render_svg(result: PackResult, scale: float = 600.0) -> str:
     for li in result.lanes:
         if ":" in li.lane_id and not li.lane_id.endswith(":host"):
             continue
-        rect = li.frame().bounding_rect()
+        rect = li.bounding_rect()
         label = li.lane_id.split(":")[0]
         lines.append(
             f'<rect x="{sx(rect.x0)}" y="{sy(rect.y1)}" '

@@ -20,8 +20,8 @@ from lanepack.classification import build_class_table
 from lanepack.containers import (NO_TINY_MIN_RADIUS, RectRun, SquareRun,
                                  pack_rect_online, pack_square_online)
 from lanepack.genseq import GenSpec, generate
-from lanepack.geometry import Frame, Orientation, Rect
-from lanepack.lanes import LaneState, Packing, Strategy, place
+from lanepack.geometry import Orientation, Rect
+from lanepack.lanes import LaneInfo, LaneState, Packing, place
 
 RECT_ASPECTS = (1.0, 1.5, 2.0, 2.36, 3.0, 5.0)
 SEEDS_PER_ASPECT = 200
@@ -205,14 +205,11 @@ def _random_slp_lane(rng):
     q = rng.uniform(0.17, 0.5)
     w = rng.uniform(0.1, 1.0)
     length = rng.uniform(2 * w, 20 * w)
-    lane = LaneState(lane_id="L",
-                     frame=Frame.from_rect(Rect(0, 0, length, w),
-                                           Orientation.RIGHTWARDS),
-                     strategy=Strategy.SLP)
+    lane = LaneState(LaneInfo.from_rect(Rect(0, 0, length, w),
+                                        Orientation.RIGHTWARDS, "L", "SLP", 1))
     packing = Packing()
     seq = 0
-    while place(lane, rng.uniform(q * w, 0.5 * w), seq, 1,
-                    packing) is not None:
+    while place(lane, rng.uniform(q * w, 0.5 * w), seq, packing) is not None:
         seq += 1
     return lane, q, w
 

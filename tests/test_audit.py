@@ -7,73 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from lanepack import audit
-from lanepack.audit import (audit_dslp_lane, audit_slp_lane,
-                            circle_rect_intersection_area, occupied, validate)
+from lanepack.audit import audit_dslp_lane, audit_slp_lane, validate
 from lanepack.bounds import delta, min_slp
 from lanepack.containers import pack_rect_online, pack_square_online
-from lanepack.geometry import Frame, Orientation, PlacedCircle, Rect
+from lanepack.geometry import Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
-from lanepack.lanes import (LanePlacement, LaneState, Packing, Strategy,
+from lanepack.lanes import (LaneInfo, LanePlacement, LaneState, Packing,
                             metrics, place)
-
-
-class TestCircleRectArea:
-    def test_fully_inside(self):
-        rect = Rect(0, 0, 10, 10)
-        assert circle_rect_intersection_area(5, 5, 1, rect) == pytest.approx(
-            math.pi, rel=1e-12)
-
-    def test_fully_outside(self):
-        rect = Rect(0, 0, 1, 1)
-        assert circle_rect_intersection_area(5, 5, 1, rect) == 0.0
-
-    def test_half_circle(self):
-        rect = Rect(0, 0, 10, 10)
-        assert circle_rect_intersection_area(0, 5, 1, rect) == pytest.approx(
-            math.pi / 2, rel=1e-12)
-        assert circle_rect_intersection_area(5, 10, 1, rect) == pytest.approx(
-            math.pi / 2, rel=1e-12)
-
-    def test_quarter_circle(self):
-        rect = Rect(0, 0, 10, 10)
-        for corner in [(0, 0), (10, 0), (0, 10), (10, 10)]:
-            assert circle_rect_intersection_area(
-                corner[0], corner[1], 1, rect) == pytest.approx(
-                    math.pi / 4, rel=1e-12)
-
-    def test_matches_numerical_integration(self):
-        rng = random.Random(17)
-        rect = Rect(0.0, 0.0, 1.0, 1.0)
-        for _ in range(20):
-            cx = rng.uniform(-0.5, 1.5)
-            cy = rng.uniform(-0.5, 1.5)
-            r = rng.uniform(0.05, 0.8)
-
-            def chord(x):
-                dx2 = r * r - (x - cx) ** 2
-                if dx2 <= 0:
-                    return 0.0
-                h = math.sqrt(dx2)
-                return max(0.0, min(cy + h, rect.y1) - max(cy - h, rect.y0))
-
-            lo = max(rect.x0, cx - r)
-            hi = min(rect.x1, cx + r)
-            expect = integrate.quad(chord, lo, hi, limit=200)[0] if lo < hi else 0.0
-            got = circle_rect_intersection_area(cx, cy, r, rect)
-            assert got == pytest.approx(expect, abs=1e-7)
-
-    def test_occupied_sums_with_clipping(self):
-        region = Rect(0, 0, 1, 1)
-        circles = [
-            PlacedCircle(0.5, 0.5, 0.2, 0, "a"),  # inside
-            PlacedCircle(0.0, 0.5, 0.2, 1, "a"),  # half clipped
-            PlacedCircle(3.0, 3.0, 0.2, 2, "a"),  # outside
-        ]
-        expect = math.pi * 0.04 * 1.5
-        assert occupied(region, circles) == pytest.approx(expect, rel=1e-12)
 
 
 def square_result(seed=0, threshold=0.3, r_min=0.01):
@@ -234,10 +176,8 @@ class TestValidate:
         report = validate(result)
         assert report.per_lane_occ == {c.lane_id: left}
         assert report.density == left  # the unit square
-        lane = LaneState(
-            lane_id="L", frame=Frame.from_rect(Rect(0, 0, 10, 1),
-                                               Orientation.RIGHTWARDS),
-            strategy=Strategy.SLP)
+        lane = LaneState(LaneInfo.from_rect(
+            Rect(0, 0, 10, 1), Orientation.RIGHTWARDS, "L", "SLP", 1))
         lane.placed = [LanePlacement(u=p.x, v=p.y, r=p.r, seq=p.seq)
                        for p in placements]
         assert metrics(lane).occupied_area == left
@@ -248,16 +188,13 @@ class TestLaneAudits:
         q = rng.uniform(0.17, 0.5)
         w = rng.uniform(0.1, 1.0)
         length = rng.uniform(2 * w, 20 * w)
-        lane = LaneState(
-            lane_id="L",
-            frame=Frame.from_rect(Rect(0, 0, length, w),
-                                  Orientation.RIGHTWARDS),
-            strategy=Strategy.SLP)
+        lane = LaneState(LaneInfo.from_rect(
+            Rect(0, 0, length, w), Orientation.RIGHTWARDS, "L", "SLP", 1))
         p = Packing()
         seq = 0
         while True:
             r = rng.uniform(q * w, 0.5 * w)
-            if place(lane, r, seq, 1, p) is None:
+            if place(lane, r, seq, p) is None:
                 break
             seq += 1
         return lane, q, w
@@ -274,19 +211,15 @@ class TestLaneAudits:
         assert checked >= 40
 
     def test_slp_audit_rejects_fabricated_sparse_lane(self):
-        lane = LaneState(
-            lane_id="L",
-            frame=Frame.from_rect(Rect(0, 0, 10, 1), Orientation.RIGHTWARDS),
-            strategy=Strategy.SLP)
+        lane = LaneState(LaneInfo.from_rect(
+            Rect(0, 0, 10, 1), Orientation.RIGHTWARDS, "L", "SLP", 1))
         lane.placed = [LanePlacement(u=0.1, v=0.1, r=0.1, seq=0),
                        LanePlacement(u=9.0, v=0.1, r=0.1, seq=1)]
         assert not audit_slp_lane(lane, 0.25, 1.0)
 
     def test_slp_audit_requires_content(self):
-        lane = LaneState(
-            lane_id="L",
-            frame=Frame.from_rect(Rect(0, 0, 10, 1), Orientation.RIGHTWARDS),
-            strategy=Strategy.SLP)
+        lane = LaneState(LaneInfo.from_rect(
+            Rect(0, 0, 10, 1), Orientation.RIGHTWARDS, "L", "SLP", 1))
         with pytest.raises(ValueError):
             audit_slp_lane(lane, 0.25, 1.0)
 

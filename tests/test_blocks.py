@@ -1,11 +1,11 @@
 import pytest
 
-from lanepack.blocks import (CLOSED, FREE, BlockLedger, fit_in_block,
-                             on_medium_packed, pack_small_class,
-                             reservation_for, vlane_position)
+from lanepack.blocks import (CLOSED, FREE, BlockLedger, on_medium_packed,
+                             pack_small_class, reservation_for,
+                             vlane_position)
 from lanepack.classification import build_class_table
-from lanepack.geometry import Frame, Orientation, Rect
-from lanepack.lanes import LaneState, Packing, Strategy, place
+from lanepack.geometry import Orientation, Rect
+from lanepack.lanes import LaneInfo, LaneState, Packing, place
 
 TABLE = build_class_table(1.0)
 W3 = TABLE.row(3).width  # width of a class-3 vertical sub-lane
@@ -14,18 +14,16 @@ R4 = 0.03  # a class-4 radius (bounds: 0.02383 < r <= 0.06250)
 
 
 def make_ledger(length=8.0):
-    host = LaneState(lane_id="H",
-                     frame=Frame.from_rect(Rect(0, 0, length, 1),
-                                           Orientation.RIGHTWARDS),
-                     strategy=Strategy.SLP, class_index=1)
+    host = LaneState(LaneInfo.from_rect(Rect(0, 0, length, 1),
+                                        Orientation.RIGHTWARDS, "H", "SLP", 1))
     return BlockLedger(host=host, table=TABLE), Packing()
 
 
 def pack_medium(ledger, packing, r, seq):
-    c = place(ledger.host, r, seq, 1, packing)
+    c = place(ledger.host, r, seq, packing)
     assert c is not None
     placement = ledger.host.placed[-1]
-    half = "bottom" if placement.v <= ledger.host.width / 2 else "top"
+    half = "bottom" if placement.v <= ledger.host.frame.width / 2 else "top"
     on_medium_packed(ledger, placement.u, r, half)
     return placement
 
@@ -49,7 +47,7 @@ class TestBlockLifecycle:
         block = ledger.sparse[0]
         assert block is ledger.current
         assert block.owner_u == pl.u
-        assert block.x_cap == ledger.host.length
+        assert block.x_cap == ledger.host.frame.length
         assert block.state == FREE
 
     def test_second_medium_forms_pure_dense_block(self):
@@ -103,8 +101,8 @@ class TestStripFitting:
         pl = pack_medium(ledger, packing, 0.5, 0)
         block = ledger.sparse[0]
         block.x_cap = pl.u + 0.5 + 0.25
-        assert fit_in_block(ledger, block, 0.25)
-        assert not fit_in_block(ledger, block, 0.26)
+        assert vlane_position(ledger, block, 0.25) is not None
+        assert vlane_position(ledger, block, 0.26) is None
 
 
 class TestFiveStepRoutine:
@@ -164,7 +162,7 @@ class TestFiveStepRoutine:
         assert len(lanes_seen) >= 2
         # Exhausted vlanes are closed, exactly one can be open per class.
         open_v3 = [vl for vl in ledger.all_vlanes
-                   if vl.open and vl.class_index == 3]
+                   if not vl.lane.closed and vl.class_index == 3]
         assert len(open_v3) <= 1
 
     def test_step5_closes_host(self):

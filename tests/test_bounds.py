@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from lanepack.bounds import (OVERHEAD_COEFF, RECT_INTERCEPT, RECT_SLOPE,
                              SQUARE_GENERAL, SQUARE_NO_TINY, delta,
                              guarantee_rect, guarantee_square, min_dslp,
-                             min_slp, overhead_bound, rect_area,
-                             semicircle_area, sparse_lower)
+                             min_slp, overhead_bound, semicircle_area,
+                             sparse_lower)
 
 Q_LOW = 1.0 / (3.0 * math.sqrt(3.0))
 
@@ -150,5 +150,4 @@ class TestGuarantees:
         assert guarantee_rect(50.0) == math.pi / 4
 
     def test_helpers(self):
-        assert rect_area(2.0, 0.5) == 1.0
         assert semicircle_area(1.0) == pytest.approx(math.pi / 2)

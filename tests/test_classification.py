@@ -31,7 +31,7 @@ class TestSchedule:
     def test_recurrence_exact(self):
         w = 0.288480
         table = build_class_table(w)
-        for i in range(1, table.max_class):
+        for i in range(1, table.rows[-1].index):
             expect = 2.0 * table.row(i).q * table.row(i).width
             assert table.row(i + 1).width == pytest.approx(expect,
                                                            abs=1e-12 * w)
@@ -45,7 +45,7 @@ class TestSchedule:
 
     def test_depth_cap(self):
         table = build_class_table(1.0)
-        assert table.max_class == MAX_CLASSES
+        assert table.rows[-1].index == MAX_CLASSES
         assert table.min_radius < 1e-18
 
     def test_min_radius_stops_generation(self):
@@ -58,7 +58,7 @@ class TestSchedule:
         table = build_class_table(0.277927, q2_override=0.191578,
                                   min_radius=0.026623, large=True)
         assert table.row(2).q == 0.191578
-        assert table.max_class == 2
+        assert table.rows[-1].index == 2
         assert table.row(2).lower_bound == pytest.approx(
             0.191578 * 2 * 0.25 * 0.277927, rel=1e-12)
         # The override bound sits just above the declared minimum radius.
@@ -118,7 +118,7 @@ class TestClassify:
     def test_partition_is_total_and_consistent(self, r):
         t = self.TABLE
         i = classify(r, t)
-        assert 1 <= i <= t.max_class
+        assert 1 <= i <= t.rows[-1].index
         assert r <= (t.base_width / 2 if i == 1 else t.row(i - 1).lower_bound)
         assert r > t.row(i).lower_bound
 

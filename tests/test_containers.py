@@ -13,7 +13,7 @@ from lanepack.containers import (NO_TINY_MIN_RADIUS, NO_TINY_Q2,
                                  container_rect, pack_rect_online,
                                  pack_square_online, square_layout, table_for)
 from lanepack.genseq import GenSpec, generate
-from lanepack.geometry import Orientation, Rect
+from lanepack.geometry import Orientation
 
 
 class TestSquareLayout:
@@ -63,7 +63,7 @@ class TestTables:
     def test_square_no_tiny_table(self):
         t = table_for("square", "no_tiny", SQUARE_WIDTH_NO_TINY)
         assert t.row(2).q == NO_TINY_Q2
-        assert t.max_class == 2
+        assert t.rows[-1].index == 2
         assert t.min_radius == pytest.approx(NO_TINY_MIN_RADIUS, abs=1e-6)
 
 
@@ -183,18 +183,17 @@ class TestSharedShapes:
         assert make().pack(radii(2)).to_json_dict() == second
 
     def test_equal_shapes_of_other_types_keep_their_own_frames(self):
-        # Rect(0, 0, 3, 1) equals Rect(0.0, 0.0, 3.0, 1.0), but frames
-        # built from it hold ints, which serialize differently.
-        ints = dslp.make_dslp("L1", Rect(0, 0, 3, 1), Orientation.RIGHTWARDS,
-                              table_for("rect", None, 1.0))
-        assert [type(x) for x in ints.host.info.origin] == [int, int]
+        # The shape (0, 0, 3, 1) equals (0.0, 0.0, 3.0, 1.0), but lane
+        # descriptions built from it hold ints, which serialize differently.
+        host = dslp._dslp_shape("L1", 0, 0, 3, 1, Orientation.RIGHTWARDS)[0]
+        assert [type(x) for x in host.origin] == [int, int]
         result = pack_rect_online(3.0, [0.3])
         assert [type(x) for x in result.lanes[0].origin] == [float, float]
 
     def test_frames_shared_lanes_not(self):
         a, b = SquareRun("general"), SquareRun("general")
         assert a.large_lane.frame is b.large_lane.frame
-        assert a.medium_lanes[0].top.info is b.medium_lanes[0].top.info
+        assert a.medium_lanes[0].top.frame is b.medium_lanes[0].top.frame
         assert a.large_lane is not b.large_lane
         assert a.medium_lanes[0].host.placed is not (
             b.medium_lanes[0].host.placed)

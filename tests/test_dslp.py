@@ -3,8 +3,9 @@ import math
 import pytest
 
 from lanepack.classification import build_class_table
-from lanepack.dslp import dslp_metrics, dslp_pack, make_dslp, occupied_area
-from lanepack.geometry import Orientation, Rect
+from lanepack.dslp import (_dslp_shape, dslp_metrics, dslp_pack, new_dslp,
+                           occupied_area)
+from lanepack.geometry import Orientation
 from lanepack.lanes import Packing, metrics
 from oracles import circles_overlap, vlane_extents
 
@@ -15,17 +16,18 @@ R_TINY = 0.07  # class 3
 
 
 def make(b=4.0):
-    return make_dslp("L1", Rect(0, 0, b, 1), Orientation.RIGHTWARDS,
-                     TABLE), Packing()
+    return new_dslp("L1", _dslp_shape("L1", 0, 0, b, 1,
+                                      Orientation.RIGHTWARDS),
+                    TABLE), Packing()
 
 
 class TestConstruction:
     def test_sub_lane_geometry(self):
         d, _ = make(b=4.0)
-        assert d.host.width == 1.0
-        assert d.top.width == 0.5
-        assert d.bottom.width == 0.5
-        assert d.top.length == d.bottom.length == 4.0
+        assert d.host.frame.width == 1.0
+        assert d.top.frame.width == 0.5
+        assert d.bottom.frame.width == 0.5
+        assert d.top.frame.length == d.bottom.frame.length == 4.0
         # Small lanes pack right-to-left while the host packs left-to-right.
         assert d.top.frame.eu[0] == -d.host.frame.eu[0]
         assert d.bottom.frame.eu[0] == -d.host.frame.eu[0]
@@ -37,6 +39,22 @@ class TestConstruction:
         assert bottom_rect.y1 == pytest.approx(top_rect.y0)
         assert bottom_rect.y0 == pytest.approx(0.0)
         assert top_rect.y1 == pytest.approx(1.0)
+
+    def test_small_lanes_share_the_mirrored_strips(self):
+        d, p = make(b=4.0)
+        assert d.top.exclusions is d.bottom.exclusions is d.ledger.mirrored
+        dslp_pack(d, R_MEDIUM, 1, 0, p)
+        dslp_pack(d, R_TINY, 3, 1, p)
+        dslp_pack(d, 0.03, 4, 2, p)  # class 4 opens a second sub-lane
+        vlanes = d.ledger.all_vlanes
+        assert len(vlanes) == 2
+        assert d.host.exclusions == [(vl.x0, vl.x1) for vl in vlanes]
+        assert d.top.exclusions == [(4.0 - vl.x1, 4.0 - vl.x0)
+                                    for vl in vlanes]
+        # A small circle keeps clear of both strips.
+        c = dslp_pack(d, R_SMALL, 2, 3, p)
+        for vl in vlanes:
+            assert c.x + c.r <= vl.x0 + 1e-9 or c.x - c.r >= vl.x1 - 1e-9
 
 
 class TestRouting:
@@ -116,7 +134,7 @@ class TestMetrics:
         d, _ = make()
         m = dslp_metrics(d)
         assert m.p_t == m.p_b == 0.0
-        assert m.f_t == m.f_b == d.host.length
+        assert m.f_t == m.f_b == d.host.frame.length
         assert metrics(d.host, vlane_extents(d)).packing_length == 0.0
         assert occupied_area(d) == 0.0
 

@@ -65,7 +65,7 @@ def test_running_extents(name):
     for d in run.medium_lanes:
         # dslp_metrics against the same formula over lanes.metrics, which
         # scans `placed`, and the per-circle frame round trip.
-        length = d.host.length
+        length = d.host.frame.length
         p_host = metrics(d.host, vlane_extents(d)).packing_length
         p_t = min(length, p_host + metrics(d.top).packing_length)
         p_b = min(length, p_host + metrics(d.bottom).packing_length)
@@ -76,4 +76,4 @@ def test_running_extents(name):
         lanes += [vl.lane for vl in d.ledger.all_vlanes]
     for lane in lanes:
         scan = packing_extent(lane) or (math.inf, -math.inf)
-        assert _bits(lane.lo, lane.hi) == _bits(*scan), lane.lane_id
+        assert _bits(lane.lo, lane.hi) == _bits(*scan), lane.frame.lane_id

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,43 +10,43 @@ from hypothesis import strategies as st
 
 from lanepack import lanes
 from lanepack.geometry import EPS, Frame, Orientation, PlacedCircle, Rect
-from lanepack.lanes import (LaneState, Packing, Strategy, find_position,
+from lanepack.lanes import (LaneInfo, LaneState, Packing, find_position,
                             metrics, packing_extent, place)
 from test_geometry import GRID, circ, sweep_oracle
 
 
-def make_lane(length=10.0, width=1.0, strategy=Strategy.SLP,
+def make_lane(length=10.0, width=1.0, strategy="SLP",
               orientation=Orientation.RIGHTWARDS, lane_id="L"):
     rect = (Rect(0, 0, length, width)
             if orientation in (Orientation.RIGHTWARDS, Orientation.LEFTWARDS)
             else Rect(0, 0, width, length))
-    return LaneState(lane_id=lane_id, frame=Frame.from_rect(rect, orientation),
-                     strategy=strategy)
+    return LaneState(LaneInfo.from_rect(rect, orientation, lane_id, strategy,
+                                        1))
 
 
 class TestSlpPlacement:
     def test_first_circle_in_corner(self):
         lane = make_lane()
         p = Packing()
-        c = place(lane, 0.5, 0, 1, p)
+        c = place(lane, 0.5, 0, p)
         assert (c.x, c.y) == pytest.approx((0.5, 0.5))
 
     def test_alternates_sides(self):
         lane = make_lane()
         p = Packing()
-        a = place(lane, 0.5, 0, 1, p)
-        b = place(lane, 0.5, 1, 1, p)
+        a = place(lane, 0.5, 0, p)
+        b = place(lane, 0.5, 1, p)
         assert a.y == pytest.approx(0.5)
         assert b.y == pytest.approx(0.5)  # w - r with r = w/2
         assert b.x == pytest.approx(1.5, abs=1e-8)
-        c = place(lane, 0.3, 2, 1, p)
+        c = place(lane, 0.3, 2, p)
         assert c.y == pytest.approx(0.3)  # bottom again
 
     def test_two_half_width_circles_touch(self):
         lane = make_lane()
         p = Packing()
-        place(lane, 0.5, 0, 1, p)
-        b = place(lane, 0.5, 1, 1, p)
+        place(lane, 0.5, 0, p)
+        b = place(lane, 0.5, 1, p)
         # Same height, so the second sits tangent one diameter along.
         assert b.x == pytest.approx(1.5, abs=1e-8)
 
@@ -54,16 +55,16 @@ class TestSlpPlacement:
         # far left geometrically; the gap rule keeps it min(r, r') ahead.
         lane = make_lane()
         p = Packing()
-        big = place(lane, 0.5, 0, 1, p)
-        small = place(lane, 0.1, 1, 2, p)
+        big = place(lane, 0.5, 0, p)
+        small = place(lane, 0.1, 1, p)
         u_big, u_small = big.x, small.x
         assert u_small - u_big >= 0.1 - 1e-9
 
     def test_gap_binds_when_geometry_is_loose(self):
         lane = make_lane()
         p = Packing()
-        place(lane, 0.45, 0, 1, p)
-        c = place(lane, 0.05, 1, 2, p)
+        place(lane, 0.45, 0, p)
+        c = place(lane, 0.05, 1, p)
         # Geometrically the tiny top circle could go to u = 0.05; the gap
         # rule forces u >= 0.45 + 0.05.
         assert c.x >= 0.5 - 1e-9
@@ -72,35 +73,35 @@ class TestSlpPlacement:
         lane = make_lane()
         lane.exclusions.append((0.0, 1.0))
         p = Packing()
-        c = place(lane, 0.2, 0, 1, p)
+        c = place(lane, 0.2, 0, p)
         assert c.x - c.r >= 1.0 - 1e-9
 
     def test_too_wide_rejected(self):
         lane = make_lane(width=0.5)
-        assert place(lane, 0.26, 0, 1, Packing()) is None
+        assert place(lane, 0.26, 0, Packing()) is None
 
     def test_longer_than_half_lane_rejected(self):
         lane = make_lane(length=1.0, width=1.0)
-        assert place(lane, 0.51, 0, 1, Packing()) is None
+        assert place(lane, 0.51, 0, Packing()) is None
 
     def test_closed_lane_rejects(self):
         lane = make_lane()
         lane.closed = True
-        assert place(lane, 0.2, 0, 1, Packing()) is None
+        assert place(lane, 0.2, 0, Packing()) is None
 
     def test_full_lane_rejects(self):
         lane = make_lane(length=1.0)
         p = Packing()
-        assert place(lane, 0.5, 0, 1, p) is not None
-        assert place(lane, 0.5, 1, 1, p) is None
+        assert place(lane, 0.5, 0, p) is not None
+        assert place(lane, 0.5, 1, p) is None
 
     def test_cross_lane_obstacles_respected(self):
         # A circle committed by another lane blocks this lane's corner.
         other = make_lane(lane_id="other")
         lane = make_lane(lane_id="mine")
         p = Packing()
-        place(other, 0.5, 0, 1, p)
-        c = place(lane, 0.5, 1, 1, p)
+        place(other, 0.5, 0, p)
+        c = place(lane, 0.5, 1, p)
         assert c.x == pytest.approx(1.5, abs=1e-8)
 
 
@@ -108,33 +109,33 @@ class TestTlpPlacement:
     def test_no_gap_rule(self):
         # Two radius-0.25 circles in a width-1 lane touch diagonally: TLP
         # stacks them at the same u, SLP keeps a 0.25 longitudinal gap.
-        slp = make_lane(strategy=Strategy.SLP)
-        tlp = make_lane(strategy=Strategy.TLP)
+        slp = make_lane(strategy="SLP")
+        tlp = make_lane(strategy="TLP")
         ps, pt = Packing(), Packing()
-        place(slp, 0.25, 0, 1, ps)
-        place(tlp, 0.25, 0, 1, pt)
-        a = place(slp, 0.25, 1, 1, ps)
-        b = place(tlp, 0.25, 1, 1, pt)
+        place(slp, 0.25, 0, ps)
+        place(tlp, 0.25, 0, pt)
+        a = place(slp, 0.25, 1, ps)
+        b = place(tlp, 0.25, 1, pt)
         assert a.x == pytest.approx(0.5)
         assert b.x == pytest.approx(0.25)
 
     def test_frontier_still_monotone(self):
-        lane = make_lane(strategy=Strategy.TLP)
+        lane = make_lane(strategy="TLP")
         p = Packing()
         us = []
         rng = random.Random(5)
         for i in range(30):
-            c = place(lane, rng.uniform(0.02, 0.5), i, 1, p)
+            c = place(lane, rng.uniform(0.02, 0.5), i, p)
             if c is None:
                 break
             us.append(c.x)
         assert us == sorted(us)
 
     def test_ignores_exclusions(self):
-        lane = make_lane(strategy=Strategy.TLP)
+        lane = make_lane(strategy="TLP")
         lane.exclusions.append((0.0, 1.0))
         p = Packing()
-        c = place(lane, 0.2, 0, 1, p)
+        c = place(lane, 0.2, 0, p)
         assert c.x == pytest.approx(0.2)
 
     def test_never_longer_than_slp(self):
@@ -142,11 +143,11 @@ class TestTlpPlacement:
         for trial in range(20):
             radii = [rng.uniform(0.05, 0.5) for _ in range(25)]
             slp, tlp = (make_lane(length=40, strategy=s)
-                        for s in (Strategy.SLP, Strategy.TLP))
+                        for s in ("SLP", "TLP"))
             ps, pt = Packing(), Packing()
             for i, r in enumerate(radii):
-                place(slp, r, i, 1, ps)
-                place(tlp, r, i, 1, pt)
+                place(slp, r, i, ps)
+                place(tlp, r, i, pt)
             p_slp = metrics(slp).packing_length
             p_tlp = metrics(tlp).packing_length
             assert p_tlp <= p_slp + 1e-9
@@ -159,7 +160,7 @@ class TestOrientations:
         for orientation in Orientation:
             lane = make_lane(length=5, orientation=orientation)
             p = Packing()
-            placed = [place(lane, r, i, 1, p) for i, r in enumerate(radii)]
+            placed = [place(lane, r, i, p) for i, r in enumerate(radii)]
             assert all(c is not None for c in placed)
             local = [(pl.u, pl.v) for pl in lane.placed]
             if canonical is None:
@@ -171,11 +172,11 @@ class TestOrientations:
 
     def test_container_coordinates_inside_rect(self):
         rect = Rect(0.25, 0.5, 0.75, 3.5)
-        frame = Frame.from_rect(rect, Orientation.DOWNWARDS)
-        lane = LaneState(lane_id="d", frame=frame, strategy=Strategy.SLP)
+        lane = LaneState(LaneInfo.from_rect(rect, Orientation.DOWNWARDS, "d",
+                                            "SLP", 1))
         p = Packing()
         for i in range(6):
-            c = place(lane, 0.2, i, 1, p)
+            c = place(lane, 0.2, i, p)
             assert c is not None
             assert rect.x0 <= c.x - c.r and c.x + c.r <= rect.x1
             assert rect.y0 <= c.y - c.r and c.y + c.r <= rect.y1
@@ -189,14 +190,14 @@ class TestMetrics:
         lane = make_lane()
         m = metrics(lane)
         assert m.packing_length == 0.0
-        assert m.free_length == lane.length
+        assert m.free_length == lane.frame.length
         assert m.occupied_area == 0.0
         assert packing_extent(lane) is None
 
     def test_single_circle(self):
         lane = make_lane()
         p = Packing()
-        place(lane, 0.5, 0, 1, p)
+        place(lane, 0.5, 0, p)
         m = metrics(lane)
         assert m.packing_length == pytest.approx(1.0)
         assert m.free_length == pytest.approx(9.0)
@@ -205,7 +206,7 @@ class TestMetrics:
     def test_extra_extents_extend_length(self):
         lane = make_lane()
         p = Packing()
-        place(lane, 0.5, 0, 1, p)
+        place(lane, 0.5, 0, p)
         m = metrics(lane, extra_extents=((2.0, 3.5),))
         assert m.packing_length == pytest.approx(3.5)
 
@@ -214,7 +215,7 @@ class TestMetrics:
         p = Packing()
         radii = [0.5, 0.3, 0.2, 0.45]
         for i, r in enumerate(radii):
-            place(lane, r, i, 1, p)
+            place(lane, r, i, p)
         assert metrics(lane).occupied_area == pytest.approx(
             sum(math.pi * r * r for r in radii))
 
@@ -239,19 +240,19 @@ def refiled(packing, scan_max):
 def full_scan_position(lane, r, packing, eps):
     """find_position's answer from a scalar sweep over every committed
     circle, with no index and no window."""
-    w, length = lane.width, lane.length
+    w, length = lane.frame.width, lane.frame.length
     if r > w / 2.0 + eps or r > length / 2.0 + eps:
         return None
     v = r if lane.parity == 0 else w - r
     if lane.last is None:
         floor = 0.0
-    elif lane.strategy is Strategy.SLP:
+    elif lane.frame.strategy == "SLP":
         floor = lane.last[0] + min(r, lane.last[1])
     else:
         floor = lane.last[0]
     local = [circ(*lane.frame.to_local(c.x, c.y), c.r)
              for c in packing.circles]
-    exclusions = lane.exclusions if lane.strategy is Strategy.SLP else ()
+    exclusions = lane.exclusions if lane.frame.strategy == "SLP" else ()
     u = sweep_oracle(r, length - r, v, r, local, exclusions, floor, eps)
     return None if u is None else (u, v)
 
@@ -285,8 +286,8 @@ def placement_instances(draw):
         return draw(st.integers(lo, hi)) * GRID
 
     frame = draw(st.sampled_from(FRAMES))
-    strategy = draw(st.sampled_from(list(Strategy)))
-    lane = LaneState(lane_id="q", frame=frame, strategy=strategy,
+    strategy = draw(st.sampled_from(["SLP", "TLP"]))
+    lane = LaneState(LaneInfo(*dataclasses.astuple(frame), "q", strategy, 1),
                      parity=draw(st.integers(0, 1)))
     w, length = frame.width, frame.length
     r = draw(st.one_of(st.sampled_from(POWER_RADII[2:]), st.builds(
@@ -297,14 +298,14 @@ def placement_instances(draw):
         last_u = draw(st.one_of(st.integers(0, 1536).map(lambda k: k * GRID),
                                 st.floats(0.0, 1.5)))
         lane.last = (last_u, draw(st.sampled_from(POWER_RADII)))
-    if strategy is Strategy.SLP:
+    if strategy == "SLP":
         for _ in range(draw(st.integers(0, 2))):
             a = grid(0, 2048)
             lane.exclusions.append((a, a + grid(0, 64)))
     v = r if lane.parity == 0 else w - r
     if lane.last is None:
         lo = r
-    elif strategy is Strategy.SLP:
+    elif strategy == "SLP":
         lo = max(r, lane.last[0] + min(r, lane.last[1]))
     else:
         lo = max(r, lane.last[0])
@@ -401,9 +402,8 @@ class TestFindPositionOracle:
         rect = (ROUNDING_RECT if orientation is Orientation.UPWARDS else
                 Rect(3.6589044911664956, -0.042866566843218656,
                      4.1236301855210185, 3.648376391798187))
-        lane = LaneState(lane_id="q", frame=Frame.from_rect(rect, orientation),
-                         strategy=Strategy.TLP, parity=parity,
-                         last=(last_u, 0.1))
+        lane = LaneState(LaneInfo.from_rect(rect, orientation, "q", "TLP", 1),
+                         parity=parity, last=(last_u, 0.1))
         p = Packing()
         x, y, ro = circle
         p.add(PlacedCircle(x=x, y=y, r=ro, seq=0, lane_id="o"))
