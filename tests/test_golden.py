@@ -1,5 +1,6 @@
-"""Golden digests of whole packings and of tampered packings' audit
-reports; the cases and digests live in tests/golden.py.  The same inputs
+"""Golden digests of whole packings, of their placements and audit
+reports alone, and of tampered packings' audit reports; the cases and
+digests live in tests/golden.py.  The same inputs
 also check that feeding a run one radius per call changes nothing, and
 that the lanes' running extents match a scan of their circles."""
 
@@ -8,8 +9,9 @@ import math
 
 import pytest
 
-from golden import (CASES, GOLDEN, INPUTS, TAMPERED_GOLDEN, TINY_STREAM_N,
-                    _mixed_stream, _tiny_stream, digest, new_run,
+from golden import (CASES, GOLDEN, INPUTS, PLACEMENT_GOLDEN, REPORT_GOLDEN,
+                    STREAMS, TAMPERED_GOLDEN, TINY_STREAM_N, _mixed_stream,
+                    _tiny_stream, digest, new_run, placement_digest,
                     report_digest, tampered)
 from lanepack.dslp import dslp_metrics
 from lanepack.lanes import metrics, packing_extent
@@ -31,6 +33,13 @@ def test_golden_mixed_stream():
     result = _mixed_stream()
     assert result.status == "all_packed"
     assert digest(result) == GOLDEN["rect-2.0-mixed-stream"]
+
+
+@pytest.mark.parametrize("name", sorted(PLACEMENT_GOLDEN))
+def test_golden_placements_and_report(name):
+    result = {**CASES, **STREAMS}[name]()
+    assert placement_digest(result) == PLACEMENT_GOLDEN[name]
+    assert report_digest(result) == REPORT_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(TAMPERED_GOLDEN))
