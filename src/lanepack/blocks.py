@@ -38,9 +38,6 @@ class VerticalLane:
     x0: float  # host-canonical interval occupied by the lane
     x1: float
     lane: LaneState
-    # Running extent of the lane's circles along the host's u axis.
-    lo: float = math.inf
-    hi: float = -math.inf
 
 
 @dataclass
@@ -83,6 +80,9 @@ class BlockLedger:
     free_vlanes: list[VerticalLane] = field(default_factory=list)
     all_vlanes: list[VerticalLane] = field(default_factory=list)
     current: Optional[SparseBlock] = None  # uncapped block of the last medium
+    # Running extent of all sub-lane circles along the host's u axis.
+    lo: float = math.inf
+    hi: float = -math.inf
 
     def frontier(self) -> float:
         """Right edge of all committed content in host-canonical x."""
@@ -175,15 +175,15 @@ def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
 
 def _place_in(ledger: BlockLedger, vl: VerticalLane, r: float, seq: int,
               packing: Packing, eps: float) -> Optional[PlacedCircle]:
-    """Place into a vertical lane and widen its extent by the circle, with
-    Frame.to_local's float expressions; close the lane if it is full."""
+    """Place into a vertical lane and widen the ledger's extent by the
+    circle, with Frame.to_local's floats; close the lane if it is full."""
     circle = place(vl.lane, r, seq, packing, eps)
     if circle is None:
         vl.lane.closed = True
         return None
     (ox, oy), (eux, euy) = ledger.host.frame.origin, ledger.host.frame.eu
     u = (circle.x - ox) * eux + (circle.y - oy) * euy
-    vl.lo, vl.hi = min(vl.lo, u - r), max(vl.hi, u + r)
+    ledger.lo, ledger.hi = min(ledger.lo, u - r), max(ledger.hi, u + r)
     return circle
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Optional
 
@@ -230,9 +231,13 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax,
             "status": result.status,
             "packed_area": result.total_packed_area,
         }
+        # Slack: the area the run was asked to hold over the guarantee.
+        area = result.total_packed_area
         if result.status != "all_packed":
             summary["rejected_index"] = result.rejected_index
+            area += math.pi * result.rejected_radius ** 2
             failures += 1
+        summary["slack"] = area / result.guarantee
         click.echo(json.dumps(summary))
     sys.exit(EXIT_OK if failures == 0 else EXIT_REJECTED)
 

@@ -38,7 +38,7 @@ class PackResult:
     b: Optional[float]  # rectangle aspect, None for the square
     guarantee: float
     placements: list[PlacedCircle]
-    lanes: list[LaneInfo]
+    lanes: list[LaneInfo]  # the lanes that hold circles, in lane order
     rejected_index: Optional[int] = None
     rejected_radius: Optional[float] = None
     per_lane: dict = field(default_factory=dict)
@@ -52,7 +52,10 @@ class PackResult:
         return total
 
     def to_json_dict(self) -> dict:
+        """Schema 2: placements and lanes each as one list per key."""
+        ps, lanes = self.placements, self.lanes
         out = {
+            "schema": 2,
             "status": self.status,
             "container": self.container,
             "mode": self.mode,
@@ -61,18 +64,20 @@ class PackResult:
             "guarantee": self.guarantee,
             "eps": self.eps,
             "total_packed_area": self.total_packed_area,
-            "placements": [
-                {"i": c.seq, "x": c.x, "y": c.y, "r": c.r,
-                 "class": c.class_index, "lane": c.lane_id}
-                for c in self.placements
-            ],
-            "lanes": [
-                {"id": li.lane_id, "origin": list(li.origin),
-                 "eu": list(li.eu), "ev": list(li.ev),
-                 "length": li.length, "width": li.width,
-                 "strategy": li.strategy, "class": li.class_index}
-                for li in self.lanes
-            ],
+            "placements": {
+                "i": [c.seq for c in ps], "x": [c.x for c in ps],
+                "y": [c.y for c in ps], "r": [c.r for c in ps],
+                "class": [c.class_index for c in ps],
+                "lane": [c.lane_id for c in ps]},
+            "lanes": {
+                "id": [li.lane_id for li in lanes],
+                "origin": [list(li.origin) for li in lanes],
+                "eu": [list(li.eu) for li in lanes],
+                "ev": [list(li.ev) for li in lanes],
+                "length": [li.length for li in lanes],
+                "width": [li.width for li in lanes],
+                "strategy": [li.strategy for li in lanes],
+                "class": [li.class_index for li in lanes]},
             "per_lane": self.per_lane,
         }
         if self.rejected_index is not None:
@@ -82,24 +87,35 @@ class PackResult:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PackResult":
-        placements = [
-            PlacedCircle(p["x"], p["y"], p["r"], p["i"], p["lane"],
-                         p["class"])
-            for p in d["placements"]
-        ]
-        lanes = [
-            LaneInfo(tuple(li["origin"]), tuple(li["eu"]), tuple(li["ev"]),
-                     li["length"], li["width"], li["id"], li["strategy"],
-                     li["class"])
-            for li in d["lanes"]
-        ]
+        """Read schema 2; ValueError for another schema or uneven columns."""
+        schema = d["schema"] if "schema" in d else None
+        if schema != 2:
+            raise ValueError(f"result schema {schema!r} is not 2; re-run "
+                             f"pack to write a schema-2 file")
+        x, y, r, i, lane, cls = _columns(d["placements"], "placement",
+                                         ("x", "y", "r", "i", "lane", "class"))
+        origin, eu, ev, *rest = _columns(
+            d["lanes"], "lane", ("origin", "eu", "ev", "length", "width",
+                                 "id", "strategy", "class"))
         return PackResult(
             status=d["status"], container=d["container"], mode=d.get("mode"),
             w=d["w"], b=d.get("b"), guarantee=d["guarantee"],
-            placements=placements, lanes=lanes,
+            placements=list(map(PlacedCircle, x, y, r, i, lane, cls)),
+            lanes=list(map(LaneInfo, map(tuple, origin), map(tuple, eu),
+                           map(tuple, ev), *rest)),
             rejected_index=d.get("rejected_index"),
             rejected_radius=d.get("rejected_radius"),
             per_lane=d.get("per_lane", {}), eps=d.get("eps", EPS))
+
+
+def _columns(table: dict, record: str, keys: tuple[str, ...]) -> list:
+    """The named columns of a table, refused unless all are one length."""
+    columns = [table[key] for key in keys]
+    lengths = [len(column) for column in columns]
+    if min(lengths) != max(lengths):
+        raise ValueError(f"{record} columns differ in length: "
+                         f"{dict(zip(keys, lengths))}")
+    return columns
 
 
 @functools.lru_cache(maxsize=16)
@@ -251,22 +267,24 @@ class _OnlineRun:
         return False
 
     def _result(self) -> PackResult:
-        lanes, per_lane = [], {}
+        states, per_lane = [], {}
         if self.large_lane is not None:
             lane = self.large_lane
-            lanes.append(lane.frame)
+            states.append(lane)
             per_lane[lane.frame.lane_id] = {
                 "n": len(lane.placed), "p": packing_length(lane)}
         # The rectangle's one lane also records the run's circle count.
         count = {"n": len(self.packing)} if self.container == "rect" else {}
         for d in self.medium_lanes:
-            lanes += [d.host.frame, d.top.frame, d.bottom.frame]
-            lanes += [vl.lane.frame for vl in d.ledger.all_vlanes]
+            states += [d.host, d.top, d.bottom]
+            states += [vl.lane for vl in d.ledger.all_vlanes]
             m = dslp_metrics(d)
             per_lane[d.lane_id] = {
                 **count, "p_t": m.p_t, "p_b": m.p_b,
                 "closed": d.host.closed, "blocks": d.ledger.to_dict(),
             }
+        # A result lists only the lanes that hold circles, in lane order.
+        lanes = [lane.frame for lane in states if lane.placed]
         return PackResult(
             status=(STATUS_ALL_PACKED if self.rejected_index is None
                     else STATUS_REJECTED),

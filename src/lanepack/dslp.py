@@ -118,8 +118,7 @@ def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
 
 def dslp_metrics(d: DslpLane) -> DslpMetrics:
     # The host's packing length covers its vertical sub-lanes' circles.
-    p_host = packing_length(d.host,
-                            [(vl.lo, vl.hi) for vl in d.ledger.all_vlanes])
+    p_host = packing_length(d.host, [(d.ledger.lo, d.ledger.hi)])
     length = d.host.frame.length
     # The host stream and a small-lane stream may interleave once the lane
     # is nearly full; their combined longitudinal extent still cannot

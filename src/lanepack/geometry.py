@@ -147,13 +147,6 @@ class Frame:
         return type(self)((ox, oy), _map_dir(inner.eu), _map_dir(inner.ev),
                           inner.length, inner.width, *tag)
 
-    def bounding_rect(self) -> Rect:
-        corners = [self.to_container(u, v)
-                   for u in (0.0, self.length) for v in (0.0, self.width)]
-        xs = [c[0] for c in corners]
-        ys = [c[1] for c in corners]
-        return Rect(min(xs), min(ys), max(xs), max(ys))
-
 
 def leftmost_feasible(x_min: float, x_max: float, y: float, r: float,
                       obs_x: Sequence[float], obs_y: Sequence[float],

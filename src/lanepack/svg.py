@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .containers import PackResult, container_rect
+from .containers import PackResult, container_rect, square_layout
 
 # Fill colors indexed by circle class (class 0 first); deep classes cycle.
 _PALETTE = (
@@ -50,12 +50,10 @@ def render_svg(result: PackResult, scale: float = 600.0) -> str:
         f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
         f'fill="white" stroke="black" stroke-width="2"/>',
     ]
-    # Top-level lanes only; sub-lanes would clutter the drawing.
-    for li in result.lanes:
-        if ":" in li.lane_id and not li.lane_id.endswith(":host"):
-            continue
-        rect = li.bounding_rect()
-        label = li.lane_id.split(":")[0]
+    # Top-level lanes, holding circles or not; sub-lanes would clutter.
+    layout = ({"L1": (box, None)} if result.container == "rect"
+              else square_layout(result.w))
+    for label, (rect, _) in layout.items():
         lines.append(
             f'<rect x="{sx(rect.x0)}" y="{sy(rect.y1)}" '
             f'width="{_fmt(rect.width * scale)}" '

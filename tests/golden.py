@@ -10,14 +10,13 @@ audit needs numpy counts as skipped where numpy is missing.
 Each case packs a fixed seeded sequence and is hashed three ways: the
 serialized result together with its audit report (GOLDEN), the
 placements alone (PLACEMENT_GOLDEN) and the audit report alone
-(REPORT_GOLDEN).  The first digests were recorded before the placement
-sweep was windowed to the lane's frontier and the audit's overlap check
-became a sort-and-sweep; any change to a single coordinate, lane, class
-or audit finding changes them.  The placement and report digests do not
-depend on the JSON layout, so a change of the result format regenerates
-GOLDEN alone and leaves them as proof that no placement and no audit
-finding moved.  Placements must stay bit-identical, so never regenerate
-these values to make a test pass.
+(REPORT_GOLDEN).  Any change to a single coordinate, lane, class or
+audit finding changes them.  The placement and report digests do not
+depend on the JSON layout: they were recorded before the result JSON
+became schema 2 (columns, and only the lanes that hold circles), and
+GOLDEN alone was regenerated for that format, so they show that no
+placement and no audit finding moved with it.  Placements must stay
+bit-identical, so never regenerate these values to make a test pass.
 """
 
 import dataclasses
@@ -136,117 +135,117 @@ def placement_digest(result) -> str:
 
 GOLDEN = {
     "rect-1.0-greedy_adversary-0":
-        "ce5793a10da587f49901073ed0a6c4d74946e12682b74d5a1811d99091f12f49",
+        "9a995b03ad1a855871157b25da0e1f31b7d17e313a15b74f8881081d0bb9166a",
     "rect-1.0-greedy_adversary-1":
-        "7a5023b3342c95d342c263cedf44c7e16423a62bd69d90b3b3356fe889b211b9",
+        "34441568ef977f5d1e15572c0e3089bcc03de64f79d6f91215707a94ce347b2c",
     "rect-1.0-greedy_adversary-2":
-        "0995b48b2658ddbc195eaebe3b1f74b4255ad53437b9595ce4965ed49fcca110",
+        "2e0095a30a8ed17dca3e7449068f813b81aa5608e360b987b0fe4f1b252d9fec",
     "rect-1.0-uniform-0":
-        "fe249a980868ddc56c37f9e458bb33f3f2fe9ad68f39c39f825858d94fa0af88",
+        "17a8f161333804058705fe0b1b3dc92f4950bf63b7e621c01a3916e39f96cb8a",
     "rect-1.0-uniform-1":
-        "1d4f99747f1570cc86368424cd0bc1b0a865e01fc39ae63ee0cd20c36f6d02af",
+        "0e8f1a30078283179c81837f418b7b13e630cc7d7ebfb821e5bdf4c4b56fb18a",
     "rect-1.0-uniform-100":
-        "875a03933143268e515df804a08f695757832c0a73152ecadd5861d24992a203",
+        "19ee22c82952361dafe633a38a77352ad8a7f5f3e33d3ecbf2dce2d88ae2bb1b",
     "rect-1.0-uniform-101":
-        "3347d86deb3d17839a1765d0913fe92786f4dfb0644075423f11a3461d317e12",
+        "416f75d3ece300c43911a8be916bd21b73d329b5f0b8765df85c8ae3c6711803",
     "rect-1.0-uniform-102":
-        "bb909ff552044b0b8dbe4c0b804fca00807ee78422dd1f161290b89bdd99706f",
+        "af0b09327074168e9708eb05bbd62ed2c4e4bcd5209c0285a85b9db96c5866a0",
     "rect-1.0-uniform-2":
-        "097e2d8c75be28bd419d50bc4cbda42c4a14e6c31cccd96f55f089c81158c9a8",
+        "8aabefa910468216d6a8c122ca879c0503d7df53ea0045792e37d8d2b166cf51",
     "rect-1.5-greedy_adversary-0":
-        "7b5283e1ed973cc3e15b1c811a4bc62b422f02726fdcb160b8a02893f06b91c0",
+        "92bcdf9bb42e45a68b6e7b5588237e8d9cff94defc1e0df7722e06d91ae28b4b",
     "rect-1.5-greedy_adversary-1":
-        "532fca889332d7bff46bbb1432f43fc0575cd0dfa652813001f9350100cc75e8",
+        "b8c837e4fa434f10f6bcaa3553abfcf8ab8de1b6b6f5f94ee14991de7ce322f6",
     "rect-1.5-greedy_adversary-2":
-        "3c66a5125b7128556484f4abb151b91e7b0fff36637d2f4f34ec2a1440109f63",
+        "96dc932bda5f1323c560e5593f96d8ac551314a6b5aaf22bb1a3713796ba261b",
     "rect-1.5-uniform-0":
-        "7489401f7ae329b2b13007c0939acfc7b4ebc0b28ec26ebab851ba6648975328",
+        "222f0e6a81fe937a85009d9e6e287abc1e8bd2c55760010cebe9763c5ad3af67",
     "rect-1.5-uniform-1":
-        "7b0cc3360752a8529002068b1439980412ff0df55e6eae7e3bba78a007ec0b9e",
+        "7dd2e36bf2150775e3484853533e2187955ee559e9543d4e4ead3917df43bb5d",
     "rect-1.5-uniform-100":
-        "4aec211a3b2250937a7611a0bc4881f8160b222bb1982e0bd6094e10d83b6d41",
+        "e3452ebf23d7c23abfcc74546b04629e72d7b6c85509369f46d4325e62e4b7ad",
     "rect-1.5-uniform-101":
-        "c9b5ebde8954369ec17170e891375a6c779ce6811299aceaa6c7159bc09dce53",
+        "2c34fd5a18ce322d370db1bd040d0bbcc60da40355639d1f45835334b8f3fdb7",
     "rect-1.5-uniform-102":
-        "4145d326b907c7be27107747bf31be880cf6c20f4180f564298336cd3e36fe92",
+        "0f5fceec878cca324cf90bd25a59cb529f415689ac94438f1c1cf0acd9de8313",
     "rect-1.5-uniform-2":
-        "11e3224ddaf92b8a59bd2f587cdbd4aa02f59e21899de5109c7079a42c89dbab",
+        "7dd2fc45776d466aa8c98378169e03bf8f451af7ea7e404317394e62c7a2765c",
     "rect-2.0-greedy_adversary-0":
-        "56636195ae9fb6db100ea34b7beab008f0f8e76fa3266c18193dc86c4e0465c2",
+        "19fe31391e8004becb85635ec821e40b8107f7a11dc2817e0592a882aeb6603f",
     "rect-2.0-greedy_adversary-1":
-        "6c9de26c0bdb69059bb7a87c8e6fda56b74ab85a4f72be3451c560b989515f13",
+        "f923dc2f5a8318fb17c228286a461b27cb221d23429d9c2307e4dd81a447facf",
     "rect-2.0-greedy_adversary-2":
-        "340acdd9f5db5fa06d518ae1dee2a9db95089f1d751fae930231436db6615512",
+        "191d29ce003c2c8ebb4a575de856b4e0069a98ce36ebe49742ea1fcc05919eba",
     "rect-2.0-uniform-0":
-        "7cf1df70ac0fb3d0ffbed4e419d2bb26deee7628e2a2276db5af7fac37a2e58b",
+        "47095368f0acca170ba2de8e543f21ff8b37e8144f23f2d2d9d2a70aeb4dc880",
     "rect-2.0-uniform-1":
-        "d06524d63351a03fd0a8c9b7f1295eb3899180fd1c9f0c4c2d674df5e345724d",
+        "9ff14afbd5ca27013e8d9ac49b504d505f64d1d4419ecbb4c26aadd62c26d686",
     "rect-2.0-uniform-100":
-        "cd171ff11aa8814bd5d4c0decfd38693040229a3e06556670838f294e061b0c5",
+        "ab4ea54babf5e6a8e425dc3c97fbe745b4f47a61e60afefbb15eb5fb32576ee0",
     "rect-2.0-uniform-101":
-        "bffc9d1c9c4c44714f3324f01f96d19b9e080ee562cc2b9f36e398c61e441d31",
+        "774690141aae7146ffa299daa52f851db4b559bcc9f16cdff1f108251e831fb4",
     "rect-2.0-uniform-102":
-        "49add92376e54e953726aa1955e8e4330ec445865758223909efaf3d93c39ec1",
+        "a05e749906a894655100bf9c859fb30ea37b07fe3f542490dee289aaba9ab725",
     "rect-2.0-uniform-2":
-        "fe77c27420f2ca2f40634b107fe3e11ec8cc803a97e1641efac9b6e094c578c1",
+        "a2209d487d2d283522170652724e57c410091271415d028650162151dd35f97d",
     "rect-3.0-greedy_adversary-0":
-        "996fd2c3cd8a4994a9f75d4665fa0968f4088fd4b00e2140f94acd9aa26fa1f9",
+        "32048c92c9d0383398dcbb5075c800fd2ffca266b47ccb66ca0cb80abd0f2bed",
     "rect-3.0-greedy_adversary-1":
-        "72280eef133471dbe4bce43038b06b004fb533ba22c0a36f85d6d3201ddd3bd2",
+        "a815f50549c1c33d21084f7ecb432f8b8926f3aecc4ec0395402ef2ffcbe1f20",
     "rect-3.0-greedy_adversary-2":
-        "0e266710a281cef35ce52b6a27e2d7593ab8e13d9f58cfdfb1dae2f6180fc7e0",
+        "2d22e79e61f45b03b29c8c0a41c51920d82aa2ef351f0556181f45e65dab7b41",
     "rect-3.0-uniform-0":
-        "b808b47dfd6f31a353fa5ccc77eaed67514cd67b95ef523b0afe24567594d1c8",
+        "3ec007070374c59596bc80051f7b12df7c9abddd992156b5fdc60b6e44604285",
     "rect-3.0-uniform-1":
-        "a9263e4f83dc5230b37ea26ffcc33150d41b760881d752e72035a4aa2186a561",
+        "236156c8b402f88d5cd893c413865982f3ae34de7e2a4c506562e7fa947aaf0c",
     "rect-3.0-uniform-100":
-        "3f5e892e3e21afc71b92309e2121ff26d591801db84e7fa5a405e4e5157abed8",
+        "7255fa2388b07be5b40bcb8412f6996fe8fd1ffe8703f5b4df9cc258f5f761c0",
     "rect-3.0-uniform-101":
-        "6940cdfe287f0041cfca9719fdf71df870a6012e0bd570e3883d55f279a23d90",
+        "03411ec48a63d9caf942c564604a46c21bb4d815983f888eed87f87912d418b1",
     "rect-3.0-uniform-102":
-        "1d94e2b55a4b595d62d04881fd563a6c7416c6b3fab2ec598abda40e18bd8d55",
+        "5813bd2fd69d26cd922034c099750838a641d2f8209b48b829ce4af291540de8",
     "rect-3.0-uniform-2":
-        "307eb4627067e9eb636e7e14c58ad769e8f9be6ca1fc8251b326452cfed25f7c",
+        "e4f1beaecdb0754be89cb7c6b08e6df6126ecce98d641732113a116f334a1c83",
     "square-general-greedy_adversary-0":
-        "dadd31662f63b30b23ccd3fb60a4fa828aac753bb01ff7dfc53a10d662c7cca6",
+        "38da72c4616477b2286939a93040a6c04b6ebf0167b34b3c6f1f1ef97ca19d2b",
     "square-general-greedy_adversary-1":
-        "60fdab6807762f4a9a342fcd67d33146fb1119815fc1fd4726fda80a0b950b72",
+        "1cc7ac51b94c98ebca1e068d4368acec24d1fe4e3fe58f816fd2e7cbe9d5291c",
     "square-general-greedy_adversary-2":
-        "835d8ebba082dbdb6986cdb7ec069afc72975a06a41f010c2ee3028f92df5d18",
+        "a451bf348520c4efd824f85436bda7131adccdd2b06c6e96611072edba847269",
     "square-general-uniform-0":
-        "93453f7c259c17c88b55f2a27acc04cfae6358db0a1b6440a67c434d97b924bd",
+        "907ca6cb3726c6caaf3dc1b72a7171e5bad0014357b249fbc346b66d08b3eaf8",
     "square-general-uniform-1":
-        "170c57e6d59d2ddc30d6986da5904edc52ab2b9e286d2950383ed8724791fad0",
+        "8926e14e8134d76a14861e1e5cf98defa90de5ad4b7f133325119dcfe7e36768",
     "square-general-uniform-100":
-        "139401ed0ef9bd1fea6db0f46249ccbc97242e3978b7614302b08b7d09b01653",
+        "5dcd23952401145ebd8d066fa6b9ae9a2de7825ea721af76b32a062660a1f778",
     "square-general-uniform-101":
-        "0b5edb61c68ae32396439743a3048a145e2bb368e9d4fced028ef9c419077cf2",
+        "4b030a500b2eb09312d7592018506122c6280ea320cb510bb0295714304268fa",
     "square-general-uniform-102":
-        "d8e721aa490646ff495133e165cbe9edf231e4002f0a80025ffd434568b006a5",
+        "5ebb9e5076ca3df4ef8d739574e0ebb342cbfb6ae803cbfaa0a4276d097dc76d",
     "square-general-uniform-2":
-        "6d4444ee699c75cfdd9c103e34bcca276b4b2ca207b9135c6ac9d712a9e046a8",
+        "461d691fde9858b3a0797d5de84e38b793ff251ebb9c568669bb412a3eceb335",
     "square-no_tiny-greedy_adversary-0":
-        "19dad9879c53119c73bc3b18641186b1a3745dcd2819f9e9e60384a721af9327",
+        "4bd64cb9a1623f100fd4c9130f4d3ca79c43afd35c389f66c69614ef25e99106",
     "square-no_tiny-greedy_adversary-1":
-        "0eeabbca663f5249b1697e61a3487c5680cc6dd3d9cc02c84393af76880b191e",
+        "6cebdcf6d21114836367a04a3360e8aeaeb8de629e2541024d1ea39c1c28a8d9",
     "square-no_tiny-greedy_adversary-2":
-        "0316b1e7f9cff3870c62e50397c837ec9e0c94dbc58674b78b744c31ac61bd2f",
+        "d05d2ace5e5d233194b3a30d64de68db57c541487097f399cba63a68760a97f8",
     "square-no_tiny-uniform-0":
-        "2aa7eef9544a24c4a4100b4dd07f654e0c4e42b78aebca9f6e7457e3a2dff2c2",
+        "ac989805f6ac871e63b514b0d7e65e6f11d3030a96d406333887d0a9fbdd2a9c",
     "square-no_tiny-uniform-1":
-        "5e345209923c7c556be2ab697162dca90c51fb3f5783d0f65e373fe16fd19b82",
+        "2182fb0568a68163b7a2f34007a2c120e57b4e6ee6ba758a3680a5119dd331aa",
     "square-no_tiny-uniform-100":
-        "af23de8fd21e4dc39075e747ea4ab8ef7bcce93f02ee2db446c6aa98645defa2",
+        "92f486dff2be151f2c4eef7f2ab71ca57a0019894b37173ca7c076dbe4bcb9a9",
     "square-no_tiny-uniform-101":
-        "1c2697a7bb5c391c243064c983dabfeef6062731943720f3a9337c1a85adc6ae",
+        "cf84330ad0e2d632f1b6f6ddad4ab5dadb7c5f377262c9a67e298e93eddf4ca9",
     "square-no_tiny-uniform-102":
-        "d02b4e7b768551954034fae11615f145b828dd0e56c8a0af55e0a9f21a3f6a81",
+        "481e41721954d67938dc42fdab723e9a19f87c1112162bf91bc1a5f87c4761d0",
     "square-no_tiny-uniform-2":
-        "52d5f118c19a68315f25fdd08f2a6668da26e3dba1309498bceda380224f2c86",
+        "53cd86d41f70ed9baa6a9b73958e7e1a1ca8a9963acb4e415aa5e3198c3479aa",
     "square-general-tiny-stream":
-        "3be2e03fd41e3ef85980a53cfbd23ec25a9314d62e265f8c1d6b919fd76e7d4c",
+        "5b5764b9d0ebb660e6423ee3013d2b3f03c44a47c378e467ac8d56a3ffcc72a2",
     "rect-2.0-mixed-stream":
-        "9f858537de8cfd7774ffe53cb6fdf7b3f4b775ec718497b7d3cbc8ad8c586a48",
+        "c59d4f202af7af34729e3e0782e6f5322e62b60eb0d70f935cb3b90e2913288b",
 }
 
 

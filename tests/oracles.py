@@ -1,5 +1,5 @@
-"""Scalar geometry predicates and lane extents that tests check the
-packer against.
+"""Scalar geometry predicates, lane rectangles and lane extents that tests
+check the packer against.
 
 The packer and the audit never call these: they are written the plain
 way, one pair, one obstacle or one circle at a time, so that they can
@@ -33,6 +33,15 @@ def forbidden_interval(obstacle: PlacedCircle, y: float, r: float
         return None
     d = math.sqrt(rsum * rsum - dy * dy)
     return (obstacle.x - d, obstacle.x + d)
+
+
+def bounding_rect(frame) -> Rect:
+    """The axis-parallel rectangle a lane frame covers, from its corners."""
+    corners = [frame.to_container(u, v)
+               for u in (0.0, frame.length) for v in (0.0, frame.width)]
+    xs = [c[0] for c in corners]
+    ys = [c[1] for c in corners]
+    return Rect(min(xs), min(ys), max(xs), max(ys))
 
 
 def vlane_extents(d) -> list[tuple[float, float]]:

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 from click.testing import CliRunner
 
+from lanepack.bounds import guarantee_rect
 from lanepack.cli import main
-from lanepack.genseq import KINDS
+from lanepack.genseq import KINDS, GenSpec, generate
 
 
 @pytest.fixture
@@ -25,13 +27,13 @@ class TestPack:
         assert res.exit_code == 0
         data = json.loads(res.output)
         assert data["status"] == "all_packed"
-        assert len(data["placements"]) == 2
+        assert len(data["placements"]["i"]) == 2
 
     def test_json_array_input(self, runner):
         res = invoke(runner, ["pack", "--container", "rect", "--b", "2"],
                      input="[0.1, 0.2, 0.3]")
         assert res.exit_code == 0
-        assert len(json.loads(res.output)["placements"]) == 3
+        assert len(json.loads(res.output)["placements"]["x"]) == 3
 
     def test_comments_and_blank_lines_ignored(self, runner):
         res = invoke(runner, ["pack", "--container", "square"],
@@ -121,8 +123,8 @@ class TestVerify:
         invoke(runner, ["pack", "--container", "rect", "--b", "2",
                         "--json", str(out)], input="0.4\n0.3\n")
         data = json.loads(out.read_text())
-        data["placements"][1]["x"] = data["placements"][0]["x"]
-        data["placements"][1]["y"] = data["placements"][0]["y"]
+        data["placements"]["x"][1] = data["placements"]["x"][0]
+        data["placements"]["y"][1] = data["placements"]["y"][0]
         out.write_text(json.dumps(data))
         res = invoke(runner, ["verify", str(out)])
         assert res.exit_code == 1
@@ -156,11 +158,42 @@ class TestVerify:
         elif tamper == "placements":
             data = {"placements": 5}
         else:
-            data["placements"][0]["x"] = "a"
+            data["placements"]["x"][0] = "a"
         out.write_text(json.dumps(data))
         res = invoke(runner, ["verify", str(out)])
         assert res.exit_code == 1
         assert "unreadable result file" in res.output
+
+    @pytest.mark.parametrize("cut", ["schema-1", "short-x", "short-lane-id"])
+    def test_cut_or_old_files_are_refused(self, runner, tmp_path, cut):
+        # A file cut short must not audit as a valid packing of fewer
+        # circles, and a schema-1 file is not read at all.
+        out = tmp_path / "r.json"
+        invoke(runner, ["pack", "--container", "rect", "--b", "2",
+                        "--json", str(out)], input="0.4\n0.3\n0.01\n")
+        data = json.loads(out.read_text())
+        if cut == "schema-1":
+            data = schema_1(data)
+        elif cut == "short-x":
+            del data["placements"]["x"][-1]
+        else:
+            del data["lanes"]["id"][-1]
+        out.write_text(json.dumps(data))
+        res = invoke(runner, ["verify", str(out)])
+        assert res.exit_code == 1
+        assert "unreadable result file" in res.output
+        assert '"valid"' not in res.output
+
+
+def schema_1(data: dict) -> dict:
+    """A schema-2 result dict in the earlier layout: no "schema" key, one
+    dict per placement and per lane."""
+    old = {k: v for k, v in data.items() if k != "schema"}
+    for table in ("placements", "lanes"):
+        columns = data[table]
+        old[table] = [dict(zip(columns, row))
+                      for row in zip(*columns.values())]
+    return old
 
 
 class TestBounds:
@@ -262,6 +295,35 @@ class TestBatch:
         assert res.exit_code == 2
         lines = [json.loads(l) for l in res.output.strip().splitlines()]
         assert any(s["status"] == "rejected" for s in lines)
+
+    def test_slack_of_rejected_runs(self, runner):
+        # A prefix under the guarantee always packs, so a rejected run's
+        # packed area plus the refused circle's is over budget.
+        res = invoke(runner, ["batch", "--container", "square",
+                              "--kind", "uniform", "--rmax", "0.2",
+                              "--seeds", "0:3"])
+        assert res.exit_code == 2
+        for line in res.output.strip().splitlines():
+            summary = json.loads(line)
+            assert list(summary) == ["seed", "n", "status", "packed_area",
+                                     "rejected_index", "slack"]
+            assert summary["status"] == "rejected"
+            assert summary["slack"] > 1
+            radii = generate(GenSpec(kind="uniform", seed=summary["seed"],
+                                     r_max=0.2))
+            refused = math.pi * radii[summary["rejected_index"]] ** 2
+            assert summary["slack"] == pytest.approx(
+                (summary["packed_area"] + refused) / 0.350389, rel=1e-12)
+
+    def test_slack_of_complete_runs(self, runner):
+        res = invoke(runner, ["batch", "--container", "rect", "--b", "2",
+                              "--seeds", "0:3"])
+        for line in res.output.strip().splitlines():
+            summary = json.loads(line)
+            assert list(summary) == ["seed", "n", "status", "packed_area",
+                                     "slack"]
+            assert summary["slack"] == (summary["packed_area"]
+                                        / guarantee_rect(2))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_generator_kind(self, runner, kind):

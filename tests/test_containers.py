@@ -344,6 +344,67 @@ class TestSerialization:
         for a, b in zip(back.lanes, result.lanes):
             assert a == b
 
+    def test_schema_2_columns(self):
+        result = self._result()
+        d = json.loads(json.dumps(result.to_json_dict()))
+        assert d["schema"] == 2
+        placements, lanes = d["placements"], d["lanes"]
+        assert list(placements) == ["i", "x", "y", "r", "class", "lane"]
+        assert list(lanes) == ["id", "origin", "eu", "ev", "length",
+                               "width", "strategy", "class"]
+        assert placements["r"] == [c.r for c in result.placements]
+        assert lanes["origin"] == [list(li.origin) for li in result.lanes]
+        back = PackResult.from_json_dict(d)
+        assert back == result
+
+    @pytest.mark.parametrize("container, param", [
+        ("square", "general"), ("square", "no_tiny"), ("rect", 2.0)])
+    def test_only_lanes_holding_circles_are_listed(self, container, param):
+        run = SquareRun(param) if container == "square" else RectRun(param)
+        r_min = NO_TINY_MIN_RADIUS if param == "no_tiny" else 0.001
+        result = run.pack(generate(GenSpec(
+            "greedy_adversary", seed=3, threshold=0.3, r_min=r_min)))
+        every = [] if run.large_lane is None else [run.large_lane]
+        for d in run.medium_lanes:
+            every += [d.host, d.top, d.bottom]
+            every += [vl.lane for vl in d.ledger.all_vlanes]
+        used = {c.lane_id for c in result.placements}
+        assert len(used) < len(every)
+        assert result.lanes == [lane.frame for lane in every
+                                if lane.frame.lane_id in used]
+        # per_lane still covers every top-level lane.
+        assert set(result.per_lane) == (
+            {d.lane_id for d in run.medium_lanes}
+            | ({"L0"} if container == "square" else set()))
+
+    def test_all_tiny_square_lists_its_sub_lanes_alone(self):
+        result = pack_square_online("general", [0.003] * 20)
+        assert [li.lane_id for li in result.lanes] == ["L1:host:v5#0"]
+        assert validate(PackResult.from_json_dict(
+            json.loads(json.dumps(result.to_json_dict())))).valid
+
+    @pytest.mark.parametrize("schema", [None, 1, "2", 3])
+    def test_other_schemas_are_refused(self, schema):
+        d = self._result().to_json_dict()
+        if schema is None:
+            del d["schema"]
+        else:
+            d["schema"] = schema
+        with pytest.raises(ValueError, match=f"schema {schema!r} is not 2"):
+            PackResult.from_json_dict(d)
+
+    @pytest.mark.parametrize("table, key", [
+        ("placements", "x"), ("placements", "i"), ("placements", "lane"),
+        ("lanes", "id"), ("lanes", "origin"), ("lanes", "class")])
+    def test_columns_of_unequal_length_are_refused(self, table, key):
+        # map() would stop at the shortest column and drop records.
+        d = self._result().to_json_dict()
+        del d[table][key][-1]
+        record = table[:-1]
+        with pytest.raises(ValueError,
+                           match=f"{record} columns differ in length"):
+            PackResult.from_json_dict(d)
+
     def test_rejection_fields_round_trip(self):
         result = pack_rect_online(1.0, [0.5, 0.5])
         back = PackResult.from_json_dict(result.to_json_dict())

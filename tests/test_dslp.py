@@ -7,7 +7,7 @@ from lanepack.dslp import (_dslp_shape, dslp_metrics, dslp_pack, new_dslp,
                            occupied_area)
 from lanepack.geometry import Orientation
 from lanepack.lanes import Packing, metrics
-from oracles import circles_overlap, vlane_extents
+from oracles import bounding_rect, circles_overlap, vlane_extents
 
 TABLE = build_class_table(1.0)
 R_MEDIUM = 0.4  # class 1: 0.25 < r <= 0.5
@@ -34,8 +34,8 @@ class TestConstruction:
 
     def test_sub_lanes_partition_host_rect(self):
         d, _ = make()
-        top_rect = d.top.frame.bounding_rect()
-        bottom_rect = d.bottom.frame.bounding_rect()
+        top_rect = bounding_rect(d.top.frame)
+        bottom_rect = bounding_rect(d.bottom.frame)
         assert bottom_rect.y1 == pytest.approx(top_rect.y0)
         assert bottom_rect.y0 == pytest.approx(0.0)
         assert top_rect.y1 == pytest.approx(1.0)

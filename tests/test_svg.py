@@ -53,3 +53,12 @@ class TestRenderSvg:
         root = ET.fromstring(render_svg(result))
         texts = [t.text for t in root.findall(f"{SVG_NS}text")]
         assert texts == ["L1"]
+
+    def test_all_tiny_square_keeps_every_lane_outline(self):
+        # Tiny circles fill L1's vertical sub-lanes alone, so the result
+        # lists no top-level lane; the outlines come from the layout.
+        result = pack_square_online("general", [0.003] * 20)
+        assert all(":v" in li.lane_id for li in result.lanes)
+        root = ET.fromstring(render_svg(result))
+        texts = [t.text for t in root.findall(f"{SVG_NS}text")]
+        assert texts == ["L0", "L1", "L2", "L3", "L4"]
