@@ -232,7 +232,7 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax,
             "packed_area": result.total_packed_area,
         }
         # Slack: the area the run was asked to hold over the guarantee.
-        area = result.total_packed_area
+        area = summary["packed_area"]
         if result.status != "all_packed":
             summary["rejected_index"] = result.rejected_index
             area += math.pi * result.rejected_radius ** 2
