@@ -3,8 +3,8 @@
 validate() re-derives everything from the recorded placements, lane
 descriptions, and geometry: pairwise overlaps, containment, class/lane
 consistency, and the per-lane structural rules (alternation, monotone
-order, minimum gap).  The audit_* functions turn the density lemmas into
-numerical assertions.
+order, minimum gap).  It reads a result alone, never the packer's lane
+state.
 """
 
 from __future__ import annotations
@@ -14,18 +14,13 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from . import bounds
 from .classification import ClassTable
 from .containers import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
                          container_rect, table_for)
-from .dslp import DslpLane, dslp_metrics, occupied_area
 from .geometry import PlacedCircle
-from .lanes import LaneState, metrics
 
 if TYPE_CHECKING:
     import numpy as np
-
-BOUND_TOL = 1e-9
 
 # Structural checks run at a looser tolerance than the geometric eps:
 # canonical coordinates are reconstructed through an isometry round trip.
@@ -341,29 +336,3 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
     report.density = total / container.area
     report.valid = not report.violations
     return report
-
-
-def audit_slp_lane(lane: LaneState, q: float, w: float,
-                   tol: float = BOUND_TOL) -> bool:
-    """Occupied area of a plain single-class lane meets its lower bound."""
-    if not lane.placed:
-        raise ValueError("audit requires at least one packed circle")
-    m = metrics(lane)
-    bound = bounds.min_slp(m.packing_length, w, q * w, bounds.delta(q))
-    return m.occupied_area >= bound - tol
-
-
-def audit_dslp_lane(d: DslpLane, tol: float = BOUND_TOL) -> bool:
-    """Occupied area of a double-sided lane meets its lower bound,
-
-    with the open-sub-lane overhead allowance subtracted.
-    """
-    if not d.host.placed:
-        raise ValueError("audit requires a nonempty host lane")
-    w = d.host.frame.width
-    row2 = d.table.row(2)
-    z = row2.lower_bound
-    m = dslp_metrics(d)
-    bound = (bounds.min_dslp(m.p_t, m.p_b, w, z, bounds.delta(row2.q))
-             - bounds.overhead_bound(w))
-    return occupied_area(d) >= bound - tol

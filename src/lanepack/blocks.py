@@ -33,32 +33,14 @@ def reservation_for(class_index: int) -> str:
 
 
 @dataclass
-class VerticalLane:
-    class_index: int
-    x0: float  # host-canonical interval occupied by the lane
-    x1: float
-    lane: LaneState
-
-
-@dataclass
 class SparseBlock:
     owner_u: float  # center of the medium circle whose half it contains
     owner_r: float
     half_side: str  # 'bottom' or 'top', in host-canonical terms
     x_cap: float
     state: str = FREE
-    vlanes: list[VerticalLane] = field(default_factory=list)
-
-    @property
-    def x_left(self) -> float:
-        return self.owner_u
-
-    @property
-    def content_edge(self) -> float:
-        edge = self.owner_u + self.owner_r
-        for vl in self.vlanes:
-            edge = max(edge, vl.x1)
-        return edge
+    # Its sub-lanes' strips, the entries of host.exclusions they opened.
+    vlanes: list[tuple[float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -77,8 +59,11 @@ class BlockLedger:
     mirrored: list[tuple[float, float]] = field(default_factory=list)
     dense: list[DenseBlock] = field(default_factory=list)
     sparse: list[SparseBlock] = field(default_factory=list)
-    free_vlanes: list[VerticalLane] = field(default_factory=list)
-    all_vlanes: list[VerticalLane] = field(default_factory=list)
+    free_vlanes: list[tuple[float, float]] = field(default_factory=list)
+    vlanes: list[LaneState] = field(default_factory=list)  # opening order
+    # Each class's newest sub-lane, the only one of its class that can be
+    # open: a class opens a sub-lane only after step 1 closed its last.
+    open_vlane: dict[int, LaneState] = field(default_factory=dict)
     current: Optional[SparseBlock] = None  # uncapped block of the last medium
     # Running extent of all sub-lane circles along the host's u axis.
     lo: float = math.inf
@@ -90,20 +75,20 @@ class BlockLedger:
         for d in self.dense:
             edge = max(edge, d.x_right)
         for s in self.sparse:
-            edge = max(edge, s.content_edge)
-        for vl in self.all_vlanes:
-            edge = max(edge, vl.x1)
+            edge = max(edge, s.owner_u + s.owner_r)
+        for _, x1 in self.host.exclusions:
+            edge = max(edge, x1)
         return edge
 
     def to_dict(self) -> dict:
         return {
             "dense": [{"x_left": d.x_left, "x_right": d.x_right,
                        "mixed": d.mixed} for d in self.dense],
-            "sparse": [{"x_left": s.x_left, "x_cap": s.x_cap,
+            "sparse": [{"x_left": s.owner_u, "x_cap": s.x_cap,
                         "state": s.state, "half_side": s.half_side,
-                        "vlanes": [[vl.x0, vl.x1] for vl in s.vlanes]}
+                        "vlanes": [list(strip) for strip in s.vlanes]}
                        for s in self.sparse],
-            "free_vlanes": [[vl.x0, vl.x1] for vl in self.free_vlanes],
+            "free_vlanes": [list(strip) for strip in self.free_vlanes],
         }
 
 
@@ -151,9 +136,11 @@ def _eligible(block: SparseBlock, class_index: int) -> bool:
 
 
 def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
-                  downwards: bool) -> VerticalLane:
+                  downwards: bool,
+                  strips: list[tuple[float, float]]) -> LaneState:
     """Open the strip [x0, x0 + width] across the host, with the frame that
-    Frame.subframe gives it DOWNWARDS or UPWARDS, by the same floats."""
+    Frame.subframe gives it DOWNWARDS or UPWARDS, by the same floats, and
+    record the strip in `strips` too."""
     host = ledger.host.frame
     width = ledger.table.row(class_index).width
     (ox, oy), (eux, euy), (evx, evy) = host.origin, host.eu, host.ev
@@ -164,22 +151,24 @@ def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
     v, s = (length, -1) if downwards else (0.0, 1)
     info = LaneInfo((ox + x0 * eux + v * evx, oy + x0 * euy + v * evy),
                     (s * evx, s * evy), (eux, euy), length, lane_width,
-                    f"{host.lane_id}:v{class_index}#{len(ledger.all_vlanes)}",
+                    f"{host.lane_id}:v{class_index}#{len(ledger.vlanes)}",
                     "SLP", class_index)
-    vl = VerticalLane(class_index, x0, x1, LaneState(info))
-    ledger.all_vlanes.append(vl)
+    lane = LaneState(info)
+    ledger.vlanes.append(lane)
+    ledger.open_vlane[class_index] = lane
     ledger.host.exclusions.append((x0, x1))
+    strips.append((x0, x1))
     ledger.mirrored.append((host.length - x1, host.length - x0))
-    return vl
+    return lane
 
 
-def _place_in(ledger: BlockLedger, vl: VerticalLane, r: float, seq: int,
+def _place_in(ledger: BlockLedger, lane: LaneState, r: float, seq: int,
               packing: Packing, eps: float) -> Optional[PlacedCircle]:
     """Place into a vertical lane and widen the ledger's extent by the
     circle, with Frame.to_local's floats; close the lane if it is full."""
-    circle = place(vl.lane, r, seq, packing, eps)
+    circle = place(lane, r, seq, packing, eps)
     if circle is None:
-        vl.lane.closed = True
+        lane.closed = True
         return None
     (ox, oy), (eux, euy) = ledger.host.frame.origin, ledger.host.frame.eu
     u = (circle.x - ox) * eux + (circle.y - oy) * euy
@@ -201,12 +190,11 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     width = ledger.table.row(class_index).width
 
     # Step 1: try the open vertical lane of this class, closing it on failure.
-    for vl in ledger.all_vlanes:
-        if not vl.lane.closed and vl.class_index == class_index:
-            circle = _place_in(ledger, vl, r, seq, packing, eps)
-            if circle is not None:
-                return circle
-            break
+    lane = ledger.open_vlane.get(class_index)
+    if lane is not None and not lane.closed:
+        circle = _place_in(ledger, lane, r, seq, packing, eps)
+        if circle is not None:
+            return circle
 
     # Step 2: close exhausted sparse blocks eligible for this class.
     for block in ledger.sparse:
@@ -221,13 +209,12 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
         pos = vlane_position(ledger, block, width)
         if pos is None:
             continue
-        vl = _create_vlane(ledger, class_index, pos,
-                           block.half_side == "bottom")
-        block.vlanes.append(vl)
+        lane = _create_vlane(ledger, class_index, pos,
+                             block.half_side == "bottom", block.vlanes)
         if block.state == FREE:
             block.state = reservation_for(class_index)
         # A fresh lane fails only when circles of other lanes obstruct it.
-        circle = _place_in(ledger, vl, r, seq, packing, eps)
+        circle = _place_in(ledger, lane, r, seq, packing, eps)
         if circle is not None:
             return circle
         break
@@ -236,9 +223,9 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     pos = _leftmost_strip(ledger.frontier(), host.frame.length, width,
                           host.exclusions)
     if pos is not None:
-        vl = _create_vlane(ledger, class_index, pos, False)
-        ledger.free_vlanes.append(vl)
-        circle = _place_in(ledger, vl, r, seq, packing, eps)
+        lane = _create_vlane(ledger, class_index, pos, False,
+                             ledger.free_vlanes)
+        circle = _place_in(ledger, lane, r, seq, packing, eps)
         if circle is not None:
             return circle
 

@@ -51,8 +51,9 @@ def _read_radii(stream) -> list:
 def _check_aspect(container: str, aspect: Optional[float]) -> None:
     """--b is required for the rectangle and refused for the square."""
     if container == "rect":
-        if aspect is None or aspect < 1:
-            raise click.ClickException("rect container requires --b >= 1")
+        if aspect is None or not (1 <= aspect < math.inf):
+            raise click.ClickException(
+                "rect container requires a finite --b >= 1")
     elif aspect is not None:
         raise click.ClickException("--b only applies to the rect container")
 
@@ -69,7 +70,8 @@ def _pack(container: str, aspect: Optional[float], mode: str, radii,
 
 
 def _dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
+    """One line: an indent would make json.dumps use its Python encoder."""
+    return json.dumps(data) + "\n"
 
 
 @click.group()

@@ -272,19 +272,19 @@ class _OnlineRun:
             lane = self.large_lane
             states.append(lane)
             per_lane[lane.frame.lane_id] = {
-                "n": len(lane.placed), "p": packing_length(lane)}
+                "n": lane.n, "p": packing_length(lane)}
         # The rectangle's one lane also records the run's circle count.
         count = {"n": len(self.packing)} if self.container == "rect" else {}
         for d in self.medium_lanes:
             states += [d.host, d.top, d.bottom]
-            states += [vl.lane for vl in d.ledger.all_vlanes]
-            m = dslp_metrics(d)
+            states += d.ledger.vlanes
+            p_t, p_b = dslp_metrics(d)
             per_lane[d.lane_id] = {
-                **count, "p_t": m.p_t, "p_b": m.p_b,
+                **count, "p_t": p_t, "p_b": p_b,
                 "closed": d.host.closed, "blocks": d.ledger.to_dict(),
             }
         # A result lists only the lanes that hold circles, in lane order.
-        lanes = [lane.frame for lane in states if lane.placed]
+        lanes = [lane.frame for lane in states if lane.n]
         return PackResult(
             status=(STATUS_ALL_PACKED if self.rejected_index is None
                     else STATUS_REJECTED),

@@ -17,7 +17,7 @@ from .blocks import BlockLedger, on_medium_packed, pack_small_class
 from .classification import ClassTable
 from .geometry import EPS, Orientation, PlacedCircle, Rect
 from .lanes import (LaneInfo, LaneState, Packing, commit, find_position,
-                    metrics, packing_length)
+                    packing_length)
 
 
 @dataclass
@@ -27,15 +27,6 @@ class DslpLane:
     ledger: BlockLedger
     top: LaneState
     bottom: LaneState
-    table: ClassTable
-
-
-@dataclass
-class DslpMetrics:
-    p_t: float
-    p_b: float
-    f_t: float
-    f_b: float
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -66,11 +57,11 @@ def new_dslp(lane_id: str, shape: tuple[LaneInfo, ...],
     ledger = BlockLedger(host, table)
     top, bottom = [LaneState(info, exclusions=ledger.mirrored)
                    for info in shape[1:]]
-    return DslpLane(lane_id, host, ledger, top, bottom, table)
+    return DslpLane(lane_id, host, ledger, top, bottom)
 
 
 def _length_after(lane: LaneState, u: float, r: float) -> float:
-    if not lane.placed:
+    if lane.n == 0:
         return 2.0 * r
     return max(lane.hi, u + r) - min(lane.lo, u - r)
 
@@ -116,22 +107,13 @@ def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
     return commit(lane, pos[0], pos[1], r, seq, packing)
 
 
-def dslp_metrics(d: DslpLane) -> DslpMetrics:
-    # The host's packing length covers its vertical sub-lanes' circles.
+def dslp_metrics(d: DslpLane) -> tuple[float, float]:
+    """(p_t, p_b): the host's packing length, sub-lane circles included,
+    plus the top or the bottom small lane's."""
     p_host = packing_length(d.host, [(d.ledger.lo, d.ledger.hi)])
     length = d.host.frame.length
     # The host stream and a small-lane stream may interleave once the lane
     # is nearly full; their combined longitudinal extent still cannot
-    # exceed the lane, so the free length stays nonnegative.
-    p_t = min(length, p_host + packing_length(d.top))
-    p_b = min(length, p_host + packing_length(d.bottom))
-    return DslpMetrics(p_t, p_b, length - p_t, length - p_b)
-
-
-def occupied_area(d: DslpLane) -> float:
-    total = metrics(d.host).occupied_area
-    total += metrics(d.top).occupied_area
-    total += metrics(d.bottom).occupied_area
-    for vl in d.ledger.all_vlanes:
-        total += metrics(vl.lane).occupied_area
-    return total
+    # exceed the lane.
+    return (min(length, p_host + packing_length(d.top)),
+            min(length, p_host + packing_length(d.bottom)))

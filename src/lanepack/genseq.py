@@ -32,11 +32,12 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if not (0 < self.r_min <= self.r_max):
-            raise ValueError(f"need 0 < r_min <= r_max, got "
+        # A NaN or infinite bound would loop forever or emit inf radii.
+        if not (0 < self.r_min <= self.r_max < math.inf):
+            raise ValueError(f"need finite 0 < r_min <= r_max, got "
                              f"[{self.r_min}, {self.r_max}]")
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        if not (0 < self.threshold < math.inf):
+            raise ValueError(f"need finite threshold > 0, got {self.threshold}")
 
 
 def greedy_adversary(spec: GenSpec) -> list[float]:

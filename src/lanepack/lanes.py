@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geometry import EPS, Frame, PlacedCircle, sweep
 
@@ -122,22 +122,6 @@ class Packing:
         return len(self.circles)
 
 
-class LanePlacement(NamedTuple):
-    """A circle in lane-canonical coordinates."""
-
-    u: float
-    v: float
-    r: float
-    seq: int
-
-
-@dataclass
-class LaneMetrics:
-    packing_length: float
-    free_length: float
-    occupied_area: float
-
-
 @dataclass(frozen=True)
 class LaneInfo(Frame):
     """One lane: its frame, the strategy it packs by ("SLP" or "TLP") and
@@ -154,12 +138,11 @@ class LaneState:
     """A lane's running packing state in the frame of its description."""
 
     frame: LaneInfo
-    parity: int = 0  # 0: next circle touches the canonical bottom
-    placed: list[LanePlacement] = field(default_factory=list)
+    n: int = 0  # committed circles; an even n puts the next at the bottom
     last: Optional[tuple[float, float]] = None  # (u, r) of the last circle
     closed: bool = False
     exclusions: list[tuple[float, float]] = field(default_factory=list)
-    # Running longitudinal extent of `placed`: min(u - r) and max(u + r).
+    # Running longitudinal extent of the circles: min(u - r), max(u + r).
     lo: float = math.inf
     hi: float = -math.inf
 
@@ -181,7 +164,7 @@ def find_position(lane: LaneState, r: float, packing: Packing,
     w, length = frame.width, frame.length
     if r > w / 2.0 + eps or r > length / 2.0 + eps:
         return None
-    v = r if lane.parity == 0 else w - r
+    v = w - r if lane.n & 1 else r
     last = lane.last
     slp = frame.strategy == "SLP"
     if last is None:
@@ -233,9 +216,8 @@ def commit(lane: LaneState, u: float, v: float, r: float, seq: int,
     frame = lane.frame
     x, y = frame.to_container(u, v)
     circle = PlacedCircle(x, y, r, seq, frame.lane_id, frame.class_index)
-    lane.placed.append(LanePlacement(u, v, r, seq))
     lane.last = (u, r)
-    lane.parity ^= 1
+    lane.n += 1
     lane.lo = min(lane.lo, u - r)
     lane.hi = max(lane.hi, u + r)
     packing.add(circle)
@@ -249,16 +231,6 @@ def place(lane: LaneState, r: float, seq: int, packing: Packing,
     if pos is None:
         return None
     return commit(lane, pos[0], pos[1], r, seq, packing)
-
-
-def packing_extent(lane: LaneState) -> Optional[tuple[float, float]]:
-    """Longitudinal extent [u_min, u_max] of the lane's own circles, by a
-    scan of `placed`; the lane's running extent is (lane.lo, lane.hi)."""
-    if not lane.placed:
-        return None
-    lo = min([p.u - p.r for p in lane.placed])
-    hi = max([p.u + p.r for p in lane.placed])
-    return (lo, hi)
 
 
 def packing_length(lane: LaneState,
@@ -275,18 +247,3 @@ def packing_length(lane: LaneState,
     for a, b in extra_extents:
         lo, hi = min(lo, a), max(hi, b)
     return max(0.0, hi - lo)
-
-
-def metrics(lane: LaneState,
-            extra_extents: Sequence[tuple[float, float]] = ()) -> LaneMetrics:
-    """Packing length, circle-free length, and occupied area of a lane,
-    from `placed` alone, so that they can check the running extent."""
-    own = packing_extent(lane)
-    extents = ([] if own is None else [own]) + list(extra_extents)
-    p = (max([e[1] for e in extents]) - min([e[0] for e in extents])
-         if extents else 0.0)
-    occ = 0.0  # left to right, as total_packed_area adds
-    for c in lane.placed:
-        occ += math.pi * c.r * c.r
-    return LaneMetrics(packing_length=p, free_length=lane.frame.length - p,
-                       occupied_area=occ)

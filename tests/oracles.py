@@ -1,16 +1,23 @@
-"""Scalar geometry predicates, lane rectangles and lane extents that tests
-check the packer against.
+"""Scalar geometry predicates, lane rectangles, lane scans and the lane
+density lemma audits that tests check the packer against.
 
 The packer and the audit never call these: they are written the plain
 way, one pair, one obstacle or one circle at a time, so that they can
 serve as oracles for the vectorised, windowed and incremental code in
-src/.
+src/.  The packer keeps only a count, the last circle and a running
+extent per lane; the lane scans read the circles each lane committed
+from a CommitLog, which records them from outside the packer.
 """
 
 import math
-from typing import Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
+from lanepack import bounds, dslp, lanes
 from lanepack.geometry import EPS, PlacedCircle, Rect
+
+BOUND_TOL = 1e-9
 
 
 def circles_overlap(a: PlacedCircle, b: PlacedCircle, eps: float = EPS) -> bool:
@@ -44,14 +51,131 @@ def bounding_rect(frame) -> Rect:
     return Rect(min(xs), min(ys), max(xs), max(ys))
 
 
-def vlane_extents(d) -> list[tuple[float, float]]:
+class LanePlacement(NamedTuple):
+    """A circle in lane-canonical coordinates, as lanes.commit took it."""
+
+    u: float
+    v: float
+    r: float
+    seq: int
+
+
+class CommitLog:
+    """The circles each lane committed while the log was installed.
+
+    installed() wraps lanes.commit where the `lanes` and `dslp` modules
+    bind it, as bench/tracing.py does, and records each call's lane-
+    canonical circle under its lane.
+    """
+
+    def __init__(self):
+        # id(lane) -> (lane, its circles); holding the lane keeps its id.
+        self._lanes: dict[int, tuple[object, list[LanePlacement]]] = {}
+
+    def placed(self, lane) -> list[LanePlacement]:
+        """The lane's circles in commit order."""
+        entry = self._lanes.get(id(lane))
+        return [] if entry is None else entry[1]
+
+    @contextmanager
+    def installed(self):
+        commit = lanes.commit
+
+        def recorded(lane, u, v, r, seq, packing):
+            circle = commit(lane, u, v, r, seq, packing)
+            entry = self._lanes.setdefault(id(lane), (lane, []))
+            entry[1].append(LanePlacement(u, v, r, seq))
+            return circle
+
+        bound = [m for m in (lanes, dslp) if m.commit is commit]
+        for module in bound:
+            module.commit = recorded
+        try:
+            yield self
+        finally:
+            for module in bound:
+                module.commit = commit
+
+
+def packing_extent(placed: Sequence[LanePlacement]
+                   ) -> Optional[tuple[float, float]]:
+    """Longitudinal extent [u_min, u_max] of a lane's circles, by a scan;
+    the packer's running extent is (lane.lo, lane.hi)."""
+    if not placed:
+        return None
+    lo = min([p.u - p.r for p in placed])
+    hi = max([p.u + p.r for p in placed])
+    return (lo, hi)
+
+
+@dataclass
+class LaneMetrics:
+    packing_length: float
+    free_length: float
+    occupied_area: float
+
+
+def metrics(lane, placed: Sequence[LanePlacement],
+            extra_extents: Sequence[tuple[float, float]] = ()
+            ) -> LaneMetrics:
+    """Packing length, circle-free length, and occupied area of a lane
+    holding `placed`, by a scan, so that they can check the running
+    extent.  extra_extents adds content the lane holds in other lanes'
+    records (vertical sub-lanes)."""
+    own = packing_extent(placed)
+    extents = ([] if own is None else [own]) + list(extra_extents)
+    p = (max([e[1] for e in extents]) - min([e[0] for e in extents])
+         if extents else 0.0)
+    occ = 0.0  # left to right, as total_packed_area adds
+    for c in placed:
+        occ += math.pi * c.r * c.r
+    return LaneMetrics(packing_length=p, free_length=lane.frame.length - p,
+                       occupied_area=occ)
+
+
+def vlane_extents(d, log: CommitLog) -> list[tuple[float, float]]:
     """Longitudinal extents, in host-canonical u, of the circles packed
     into a DSLP lane's vertical sub-lanes: each circle is mapped from its
     sub-lane's frame to the container and back into the host's frame."""
     extents = []
-    for vl in d.ledger.all_vlanes:
-        for p in vl.lane.placed:
-            x, y = vl.lane.frame.to_container(p.u, p.v)
+    for lane in d.ledger.vlanes:
+        for p in log.placed(lane):
+            x, y = lane.frame.to_container(p.u, p.v)
             u, _ = d.host.frame.to_local(x, y)
             extents.append((u - p.r, u + p.r))
     return extents
+
+
+def occupied_area(d, log: CommitLog) -> float:
+    """Area of every circle a DSLP lane holds, lane by lane."""
+    total = 0.0
+    for lane in [d.host, d.top, d.bottom] + d.ledger.vlanes:
+        total += metrics(lane, log.placed(lane)).occupied_area
+    return total
+
+
+def audit_slp_lane(lane, placed: Sequence[LanePlacement], q: float,
+                   w: float, tol: float = BOUND_TOL) -> bool:
+    """Occupied area of a plain single-class lane holding `placed` meets
+    its lower bound."""
+    if not placed:
+        raise ValueError("audit requires at least one packed circle")
+    m = metrics(lane, placed)
+    bound = bounds.min_slp(m.packing_length, w, q * w, bounds.delta(q))
+    return m.occupied_area >= bound - tol
+
+
+def audit_dslp_lane(d, log: CommitLog, tol: float = BOUND_TOL) -> bool:
+    """Occupied area of a double-sided lane meets its lower bound,
+
+    with the open-sub-lane overhead allowance subtracted.
+    """
+    if not log.placed(d.host):
+        raise ValueError("audit requires a nonempty host lane")
+    w = d.host.frame.width
+    row2 = d.ledger.table.row(2)
+    z = row2.lower_bound
+    p_t, p_b = dslp.dslp_metrics(d)
+    bound = (bounds.min_dslp(p_t, p_b, w, z, bounds.delta(row2.q))
+             - bounds.overhead_bound(w))
+    return occupied_area(d, log) >= bound - tol

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from lanepack.audit import audit_dslp_lane, audit_slp_lane, validate
+from lanepack.audit import validate
 from lanepack.bounds import delta, guarantee_rect, guarantee_square
 from lanepack.classification import build_class_table
 from lanepack.containers import (NO_TINY_MIN_RADIUS, RectRun, SquareRun,
@@ -22,6 +22,7 @@ from lanepack.containers import (NO_TINY_MIN_RADIUS, RectRun, SquareRun,
 from lanepack.genseq import GenSpec, generate
 from lanepack.geometry import Orientation, Rect
 from lanepack.lanes import LaneInfo, LaneState, Packing, place
+from oracles import CommitLog, audit_dslp_lane, audit_slp_lane
 
 RECT_ASPECTS = (1.0, 1.5, 2.0, 2.36, 3.0, 5.0)
 SEEDS_PER_ASPECT = 200
@@ -44,7 +45,14 @@ def minimized_counterexample(pack, radii):
 
 
 @pytest.fixture(scope="module")
-def rect_guarantee_runs():
+def commit_log():
+    """The circles every lane of the guarantee runs committed, for the
+    lane lemma audits."""
+    return CommitLog()
+
+
+@pytest.fixture(scope="module")
+def rect_guarantee_runs(commit_log):
     runs = []
     for b in RECT_ASPECTS:
         budget = guarantee_rect(b)
@@ -52,20 +60,22 @@ def rect_guarantee_runs():
             radii = generate(GenSpec(kind="greedy_adversary", seed=seed,
                                      threshold=budget))
             run = RectRun(b)
-            result = run.pack(radii)
+            with commit_log.installed():
+                result = run.pack(radii)
             runs.append((b, seed, radii, run, result))
     return runs
 
 
 @pytest.fixture(scope="module")
-def square_guarantee_runs():
+def square_guarantee_runs(commit_log):
     runs = []
     for seed in range(SQUARE_SEEDS):
         radii = generate(GenSpec(kind="greedy_adversary", seed=seed,
                                  threshold=guarantee_square("general"),
                                  r_min=0.001))
         run = SquareRun("general")
-        result = run.pack(radii)
+        with commit_log.installed():
+            result = run.pack(radii)
         runs.append((seed, radii, run, result))
     return runs
 
@@ -209,31 +219,35 @@ def _random_slp_lane(rng):
                                         Orientation.RIGHTWARDS, "L", "SLP", 1))
     packing = Packing()
     seq = 0
-    while place(lane, rng.uniform(q * w, 0.5 * w), seq, packing) is not None:
-        seq += 1
-    return lane, q, w
+    log = CommitLog()
+    with log.installed():
+        while place(lane, rng.uniform(q * w, 0.5 * w), seq,
+                    packing) is not None:
+            seq += 1
+    return lane, log.placed(lane), q, w
 
 
-def test_criterion_7_lemma_audits(rect_guarantee_runs, square_guarantee_runs):
+def test_criterion_7_lemma_audits(rect_guarantee_runs, square_guarantee_runs,
+                                  commit_log):
     """Lane occupancy lower bounds hold on random lanes and on suite runs."""
     rng = random.Random(1234)
     audited = 0
     while audited < 500:
-        lane, q, w = _random_slp_lane(rng)
-        if not lane.placed:
+        lane, placed, q, w = _random_slp_lane(rng)
+        if lane.n == 0:
             continue
-        assert audit_slp_lane(lane, q, w), (q, w)
+        assert audit_slp_lane(lane, placed, q, w), (q, w)
         audited += 1
 
     dslp_audits = 0
     for b, seed, _radii, run, _result in rect_guarantee_runs:
-        if run.medium_lanes[0].host.placed:
-            assert audit_dslp_lane(run.medium_lanes[0]), (b, seed)
+        if run.medium_lanes[0].host.n:
+            assert audit_dslp_lane(run.medium_lanes[0], commit_log), (b, seed)
             dslp_audits += 1
     for seed, _radii, run, _result in square_guarantee_runs:
         for d in run.medium_lanes:
-            if d.host.placed:
-                assert audit_dslp_lane(d), (seed, d.lane_id)
+            if d.host.n:
+                assert audit_dslp_lane(d, commit_log), (seed, d.lane_id)
                 dslp_audits += 1
     assert dslp_audits > 0
     print(f"CRITERION 7: PASS (500 single-class lane audits, "

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanepack import audit
-from lanepack.audit import audit_dslp_lane, audit_slp_lane, validate
+from lanepack.audit import validate
 from lanepack.bounds import delta, min_slp
 from lanepack.containers import pack_rect_online, pack_square_online
 from lanepack.geometry import Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
-from lanepack.lanes import (LaneInfo, LanePlacement, LaneState, Packing,
-                            metrics, place)
+from lanepack.lanes import LaneInfo, LaneState, Packing, place
+from oracles import (CommitLog, LanePlacement, audit_dslp_lane,
+                     audit_slp_lane, metrics)
 
 
 def square_result(seed=0, threshold=0.3, r_min=0.01):
@@ -178,9 +179,9 @@ class TestValidate:
         assert report.density == left  # the unit square
         lane = LaneState(LaneInfo.from_rect(
             Rect(0, 0, 10, 1), Orientation.RIGHTWARDS, "L", "SLP", 1))
-        lane.placed = [LanePlacement(u=p.x, v=p.y, r=p.r, seq=p.seq)
-                       for p in placements]
-        assert metrics(lane).occupied_area == left
+        placed = [LanePlacement(u=p.x, v=p.y, r=p.r, seq=p.seq)
+                  for p in placements]
+        assert metrics(lane, placed).occupied_area == left
 
 
 class TestLaneAudits:
@@ -192,43 +193,45 @@ class TestLaneAudits:
             Rect(0, 0, length, w), Orientation.RIGHTWARDS, "L", "SLP", 1))
         p = Packing()
         seq = 0
-        while True:
-            r = rng.uniform(q * w, 0.5 * w)
-            if place(lane, r, seq, p) is None:
-                break
-            seq += 1
-        return lane, q, w
+        log = CommitLog()
+        with log.installed():
+            while True:
+                r = rng.uniform(q * w, 0.5 * w)
+                if place(lane, r, seq, p) is None:
+                    break
+                seq += 1
+        return lane, log.placed(lane), q, w
 
     def test_slp_lower_bound_on_random_lanes(self):
         rng = random.Random(23)
         checked = 0
         for _ in range(60):
-            lane, q, w = self._random_lane(rng)
-            if not lane.placed:
+            lane, placed, q, w = self._random_lane(rng)
+            if lane.n == 0:
                 continue
-            assert audit_slp_lane(lane, q, w)
+            assert audit_slp_lane(lane, placed, q, w)
             checked += 1
         assert checked >= 40
 
     def test_slp_audit_rejects_fabricated_sparse_lane(self):
         lane = LaneState(LaneInfo.from_rect(
             Rect(0, 0, 10, 1), Orientation.RIGHTWARDS, "L", "SLP", 1))
-        lane.placed = [LanePlacement(u=0.1, v=0.1, r=0.1, seq=0),
-                       LanePlacement(u=9.0, v=0.1, r=0.1, seq=1)]
-        assert not audit_slp_lane(lane, 0.25, 1.0)
+        placed = [LanePlacement(u=0.1, v=0.1, r=0.1, seq=0),
+                  LanePlacement(u=9.0, v=0.1, r=0.1, seq=1)]
+        assert not audit_slp_lane(lane, placed, 0.25, 1.0)
 
     def test_slp_audit_requires_content(self):
         lane = LaneState(LaneInfo.from_rect(
             Rect(0, 0, 10, 1), Orientation.RIGHTWARDS, "L", "SLP", 1))
         with pytest.raises(ValueError):
-            audit_slp_lane(lane, 0.25, 1.0)
+            audit_slp_lane(lane, [], 0.25, 1.0)
 
     def test_bound_is_attainable_scale(self):
         # The audited bound never exceeds the true occupancy by design;
         # check it is also within a constant factor (not vacuously small).
         rng = random.Random(5)
-        lane, q, w = self._random_lane(rng)
-        m = metrics(lane)
+        lane, placed, q, w = self._random_lane(rng)
+        m = metrics(lane, placed)
         bound = min_slp(m.packing_length, w, q * w, delta(q))
         assert bound >= 0.1 * m.occupied_area
 
@@ -240,16 +243,18 @@ class TestLaneAudits:
             run_radii = list(radii) + [0.4] * 50  # force a rejection
             from lanepack.containers import RectRun
             run = RectRun(2.0)
-            result = run.pack(run_radii)
+            log = CommitLog()
+            with log.installed():
+                result = run.pack(run_radii)
             assert result.status == "rejected"
-            if run.medium_lanes[0].host.placed:
-                assert audit_dslp_lane(run.medium_lanes[0])
+            if run.medium_lanes[0].host.n:
+                assert audit_dslp_lane(run.medium_lanes[0], log)
 
     def test_dslp_audit_requires_content(self):
         from lanepack.containers import RectRun
         run = RectRun(2.0)
         with pytest.raises(ValueError):
-            audit_dslp_lane(run.medium_lanes[0])
+            audit_dslp_lane(run.medium_lanes[0], CommitLog())
 
 
 def dense_overlaps(placements, eps):

@@ -5,7 +5,8 @@ from lanepack.blocks import (CLOSED, FREE, BlockLedger, on_medium_packed,
                              vlane_position)
 from lanepack.classification import build_class_table
 from lanepack.geometry import Orientation, Rect
-from lanepack.lanes import LaneInfo, LaneState, Packing, place
+from lanepack.lanes import LaneInfo, LaneState, Packing, commit, find_position
+from oracles import LanePlacement
 
 TABLE = build_class_table(1.0)
 W3 = TABLE.row(3).width  # width of a class-3 vertical sub-lane
@@ -20,9 +21,10 @@ def make_ledger(length=8.0):
 
 
 def pack_medium(ledger, packing, r, seq):
-    c = place(ledger.host, r, seq, packing)
-    assert c is not None
-    placement = ledger.host.placed[-1]
+    pos = find_position(ledger.host, r, packing)
+    assert pos is not None
+    placement = LanePlacement(*pos, r, seq)
+    commit(ledger.host, *placement, packing)
     half = "bottom" if placement.v <= ledger.host.frame.width / 2 else "top"
     on_medium_packed(ledger, placement.u, r, half)
     return placement
@@ -123,8 +125,9 @@ class TestFiveStepRoutine:
         assert block.state == "reserved_3"
         assert len(block.vlanes) == 1
         # The host now excludes the strip.
-        vl = block.vlanes[0]
-        assert (vl.x0, vl.x1) in [tuple(e) for e in ledger.host.exclusions]
+        x0, x1 = block.vlanes[0]
+        assert x1 - x0 == pytest.approx(W3)
+        assert (x0, x1) in [tuple(e) for e in ledger.host.exclusions]
 
     def test_reuses_open_vlane(self):
         ledger, packing = make_ledger()
@@ -132,7 +135,7 @@ class TestFiveStepRoutine:
         a = pack_small_class(ledger, R3, 3, 1, packing)
         b = pack_small_class(ledger, R3, 3, 2, packing)
         assert a.lane_id == b.lane_id
-        assert len(ledger.all_vlanes) == 1
+        assert len(ledger.vlanes) == 1
 
     def test_other_class_goes_to_free_area(self):
         ledger, packing = make_ledger()
@@ -144,9 +147,12 @@ class TestFiveStepRoutine:
         # lane lands in the free area at the frontier.
         assert c.lane_id == "H:v4#1"
         assert len(ledger.free_vlanes) == 1
-        vl = ledger.free_vlanes[0]
+        x0, _ = ledger.free_vlanes[0]
         block = ledger.sparse[0]
-        assert vl.x0 == pytest.approx(block.content_edge)
+        # The frontier: past the owner's circle and the block's strips.
+        assert x0 == pytest.approx(max(
+            [block.owner_u + block.owner_r]
+            + [x1 for _, x1 in block.vlanes]))
 
     def test_full_vlane_spawns_replacement(self):
         ledger, packing = make_ledger(length=8.0)
@@ -160,10 +166,12 @@ class TestFiveStepRoutine:
             lanes_seen.add(c.lane_id)
             seq += 1
         assert len(lanes_seen) >= 2
-        # Exhausted vlanes are closed, exactly one can be open per class.
-        open_v3 = [vl for vl in ledger.all_vlanes
-                   if not vl.lane.closed and vl.class_index == 3]
+        # Exhausted vlanes are closed, exactly one can be open per class,
+        # and it is the class's newest.
+        open_v3 = [lane for lane in ledger.vlanes
+                   if not lane.closed and lane.frame.class_index == 3]
         assert len(open_v3) <= 1
+        assert all(lane is ledger.open_vlane[3] for lane in open_v3)
 
     def test_step5_closes_host(self):
         ledger, packing = make_ledger(length=1.0)

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from lanepack.bounds import guarantee_rect
 from lanepack.cli import main
+from lanepack.containers import PackResult
 from lanepack.genseq import KINDS, GenSpec, generate
 
 
@@ -39,6 +40,14 @@ class TestPack:
         res = invoke(runner, ["pack", "--container", "square"],
                      input="# header\n\n0.1\n")
         assert res.exit_code == 0
+
+    def test_prints_one_json_line(self, runner):
+        res = invoke(runner, ["pack", "--container", "rect", "--b", "2"],
+                     input="0.1\n0.2\n0.05\n")
+        assert res.exit_code == 0
+        [line] = res.output.splitlines()
+        back = PackResult.from_json_dict(json.loads(line))
+        assert [c.r for c in back.placements] == [0.1, 0.2, 0.05]
 
     def test_rejection_exit_code(self, runner):
         res = invoke(runner, ["pack", "--container", "rect", "--b", "2"],
@@ -264,6 +273,16 @@ class TestGen:
         assert res.exit_code == 0
         assert all(float(line) > 0 for line in res.output.split())
 
+    @pytest.mark.parametrize("args", [
+        ["--kind", "greedy_adversary", "--threshold", "inf"],
+        ["--kind", "greedy_adversary", "--threshold", "nan"],
+        ["--kind", "uniform", "--rmax", "inf"],
+    ])
+    def test_non_finite_bounds_are_input_errors(self, runner, args):
+        res = invoke(runner, ["gen"] + args)
+        assert res.exit_code == 1
+        assert res.output.startswith("Error: need finite")
+
     def test_gen_feeds_pack(self, runner):
         seq = invoke(runner, ["gen", "--kind", "greedy_adversary",
                               "--seed", "2", "--threshold", "0.350389"]).output
@@ -350,6 +369,13 @@ class TestBatch:
                               "--seeds", "0:1"])
         assert res.exit_code == 1
         assert "--b only applies to the rect container" in res.output
+
+    @pytest.mark.parametrize("aspect", ["nan", "inf"])
+    def test_rect_refuses_non_finite_aspect(self, runner, aspect):
+        res = invoke(runner, ["batch", "--container", "rect", "--b", aspect,
+                              "--seeds", "0:1"])
+        assert res.exit_code == 1
+        assert "requires a finite --b >= 1" in res.output
 
     def test_bad_seed_range(self, runner):
         res = invoke(runner, ["batch", "--container", "square",

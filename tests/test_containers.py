@@ -195,8 +195,8 @@ class TestSharedShapes:
         assert a.large_lane.frame is b.large_lane.frame
         assert a.medium_lanes[0].top.frame is b.medium_lanes[0].top.frame
         assert a.large_lane is not b.large_lane
-        assert a.medium_lanes[0].host.placed is not (
-            b.medium_lanes[0].host.placed)
+        assert a.medium_lanes[0].host.exclusions is not (
+            b.medium_lanes[0].host.exclusions)
 
 
 class TestRunInput:
@@ -367,7 +367,7 @@ class TestSerialization:
         every = [] if run.large_lane is None else [run.large_lane]
         for d in run.medium_lanes:
             every += [d.host, d.top, d.bottom]
-            every += [vl.lane for vl in d.ledger.all_vlanes]
+            every += d.ledger.vlanes
         used = {c.lane_id for c in result.placements}
         assert len(used) < len(every)
         assert result.lanes == [lane.frame for lane in every

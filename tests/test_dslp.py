@@ -3,11 +3,11 @@ import math
 import pytest
 
 from lanepack.classification import build_class_table
-from lanepack.dslp import (_dslp_shape, dslp_metrics, dslp_pack, new_dslp,
-                           occupied_area)
+from lanepack.dslp import _dslp_shape, dslp_metrics, dslp_pack, new_dslp
 from lanepack.geometry import Orientation
-from lanepack.lanes import Packing, metrics
-from oracles import bounding_rect, circles_overlap, vlane_extents
+from lanepack.lanes import Packing
+from oracles import (CommitLog, bounding_rect, circles_overlap, metrics,
+                     occupied_area, vlane_extents)
 
 TABLE = build_class_table(1.0)
 R_MEDIUM = 0.4  # class 1: 0.25 < r <= 0.5
@@ -19,6 +19,13 @@ def make(b=4.0):
     return new_dslp("L1", _dslp_shape("L1", 0, 0, b, 1,
                                       Orientation.RIGHTWARDS),
                     TABLE), Packing()
+
+
+@pytest.fixture
+def log():
+    log = CommitLog()
+    with log.installed():
+        yield log
 
 
 class TestConstruction:
@@ -46,15 +53,17 @@ class TestConstruction:
         dslp_pack(d, R_MEDIUM, 1, 0, p)
         dslp_pack(d, R_TINY, 3, 1, p)
         dslp_pack(d, 0.03, 4, 2, p)  # class 4 opens a second sub-lane
-        vlanes = d.ledger.all_vlanes
-        assert len(vlanes) == 2
-        assert d.host.exclusions == [(vl.x0, vl.x1) for vl in vlanes]
-        assert d.top.exclusions == [(4.0 - vl.x1, 4.0 - vl.x0)
-                                    for vl in vlanes]
+        strips = d.host.exclusions
+        assert [x1 - x0 for x0, x1 in strips] == [
+            lane.frame.width for lane in d.ledger.vlanes]
+        assert len(strips) == 2
+        # Class 3 reserved the sparse block; class 4 went to the free area.
+        assert strips == d.ledger.sparse[0].vlanes + d.ledger.free_vlanes
+        assert d.top.exclusions == [(4.0 - x1, 4.0 - x0) for x0, x1 in strips]
         # A small circle keeps clear of both strips.
         c = dslp_pack(d, R_SMALL, 2, 3, p)
-        for vl in vlanes:
-            assert c.x + c.r <= vl.x0 + 1e-9 or c.x - c.r >= vl.x1 - 1e-9
+        for x0, x1 in strips:
+            assert c.x + c.r <= x0 + 1e-9 or c.x - c.r >= x1 - 1e-9
 
 
 class TestRouting:
@@ -130,35 +139,35 @@ class TestOppositeDirectionInteraction:
 
 
 class TestMetrics:
-    def test_empty(self):
+    def test_empty(self, log):
         d, _ = make()
-        m = dslp_metrics(d)
-        assert m.p_t == m.p_b == 0.0
-        assert m.f_t == m.f_b == d.host.frame.length
-        assert metrics(d.host, vlane_extents(d)).packing_length == 0.0
-        assert occupied_area(d) == 0.0
+        assert dslp_metrics(d) == (0.0, 0.0)
+        assert metrics(d.host, log.placed(d.host),
+                       vlane_extents(d, log)).packing_length == 0.0
+        assert occupied_area(d, log) == 0.0
 
     def test_host_and_small_lengths_add(self):
         d, p = make(b=4.0)
         dslp_pack(d, R_MEDIUM, 1, 0, p)
         dslp_pack(d, R_SMALL, 2, 1, p)
-        m = dslp_metrics(d)
-        assert m.p_b == pytest.approx(2 * R_MEDIUM + 2 * R_SMALL, abs=1e-8)
-        assert m.p_t == pytest.approx(2 * R_MEDIUM, abs=1e-8)
-        assert m.f_b == pytest.approx(4.0 - m.p_b)
+        p_t, p_b = dslp_metrics(d)
+        assert p_b == pytest.approx(2 * R_MEDIUM + 2 * R_SMALL, abs=1e-8)
+        assert p_t == pytest.approx(2 * R_MEDIUM, abs=1e-8)
 
-    def test_host_extent_includes_vlane_circles(self):
+    def test_host_extent_includes_vlane_circles(self, log):
         d, p = make()
         dslp_pack(d, R_MEDIUM, 1, 0, p)
-        before = metrics(d.host, vlane_extents(d)).packing_length
+        host = log.placed(d.host)
+        before = metrics(d.host, host, vlane_extents(d, log)).packing_length
         dslp_pack(d, R_TINY, 3, 1, p)
-        assert metrics(d.host).packing_length == before
-        assert metrics(d.host, vlane_extents(d)).packing_length > before
+        assert metrics(d.host, host).packing_length == before
+        assert metrics(d.host, host,
+                       vlane_extents(d, log)).packing_length > before
 
-    def test_occupied_area_counts_everything(self):
+    def test_occupied_area_counts_everything(self, log):
         d, p = make()
         for seq, (r, cls) in enumerate([(R_MEDIUM, 1), (R_SMALL, 2),
                                         (R_TINY, 3), (R_TINY, 3)]):
             assert dslp_pack(d, r, cls, seq, p) is not None
         expect = math.pi * (R_MEDIUM ** 2 + R_SMALL ** 2 + 2 * R_TINY ** 2)
-        assert occupied_area(d) == pytest.approx(expect, rel=1e-12)
+        assert occupied_area(d, log) == pytest.approx(expect, rel=1e-12)

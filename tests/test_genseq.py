@@ -22,6 +22,19 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec(kind="greedy_adversary", threshold=0.0)
 
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan, -math.inf])
+    def test_non_finite_threshold(self, threshold):
+        # A greedy adversary never exhausts such a budget.
+        with pytest.raises(ValueError):
+            GenSpec(kind="greedy_adversary", threshold=threshold)
+
+    @pytest.mark.parametrize("r_min, r_max", [
+        (0.001, math.inf), (0.001, math.nan), (math.nan, 0.5),
+        (math.inf, math.inf)])
+    def test_non_finite_radius_range(self, r_min, r_max):
+        with pytest.raises(ValueError):
+            GenSpec(kind="uniform", r_min=r_min, r_max=r_max)
+
     def test_all_kinds_generate(self):
         for kind in KINDS:
             radii = generate(GenSpec(kind=kind, seed=1))

@@ -1,8 +1,9 @@
 """Golden digests of whole packings, of their placements and audit
 reports alone, and of tampered packings' audit reports; the cases and
 digests live in tests/golden.py.  The same inputs
-also check that feeding a run one radius per call changes nothing, and
-that the lanes' running extents match a scan of their circles."""
+also check that feeding a run one radius per call changes nothing and
+keeps at most one open sub-lane per class, and that the lanes' running
+extents match a scan of their circles."""
 
 import json
 import math
@@ -14,8 +15,7 @@ from golden import (CASES, GOLDEN, INPUTS, PLACEMENT_GOLDEN, REPORT_GOLDEN,
                     _tiny_stream, digest, new_run, placement_digest,
                     report_digest, tampered)
 from lanepack.dslp import dslp_metrics
-from lanepack.lanes import metrics, packing_extent
-from oracles import vlane_extents
+from oracles import CommitLog, metrics, packing_extent, vlane_extents
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -55,6 +55,12 @@ def test_one_radius_per_call(name):
     run = new_run(container, param)
     for r in radii:
         result = run.pack([r])
+        # Step 1 of the five-step routine tries only open_vlane[class].
+        for d in run.medium_lanes:
+            ledger = d.ledger
+            for lane in ledger.vlanes:
+                cls = lane.frame.class_index
+                assert lane.closed or lane is ledger.open_vlane[cls]
         if result.status == "rejected":
             break
     assert (json.dumps(result.to_json_dict())
@@ -69,20 +75,24 @@ def _bits(*xs):
 def test_running_extents(name):
     container, param, build = INPUTS[name]
     run = new_run(container, param)
-    run.pack(build())
+    log = CommitLog()
+    with log.installed():
+        run.pack(build())
     lanes = [] if run.large_lane is None else [run.large_lane]
     for d in run.medium_lanes:
-        # dslp_metrics against the same formula over lanes.metrics, which
-        # scans `placed`, and the per-circle frame round trip.
+        # dslp_metrics against the same formula over a scan of the logged
+        # circles, and the per-circle frame round trip.
         length = d.host.frame.length
-        p_host = metrics(d.host, vlane_extents(d)).packing_length
-        p_t = min(length, p_host + metrics(d.top).packing_length)
-        p_b = min(length, p_host + metrics(d.bottom).packing_length)
-        m = dslp_metrics(d)
-        assert _bits(m.p_t, m.p_b, m.f_t, m.f_b) == _bits(
-            p_t, p_b, length - p_t, length - p_b)
-        lanes += [d.host, d.top, d.bottom]
-        lanes += [vl.lane for vl in d.ledger.all_vlanes]
+        p_host = metrics(d.host, log.placed(d.host),
+                         vlane_extents(d, log)).packing_length
+        p_t = min(length, p_host
+                  + metrics(d.top, log.placed(d.top)).packing_length)
+        p_b = min(length, p_host
+                  + metrics(d.bottom, log.placed(d.bottom)).packing_length)
+        assert _bits(*dslp_metrics(d)) == _bits(p_t, p_b)
+        lanes += [d.host, d.top, d.bottom] + d.ledger.vlanes
     for lane in lanes:
-        scan = packing_extent(lane) or (math.inf, -math.inf)
+        placed = log.placed(lane)
+        assert lane.n == len(placed), lane.frame.lane_id
+        scan = packing_extent(placed) or (math.inf, -math.inf)
         assert _bits(lane.lo, lane.hi) == _bits(*scan), lane.frame.lane_id

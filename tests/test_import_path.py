@@ -1,6 +1,8 @@
 """A fresh interpreter packs, round-trips and audits a small packing
-without loading numpy; a larger audit loads it and stays exact."""
+without loading numpy; a larger audit loads it and stays exact.  The
+audit imports nothing from the lane code it checks."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -57,3 +59,20 @@ def test_small_packing_path_loads_no_numpy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["ok"]
+
+
+def test_audit_imports_no_lane_module():
+    tree = ast.parse((SRC / "lanepack" / "audit.py").read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:  # from . import name
+                modules += [alias.name for alias in node.names]
+            else:
+                modules.append(node.module)
+    assert modules, "no imports found"
+    for module in modules:
+        assert module.split(".")[-1] not in ("lanes", "dslp", "blocks"), (
+            module)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from lanepack import lanes
 from lanepack.geometry import EPS, Frame, Orientation, PlacedCircle, Rect
 from lanepack.lanes import (LaneInfo, LaneState, Packing, find_position,
-                            metrics, packing_extent, place)
+                            place)
+from oracles import CommitLog, metrics, packing_extent
 from test_geometry import GRID, circ, sweep_oracle
 
 
@@ -145,11 +146,13 @@ class TestTlpPlacement:
             slp, tlp = (make_lane(length=40, strategy=s)
                         for s in ("SLP", "TLP"))
             ps, pt = Packing(), Packing()
-            for i, r in enumerate(radii):
-                place(slp, r, i, ps)
-                place(tlp, r, i, pt)
-            p_slp = metrics(slp).packing_length
-            p_tlp = metrics(tlp).packing_length
+            log = CommitLog()
+            with log.installed():
+                for i, r in enumerate(radii):
+                    place(slp, r, i, ps)
+                    place(tlp, r, i, pt)
+            p_slp = metrics(slp, log.placed(slp)).packing_length
+            p_tlp = metrics(tlp, log.placed(tlp)).packing_length
             assert p_tlp <= p_slp + 1e-9
 
 
@@ -160,9 +163,12 @@ class TestOrientations:
         for orientation in Orientation:
             lane = make_lane(length=5, orientation=orientation)
             p = Packing()
-            placed = [place(lane, r, i, p) for i, r in enumerate(radii)]
+            log = CommitLog()
+            with log.installed():
+                placed = [place(lane, r, i, p) for i, r in enumerate(radii)]
             assert all(c is not None for c in placed)
-            local = [(pl.u, pl.v) for pl in lane.placed]
+            local = [(pl.u, pl.v) for pl in log.placed(lane)]
+            assert len(local) == len(radii)
             if canonical is None:
                 canonical = local
             else:
@@ -186,37 +192,47 @@ class TestOrientations:
 
 
 class TestMetrics:
-    def test_empty(self):
+    """The scan oracles of tests/oracles.py over logged lanes."""
+
+    @pytest.fixture
+    def log(self):
+        log = CommitLog()
+        with log.installed():
+            yield log
+
+    def test_empty(self, log):
         lane = make_lane()
-        m = metrics(lane)
+        assert lane.n == 0
+        m = metrics(lane, log.placed(lane))
         assert m.packing_length == 0.0
         assert m.free_length == lane.frame.length
         assert m.occupied_area == 0.0
-        assert packing_extent(lane) is None
+        assert packing_extent(log.placed(lane)) is None
 
-    def test_single_circle(self):
+    def test_single_circle(self, log):
         lane = make_lane()
         p = Packing()
         place(lane, 0.5, 0, p)
-        m = metrics(lane)
+        m = metrics(lane, log.placed(lane))
         assert m.packing_length == pytest.approx(1.0)
         assert m.free_length == pytest.approx(9.0)
         assert m.occupied_area == pytest.approx(math.pi * 0.25)
 
-    def test_extra_extents_extend_length(self):
+    def test_extra_extents_extend_length(self, log):
         lane = make_lane()
         p = Packing()
         place(lane, 0.5, 0, p)
-        m = metrics(lane, extra_extents=((2.0, 3.5),))
+        m = metrics(lane, log.placed(lane), extra_extents=((2.0, 3.5),))
         assert m.packing_length == pytest.approx(3.5)
 
-    def test_occupancy_sums_circle_areas(self):
+    def test_occupancy_sums_circle_areas(self, log):
         lane = make_lane(length=20)
         p = Packing()
         radii = [0.5, 0.3, 0.2, 0.45]
         for i, r in enumerate(radii):
             place(lane, r, i, p)
-        assert metrics(lane).occupied_area == pytest.approx(
+        assert lane.n == len(radii)
+        assert metrics(lane, log.placed(lane)).occupied_area == pytest.approx(
             sum(math.pi * r * r for r in radii))
 
 
@@ -243,7 +259,7 @@ def full_scan_position(lane, r, packing, eps):
     w, length = lane.frame.width, lane.frame.length
     if r > w / 2.0 + eps or r > length / 2.0 + eps:
         return None
-    v = r if lane.parity == 0 else w - r
+    v = w - r if lane.n & 1 else r
     if lane.last is None:
         floor = 0.0
     elif lane.frame.strategy == "SLP":
@@ -288,7 +304,7 @@ def placement_instances(draw):
     frame = draw(st.sampled_from(FRAMES))
     strategy = draw(st.sampled_from(["SLP", "TLP"]))
     lane = LaneState(LaneInfo(*dataclasses.astuple(frame), "q", strategy, 1),
-                     parity=draw(st.integers(0, 1)))
+                     n=draw(st.integers(0, 1)))
     w, length = frame.width, frame.length
     r = draw(st.one_of(st.sampled_from(POWER_RADII[2:]), st.builds(
         lambda k: k * GRID, st.integers(2, 256))))
@@ -302,7 +318,7 @@ def placement_instances(draw):
         for _ in range(draw(st.integers(0, 2))):
             a = grid(0, 2048)
             lane.exclusions.append((a, a + grid(0, 64)))
-    v = r if lane.parity == 0 else w - r
+    v = w - r if lane.n & 1 else r
     if lane.last is None:
         lo = r
     elif strategy == "SLP":
@@ -389,13 +405,13 @@ class TestFindPositionOracle:
         assert got == full_scan_position(lane, r, p, eps)
         assert got[0] > r
 
-    @pytest.mark.parametrize("orientation, parity, last_u, r, circle", [
+    @pytest.mark.parametrize("orientation, n, last_u, r, circle", [
         (Orientation.UPWARDS, 0, 1.5022664242509787, 0.0356210168254341,
          (1.546757394783137, -0.13874158174164652, 0.09968244156542211)),
         (Orientation.DOWNWARDS, 1, 3.3796139418704425, 0.1498528393440235,
          (3.9737773461769947, 0.48435911680670757, 0.06574382753493964)),
     ])
-    def test_rounding_at_the_window_edge(self, orientation, parity, last_u,
+    def test_rounding_at_the_window_edge(self, orientation, n, last_u,
                                          r, circle):
         # Found by a random search: an obstacle whose interval ends a few
         # ulps past the start while its box misses the unwidened window.
@@ -403,7 +419,7 @@ class TestFindPositionOracle:
                 Rect(3.6589044911664956, -0.042866566843218656,
                      4.1236301855210185, 3.648376391798187))
         lane = LaneState(LaneInfo.from_rect(rect, orientation, "q", "TLP", 1),
-                         parity=parity, last=(last_u, 0.1))
+                         n=n, last=(last_u, 0.1))
         p = Packing()
         x, y, ro = circle
         p.add(PlacedCircle(x=x, y=y, r=ro, seq=0, lane_id="o"))
