@@ -216,7 +216,6 @@ def _class_bounds(table: ClassTable, class_index: int
                   ) -> tuple[float, float]:
     """(exclusive lower, inclusive upper) radius bounds of a class."""
     if class_index == 0:
-        assert table.large is not None
         return (table.large.q0, table.large.max_radius)
     if class_index == 1:
         return (table.row(1).lower_bound, table.base_width / 2.0)
@@ -281,6 +280,8 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
     report.violations += escaped
 
     table = table_for(result.container, result.mode, result.w)
+    # Class 0 exists only with a large class, then 1 to len(rows).
+    classes = range(0 if table.large else 1, len(table.rows) + 1)
     lane_by_id = {li.lane_id: li for li in result.lanes}
     for lane_id, circles in groups.items():
         info = lane_by_id.get(lane_id)
@@ -289,15 +290,21 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
                 "class_mismatch", f"unknown lane id {lane_id!r}"))
             continue
         cls = info.class_index
-        lo, hi = _class_bounds(table, cls)
-        above, below = lo - eps, hi + eps
+        known = type(cls) is int and cls in classes
+        if known:
+            lo, hi = _class_bounds(table, cls)
+            above, below = lo - eps, hi + eps
+        else:
+            report.violations.append(Violation(
+                "class_mismatch", f"lane {lane_id} has class {cls!r}, "
+                f"which its container's table lacks"))
         for c in circles:
             if c.class_index != cls:
                 report.violations.append(Violation(
                     "class_mismatch",
                     f"circle {c.seq} of class {c.class_index} recorded in "
                     f"class-{cls} lane {lane_id}", (c.seq,)))
-            elif not (above < c.r <= below):
+            elif known and not (above < c.r <= below):
                 report.violations.append(Violation(
                     "class_mismatch",
                     f"radius {c.r} outside class-{cls} range "

@@ -1,11 +1,13 @@
-"""Dense/sparse/free block bookkeeping inside a medium lane.
+"""One record per DSLP lane: its host, small lanes and host blocks.
 
-A medium circle's center line splits the lane into blocks: two consecutive
-centers bound a dense block, the last center opens a sparse block that
-runs until the next medium circle caps it at its left tangent.  Tiny and
-very tiny circles (classes >= 3) go into vertical sub-lanes placed inside
-sparse blocks, or directly into the lane's free area, via a five-step
-routine; when every step fails the whole lane closes.
+A medium circle's center line splits the host into blocks: two
+consecutive centers bound a dense block, the last center opens a sparse
+block, sparse[-1], that runs until the next medium circle caps it at its
+left tangent.  Medium centers advance strictly, so sparse is in owner
+order.  Tiny and very tiny circles (classes >= 3) go into vertical
+sub-lanes placed inside sparse blocks, or directly into the host's free
+area, via a five-step routine whose steps 2 and 3 are one pass over
+sparse; when every step fails the whole lane closes.
 """
 
 from __future__ import annotations
@@ -52,11 +54,14 @@ class DenseBlock:
 
 @dataclass
 class BlockLedger:
+    lane_id: str
     host: LaneState
+    top: LaneState
+    bottom: LaneState
     table: ClassTable
     # The host's vertical sub-lane strips are host.exclusions; these are
     # the same strips in the small lanes' u, which runs opposite.
-    mirrored: list[tuple[float, float]] = field(default_factory=list)
+    mirrored: list[tuple[float, float]]
     dense: list[DenseBlock] = field(default_factory=list)
     sparse: list[SparseBlock] = field(default_factory=list)
     free_vlanes: list[tuple[float, float]] = field(default_factory=list)
@@ -64,16 +69,15 @@ class BlockLedger:
     # Each class's newest sub-lane, the only one of its class that can be
     # open: a class opens a sub-lane only after step 1 closed its last.
     open_vlane: dict[int, LaneState] = field(default_factory=dict)
-    current: Optional[SparseBlock] = None  # uncapped block of the last medium
     # Running extent of all sub-lane circles along the host's u axis.
     lo: float = math.inf
     hi: float = -math.inf
 
     def frontier(self) -> float:
-        """Right edge of all committed content in host-canonical x."""
+        """Right edge of all committed content in host-canonical x.  A
+        dense block ends at a medium center, which the newest sparse
+        block's owner edge already passes."""
         edge = 0.0
-        for d in self.dense:
-            edge = max(edge, d.x_right)
         for s in self.sparse:
             edge = max(edge, s.owner_u + s.owner_r)
         for _, x1 in self.host.exclusions:
@@ -94,19 +98,20 @@ class BlockLedger:
 
 def on_medium_packed(ledger: BlockLedger, u: float, r: float,
                      half_side: str) -> None:
-    """Update block structure after a medium circle landed at canonical u."""
-    prev = ledger.current
-    if prev is not None:
+    """Update block structure after a medium circle landed at canonical u:
+    the previous medium's block, sparse[-1], is capped, or dropped if it
+    holds no sub-lane."""
+    if ledger.sparse:
+        prev = ledger.sparse[-1]
         if not prev.vlanes:
-            ledger.sparse.remove(prev)
+            ledger.sparse.pop()
             ledger.dense.append(DenseBlock(prev.owner_u, u, mixed=False))
         else:
             prev.x_cap = u - r
             ledger.dense.append(DenseBlock(prev.owner_u, u, mixed=True))
-    block = SparseBlock(owner_u=u, owner_r=r, half_side=half_side,
-                        x_cap=ledger.host.frame.length)
-    ledger.sparse.append(block)
-    ledger.current = block
+    ledger.sparse.append(SparseBlock(owner_u=u, owner_r=r,
+                                     half_side=half_side,
+                                     x_cap=ledger.host.frame.length))
 
 
 def _leftmost_strip(start: float, cap: float, width: float,
@@ -196,28 +201,26 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
         if circle is not None:
             return circle
 
-    # Step 2: close exhausted sparse blocks eligible for this class.
+    # Steps 2 and 3, one pass in owner order: close the exhausted sparse
+    # blocks eligible for this class, and open a new vertical lane inside
+    # the leftmost eligible block with room.
+    target = None
     for block in ledger.sparse:
-        if (_eligible(block, class_index)
-                and vlane_position(ledger, block, width) is None):
-            block.state = CLOSED
-
-    # Step 3: open a new vertical lane inside the leftmost eligible block.
-    for block in sorted(ledger.sparse, key=lambda s: s.owner_u):
-        if not _eligible(block, class_index):
-            continue
-        pos = vlane_position(ledger, block, width)
-        if pos is None:
-            continue
-        lane = _create_vlane(ledger, class_index, pos,
-                             block.half_side == "bottom", block.vlanes)
-        if block.state == FREE:
-            block.state = reservation_for(class_index)
+        if _eligible(block, class_index):
+            pos = vlane_position(ledger, block, width)
+            if pos is None:
+                block.state = CLOSED
+            elif target is None:
+                target, target_pos = block, pos
+    if target is not None:
+        lane = _create_vlane(ledger, class_index, target_pos,
+                             target.half_side == "bottom", target.vlanes)
+        if target.state == FREE:
+            target.state = reservation_for(class_index)
         # A fresh lane fails only when circles of other lanes obstruct it.
         circle = _place_in(ledger, lane, r, seq, packing, eps)
         if circle is not None:
             return circle
-        break
 
     # Step 4: place a vertical lane in the free area at the frontier.
     pos = _leftmost_strip(ledger.frontier(), host.frame.length, width,

@@ -77,8 +77,8 @@ def overhead_bound(w: float) -> float:
 
 def guarantee_rect(b: float) -> float:
     """Area budget guaranteed packable into a 1 x b rectangle."""
-    if b < 1:
-        raise ValueError(f"aspect b must be >= 1, got {b}")
+    if not (1 <= b < math.inf):
+        raise ValueError(f"aspect b must be finite and >= 1, got {b}")
     return min(RECT_SLOPE * b - RECT_INTERCEPT, math.pi / 4.0)
 
 

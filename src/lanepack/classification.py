@@ -37,15 +37,11 @@ Q_TAIL = 0.168262
 MAX_CLASSES = 40
 
 
-class ClassifyError(ValueError):
+class TooLarge(ValueError):
     pass
 
 
-class TooLarge(ClassifyError):
-    pass
-
-
-class TooSmall(ClassifyError):
+class TooSmall(ValueError):
     pass
 
 

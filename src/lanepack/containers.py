@@ -16,7 +16,8 @@ from typing import Iterable, Optional
 from . import bounds
 from .classification import (ClassTable, TooLarge, TooSmall,
                              build_class_table, classify)
-from .dslp import DslpLane, _dslp_shape, dslp_metrics, dslp_pack, new_dslp
+from .blocks import BlockLedger
+from .dslp import _dslp_shape, dslp_metrics, dslp_pack, new_dslp
 from .geometry import EPS, Orientation, PlacedCircle, Rect
 from .lanes import LaneInfo, LaneState, Packing, packing_length, place
 
@@ -213,7 +214,7 @@ class _OnlineRun:
         # No-tiny inputs must fall into a class of the truncated table.
         self.min_radius = self.table.min_radius if mode == "no_tiny" else 0.0
         self.large_lane = None if large is None else LaneState(large)
-        self.medium_lanes: list[DslpLane] = [
+        self.medium_lanes: list[BlockLedger] = [
             new_dslp(name, shape, self.table) for name, shape in medium]
         self.packing = Packing()
         self.arrivals = 0
@@ -277,11 +278,11 @@ class _OnlineRun:
         count = {"n": len(self.packing)} if self.container == "rect" else {}
         for d in self.medium_lanes:
             states += [d.host, d.top, d.bottom]
-            states += d.ledger.vlanes
+            states += d.vlanes
             p_t, p_b = dslp_metrics(d)
             per_lane[d.lane_id] = {
                 **count, "p_t": p_t, "p_b": p_b,
-                "closed": d.host.closed, "blocks": d.ledger.to_dict(),
+                "closed": d.host.closed, "blocks": d.to_dict(),
             }
         # A result lists only the lanes that hold circles, in lane order.
         lanes = [lane.frame for lane in states if lane.n]

@@ -4,13 +4,12 @@ The host lane takes medium circles (standard placement) and tiny/very-tiny
 circles (via the block engine); the two small lanes partition the host
 rectangle and are packed in the opposite direction.  A small circle goes
 to whichever small lane ends up with the shorter packing length, ties to
-the bottom lane.
+the bottom lane.  A blocks.BlockLedger holds all of one lane's state.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 from .blocks import BlockLedger, on_medium_packed, pack_small_class
@@ -18,15 +17,6 @@ from .classification import ClassTable
 from .geometry import EPS, Orientation, PlacedCircle, Rect
 from .lanes import (LaneInfo, LaneState, Packing, commit, find_position,
                     packing_length)
-
-
-@dataclass
-class DslpLane:
-    lane_id: str
-    host: LaneState
-    ledger: BlockLedger
-    top: LaneState
-    bottom: LaneState
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -50,14 +40,13 @@ def _dslp_shape(lane_id: str, x0: float, y0: float, x1: float, y1: float,
 
 
 def new_dslp(lane_id: str, shape: tuple[LaneInfo, ...],
-             table: ClassTable) -> DslpLane:
+             table: ClassTable) -> BlockLedger:
     """An empty DSLP lane of a shape that _dslp_shape built.  The small
     lanes share the ledger's list of mirrored sub-lane strips."""
-    host = LaneState(shape[0])
-    ledger = BlockLedger(host, table)
-    top, bottom = [LaneState(info, exclusions=ledger.mirrored)
-                   for info in shape[1:]]
-    return DslpLane(lane_id, host, ledger, top, bottom)
+    mirrored = []
+    top, bottom = [LaneState(info, exclusions=mirrored) for info in shape[1:]]
+    return BlockLedger(lane_id, LaneState(shape[0]), top, bottom, table,
+                       mirrored)
 
 
 def _length_after(lane: LaneState, u: float, r: float) -> float:
@@ -66,7 +55,7 @@ def _length_after(lane: LaneState, u: float, r: float) -> float:
     return max(lane.hi, u + r) - min(lane.lo, u - r)
 
 
-def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
+def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
               packing: Packing, eps: float = EPS) -> Optional[PlacedCircle]:
     """Pack one circle; None means this lane could not take it.
 
@@ -82,10 +71,10 @@ def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
         u, v = pos
         circle = commit(d.host, u, v, r, seq, packing)
         half_side = "bottom" if v <= d.host.frame.width / 2.0 else "top"
-        on_medium_packed(d.ledger, u, r, half_side)
+        on_medium_packed(d, u, r, half_side)
         return circle
     if class_index >= 3:
-        return pack_small_class(d.ledger, r, class_index, seq, packing, eps)
+        return pack_small_class(d, r, class_index, seq, packing, eps)
     # Class 2: tentatively place into both small lanes, keep the shorter one.
     # The small lanes honor the host's vertical sub-lane strips, mirrored
     # (see BlockLedger.mirrored).
@@ -107,10 +96,10 @@ def dslp_pack(d: DslpLane, r: float, class_index: int, seq: int,
     return commit(lane, pos[0], pos[1], r, seq, packing)
 
 
-def dslp_metrics(d: DslpLane) -> tuple[float, float]:
+def dslp_metrics(d: BlockLedger) -> tuple[float, float]:
     """(p_t, p_b): the host's packing length, sub-lane circles included,
     plus the top or the bottom small lane's."""
-    p_host = packing_length(d.host, [(d.ledger.lo, d.ledger.hi)])
+    p_host = packing_length(d.host, [(d.lo, d.hi)])
     length = d.host.frame.length
     # The host stream and a small-lane stream may interleave once the lane
     # is nearly full; their combined longitudinal extent still cannot

@@ -138,7 +138,7 @@ def vlane_extents(d, log: CommitLog) -> list[tuple[float, float]]:
     into a DSLP lane's vertical sub-lanes: each circle is mapped from its
     sub-lane's frame to the container and back into the host's frame."""
     extents = []
-    for lane in d.ledger.vlanes:
+    for lane in d.vlanes:
         for p in log.placed(lane):
             x, y = lane.frame.to_container(p.u, p.v)
             u, _ = d.host.frame.to_local(x, y)
@@ -146,10 +146,24 @@ def vlane_extents(d, log: CommitLog) -> list[tuple[float, float]]:
     return extents
 
 
+def frontier(d) -> float:
+    """Right edge of a DSLP lane's host content: the max over its dense
+    blocks' right ends, its sparse blocks' owner edges and its sub-lane
+    strips' right ends, in that order."""
+    edge = 0.0
+    for block in d.dense:
+        edge = max(edge, block.x_right)
+    for block in d.sparse:
+        edge = max(edge, block.owner_u + block.owner_r)
+    for _, x1 in d.host.exclusions:
+        edge = max(edge, x1)
+    return edge
+
+
 def occupied_area(d, log: CommitLog) -> float:
     """Area of every circle a DSLP lane holds, lane by lane."""
     total = 0.0
-    for lane in [d.host, d.top, d.bottom] + d.ledger.vlanes:
+    for lane in [d.host, d.top, d.bottom] + d.vlanes:
         total += metrics(lane, log.placed(lane)).occupied_area
     return total
 
@@ -173,7 +187,7 @@ def audit_dslp_lane(d, log: CommitLog, tol: float = BOUND_TOL) -> bool:
     if not log.placed(d.host):
         raise ValueError("audit requires a nonempty host lane")
     w = d.host.frame.width
-    row2 = d.ledger.table.row(2)
+    row2 = d.table.row(2)
     z = row2.lower_bound
     p_t, p_b = dslp.dslp_metrics(d)
     bound = (bounds.min_dslp(p_t, p_b, w, z, bounds.delta(row2.q))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from lanepack import audit
 from lanepack.audit import validate
 from lanepack.bounds import delta, min_slp
-from lanepack.containers import pack_rect_online, pack_square_online
+from lanepack.containers import (pack_rect_online, pack_square_online,
+                                 table_for)
 from lanepack.geometry import Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
 from lanepack.lanes import LaneInfo, LaneState, Packing, place
@@ -92,6 +93,43 @@ class TestValidate:
 
         report = self._tampered(mutate)
         assert any(v.kind == "class_mismatch" for v in report.violations)
+
+    @pytest.mark.parametrize("container, cls", [
+        ("rect", 99), ("rect", 41), ("rect", 0), ("rect", -5),
+        ("rect", 1.0), ("rect", True), ("square", 41), ("square", None)])
+    def test_lane_class_outside_the_table(self, container, cls):
+        # Both tables have rows 1 to 40; only the square's has class 0.
+        if container == "rect":
+            result = pack_rect_online(2.0, [0.4, 0.3, 0.12, 0.07, 0.03])
+        else:
+            result = square_result(seed=1)
+        assert len(table_for(result.container, result.mode,
+                             result.w).rows) == 40
+        lane = result.lanes[0]
+        result.lanes[0] = dataclasses.replace(lane, class_index=cls)
+        report = validate(result)
+        assert [v.detail for v in report.violations if not v.indices] == [
+            f"lane {lane.lane_id} has class {cls!r}, which its container's "
+            f"table lacks"]
+        # Its circles are checked against the lane's class alone, with no
+        # radius range.
+        held = [c.seq for c in result.placements
+                if c.lane_id == lane.lane_id]
+        assert held
+        assert [v.indices[0] for v in report.violations if v.indices] == (
+            [] if cls == lane.class_index else held)
+        assert {v.kind for v in report.violations} == {"class_mismatch"}
+
+    def test_lane_class_in_the_table_keeps_its_radius_range(self):
+        result = pack_rect_online(2.0, [0.4, 0.3])
+        result.lanes[0] = dataclasses.replace(result.lanes[0],
+                                              class_index=40)
+        result.placements = [dataclasses.replace(c, class_index=40)
+                             for c in result.placements]
+        report = validate(result)
+        assert [v.indices for v in report.violations] == [(0,), (1,)]
+        assert all("outside class-40 range" in v.detail
+                   for v in report.violations)
 
     def test_detects_duplicate_sequence(self):
         def mutate(result):

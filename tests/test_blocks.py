@@ -1,12 +1,13 @@
 import pytest
 
-from lanepack.blocks import (CLOSED, FREE, BlockLedger, on_medium_packed,
+from lanepack.blocks import (CLOSED, FREE, on_medium_packed,
                              pack_small_class, reservation_for,
                              vlane_position)
 from lanepack.classification import build_class_table
+from lanepack.dslp import _dslp_shape, new_dslp
 from lanepack.geometry import Orientation, Rect
-from lanepack.lanes import LaneInfo, LaneState, Packing, commit, find_position
-from oracles import LanePlacement
+from lanepack.lanes import LaneInfo, Packing, commit, find_position
+from oracles import LanePlacement, frontier
 
 TABLE = build_class_table(1.0)
 W3 = TABLE.row(3).width  # width of a class-3 vertical sub-lane
@@ -15,9 +16,11 @@ R4 = 0.03  # a class-4 radius (bounds: 0.02383 < r <= 0.06250)
 
 
 def make_ledger(length=8.0):
-    host = LaneState(LaneInfo.from_rect(Rect(0, 0, length, 1),
-                                        Orientation.RIGHTWARDS, "H", "SLP", 1))
-    return BlockLedger(host=host, table=TABLE), Packing()
+    """A DSLP lane whose host is lane "H", so its sub-lanes are H:v..."""
+    host = LaneInfo.from_rect(Rect(0, 0, length, 1), Orientation.RIGHTWARDS,
+                              "H", "SLP", 1)
+    small = _dslp_shape("H", 0, 0, length, 1, Orientation.RIGHTWARDS)[1:]
+    return new_dslp("H", (host,) + small, TABLE), Packing()
 
 
 def pack_medium(ledger, packing, r, seq):
@@ -47,7 +50,7 @@ class TestBlockLifecycle:
         assert len(ledger.sparse) == 1
         assert not ledger.dense
         block = ledger.sparse[0]
-        assert block is ledger.current
+        assert block is ledger.sparse[-1]
         assert block.owner_u == pl.u
         assert block.x_cap == ledger.host.frame.length
         assert block.state == FREE
@@ -74,6 +77,19 @@ class TestBlockLifecycle:
         assert len(ledger.dense) == 1
         assert ledger.dense[0].mixed
         assert first in ledger.sparse  # capped mixed blocks stay recorded
+
+    def test_mixed_blocks_stay_in_owner_order(self):
+        # Classes 3, 4 and 5 each reserve a block of their own, so every
+        # medium circle caps a block with a sub-lane and sparse grows.
+        ledger, packing = make_ledger()
+        for k, cls in enumerate((3, 4, 5, 3)):
+            pack_medium(ledger, packing, 0.3, 2 * k)
+            r = TABLE.row(cls).lower_bound * 1.01
+            assert pack_small_class(ledger, r, cls, 2 * k + 1, packing)
+            owners = [s.owner_u for s in ledger.sparse]
+            assert len(owners) == k + 1
+            assert all(a < b for a, b in zip(owners, owners[1:]))
+            assert ledger.frontier().hex() == frontier(ledger).hex()
 
     def test_frontier_tracks_content(self):
         ledger, packing = make_ledger()

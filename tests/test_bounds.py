@@ -137,6 +137,12 @@ class TestGuarantees:
         with pytest.raises(ValueError):
             guarantee_rect(0.99)
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_rect_refuses_non_finite_aspect(self, b):
+        # The packer refuses these aspects, so no guarantee holds for them.
+        with pytest.raises(ValueError, match="finite"):
+            guarantee_rect(b)
+
     def test_square_values_exact(self):
         assert guarantee_square("general") == SQUARE_GENERAL == 0.350389
         assert guarantee_square("no_tiny") == SQUARE_NO_TINY == 0.375898

@@ -193,6 +193,26 @@ class TestVerify:
         assert "unreadable result file" in res.output
         assert '"valid"' not in res.output
 
+    @pytest.mark.parametrize("cls", [99, 0, -5])
+    def test_lane_class_outside_the_table(self, runner, tmp_path, cls):
+        # The rectangle's table has classes 1 to len(rows), and no large
+        # class 0.
+        out = tmp_path / "r.json"
+        invoke(runner, ["pack", "--container", "rect", "--b", "2",
+                        "--json", str(out)], input="0.4\n0.3\n0.01\n")
+        data = json.loads(out.read_text())
+        data["lanes"]["class"][0] = cls
+        out.write_text(json.dumps(data))
+        res = invoke(runner, ["verify", str(out)])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        report = json.loads(res.output)
+        assert report["valid"] is False
+        lane = data["lanes"]["id"][0]
+        assert {"kind": "class_mismatch", "indices": [],
+                "detail": f"lane {lane} has class {cls}, which its "
+                          f"container's table lacks"} in report["violations"]
+
 
 def schema_1(data: dict) -> dict:
     """A schema-2 result dict in the earlier layout: no "schema" key, one
@@ -250,6 +270,12 @@ class TestBounds:
     def test_domain_error(self, runner):
         res = invoke(runner, ["bounds", "--delta", "0.9"])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("aspect", ["nan", "inf"])
+    def test_rect_refuses_non_finite_aspect(self, runner, aspect):
+        res = invoke(runner, ["bounds", "--rect", aspect])
+        assert res.exit_code == 1
+        assert "aspect b must be finite and >= 1" in res.output
 
 
 class TestGen:

@@ -367,7 +367,7 @@ class TestSerialization:
         every = [] if run.large_lane is None else [run.large_lane]
         for d in run.medium_lanes:
             every += [d.host, d.top, d.bottom]
-            every += d.ledger.vlanes
+            every += d.vlanes
         used = {c.lane_id for c in result.placements}
         assert len(used) < len(every)
         assert result.lanes == [lane.frame for lane in every

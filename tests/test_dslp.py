@@ -49,16 +49,16 @@ class TestConstruction:
 
     def test_small_lanes_share_the_mirrored_strips(self):
         d, p = make(b=4.0)
-        assert d.top.exclusions is d.bottom.exclusions is d.ledger.mirrored
+        assert d.top.exclusions is d.bottom.exclusions is d.mirrored
         dslp_pack(d, R_MEDIUM, 1, 0, p)
         dslp_pack(d, R_TINY, 3, 1, p)
         dslp_pack(d, 0.03, 4, 2, p)  # class 4 opens a second sub-lane
         strips = d.host.exclusions
         assert [x1 - x0 for x0, x1 in strips] == [
-            lane.frame.width for lane in d.ledger.vlanes]
+            lane.frame.width for lane in d.vlanes]
         assert len(strips) == 2
         # Class 3 reserved the sparse block; class 4 went to the free area.
-        assert strips == d.ledger.sparse[0].vlanes + d.ledger.free_vlanes
+        assert strips == d.sparse[0].vlanes + d.free_vlanes
         assert d.top.exclusions == [(4.0 - x1, 4.0 - x0) for x0, x1 in strips]
         # A small circle keeps clear of both strips.
         c = dslp_pack(d, R_SMALL, 2, 3, p)
@@ -71,7 +71,7 @@ class TestRouting:
         d, p = make()
         c = dslp_pack(d, R_MEDIUM, 1, 0, p)
         assert c.lane_id == "L1:host"
-        assert len(d.ledger.sparse) == 1
+        assert len(d.sparse) == 1
 
     def test_small_goes_to_a_small_lane(self):
         d, p = make()

@@ -1,9 +1,10 @@
 """Golden digests of whole packings, of their placements and audit
 reports alone, and of tampered packings' audit reports; the cases and
 digests live in tests/golden.py.  The same inputs
-also check that feeding a run one radius per call changes nothing and
-keeps at most one open sub-lane per class, and that the lanes' running
-extents match a scan of their circles."""
+also check that feeding a run one radius per call changes nothing, keeps
+at most one open sub-lane per class, keeps each lane's sparse blocks in
+owner order and its frontier equal to the full scan's, and that the
+lanes' running extents match a scan of their circles."""
 
 import json
 import math
@@ -15,7 +16,8 @@ from golden import (CASES, GOLDEN, INPUTS, PLACEMENT_GOLDEN, REPORT_GOLDEN,
                     _tiny_stream, digest, new_run, placement_digest,
                     report_digest, tampered)
 from lanepack.dslp import dslp_metrics
-from oracles import CommitLog, metrics, packing_extent, vlane_extents
+from oracles import (CommitLog, frontier, metrics, packing_extent,
+                     vlane_extents)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -55,12 +57,16 @@ def test_one_radius_per_call(name):
     run = new_run(container, param)
     for r in radii:
         result = run.pack([r])
-        # Step 1 of the five-step routine tries only open_vlane[class].
         for d in run.medium_lanes:
-            ledger = d.ledger
-            for lane in ledger.vlanes:
+            # Step 1 of the five-step routine tries only open_vlane[class].
+            for lane in d.vlanes:
                 cls = lane.frame.class_index
-                assert lane.closed or lane is ledger.open_vlane[cls]
+                assert lane.closed or lane is d.open_vlane[cls]
+            # Steps 2-3 take sparse in owner order, and frontier() leaves
+            # out the dense blocks.
+            owners = [s.owner_u for s in d.sparse]
+            assert all(a < b for a, b in zip(owners, owners[1:])), owners
+            assert d.frontier().hex() == frontier(d).hex()
         if result.status == "rejected":
             break
     assert (json.dumps(result.to_json_dict())
@@ -90,7 +96,7 @@ def test_running_extents(name):
         p_b = min(length, p_host
                   + metrics(d.bottom, log.placed(d.bottom)).packing_length)
         assert _bits(*dslp_metrics(d)) == _bits(p_t, p_b)
-        lanes += [d.host, d.top, d.bottom] + d.ledger.vlanes
+        lanes += [d.host, d.top, d.bottom] + d.vlanes
     for lane in lanes:
         placed = log.placed(lane)
         assert lane.n == len(placed), lane.frame.lane_id

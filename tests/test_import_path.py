@@ -1,6 +1,8 @@
-"""A fresh interpreter packs, round-trips and audits a small packing
-without loading numpy; a larger audit loads it and stays exact.  The
-audit imports nothing from the lane code it checks."""
+"""A fresh interpreter imports lanepack without its sequence generators,
+and packs, round-trips and audits a small packing without loading numpy;
+a larger audit loads it and stays exact.  The audit imports nothing from
+the lane code it checks, and the package exports the nine names the
+README documents."""
 
 import ast
 import os
@@ -8,7 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import lanepack
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+PUBLIC = ["PackResult", "PlacedCircle", "RectRun", "SquareRun", "delta",
+          "guarantee_rect", "guarantee_square", "pack_rect_online",
+          "pack_square_online"]
 
 SCRIPT = """\
 import dataclasses
@@ -16,6 +24,7 @@ import json
 import sys
 
 import lanepack
+assert "lanepack.genseq" not in sys.modules, "import lanepack ran genseq"
 import lanepack.audit
 import lanepack.cli
 from lanepack.audit import _ALL_PAIRS_MAX, validate
@@ -76,3 +85,9 @@ def test_audit_imports_no_lane_module():
     for module in modules:
         assert module.split(".")[-1] not in ("lanes", "dslp", "blocks"), (
             module)
+
+
+def test_public_names_are_the_documented_nine():
+    assert sorted(lanepack.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(lanepack, name).__name__ == name
