@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .classification import ClassTable
 from .containers import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
-                         container_rect, table_for)
-from .geometry import PlacedCircle
+                         columns, container_rect, table_for)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -156,9 +155,11 @@ def _swept_pairs(d: np.ndarray, eps: float):
         row = stop
 
 
-def _pairwise_overlaps(placements: Sequence[PlacedCircle],
+def _pairwise_overlaps(xs: Sequence[float], ys: Sequence[float],
+                       rs: Sequence[float],
                        eps: float) -> list[tuple[int, int]]:
-    """Sorted pairs (i, j), i < j, of disks overlapping by more than eps.
+    """Sorted pairs (i, j), i < j, of disks overlapping by more than eps;
+    disk k has centre (xs[k], ys[k]) and radius rs[k].
 
     A pair with r_a + r_b <= eps never overlaps by more than eps.  Sets
     of up to _ALL_PAIRS_MAX disks sort their padded x-extents (as in
@@ -167,36 +168,35 @@ def _pairwise_overlaps(placements: Sequence[PlacedCircle],
     numpy strip sweep (_swept_pairs: vertical strips, then a sort on y
     within each strip).  Both paths use the same arithmetic.
     """
-    n = len(placements)
+    n = len(xs)
     if n <= _ALL_PAIRS_MAX:
         pad = abs(eps)
         ext = []
         total = 0.0
-        for k, c in enumerate(placements):
-            half = abs(c.r) + pad
-            half += 1e-12 * (abs(c.x) + half)
+        for k, (x, r) in enumerate(zip(xs, rs)):
+            half = abs(r) + pad
+            half += 1e-12 * (abs(x) + half)
             total += half
-            ext.append((c.x - half, c.x + half, k, c))
+            ext.append((x - half, x + half, k))
         if math.isfinite(total):
             ext.sort()
         else:  # a NaN does not sort: make every pair a candidate
-            ext = [(-math.inf, math.inf, k, c) for _, _, k, c in ext]
+            ext = [(-math.inf, math.inf, k) for _, _, k in ext]
         starts = [e[0] for e in ext]
         hits = []
-        for s, (_, end, i, a) in enumerate(ext, 1):
-            for _, _, j, b in ext[s:bisect.bisect_right(starts, end, s)]:
-                # The test is symmetric in a and b, bit for bit.
-                dx = a.x - b.x
-                dy = a.y - b.y
-                rsum = a.r + b.r - eps
+        for s, (_, end, i) in enumerate(ext, 1):
+            for _, _, j in ext[s:bisect.bisect_right(starts, end, s)]:
+                # The test is symmetric in i and j, bit for bit.
+                dx = xs[i] - xs[j]
+                dy = ys[i] - ys[j]
+                rsum = rs[i] + rs[j] - eps
                 if dx * dx + dy * dy < rsum * rsum and rsum > 0:
                     hits.append((i, j) if i < j else (j, i))
         hits.sort()
         return hits
     import numpy as np
 
-    d = np.array([[c.x for c in placements], [c.y for c in placements],
-                  [c.r for c in placements]])
+    d = np.array([xs, ys, rs])
     xs, ys, rs = d
     hits = []
     for a, b in _swept_pairs(d, eps):
@@ -228,28 +228,29 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
     if eps is None:
         eps = result.eps
     report = AuditReport(valid=True)
-    placements = result.placements
+    xs, ys, rs, seqs, lane_ids, class_indices = columns(result.placements)
+    n = len(xs)
 
     # One pass: arrival order, containment, lanes and areas, each area
-    # added left to right.
+    # added left to right.  A lane's group lists its placements' indices.
     in_order = True
     escaped = []
-    groups: dict[str, list[PlacedCircle]] = {}
+    groups: dict[str, list[int]] = {}
     occ = report.per_lane_occ
     total = 0.0
     x0, x1 = container.x0 - eps, container.x1 + eps
     y0, y1 = container.y0 - eps, container.y1 + eps
-    for k, c in enumerate(placements):
-        x, y, r = c.x, c.y, c.r
-        if c.seq != k:
+    for k, (x, y, r, seq, lane_id) in enumerate(zip(xs, ys, rs, seqs,
+                                                    lane_ids)):
+        if seq != k:
             in_order = False
         if not (x - r >= x0 and x + r <= x1 and y - r >= y0 and y + r <= y1):
             escaped.append(Violation(
                 "out_of_container", f"circle {k} leaves the container", (k,)))
         area = math.pi * r * r
         total += area
-        groups.setdefault(c.lane_id, []).append(c)
-        occ[c.lane_id] = occ.get(c.lane_id, 0.0) + area
+        groups.setdefault(lane_id, []).append(k)
+        occ[lane_id] = occ.get(lane_id, 0.0) + area
 
     # Arrival order is a packed prefix: placement k holds arrival k, and a
     # rejected run stopped at the arrival right after it.
@@ -257,12 +258,12 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
         report.violations.append(Violation(
             "order", "sequence indices are not 0, 1, 2, ... in placement "
             "order"))
-    expect = {STATUS_ALL_PACKED: None, STATUS_REJECTED: len(placements)}
+    expect = {STATUS_ALL_PACKED: None, STATUS_REJECTED: n}
     if (result.status not in expect
             or result.rejected_index != expect[result.status]):
         report.violations.append(Violation(
             "order", f"status {result.status!r} with rejected index "
-            f"{result.rejected_index!r} after {len(placements)} placements"))
+            f"{result.rejected_index!r} after {n} placements"))
     # A rejected run names the radius it refused; a complete one none.
     radius = result.rejected_radius
     named = (type(radius) in (int, float) and 0 < radius < math.inf)
@@ -272,9 +273,8 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
             "order", f"status {result.status!r} with rejected radius "
             f"{radius!r}"))
 
-    for i, j in _pairwise_overlaps(placements, eps):
-        a, b = placements[i], placements[j]
-        gap = math.hypot(a.x - b.x, a.y - b.y) - a.r - b.r
+    for i, j in _pairwise_overlaps(xs, ys, rs, eps):
+        gap = math.hypot(xs[i] - xs[j], ys[i] - ys[j]) - rs[i] - rs[j]
         report.violations.append(Violation(
             "overlap", f"circles {i} and {j} overlap by {-gap:.3g}", (i, j)))
     report.violations += escaped
@@ -283,7 +283,7 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
     # Class 0 exists only with a large class, then 1 to len(rows).
     classes = range(0 if table.large else 1, len(table.rows) + 1)
     lane_by_id = {li.lane_id: li for li in result.lanes}
-    for lane_id, circles in groups.items():
+    for lane_id, ks in groups.items():
         info = lane_by_id.get(lane_id)
         if info is None:
             report.violations.append(Violation(
@@ -298,46 +298,46 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
             report.violations.append(Violation(
                 "class_mismatch", f"lane {lane_id} has class {cls!r}, "
                 f"which its container's table lacks"))
-        for c in circles:
-            if c.class_index != cls:
+        for k in ks:
+            if class_indices[k] != cls:
                 report.violations.append(Violation(
                     "class_mismatch",
-                    f"circle {c.seq} of class {c.class_index} recorded in "
-                    f"class-{cls} lane {lane_id}", (c.seq,)))
-            elif known and not (above < c.r <= below):
+                    f"circle {seqs[k]} of class {class_indices[k]} recorded "
+                    f"in class-{cls} lane {lane_id}", (seqs[k],)))
+            elif known and not (above < rs[k] <= below):
                 report.violations.append(Violation(
                     "class_mismatch",
-                    f"radius {c.r} outside class-{cls} range "
-                    f"({lo}, {hi}] in lane {lane_id}", (c.seq,)))
+                    f"radius {rs[k]} outside class-{cls} range "
+                    f"({lo}, {hi}] in lane {lane_id}", (seqs[k],)))
         if not in_order:
-            circles.sort(key=lambda c: c.seq)
+            ks.sort(key=seqs.__getitem__)
         # Alternation, monotone order, and (for SLP) the minimum gap, in
         # the lane's canonical frame with the arithmetic of Frame.to_local.
         (ox, oy), (eu0, eu1), (ev0, ev1) = info.origin, info.eu, info.ev
         w = info.width
         slp = info.strategy == "SLP"
         prev_u = None
-        for k, c in enumerate(circles):
-            dx = c.x - ox
-            dy = c.y - oy
+        for parity, k in enumerate(ks):
+            dx = xs[k] - ox
+            dy = ys[k] - oy
             u = dx * eu0 + dy * eu1
             v = dx * ev0 + dy * ev1
-            r = c.r
-            expect_v = w - r if k & 1 else r
+            r, seq = rs[k], seqs[k]
+            expect_v = w - r if parity & 1 else r
             if abs(v - expect_v) > _STRUCT_TOL:
                 report.violations.append(Violation(
-                    "order", f"circle {c.seq} in {lane_id} off the "
+                    "order", f"circle {seq} in {lane_id} off the "
                     f"alternation height (v={v}, expected {expect_v})",
-                    (c.seq,)))
+                    (seq,)))
             if prev_u is not None:
                 if u < prev_u - _STRUCT_TOL:
                     report.violations.append(Violation(
-                        "order", f"circle {c.seq} in {lane_id} breaks the "
-                        f"monotone frontier", (c.seq,)))
+                        "order", f"circle {seq} in {lane_id} breaks the "
+                        f"monotone frontier", (seq,)))
                 if slp and u - prev_u < min(r, prev_r) - _STRUCT_TOL:
                     report.violations.append(Violation(
-                        "order", f"circle {c.seq} in {lane_id} violates the "
-                        f"minimum gap", (c.seq,)))
+                        "order", f"circle {seq} in {lane_id} violates the "
+                        f"minimum gap", (seq,)))
             prev_u, prev_r = u, r
 
     report.density = total / container.area

@@ -40,6 +40,7 @@ class SparseBlock:
     owner_r: float
     half_side: str  # 'bottom' or 'top', in host-canonical terms
     x_cap: float
+    edge: float = 0.0  # max owner_u + owner_r of it and all blocks before
     state: str = FREE
     # Its sub-lanes' strips, the entries of host.exclusions they opened.
     vlanes: list[tuple[float, float]] = field(default_factory=list)
@@ -72,17 +73,14 @@ class BlockLedger:
     # Running extent of all sub-lane circles along the host's u axis.
     lo: float = math.inf
     hi: float = -math.inf
+    strip_end: float = 0.0  # max right end of host.exclusions, which grows
 
     def frontier(self) -> float:
         """Right edge of all committed content in host-canonical x.  A
         dense block ends at a medium center, which the newest sparse
-        block's owner edge already passes."""
-        edge = 0.0
-        for s in self.sparse:
-            edge = max(edge, s.owner_u + s.owner_r)
-        for _, x1 in self.host.exclusions:
-            edge = max(edge, x1)
-        return edge
+        block's owner edge passes; its edge covers every owner edge."""
+        edge = self.sparse[-1].edge if self.sparse else 0.0
+        return max(edge, self.strip_end)
 
     def to_dict(self) -> dict:
         return {
@@ -109,9 +107,11 @@ def on_medium_packed(ledger: BlockLedger, u: float, r: float,
         else:
             prev.x_cap = u - r
             ledger.dense.append(DenseBlock(prev.owner_u, u, mixed=True))
+    edge = ledger.sparse[-1].edge if ledger.sparse else 0.0
     ledger.sparse.append(SparseBlock(owner_u=u, owner_r=r,
                                      half_side=half_side,
-                                     x_cap=ledger.host.frame.length))
+                                     x_cap=ledger.host.frame.length,
+                                     edge=max(edge, u + r)))
 
 
 def _leftmost_strip(start: float, cap: float, width: float,
@@ -162,6 +162,7 @@ def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
     ledger.vlanes.append(lane)
     ledger.open_vlane[class_index] = lane
     ledger.host.exclusions.append((x0, x1))
+    ledger.strip_end = max(ledger.strip_end, x1)
     strips.append((x0, x1))
     ledger.mirrored.append((host.length - x1, host.length - x0))
     return lane

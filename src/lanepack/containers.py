@@ -11,7 +11,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import bounds
 from .classification import (ClassTable, TooLarge, TooSmall,
@@ -38,7 +38,7 @@ class PackResult:
     w: float  # medium lane width (1.0 for the rectangle)
     b: Optional[float]  # rectangle aspect, None for the square
     guarantee: float
-    placements: list[PlacedCircle]
+    placements: Sequence[PlacedCircle]  # a list, or Placements from JSON
     lanes: list[LaneInfo]  # the lanes that hold circles, in lane order
     rejected_index: Optional[int] = None
     rejected_radius: Optional[float] = None
@@ -47,14 +47,12 @@ class PackResult:
 
     @property
     def total_packed_area(self) -> float:
-        total = 0.0  # left to right: sum() compensates from Python 3.12
-        for c in self.placements:
-            total += c.area
-        return total
+        return _packed_area(columns(self.placements)[2])
 
     def to_json_dict(self) -> dict:
         """Schema 2: placements and lanes each as one list per key."""
-        ps, lanes = self.placements, self.lanes
+        x, y, r, seq, lane, cls = columns(self.placements)
+        lanes = self.lanes
         out = {
             "schema": 2,
             "status": self.status,
@@ -64,12 +62,10 @@ class PackResult:
             "b": self.b,
             "guarantee": self.guarantee,
             "eps": self.eps,
-            "total_packed_area": self.total_packed_area,
+            "total_packed_area": _packed_area(r),
             "placements": {
-                "i": [c.seq for c in ps], "x": [c.x for c in ps],
-                "y": [c.y for c in ps], "r": [c.r for c in ps],
-                "class": [c.class_index for c in ps],
-                "lane": [c.lane_id for c in ps]},
+                "i": list(seq), "x": list(x), "y": list(y), "r": list(r),
+                "class": list(cls), "lane": list(lane)},
             "lanes": {
                 "id": [li.lane_id for li in lanes],
                 "origin": [list(li.origin) for li in lanes],
@@ -101,12 +97,56 @@ class PackResult:
         return PackResult(
             status=d["status"], container=d["container"], mode=d.get("mode"),
             w=d["w"], b=d.get("b"), guarantee=d["guarantee"],
-            placements=list(map(PlacedCircle, x, y, r, i, lane, cls)),
+            placements=Placements(x, y, r, i, lane, cls),
             lanes=list(map(LaneInfo, map(tuple, origin), map(tuple, eu),
                            map(tuple, ev), *rest)),
             rejected_index=d.get("rejected_index"),
             rejected_radius=d.get("rejected_radius"),
             per_lane=d.get("per_lane", {}), eps=d.get("eps", EPS))
+
+
+class Placements(Sequence):
+    """Placements read from JSON, kept as their six columns, read-only.  It
+    builds a PlacedCircle only when asked for one; a slice is a list."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, *columns):  # x, y, r, seq, lane_id, class_index
+        self._columns = tuple(map(tuple, columns))
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(PlacedCircle, *(c[k] for c in self._columns)))
+        return PlacedCircle(*(c[k] for c in self._columns))
+
+    def __iter__(self):
+        return map(PlacedCircle, *self._columns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def columns(placements: Sequence[PlacedCircle]) -> tuple:
+    """The (x, y, r, seq, lane_id, class_index) columns of placements: a
+    Placements' own tuples, or one list per field of any other sequence."""
+    if type(placements) is Placements:
+        return placements._columns
+    return ([c.x for c in placements], [c.y for c in placements],
+            [c.r for c in placements], [c.seq for c in placements],
+            [c.lane_id for c in placements],
+            [c.class_index for c in placements])
+
+
+def _packed_area(rs) -> float:
+    total = 0.0  # left to right: sum() compensates from Python 3.12
+    for r in rs:
+        total += math.pi * r * r
+    return total
 
 
 def _columns(table: dict, record: str, keys: tuple[str, ...]) -> list:

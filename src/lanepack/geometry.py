@@ -30,10 +30,6 @@ class PlacedCircle:
     lane_id: str
     class_index: int = -1
 
-    @property
-    def area(self) -> float:
-        return math.pi * self.r * self.r
-
 
 @dataclass(frozen=True)
 class Rect:

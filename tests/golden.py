@@ -10,13 +10,18 @@ audit needs numpy counts as skipped where numpy is missing.
 Each case packs a fixed seeded sequence and is hashed three ways: the
 serialized result together with its audit report (GOLDEN), the
 placements alone (PLACEMENT_GOLDEN) and the audit report alone
-(REPORT_GOLDEN).  Any change to a single coordinate, lane, class or
-audit finding changes them.  The placement and report digests do not
-depend on the JSON layout: they were recorded before the result JSON
-became schema 2 (columns, and only the lanes that hold circles), and
-GOLDEN alone was regenerated for that format, so they show that no
-placement and no audit finding moved with it.  Placements must stay
-bit-identical, so never regenerate these values to make a test pass.
+(REPORT_GOLDEN). Any change to a single coordinate, lane, class or audit
+finding changes them. The audit of each case, and of each tampered case
+that its JSON can carry, must also find the same after a round trip
+through JSON, where it reads the placements as columns. The placement
+and report digests do not depend on the JSON layout: they were recorded
+before the result JSON became schema 2 (columns, and only the lanes that
+hold circles), and GOLDEN alone was regenerated for that format, so they
+show that no placement and no audit finding moved with it. The
+sparse-block case rect-6.0-mixed-blocks came later; its three digests
+were recorded on the code from before the audit read placements as
+columns. Placements must stay bit-identical, so never regenerate these
+values to make a test pass.
 """
 
 import dataclasses
@@ -29,8 +34,8 @@ import sys
 
 from lanepack.audit import validate
 from lanepack.bounds import guarantee_rect, guarantee_square
-from lanepack.containers import (RectRun, SquareRun, pack_rect_online,
-                                 pack_square_online)
+from lanepack.containers import (PackResult, RectRun, SquareRun,
+                                 pack_rect_online, pack_square_online)
 from lanepack.genseq import GenSpec, generate
 
 RECT_ASPECTS = (1.0, 1.5, 2.0, 3.0)
@@ -113,6 +118,20 @@ def _mixed_radii():
 
 def _mixed_stream():
     return _pack("rect", 2.0, _mixed_radii)
+
+
+def _blocks_radii():
+    """Medium circles, each followed by six circles of class 3, 4 or 5 in
+    turn, into the 1 x 6 rectangle.  Each class reserves sparse blocks of
+    its own, so medium circles cap blocks that hold sub-lanes: up to seven
+    sparse blocks at once, six of them capped, and some closed."""
+    rng = random.Random(20190503)
+    ranges = {3: (0.063, 0.084), 4: (0.024, 0.062), 5: (0.0085, 0.0235)}
+    radii = []
+    for k in range(30):
+        radii.append(rng.uniform(0.2505, 0.3))
+        radii += [rng.uniform(*ranges[3 + k % 3]) for _ in range(6)]
+    return radii
 
 
 def digest(result) -> str:
@@ -246,12 +265,15 @@ GOLDEN = {
         "5b5764b9d0ebb660e6423ee3013d2b3f03c44a47c378e467ac8d56a3ffcc72a2",
     "rect-2.0-mixed-stream":
         "c59d4f202af7af34729e3e0782e6f5322e62b60eb0d70f935cb3b90e2913288b",
+    "rect-6.0-mixed-blocks":
+        "5e70ae5635ee373311ce82a89d77b90c9e5526c2fa737d717bc7a4a7905dc1a0",
 }
 
 
 # name -> (container, square mode or rectangle aspect, radii builder), for
-# the seeded cases and then the two streams.
+# the seeded cases, the sparse-block case and then the two streams.
 INPUTS = dict(_inputs())
+INPUTS["rect-6.0-mixed-blocks"] = ("rect", 6.0, _blocks_radii)
 CASES = {name: functools.partial(_pack, *spec)
          for name, spec in INPUTS.items()}
 STREAMS = {"square-general-tiny-stream": _tiny_stream,
@@ -333,6 +355,19 @@ def tampered() -> dict:
 def report_digest(result) -> str:
     blob = json.dumps(validate(result).to_json_dict(), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def from_json(result):
+    """The result as read back from its JSON text: its placements are the
+    column view that the audit of a file reads."""
+    return PackResult.from_json_dict(json.loads(json.dumps(
+        result.to_json_dict())))
+
+
+# Tampered cases whose tampering the JSON does not carry, so their report
+# after a round trip differs: to_json_dict writes rejected_radius only
+# beside a rejected_index.
+NOT_IN_JSON = {"inconsistent-status-4"}
 
 
 # Digests of the audit reports alone, recorded before validate() was
@@ -517,6 +552,8 @@ PLACEMENT_GOLDEN = {
         "eb7d8fe1dda9825a9f489e5503a131b149f5cfb885a676001bcde82b6c00a659",
     "rect-2.0-mixed-stream":
         "fc5954bd73d5234914fdb4163c038dd58c4096663a8ec934eb63486ae42c9a07",
+    "rect-6.0-mixed-blocks":
+        "9e0fd883962741c9f7031e851297d84f75d80cd601d6abf42850f55584836f7d",
 }
 
 # report_digest of every golden case, recorded with PLACEMENT_GOLDEN:
@@ -634,6 +671,8 @@ REPORT_GOLDEN = {
         "7827a735c99f732a936996319065c4534bbdd72316cb71d74809a5fea7ac498f",
     "rect-2.0-mixed-stream":
         "e36944b827aac2d859e6e67e38d29248b5e9f6d6abde9309d22e7d96a790ee9d",
+    "rect-6.0-mixed-blocks":
+        "49a360a720816bba148c28cd8a14ffea0139747f1dcd7e8a054a5bc2b92d2e3e",
 }
 
 
@@ -642,16 +681,24 @@ def main() -> int:
     skipped.  Exit status 1 if any digest differs."""
     checks = []
     for name, build in {**CASES, **STREAMS}.items():
-        result = functools.cache(build)  # packed once for its 3 digests
+        result = functools.cache(build)  # packed once for its 4 checks
         checks += [(name, lambda r=result: digest(r()), GOLDEN[name]),
                    (f"placements-{name}",
                     lambda r=result: placement_digest(r()),
                     PLACEMENT_GOLDEN[name]),
                    (f"report-{name}", lambda r=result: report_digest(r()),
+                    REPORT_GOLDEN[name]),
+                   # The audit of the packing read back from JSON.
+                   (f"json-report-{name}",
+                    lambda r=result: report_digest(from_json(r())),
                     REPORT_GOLDEN[name])]
     checks += [(f"tampered-{name}", lambda name=name: report_digest(
                     tampered()[name]), want)
                for name, want in TAMPERED_GOLDEN.items()]
+    checks += [(f"json-tampered-{name}", lambda name=name: report_digest(
+                    from_json(tampered()[name])), want)
+               for name, want in TAMPERED_GOLDEN.items()
+               if name not in NOT_IN_JSON]
     counts = {"passed": 0, "failed": 0, "skipped": 0}
     for name, run, want in checks:
         try:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from lanepack import audit
 from lanepack.audit import validate
 from lanepack.bounds import delta, min_slp
-from lanepack.containers import (pack_rect_online, pack_square_online,
-                                 table_for)
+from lanepack.containers import (columns, pack_rect_online,
+                                 pack_square_online, table_for)
 from lanepack.geometry import Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
 from lanepack.lanes import LaneInfo, LaneState, Packing, place
@@ -307,6 +307,11 @@ def dense_overlaps(placements, eps):
     return [(int(i), int(j)) for i, j in zip(*np.nonzero(bad)) if i < j]
 
 
+def xyr(disks):
+    """The x, y and r columns that audit._pairwise_overlaps takes."""
+    return columns(disks)[:3]
+
+
 OVERLAP_GRID = 2.0 ** -8
 
 
@@ -386,14 +391,14 @@ class TestPairwiseOverlaps:
     def test_equals_dense_oracle(self, disks, eps, chunk):
         with np.errstate(invalid="ignore", over="ignore"):
             want = dense_overlaps(disks, eps) if disks else []
-            assert audit._pairwise_overlaps(disks, eps) == want
+            assert audit._pairwise_overlaps(*xyr(disks), eps) == want
             # Force the pure-Python sweep, then the strip sweep, whatever
             # the size.
             with mock.patch.object(audit, "_ALL_PAIRS_MAX", 1 << 30):
-                assert audit._pairwise_overlaps(disks, eps) == want
+                assert audit._pairwise_overlaps(*xyr(disks), eps) == want
             with mock.patch.multiple(audit, _PAIR_CHUNK=chunk,
                                      _ALL_PAIRS_MAX=0):
-                assert audit._pairwise_overlaps(disks, eps) == want
+                assert audit._pairwise_overlaps(*xyr(disks), eps) == want
 
     @pytest.mark.parametrize("name, value", [
         ("r", math.nan), ("r", math.inf), ("r", -0.5), ("r", 0.0),
@@ -408,7 +413,7 @@ class TestPairwiseOverlaps:
             for all_pairs_max in (1 << 30, 0):
                 with mock.patch.object(audit, "_ALL_PAIRS_MAX",
                                        all_pairs_max):
-                    assert audit._pairwise_overlaps(disks, 1e-9) == want
+                    assert audit._pairwise_overlaps(*xyr(disks), 1e-9) == want
         assert (0, 1) in want and (3, 4) in want
 
     def test_disks_below_eps_never_overlap(self):
@@ -420,7 +425,7 @@ class TestPairwiseOverlaps:
         disks = [disk(0.0, 0.0, 1e-10, k) for k in range(40)]
         for all_pairs_max in (1 << 30, 0):
             with mock.patch.object(audit, "_ALL_PAIRS_MAX", all_pairs_max):
-                assert audit._pairwise_overlaps(disks, 1e-9) == []
+                assert audit._pairwise_overlaps(*xyr(disks), 1e-9) == []
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_threshold_sizes(self, extra):
@@ -430,7 +435,7 @@ class TestPairwiseOverlaps:
         disks = [disk(3.0 * k, 0.0, 1.0, k) for k in range(n - 2)]
         disks.append(disk(disks[0].x, 2.0, 1.0, n - 2))  # tangent to 0
         disks.append(disk(disks[1].x, 1.5, 1.0, n - 1))  # overlaps 1
-        found = audit._pairwise_overlaps(disks, 1e-9)
+        found = audit._pairwise_overlaps(*xyr(disks), 1e-9)
         assert found == [(1, n - 1)]
         assert found == dense_overlaps(disks, 1e-9)
 
@@ -441,11 +446,11 @@ class TestPairwiseOverlaps:
     def test_strip_sweep_matches_dense_oracle(self, layout, eps, chunk):
         disks = strip_layout(layout)
         with mock.patch.multiple(audit, _PAIR_CHUNK=chunk, _ALL_PAIRS_MAX=0):
-            found = audit._pairwise_overlaps(disks, eps)
+            found = audit._pairwise_overlaps(*xyr(disks), eps)
         assert found == dense_overlaps(disks, eps)
         assert found
         with mock.patch.object(audit, "_ALL_PAIRS_MAX", 1 << 30):
-            assert audit._pairwise_overlaps(disks, eps) == found
+            assert audit._pairwise_overlaps(*xyr(disks), eps) == found
         # Strip entries stay within the bound that the strip width sets.
         d = np.array([[c.x for c in disks], [c.y for c in disks],
                       [c.r for c in disks]])
@@ -460,6 +465,6 @@ class TestPairwiseOverlaps:
         placements = pack_square_online("general", radii).placements
         shifted = placements + [disk(c.x + 1e-3, c.y, c.r, len(radii) + k)
                                 for k, c in enumerate(placements[::50])]
-        found = audit._pairwise_overlaps(shifted, 1e-9)
+        found = audit._pairwise_overlaps(*xyr(shifted), 1e-9)
         assert found == dense_overlaps(shifted, 1e-9)
         assert len(found) >= len(placements[::50])

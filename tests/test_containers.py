@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from lanepack.containers import (NO_TINY_MIN_RADIUS, NO_TINY_Q2,
                                  container_rect, pack_rect_online,
                                  pack_square_online, square_layout, table_for)
 from lanepack.genseq import GenSpec, generate
-from lanepack.geometry import Orientation
+from lanepack.geometry import Orientation, PlacedCircle
 
 
 class TestSquareLayout:
@@ -422,3 +424,82 @@ class TestSerialization:
         result = pack_rect_online(2.0, [0.1, 0.2])
         assert result.total_packed_area == pytest.approx(
             math.pi * (0.01 + 0.04))
+
+
+class TestPlacementsView:
+    """Placements read from JSON: a read-only view of the six columns."""
+
+    def _pair(self):
+        result = pack_rect_online(2.0, generate(GenSpec(
+            "greedy_adversary", seed=2, threshold=0.59)))
+        d = json.loads(json.dumps(result.to_json_dict()))
+        return result, d, PackResult.from_json_dict(d)
+
+    def test_equality_both_ways(self):
+        result, _, back = self._pair()
+        view = back.placements
+        assert isinstance(view, containers.Placements)
+        # bench/checks.py roundtrip_failures compares list != view.
+        assert not result.placements != view
+        assert not view != result.placements
+        assert view == result.placements and result.placements == view
+        assert view == PackResult.from_json_dict(result.to_json_dict()
+                                                 ).placements
+        edited = list(result.placements)
+        edited[0] = dataclasses.replace(edited[0], r=edited[0].r / 2)
+        assert edited != view and view != edited
+        assert view != edited[:-1] and view != 3
+
+    def test_indexing_and_slicing(self):
+        result, _, back = self._pair()
+        view, placed = back.placements, result.placements
+        assert len(view) == len(placed) > 2
+        assert view[-1] == placed[-1] and view[0] == placed[0]
+        assert list(view) == placed
+        with pytest.raises(IndexError):
+            view[len(placed)]
+        for part in (view[1:3], view[::-1], view[5:2]):
+            assert type(part) is list
+        assert view[1:3] == placed[1:3] and view[::-1] == placed[::-1]
+
+    def test_read_only(self):
+        _, d, back = self._pair()
+        with pytest.raises(TypeError):
+            back.placements[0] = back.placements[1]
+        # The view keeps its own columns, not the dict's lists.
+        x0 = back.placements[0].x
+        d["placements"]["x"][0] += 1.0
+        assert back.placements[0].x == x0
+
+    def test_to_json_dict_of_a_view(self):
+        result, d, back = self._pair()
+        assert back.to_json_dict() == d
+        assert (json.dumps(back.to_json_dict())
+                == json.dumps(result.to_json_dict()))
+        assert back.total_packed_area.hex() == result.total_packed_area.hex()
+
+    def test_edited_copy_is_audited(self):
+        _, _, back = self._pair()
+        placed = list(back.placements)
+        placed[1] = dataclasses.replace(placed[1], x=placed[0].x,
+                                        y=placed[0].y)
+        report = validate(dataclasses.replace(back, placements=placed))
+        assert [v.indices for v in report.violations
+                if v.kind == "overlap"] == [(0, 1)]
+        assert validate(back).valid
+
+    def test_audit_builds_no_placed_circle(self):
+        _, d, _ = self._pair()
+        built = []
+        init = PlacedCircle.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        with mock.patch.object(PlacedCircle, "__init__", counting_init):
+            report = validate(PackResult.from_json_dict(d))
+            assert report.valid and built == []
+            # The patch sees a circle that a caller asks for.
+            PackResult.from_json_dict(d).placements[0]
+        assert len(built) == 1

@@ -1,6 +1,7 @@
 """Golden digests of whole packings, of their placements and audit
-reports alone, and of tampered packings' audit reports; the cases and
-digests live in tests/golden.py.  The same inputs
+reports alone, and of tampered packings' audit reports, the reports
+also after a round trip through JSON; the cases and digests live in
+tests/golden.py.  The same inputs
 also check that feeding a run one radius per call changes nothing, keeps
 at most one open sub-lane per class, keeps each lane's sparse blocks in
 owner order and its frontier equal to the full scan's, and that the
@@ -11,10 +12,10 @@ import math
 
 import pytest
 
-from golden import (CASES, GOLDEN, INPUTS, PLACEMENT_GOLDEN, REPORT_GOLDEN,
-                    STREAMS, TAMPERED_GOLDEN, TINY_STREAM_N, _mixed_stream,
-                    _tiny_stream, digest, new_run, placement_digest,
-                    report_digest, tampered)
+from golden import (CASES, GOLDEN, INPUTS, NOT_IN_JSON, PLACEMENT_GOLDEN,
+                    REPORT_GOLDEN, STREAMS, TAMPERED_GOLDEN, TINY_STREAM_N,
+                    _mixed_stream, _tiny_stream, digest, from_json, new_run,
+                    placement_digest, report_digest, tampered)
 from lanepack.dslp import dslp_metrics
 from oracles import (CommitLog, frontier, metrics, packing_extent,
                      vlane_extents)
@@ -42,11 +43,19 @@ def test_golden_placements_and_report(name):
     result = {**CASES, **STREAMS}[name]()
     assert placement_digest(result) == PLACEMENT_GOLDEN[name]
     assert report_digest(result) == REPORT_GOLDEN[name]
+    # The audit of the result read back from JSON, on columns, agrees.
+    assert report_digest(from_json(result)) == REPORT_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(TAMPERED_GOLDEN))
 def test_golden_tampered_report(name):
     assert report_digest(tampered()[name]) == TAMPERED_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(TAMPERED_GOLDEN) - NOT_IN_JSON))
+def test_golden_tampered_report_after_json(name):
+    assert (report_digest(from_json(tampered()[name]))
+            == TAMPERED_GOLDEN[name])
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
