@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 from .classification import ClassTable
 from .containers import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
                          columns, container_rect, table_for)
+from .geometry import EPS
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,10 +224,9 @@ def _class_bounds(table: ClassTable, class_index: int
     return (table.row(class_index).lower_bound, prev.lower_bound)
 
 
-def validate(result: PackResult, eps: float | None = None) -> AuditReport:
+def validate(result: PackResult) -> AuditReport:
+    """Audit a result at the constant tolerance EPS, whatever it records."""
     container = container_rect(result)
-    if eps is None:
-        eps = result.eps
     report = AuditReport(valid=True)
     xs, ys, rs, seqs, lane_ids, class_indices = columns(result.placements)
     n = len(xs)
@@ -238,8 +238,8 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
     groups: dict[str, list[int]] = {}
     occ = report.per_lane_occ
     total = 0.0
-    x0, x1 = container.x0 - eps, container.x1 + eps
-    y0, y1 = container.y0 - eps, container.y1 + eps
+    x0, x1 = container.x0 - EPS, container.x1 + EPS
+    y0, y1 = container.y0 - EPS, container.y1 + EPS
     for k, (x, y, r, seq, lane_id) in enumerate(zip(xs, ys, rs, seqs,
                                                     lane_ids)):
         if seq != k:
@@ -273,7 +273,7 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
             "order", f"status {result.status!r} with rejected radius "
             f"{radius!r}"))
 
-    for i, j in _pairwise_overlaps(xs, ys, rs, eps):
+    for i, j in _pairwise_overlaps(xs, ys, rs, EPS):
         gap = math.hypot(xs[i] - xs[j], ys[i] - ys[j]) - rs[i] - rs[j]
         report.violations.append(Violation(
             "overlap", f"circles {i} and {j} overlap by {-gap:.3g}", (i, j)))
@@ -293,7 +293,7 @@ def validate(result: PackResult, eps: float | None = None) -> AuditReport:
         known = type(cls) is int and cls in classes
         if known:
             lo, hi = _class_bounds(table, cls)
-            above, below = lo - eps, hi + eps
+            above, below = lo - EPS, hi + EPS
         else:
             report.violations.append(Violation(
                 "class_mismatch", f"lane {lane_id} has class {cls!r}, "

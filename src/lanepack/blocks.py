@@ -169,10 +169,10 @@ def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
 
 
 def _place_in(ledger: BlockLedger, lane: LaneState, r: float, seq: int,
-              packing: Packing, eps: float) -> Optional[PlacedCircle]:
+              packing: Packing) -> Optional[PlacedCircle]:
     """Place into a vertical lane and widen the ledger's extent by the
     circle, with Frame.to_local's floats; close the lane if it is full."""
-    circle = place(lane, r, seq, packing, eps)
+    circle = place(lane, r, seq, packing)
     if circle is None:
         lane.closed = True
         return None
@@ -183,8 +183,7 @@ def _place_in(ledger: BlockLedger, lane: LaneState, r: float, seq: int,
 
 
 def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
-                     seq: int, packing: Packing,
-                     eps: float = EPS) -> Optional[PlacedCircle]:
+                     seq: int, packing: Packing) -> Optional[PlacedCircle]:
     """Pack a class >= 3 circle via the five-step routine.
 
     Returns the placed circle, or None after closing the host lane.
@@ -198,7 +197,7 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     # Step 1: try the open vertical lane of this class, closing it on failure.
     lane = ledger.open_vlane.get(class_index)
     if lane is not None and not lane.closed:
-        circle = _place_in(ledger, lane, r, seq, packing, eps)
+        circle = _place_in(ledger, lane, r, seq, packing)
         if circle is not None:
             return circle
 
@@ -219,7 +218,7 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
         if target.state == FREE:
             target.state = reservation_for(class_index)
         # A fresh lane fails only when circles of other lanes obstruct it.
-        circle = _place_in(ledger, lane, r, seq, packing, eps)
+        circle = _place_in(ledger, lane, r, seq, packing)
         if circle is not None:
             return circle
 
@@ -229,7 +228,7 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     if pos is not None:
         lane = _create_vlane(ledger, class_index, pos, False,
                              ledger.free_vlanes)
-        circle = _place_in(ledger, lane, r, seq, packing, eps)
+        circle = _place_in(ledger, lane, r, seq, packing)
         if circle is not None:
             return circle
 

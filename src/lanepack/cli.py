@@ -14,7 +14,6 @@ from .audit import validate
 from .classification import build_class_table, table_csv
 from .containers import PackResult, pack_rect_online, pack_square_online
 from .genseq import KINDS, GenSpec, generate
-from .geometry import EPS
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -58,13 +57,13 @@ def _check_aspect(container: str, aspect: Optional[float]) -> None:
         raise click.ClickException("--b only applies to the rect container")
 
 
-def _pack(container: str, aspect: Optional[float], mode: str, radii,
-          eps: float) -> PackResult:
+def _pack(container: str, aspect: Optional[float], mode: str,
+          radii) -> PackResult:
     """Pack radii into the chosen container; bad input exits 1."""
     try:
         if container == "rect":
-            return pack_rect_online(aspect, radii, eps=eps)
-        return pack_square_online(mode, radii, eps=eps)
+            return pack_rect_online(aspect, radii)
+        return pack_square_online(mode, radii)
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
@@ -74,7 +73,27 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data) + "\n"
 
 
-@click.group()
+class _Main(click.Group):
+    """Usage errors exit 1, like other bad input: click's exit 2 would read
+    as a rejected circle.  make_context parses the group's arguments and
+    invoke a subcommand's."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_error_exits_1(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_error_exits_1(super().invoke, ctx)
+
+
+def _usage_error_exits_1(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_INPUT_ERROR  # this error, not the class
+        raise
+
+
+@click.group(cls=_Main)
 def main():
     """Online circle packing into squares and rectangles."""
 
@@ -94,9 +113,7 @@ def main():
               default=None, help="Write the packing result JSON here.")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False),
               default=None, help="Write an SVG rendering here.")
-@click.option("--eps", type=float, default=EPS, show_default=True,
-              envvar="CIRCLEPACK_EPS")
-def pack_cmd(container, aspect, mode, input_path, json_path, svg_path, eps):
+def pack_cmd(container, aspect, mode, input_path, json_path, svg_path):
     """Pack a radius sequence online; exit 0 if all packed, 2 on rejection."""
     mode = mode.replace("-", "_")
     _check_aspect(container, aspect)
@@ -105,7 +122,7 @@ def pack_cmd(container, aspect, mode, input_path, json_path, svg_path, eps):
             radii = _read_radii(f)
     else:
         radii = _read_radii(sys.stdin)
-    result = _pack(container, aspect, mode, radii, eps)
+    result = _pack(container, aspect, mode, radii)
     payload = _dump_json(result.to_json_dict())
     if json_path:
         with open(json_path, "w") as f:
@@ -120,16 +137,13 @@ def pack_cmd(container, aspect, mode, input_path, json_path, svg_path, eps):
 
 @main.command("verify")
 @click.argument("result_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--eps", type=float, default=None, envvar="CIRCLEPACK_EPS",
-              help="Override the tolerance recorded in the result.")
-def verify_cmd(result_path, eps):
+def verify_cmd(result_path):
     """Audit a packing result JSON; exit 0 if valid, 1 otherwise."""
     with open(result_path) as f:
         try:
             # A wrong JSON type fails in either call, as a TypeError or a
             # ValueError (json.JSONDecodeError is one).
-            report = validate(PackResult.from_json_dict(json.load(f)),
-                              eps=eps)
+            report = validate(PackResult.from_json_dict(json.load(f)))
         except (KeyError, TypeError, ValueError) as exc:
             raise click.ClickException(f"unreadable result file: {exc}")
     click.echo(_dump_json(report.to_json_dict()), nl=False)
@@ -205,9 +219,7 @@ def gen_cmd(kind, seed, threshold, rmin, rmax, count):
               help="Area budget; defaults to the container guarantee.")
 @click.option("--rmin", type=float, default=0.001, show_default=True)
 @click.option("--rmax", type=float, default=0.5, show_default=True)
-@click.option("--eps", type=float, default=EPS, envvar="CIRCLEPACK_EPS")
-def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax,
-              eps):
+def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
     """Run many seeded generator sequences; one summary JSON line per run."""
     mode = mode.replace("-", "_")
     try:
@@ -226,7 +238,7 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax,
                                      r_max=rmax))
         except ValueError as exc:
             raise click.ClickException(str(exc))
-        result = _pack(container, aspect, mode, radii, eps)
+        result = _pack(container, aspect, mode, radii)
         summary = {
             "seed": seed,
             "n": len(radii),

@@ -43,7 +43,6 @@ class PackResult:
     rejected_index: Optional[int] = None
     rejected_radius: Optional[float] = None
     per_lane: dict = field(default_factory=dict)
-    eps: float = EPS
 
     @property
     def total_packed_area(self) -> float:
@@ -61,7 +60,7 @@ class PackResult:
             "w": self.w,
             "b": self.b,
             "guarantee": self.guarantee,
-            "eps": self.eps,
+            "eps": EPS,  # the audit's constant tolerance; not read back
             "total_packed_area": _packed_area(r),
             "placements": {
                 "i": list(seq), "x": list(x), "y": list(y), "r": list(r),
@@ -79,6 +78,7 @@ class PackResult:
         }
         if self.rejected_index is not None:
             out["rejected_index"] = self.rejected_index
+        if self.rejected_radius is not None:
             out["rejected_radius"] = self.rejected_radius
         return out
 
@@ -102,7 +102,7 @@ class PackResult:
                            map(tuple, ev), *rest)),
             rejected_index=d.get("rejected_index"),
             rejected_radius=d.get("rejected_radius"),
-            per_lane=d.get("per_lane", {}), eps=d.get("eps", EPS))
+            per_lane=d.get("per_lane", {}))
 
 
 class Placements(Sequence):
@@ -213,13 +213,6 @@ def _is_real(x) -> bool:
                                 and not isinstance(x, bool))
 
 
-def _plain(x):
-    """A checked real as JSON can write it: an int or float stays as it
-    is (an int aspect serializes as "b": 2), any other real becomes a
-    float."""
-    return x if type(x) in (int, float) else float(x)
-
-
 class _OnlineRun:
     """One online packing run over a container's lane layout.
 
@@ -231,16 +224,13 @@ class _OnlineRun:
     """
 
     def __init__(self, container: str, mode: Optional[str], w: float,
-                 b: Optional[float], eps: float):
-        if not (_is_real(eps) and 0 < eps < math.inf):
-            raise ValueError(f"eps must be a positive finite number, "
-                             f"got {eps!r}")
-        eps = _plain(eps)
+                 b: Optional[float]):
         if container == "square":
             self.guarantee = bounds.guarantee_square(mode)  # checks mode
             large, medium = _square_shape(w)
         elif _is_real(b) and 1 <= b < math.inf:
-            b = _plain(b)
+            # As JSON writes it: an int stays ("b": 2), other reals float.
+            b = b if type(b) in (int, float) else float(b)
             large = None
             medium = (("L1", _dslp_shape("L1", 0.0, 0.0, b, 1.0,
                                          Orientation.RIGHTWARDS)),)
@@ -249,7 +239,6 @@ class _OnlineRun:
             raise ValueError(f"aspect b must be a finite number >= 1, "
                              f"got {b!r}")
         self.container, self.mode, self.w, self.b = container, mode, w, b
-        self.eps = eps
         self.table = table_for(container, mode, w)
         # No-tiny inputs must fall into a class of the truncated table.
         self.min_radius = self.table.min_radius if mode == "no_tiny" else 0.0
@@ -298,12 +287,11 @@ class _OnlineRun:
         if cls == 0:
             # Only a table with a large class, hence a layout with a TLP
             # lane, yields class 0.
-            return place(self.large_lane, r, seq, self.packing,
-                         self.eps) is not None
+            return place(self.large_lane, r, seq, self.packing) is not None
         for d in self.medium_lanes:
             if d.host.closed:
                 continue
-            if dslp_pack(d, r, cls, seq, self.packing, self.eps) is not None:
+            if dslp_pack(d, r, cls, seq, self.packing) is not None:
                 return True
         return False
 
@@ -333,30 +321,28 @@ class _OnlineRun:
             guarantee=self.guarantee, placements=list(self.packing.circles),
             lanes=lanes, rejected_index=self.rejected_index,
             rejected_radius=self.rejected_radius,
-            per_lane=per_lane, eps=self.eps)
+            per_lane=per_lane)
 
 
 class RectRun(_OnlineRun):
     """One online packing run into a 1 x b rectangle."""
 
-    def __init__(self, b: float, eps: float = EPS):
-        super().__init__("rect", None, 1.0, b, eps)
+    def __init__(self, b: float):
+        super().__init__("rect", None, 1.0, b)
 
 
 class SquareRun(_OnlineRun):
     """One online packing run into the unit square."""
 
-    def __init__(self, mode: str = "general", eps: float = EPS):
+    def __init__(self, mode: str = "general"):
         w = (SQUARE_WIDTH_GENERAL if mode == "general"
              else SQUARE_WIDTH_NO_TINY)
-        super().__init__("square", mode, w, None, eps)
+        super().__init__("square", mode, w, None)
 
 
-def pack_rect_online(b: float, radii: Iterable[float],
-                     eps: float = EPS) -> PackResult:
-    return RectRun(b, eps).pack(radii)
+def pack_rect_online(b: float, radii: Iterable[float]) -> PackResult:
+    return RectRun(b).pack(radii)
 
 
-def pack_square_online(mode: str, radii: Iterable[float],
-                       eps: float = EPS) -> PackResult:
-    return SquareRun(mode, eps).pack(radii)
+def pack_square_online(mode: str, radii: Iterable[float]) -> PackResult:
+    return SquareRun(mode).pack(radii)

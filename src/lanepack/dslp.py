@@ -14,7 +14,7 @@ from typing import Optional
 
 from .blocks import BlockLedger, on_medium_packed, pack_small_class
 from .classification import ClassTable
-from .geometry import EPS, Orientation, PlacedCircle, Rect
+from .geometry import Orientation, PlacedCircle, Rect
 from .lanes import (LaneInfo, LaneState, Packing, commit, find_position,
                     packing_length)
 
@@ -56,7 +56,7 @@ def _length_after(lane: LaneState, u: float, r: float) -> float:
 
 
 def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
-              packing: Packing, eps: float = EPS) -> Optional[PlacedCircle]:
+              packing: Packing) -> Optional[PlacedCircle]:
     """Pack one circle; None means this lane could not take it.
 
     A class >= 3 failure closes the host lane (five-step routine, last
@@ -65,7 +65,7 @@ def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
     if d.host.closed:
         return None
     if class_index == 1:
-        pos = find_position(d.host, r, packing, eps)
+        pos = find_position(d.host, r, packing)
         if pos is None:
             return None
         u, v = pos
@@ -74,12 +74,12 @@ def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
         on_medium_packed(d, u, r, half_side)
         return circle
     if class_index >= 3:
-        return pack_small_class(d, r, class_index, seq, packing, eps)
+        return pack_small_class(d, r, class_index, seq, packing)
     # Class 2: tentatively place into both small lanes, keep the shorter one.
     # The small lanes honor the host's vertical sub-lane strips, mirrored
     # (see BlockLedger.mirrored).
-    pos_top = find_position(d.top, r, packing, eps)
-    pos_bottom = find_position(d.bottom, r, packing, eps)
+    pos_top = find_position(d.top, r, packing)
+    pos_bottom = find_position(d.bottom, r, packing)
     if pos_top is None and pos_bottom is None:
         return None
     if pos_bottom is None:

@@ -224,10 +224,10 @@ def commit(lane: LaneState, u: float, v: float, r: float, seq: int,
     return circle
 
 
-def place(lane: LaneState, r: float, seq: int, packing: Packing,
-          eps: float = EPS) -> Optional[PlacedCircle]:
+def place(lane: LaneState, r: float, seq: int,
+          packing: Packing) -> Optional[PlacedCircle]:
     """Commit the lane's next circle at its candidate position, if any."""
-    pos = find_position(lane, r, packing, eps)
+    pos = find_position(lane, r, packing)
     if pos is None:
         return None
     return commit(lane, pos[0], pos[1], r, seq, packing)

@@ -120,7 +120,7 @@ def test_criterion_1_validity_suite():
         else:
             radii = generate(GenSpec(kind="class_boundary", seed=seed))
             result = pack_rect_online(2.0, radii)
-        report = validate(result, eps=1e-9)
+        report = validate(result)
         n_runs += 1
         if not report.valid:
             violations.append((seed, kind, [v.detail
@@ -130,7 +130,7 @@ def test_criterion_1_validity_suite():
         rng = random.Random(10_000 + seed)
         radii = [rng.uniform(0.002, 0.004) for _ in range(5000)]
         result = pack_square_online("general", radii)
-        report = validate(result, eps=1e-9)
+        report = validate(result)
         n_runs += 1
         if not report.valid:
             violations.append((seed, "large", [v.detail

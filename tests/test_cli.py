@@ -85,16 +85,6 @@ class TestPack:
                               "--mode", "no-tiny"], input="0.001\n")
         assert res.exit_code == 1
 
-    @pytest.mark.parametrize("args, env", [
-        (["--eps", "0"], {}), (["--eps", "-1e-9"], {}),
-        (["--eps", "nan"], {}), ([], {"CIRCLEPACK_EPS": "0"})],
-        ids=["zero", "negative", "nan", "env-zero"])
-    def test_eps_must_be_positive(self, runner, args, env):
-        res = invoke(runner, ["pack", "--container", "rect", "--b", "2",
-                              *args], input="0.1\n", env=env)
-        assert res.exit_code == 1
-        assert "eps must be a positive finite number" in res.output
-
     def test_output_files(self, runner, tmp_path):
         out_json = tmp_path / "r.json"
         out_svg = tmp_path / "r.svg"
@@ -149,6 +139,22 @@ class TestVerify:
         assert res.exit_code == 0
         res = invoke(runner, ["verify", str(out)])
         assert res.exit_code == 0
+
+    def test_file_cannot_loosen_the_audit(self, runner, tmp_path):
+        # The audit runs at the constant tolerance, whatever "eps" the
+        # file records.
+        out = tmp_path / "r.json"
+        invoke(runner, ["pack", "--container", "square", "--json", str(out)],
+               input="0.3\n0.12\n0.07\n0.05\n")
+        data = json.loads(out.read_text())
+        p = data["placements"]
+        p["x"][1], p["y"][1] = p["x"][0], p["y"][0]
+        data["eps"] = 0.5
+        out.write_text(json.dumps(data))
+        res = invoke(runner, ["verify", str(out)])
+        assert res.exit_code == 1
+        kinds = {v["kind"] for v in json.loads(res.output)["violations"]}
+        assert "overlap" in kinds
 
     def test_unreadable_file(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -384,12 +390,6 @@ class TestBatch:
         assert res.exit_code == 1
         assert "not above the deepest class bound" in res.output
 
-    def test_eps_must_be_positive(self, runner):
-        res = invoke(runner, ["batch", "--container", "square",
-                              "--seeds", "0:1", "--eps", "0"])
-        assert res.exit_code == 1
-        assert "eps must be a positive finite number" in res.output
-
     def test_square_refuses_aspect(self, runner):
         res = invoke(runner, ["batch", "--container", "square", "--b", "0.5",
                               "--seeds", "0:1"])
@@ -407,3 +407,19 @@ class TestBatch:
         res = invoke(runner, ["batch", "--container", "square",
                               "--seeds", "oops"])
         assert res.exit_code == 1
+
+
+class TestUsageErrors:
+    """Usage errors exit 1, like other bad input; 2 means a rejection."""
+
+    @pytest.mark.parametrize("args", [
+        ["pack", "--container", "square", "--eps", "1e-9"],
+        ["pack", "--container", "cube"],
+        ["pack"],
+        ["gen", "--kind", "uniform", "--count", "abc"]],
+        ids=["unknown-option", "bad-choice", "missing-option", "bad-int"])
+    def test_exit_1_without_a_traceback(self, runner, args):
+        res = invoke(runner, args, input="0.1\n")
+        assert res.exit_code == 1
+        assert "Usage:" in res.output
+        assert "Traceback" not in res.output

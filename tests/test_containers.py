@@ -15,7 +15,7 @@ from lanepack.containers import (NO_TINY_MIN_RADIUS, NO_TINY_Q2,
                                  container_rect, pack_rect_online,
                                  pack_square_online, square_layout, table_for)
 from lanepack.genseq import GenSpec, generate
-from lanepack.geometry import Orientation, PlacedCircle
+from lanepack.geometry import EPS, Orientation, PlacedCircle
 
 
 class TestSquareLayout:
@@ -286,37 +286,36 @@ class TestRunInput:
 
 
 class TestRunArguments:
-    """A run checks eps and the aspect b like radii, before it starts."""
+    """A run checks the aspect b like radii, before it starts."""
 
-    RUNS = {"rect": lambda eps: RectRun(2.0, eps),
-            "square": lambda eps: SquareRun("no_tiny", eps)}
-
-    @pytest.mark.parametrize("container", ["rect", "square"])
-    @pytest.mark.parametrize("eps", [0, 0.0, -2.0 ** -20, math.nan, math.inf,
-                                     True, None, "1e-9"], ids=repr)
-    def test_eps_must_be_positive_and_finite(self, container, eps):
-        with pytest.raises(ValueError, match="eps must be"):
-            self.RUNS[container](eps)
+    @pytest.mark.parametrize("entry", [
+        lambda: RectRun(2.0, eps=1e-9),
+        lambda: SquareRun("general", eps=1e-9),
+        lambda: pack_rect_online(2.0, [0.3], eps=1e-9),
+        lambda: pack_square_online("general", [0.3], eps=1e-9)],
+        ids=["RectRun", "SquareRun", "pack_rect_online",
+             "pack_square_online"])
+    def test_tolerance_is_not_an_argument(self, entry):
+        # The tolerance is the constant geometry.EPS.
+        with pytest.raises(TypeError, match="eps"):
+            entry()
 
     @pytest.mark.parametrize("b", [True, np.bool_(True), "2", None], ids=repr)
     def test_aspect_must_be_a_real_number(self, b):
         with pytest.raises(ValueError, match="aspect b must be"):
             pack_rect_online(b, [0.3])
 
-    @pytest.mark.parametrize("b, eps", [(2, 1e-9), (1.0, 1e-6),
-                                        (np.float64(2.0), np.float64(1e-9))],
-                             ids=repr)
-    def test_real_arguments_accepted(self, b, eps):
-        result = pack_rect_online(b, [0.3], eps=eps)
+    @pytest.mark.parametrize("b", [2, 1.0, np.float64(2.0)], ids=repr)
+    def test_real_arguments_accepted(self, b):
+        result = pack_rect_online(b, [0.3])
         assert result.status == "all_packed"
         assert validate(result).valid
 
-    @pytest.mark.parametrize("b, eps, b_json", [
-        (np.float32(2.0), np.float32(1e-9), '"b": 2.0,'),
-        (2, 1e-9, '"b": 2,')], ids=repr)
-    def test_arguments_round_trip_through_json(self, b, eps, b_json):
+    @pytest.mark.parametrize("b, b_json", [
+        (np.float32(2.0), '"b": 2.0,'), (2, '"b": 2,')], ids=repr)
+    def test_arguments_round_trip_through_json(self, b, b_json):
         # Real arguments other than int and float are stored as float.
-        result = pack_rect_online(b, [0.3], eps=eps)
+        result = pack_rect_online(b, [0.3])
         text = json.dumps(result.to_json_dict())
         assert b_json in text
         back = PackResult.from_json_dict(json.loads(text))
@@ -337,7 +336,6 @@ class TestSerialization:
         assert back.status == result.status
         assert back.w == result.w
         assert back.guarantee == result.guarantee
-        assert back.eps == result.eps
         assert len(back.placements) == len(result.placements)
         for a, b in zip(back.placements, result.placements):
             assert (a.x, a.y, a.r, a.seq, a.lane_id, a.class_index) == \
@@ -412,6 +410,21 @@ class TestSerialization:
         back = PackResult.from_json_dict(result.to_json_dict())
         assert back.rejected_index == 1
         assert back.rejected_radius == 0.5
+
+    def test_stray_rejected_radius_is_written(self):
+        # A complete run that names a refused radius is inconsistent; the
+        # file carries that to the audit instead of dropping it.
+        result = dataclasses.replace(pack_rect_online(1.0, [0.5]),
+                                     rejected_radius=0.25)
+        d = result.to_json_dict()
+        assert "rejected_index" not in d and d["rejected_radius"] == 0.25
+        assert not validate(PackResult.from_json_dict(d)).valid
+
+    def test_eps_is_written_as_the_constant_and_ignored_on_read(self):
+        d = self._result().to_json_dict()
+        assert d["eps"] == EPS
+        loose = PackResult.from_json_dict({**d, "eps": 0.5})
+        assert loose == PackResult.from_json_dict(d)
 
     def test_container_rect(self):
         r = pack_rect_online(2.5, [0.1])

@@ -28,6 +28,7 @@ assert "lanepack.genseq" not in sys.modules, "import lanepack ran genseq"
 import lanepack.audit
 import lanepack.cli
 from lanepack.audit import _ALL_PAIRS_MAX, validate
+from lanepack.geometry import EPS
 
 result = lanepack.pack_square_online(
     "general", [0.3, 0.12, 0.07, 0.05, 0.02, 0.01, 0.003])
@@ -49,7 +50,7 @@ want = []
 for i, a in enumerate(moved):
     for j in range(i + 1, len(moved)):
         b = moved[j]
-        dx, dy, rsum = a.x - b.x, a.y - b.y, a.r + b.r - big.eps
+        dx, dy, rsum = a.x - b.x, a.y - b.y, a.r + b.r - EPS
         if rsum > 0 and dx * dx + dy * dy < rsum * rsum:
             want.append((i, j))
 report = validate(dataclasses.replace(big, placements=moved))
