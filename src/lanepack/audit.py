@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from .classification import ClassTable
 from .containers import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
                          columns, container_rect, table_for)
 from .geometry import EPS
@@ -213,19 +212,11 @@ def _pairwise_overlaps(xs: Sequence[float], ys: Sequence[float],
     return sorted(hits)
 
 
-def _class_bounds(table: ClassTable, class_index: int
-                  ) -> tuple[float, float]:
-    """(exclusive lower, inclusive upper) radius bounds of a class."""
-    if class_index == 0:
-        return (table.large.q0, table.large.max_radius)
-    if class_index == 1:
-        return (table.row(1).lower_bound, table.base_width / 2.0)
-    prev = table.row(class_index - 1)
-    return (table.row(class_index).lower_bound, prev.lower_bound)
-
-
 def validate(result: PackResult) -> AuditReport:
-    """Audit a result at the constant tolerance EPS, whatever it records."""
+    """Audit a result at the constant tolerance EPS, whatever it records;
+    ValueError when no class table fits its container and mode."""
+    # The container and mode pick the table; the file's own w does not.
+    table = table_for(result.container, result.mode)
     container = container_rect(result)
     report = AuditReport(valid=True)
     xs, ys, rs, seqs, lane_ids, class_indices = columns(result.placements)
@@ -279,9 +270,7 @@ def validate(result: PackResult) -> AuditReport:
             "overlap", f"circles {i} and {j} overlap by {-gap:.3g}", (i, j)))
     report.violations += escaped
 
-    table = table_for(result.container, result.mode, result.w)
-    # Class 0 exists only with a large class, then 1 to len(rows).
-    classes = range(0 if table.large else 1, len(table.rows) + 1)
+    classes = range(table.rows[0].index, table.rows[-1].index + 1)
     lane_by_id = {li.lane_id: li for li in result.lanes}
     for lane_id, ks in groups.items():
         info = lane_by_id.get(lane_id)
@@ -292,7 +281,8 @@ def validate(result: PackResult) -> AuditReport:
         cls = info.class_index
         known = type(cls) is int and cls in classes
         if known:
-            lo, hi = _class_bounds(table, cls)
+            row = table.row(cls)
+            lo, hi = row.lower_bound, row.upper_bound
             above, below = lo - EPS, hi + EPS
         else:
             report.violations.append(Violation(

@@ -3,8 +3,9 @@
 The class schedule is a fixed recurrence w_{i+1} = 2 * q_i * w_i over the
 constants below.  A circle of radius r belongs to class 1 when
 w/2 >= r > q_1*w_1 and to class i >= 2 when q_{i-1}*w_{i-1} >= r > q_i*w_i
-(upper-inclusive, lower-exclusive).  An optional "large" class 0 sits above
-class 1 for square containers.
+(upper-inclusive, lower-exclusive).  A square's table starts with the
+large class 0, of lane width 1 - w and radii (1 - w)/2 >= r > w/2, as
+row 0; every row carries its radius range (lower_bound, upper_bound].
 """
 
 from __future__ import annotations
@@ -50,31 +51,17 @@ class ClassRow:
     index: int
     q: float
     width: float
-
-    @property
-    def lower_bound(self) -> float:
-        """Absolute lower bound for radii of this class."""
-        return self.q * self.width
-
-
-@dataclass(frozen=True)
-class LargeClass:
-    q0: float
-    w0: float
-
-    @property
-    def max_radius(self) -> float:
-        return self.w0 / 2.0
+    lower_bound: float  # exclusive
+    upper_bound: float  # inclusive
 
 
 @dataclass(frozen=True)
 class ClassTable:
     base_width: float
-    rows: tuple[ClassRow, ...]
-    large: Optional[LargeClass] = None
+    rows: tuple[ClassRow, ...]  # consecutive classes from rows[0].index
 
     def row(self, i: int) -> ClassRow:
-        return self.rows[i - 1]
+        return self.rows[i - self.rows[0].index]
 
     @property
     def min_radius(self) -> float:
@@ -84,7 +71,8 @@ class ClassTable:
 def build_class_table(w: float, q2_override: Optional[float] = None,
                       min_radius: Optional[float] = None,
                       large: bool = False) -> ClassTable:
-    """Generate the class table for base lane width w.
+    """Generate the class table for base lane width w, led by the large
+    class 0 when large is set.
 
     Rows are produced by the width recurrence until the absolute lower
     bound q_i * w_i drops below min_radius (or MAX_CLASSES is hit).
@@ -100,38 +88,36 @@ def build_class_table(w: float, q2_override: Optional[float] = None,
         return Q_SCHEDULE[i - 1] if i <= len(Q_SCHEDULE) else Q_TAIL
 
     rows = []
+    upper = w / 2.0
+    if large:  # class 0's lower bound is class 1's upper bound
+        rows.append(ClassRow(0, upper / (1.0 - w), 1.0 - w, upper,
+                             (1.0 - w) / 2.0))
     width = w
     i = 1
     while True:
         q = q_of(i)
-        rows.append(ClassRow(i, q, width))
         bound = q * width
+        rows.append(ClassRow(i, q, width, bound, upper))
         if min_radius is not None and bound < min_radius:
             break
         if i >= MAX_CLASSES:
             break
+        upper = bound
         width = 2.0 * q * width
         i += 1
-
-    large_class = LargeClass(q0=w / 2.0, w0=1.0 - w) if large else None
-    return ClassTable(base_width=w, rows=tuple(rows), large=large_class)
+    return ClassTable(base_width=w, rows=tuple(rows))
 
 
 def classify(r: float, table: ClassTable) -> int:
     """Class index for radius r, or raise TooLarge / TooSmall."""
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive and finite, got {r}")
-    w = table.base_width
-    if table.large is not None:
-        if r > table.large.max_radius:
-            raise TooLarge(f"radius {r} exceeds large-lane capacity "
-                           f"{table.large.max_radius}")
-        if r > table.large.q0:
-            return 0
-    if r > w / 2.0:
-        raise TooLarge(f"radius {r} exceeds half the lane width {w / 2.0}")
-    for row in table.rows:
-        if r > row.q * row.width:  # row.lower_bound, inlined
+    rows = table.rows
+    if r > rows[0].upper_bound:
+        raise TooLarge(f"radius {r} exceeds the class-{rows[0].index} "
+                       f"bound {rows[0].upper_bound}")
+    for row in rows:
+        if r > row.lower_bound:
             return row.index
     raise TooSmall(f"radius {r} is below the deepest class bound "
                    f"{table.min_radius}")

@@ -188,7 +188,8 @@ def bounds_cmd(delta_q, rect_b, square_mode, show_table, width):
 @main.command("gen")
 @click.option("--kind", type=click.Choice(KINDS), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threshold", type=float, default=0.350389, show_default=True)
+@click.option("--threshold", type=float, default=bounds_mod.SQUARE_GENERAL,
+              show_default=True)
 @click.option("--rmin", type=float, default=0.001, show_default=True)
 @click.option("--rmax", type=float, default=0.5, show_default=True)
 @click.option("--count", type=int, default=100, show_default=True,

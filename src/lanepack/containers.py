@@ -159,15 +159,19 @@ def _columns(table: dict, record: str, keys: tuple[str, ...]) -> list:
     return columns
 
 
-@functools.lru_cache(maxsize=16)
-def table_for(container: str, mode: Optional[str], w: float) -> ClassTable:
-    """Class table of a container; cached, since tables are immutable."""
-    if container == "rect":
+@functools.lru_cache(maxsize=4)
+def table_for(container: str, mode: Optional[str]) -> ClassTable:
+    """Class table of a container and mode, ValueError for any other pair;
+    cached, since tables are immutable."""
+    if (container, mode) == ("rect", None):
         return build_class_table(1.0)
-    if mode == "no_tiny":
-        return build_class_table(w, q2_override=NO_TINY_Q2,
+    if (container, mode) == ("square", "general"):
+        return build_class_table(SQUARE_WIDTH_GENERAL, large=True)
+    if (container, mode) == ("square", "no_tiny"):
+        return build_class_table(SQUARE_WIDTH_NO_TINY, q2_override=NO_TINY_Q2,
                                  min_radius=NO_TINY_MIN_RADIUS, large=True)
-    return build_class_table(w, large=True)
+    raise ValueError(f"no class table for container {container!r} in mode "
+                     f"{mode!r}")
 
 
 def container_rect(result: PackResult) -> Rect:
@@ -223,10 +227,12 @@ class _OnlineRun:
     circle takes no further input.
     """
 
-    def __init__(self, container: str, mode: Optional[str], w: float,
+    def __init__(self, container: str, mode: Optional[str],
                  b: Optional[float]):
+        self.table = table_for(container, mode)  # checks container and mode
+        w = self.table.base_width
         if container == "square":
-            self.guarantee = bounds.guarantee_square(mode)  # checks mode
+            self.guarantee = bounds.guarantee_square(mode)
             large, medium = _square_shape(w)
         elif _is_real(b) and 1 <= b < math.inf:
             # As JSON writes it: an int stays ("b": 2), other reals float.
@@ -239,7 +245,6 @@ class _OnlineRun:
             raise ValueError(f"aspect b must be a finite number >= 1, "
                              f"got {b!r}")
         self.container, self.mode, self.w, self.b = container, mode, w, b
-        self.table = table_for(container, mode, w)
         # No-tiny inputs must fall into a class of the truncated table.
         self.min_radius = self.table.min_radius if mode == "no_tiny" else 0.0
         self.large_lane = None if large is None else LaneState(large)
@@ -328,16 +333,14 @@ class RectRun(_OnlineRun):
     """One online packing run into a 1 x b rectangle."""
 
     def __init__(self, b: float):
-        super().__init__("rect", None, 1.0, b)
+        super().__init__("rect", None, b)
 
 
 class SquareRun(_OnlineRun):
     """One online packing run into the unit square."""
 
     def __init__(self, mode: str = "general"):
-        w = (SQUARE_WIDTH_GENERAL if mode == "general"
-             else SQUARE_WIDTH_NO_TINY)
-        super().__init__("square", mode, w, None)
+        super().__init__("square", mode, None)
 
 
 def pack_rect_online(b: float, radii: Iterable[float]) -> PackResult:

@@ -10,6 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .bounds import SQUARE_GENERAL
 from .classification import build_class_table
 
 KINDS = ("greedy_adversary", "uniform", "single_worstcase", "class_boundary")
@@ -24,7 +25,7 @@ WORSTCASE_EPSILON = 1e-6
 class GenSpec:
     kind: str
     seed: int = 0
-    threshold: float = 0.350389
+    threshold: float = SQUARE_GENERAL
     r_min: float = 0.001
     r_max: float = 0.5
     count: int = 100  # uniform kind only

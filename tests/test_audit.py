@@ -96,15 +96,20 @@ class TestValidate:
 
     @pytest.mark.parametrize("container, cls", [
         ("rect", 99), ("rect", 41), ("rect", 0), ("rect", -5),
-        ("rect", 1.0), ("rect", True), ("square", 41), ("square", None)])
+        ("rect", 1.0), ("rect", True), ("square", 41), ("square", None),
+        ("no_tiny", 3)])
     def test_lane_class_outside_the_table(self, container, cls):
-        # Both tables have rows 1 to 40; only the square's has class 0.
+        # The rectangle's table has classes 1 to 40, the general square's
+        # 0 to 40 and the no-tiny square's 0 to 2.
         if container == "rect":
             result = pack_rect_online(2.0, [0.4, 0.3, 0.12, 0.07, 0.03])
-        else:
+        elif container == "square":
             result = square_result(seed=1)
-        assert len(table_for(result.container, result.mode,
-                             result.w).rows) == 40
+        else:
+            result = pack_square_online("no_tiny", [0.3, 0.1, 0.05, 0.03])
+        rows = table_for(result.container, result.mode).rows
+        assert (rows[0].index, rows[-1].index) == {
+            "rect": (1, 40), "square": (0, 40), "no_tiny": (0, 2)}[container]
         lane = result.lanes[0]
         result.lanes[0] = dataclasses.replace(lane, class_index=cls)
         report = validate(result)
@@ -119,6 +124,28 @@ class TestValidate:
         assert [v.indices[0] for v in report.violations if v.indices] == (
             [] if cls == lane.class_index else held)
         assert {v.kind for v in report.violations} == {"class_mismatch"}
+
+    def test_recorded_w_does_not_pick_the_table(self):
+        # Class 1 of the general square ends at w/2 = 0.14424; at w = 0.3
+        # it would end at 0.15, past the moved radius.
+        result = pack_square_online("general", [0.1, 0.05])
+        c = result.placements[0]
+        assert c.class_index == 1
+        result.placements[0] = dataclasses.replace(c, r=0.148)
+        report = validate(result)
+        assert "class_mismatch" in {v.kind for v in report.violations}
+        edited = validate(dataclasses.replace(result, w=0.3))
+        assert edited.to_json_dict() == report.to_json_dict()
+
+    @pytest.mark.parametrize("make, changes", [
+        (seven_circles, {"mode": "bogus"}),
+        (seven_circles, {"container": "bogus"}),
+        (lambda: pack_rect_online(2.0, [0.4, 0.1]), {"mode": "general"})],
+        ids=["square-bogus", "bogus-general", "rect-general"])
+    def test_container_and_mode_without_a_table(self, make, changes):
+        result = dataclasses.replace(make(), **changes)
+        with pytest.raises(ValueError, match="no class table"):
+            validate(result)
 
     def test_lane_class_in_the_table_keeps_its_radius_range(self):
         result = pack_rect_online(2.0, [0.4, 0.3])

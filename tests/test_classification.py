@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lanepack.classification import (MAX_CLASSES, Q_SCHEDULE, Q_TAIL,
                                      ClassTable, TooLarge, TooSmall,
                                      build_class_table, classify, table_csv)
+from lanepack.containers import table_for
 
 # Printed approximations of the schedule constants (relative bound, and the
 # resulting lane width at base width 1).
@@ -110,17 +111,28 @@ class TestClassify:
         with pytest.raises(TooLarge):
             classify((1 - w) / 2 + 1e-9, t)
         assert classify(w / 2, t) == 1
-        # Between w/2 and q0 = w/2 there is no gap: anything above w/2 is
-        # large, anything at or below is class >= 1.
+        # Class 0's lower bound is class 1's upper bound w/2: anything
+        # above w/2 is large, anything at or below is class >= 1.
         assert classify(w / 2 + 1e-9, t) == 0
 
-    @given(st.floats(1e-15, 0.5))
-    def test_partition_is_total_and_consistent(self, r):
-        t = self.TABLE
-        i = classify(r, t)
-        assert 1 <= i <= t.rows[-1].index
-        assert r <= (t.base_width / 2 if i == 1 else t.row(i - 1).lower_bound)
-        assert r > t.row(i).lower_bound
+    @given(st.sampled_from([table_for("rect", None),
+                            table_for("square", "general"),
+                            table_for("square", "no_tiny")]),
+           st.floats(1e-15, 0.5))
+    def test_partition_is_total_and_consistent(self, t, r):
+        for prev, row in zip(t.rows, t.rows[1:]):
+            assert row.index == prev.index + 1
+            assert row.upper_bound == prev.lower_bound
+        if r > t.rows[0].upper_bound:
+            with pytest.raises(TooLarge):
+                classify(r, t)
+        elif r <= t.min_radius:
+            with pytest.raises(TooSmall):
+                classify(r, t)
+        else:
+            i = classify(r, t)
+            assert t.row(i).index == i
+            assert t.row(i).lower_bound < r <= t.row(i).upper_bound
 
 
 class TestCsv:

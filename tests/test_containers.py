@@ -51,21 +51,26 @@ class TestSquareLayout:
 
 class TestTables:
     def test_rect_table_base_width_one(self):
-        t = table_for("rect", None, 1.0)
+        t = table_for("rect", None)
         assert t.base_width == 1.0
-        assert t.large is None
+        assert t.rows[0].index == 1  # no large class
 
     def test_square_general_table(self):
-        t = table_for("square", "general", SQUARE_WIDTH_GENERAL)
-        assert t.large is not None
-        assert t.large.q0 == pytest.approx(SQUARE_WIDTH_GENERAL / 2)
-        assert t.large.max_radius == pytest.approx(
-            (1 - SQUARE_WIDTH_GENERAL) / 2)
+        w = SQUARE_WIDTH_GENERAL
+        t = table_for("square", "general")
+        assert t.base_width == w
+        assert len(t.rows) == 41
+        large = t.row(0)
+        assert large is t.rows[0]
+        assert large.width == 1.0 - w
+        assert large.lower_bound == w / 2.0 == t.row(1).upper_bound
+        assert large.upper_bound == (1.0 - w) / 2.0
 
     def test_square_no_tiny_table(self):
-        t = table_for("square", "no_tiny", SQUARE_WIDTH_NO_TINY)
+        t = table_for("square", "no_tiny")
+        assert t.base_width == SQUARE_WIDTH_NO_TINY
+        assert [row.index for row in t.rows] == [0, 1, 2]
         assert t.row(2).q == NO_TINY_Q2
-        assert t.rows[-1].index == 2
         assert t.min_radius == pytest.approx(NO_TINY_MIN_RADIUS, abs=1e-6)
 
 
@@ -255,14 +260,14 @@ class TestRunInput:
             pack_rect_online(2.0, ["0.1"])
 
     def test_no_tiny_accepts_radius_just_above_class_bound(self):
-        table = table_for("square", "no_tiny", SQUARE_WIDTH_NO_TINY)
+        table = table_for("square", "no_tiny")
         assert table.min_radius < 0.0266226 < NO_TINY_MIN_RADIUS
         result = pack_square_online("no_tiny", [0.0266226])
         assert result.status == "all_packed"
         assert result.placements[0].class_index == 2
 
     def test_no_tiny_class_bound_is_exclusive(self):
-        table = table_for("square", "no_tiny", SQUARE_WIDTH_NO_TINY)
+        table = table_for("square", "no_tiny")
         with pytest.raises(ValueError, match="input 0"):
             pack_square_online("no_tiny", [table.min_radius])
 
@@ -280,9 +285,8 @@ class TestRunInput:
         assert run.pack([0.05]).placements[0].seq == 0
 
     def test_table_is_cached(self):
-        assert table_for("rect", None, 1.0) is RectRun(2.0).table
-        assert (table_for("square", "general", SQUARE_WIDTH_GENERAL)
-                is SquareRun("general").table)
+        assert table_for("rect", None) is RectRun(2.0).table
+        assert table_for("square", "general") is SquareRun("general").table
 
 
 class TestRunArguments:
