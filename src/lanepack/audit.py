@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .containers import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
-                         columns, container_rect, table_for)
+                         columns, layout)
 from .geometry import EPS
 
 if TYPE_CHECKING:
@@ -28,7 +28,8 @@ _STRUCT_TOL = 1e-7
 
 @dataclass
 class Violation:
-    kind: str  # overlap | out_of_container | class_mismatch | order | bound
+    # overlap, out_of_container, class_mismatch, order or guarantee
+    kind: str
     detail: str
     indices: tuple[int, ...] = ()
 
@@ -214,10 +215,11 @@ def _pairwise_overlaps(xs: Sequence[float], ys: Sequence[float],
 
 def validate(result: PackResult) -> AuditReport:
     """Audit a result at the constant tolerance EPS, whatever it records;
-    ValueError when no class table fits its container and mode."""
-    # The container and mode pick the table; the file's own w does not.
-    table = table_for(result.container, result.mode)
-    container = container_rect(result)
+    ValueError when its container, mode and aspect have no layout."""
+    # The container, mode and aspect pick the table, box and guarantee;
+    # the file's own w and guarantee do not.
+    table, guarantee, box, _, _ = layout(result.container, result.mode,
+                                         result.b)
     report = AuditReport(valid=True)
     xs, ys, rs, seqs, lane_ids, class_indices = columns(result.placements)
     n = len(xs)
@@ -229,8 +231,8 @@ def validate(result: PackResult) -> AuditReport:
     groups: dict[str, list[int]] = {}
     occ = report.per_lane_occ
     total = 0.0
-    x0, x1 = container.x0 - EPS, container.x1 + EPS
-    y0, y1 = container.y0 - EPS, container.y1 + EPS
+    x0, x1 = box.x0 - EPS, box.x1 + EPS
+    y0, y1 = box.y0 - EPS, box.y1 + EPS
     for k, (x, y, r, seq, lane_id) in enumerate(zip(xs, ys, rs, seqs,
                                                     lane_ids)):
         if seq != k:
@@ -263,6 +265,13 @@ def validate(result: PackResult) -> AuditReport:
         report.violations.append(Violation(
             "order", f"status {result.status!r} with rejected radius "
             f"{radius!r}"))
+    # Every sequence of area at most the guarantee packs.
+    elif result.status == STATUS_REJECTED:
+        area = total + math.pi * radius * radius
+        if area <= guarantee:
+            report.violations.append(Violation(
+                "guarantee", f"rejected at area {area!r}, the refused "
+                f"circle's included, within the guarantee {guarantee!r}"))
 
     for i, j in _pairwise_overlaps(xs, ys, rs, EPS):
         gap = math.hypot(xs[i] - xs[j], ys[i] - ys[j]) - rs[i] - rs[j]
@@ -330,6 +339,6 @@ def validate(result: PackResult) -> AuditReport:
                         f"minimum gap", (seq,)))
             prev_u, prev_r = u, r
 
-    report.density = total / container.area
+    report.density = total / box.area
     report.valid = not report.violations
     return report

@@ -12,7 +12,7 @@ import click
 from . import bounds as bounds_mod
 from .audit import validate
 from .classification import build_class_table, table_csv
-from .containers import PackResult, pack_rect_online, pack_square_online
+from .containers import PackResult, _OnlineRun
 from .genseq import KINDS, GenSpec, generate
 from .svg import render_svg
 
@@ -47,23 +47,21 @@ def _read_radii(stream) -> list:
     return radii
 
 
-def _check_aspect(container: str, aspect: Optional[float]) -> None:
-    """--b is required for the rectangle and refused for the square."""
-    if container == "rect":
-        if aspect is None or not (1 <= aspect < math.inf):
-            raise click.ClickException(
-                "rect container requires a finite --b >= 1")
-    elif aspect is not None:
-        raise click.ClickException("--b only applies to the rect container")
-
-
-def _pack(container: str, aspect: Optional[float], mode: str,
-          radii) -> PackResult:
-    """Pack radii into the chosen container; bad input exits 1."""
+def _new_run(container: str, aspect: Optional[float],
+             mode: str) -> _OnlineRun:
+    """An empty run of the chosen container; --mode applies to the square
+    alone, and a --b the container's layout refuses exits 1."""
     try:
-        if container == "rect":
-            return pack_rect_online(aspect, radii)
-        return pack_square_online(mode, radii)
+        return _OnlineRun(container, mode if container == "square" else None,
+                          aspect)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
+
+def _pack(run: _OnlineRun, radii) -> PackResult:
+    """Pack radii into the run; bad input exits 1."""
+    try:
+        return run.pack(radii)
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
@@ -115,14 +113,13 @@ def main():
               default=None, help="Write an SVG rendering here.")
 def pack_cmd(container, aspect, mode, input_path, json_path, svg_path):
     """Pack a radius sequence online; exit 0 if all packed, 2 on rejection."""
-    mode = mode.replace("-", "_")
-    _check_aspect(container, aspect)
+    run = _new_run(container, aspect, mode.replace("-", "_"))
     if input_path is not None:
         with open(input_path) as f:
             radii = _read_radii(f)
     else:
         radii = _read_radii(sys.stdin)
-    result = _pack(container, aspect, mode, radii)
+    result = _pack(run, radii)
     payload = _dump_json(result.to_json_dict())
     if json_path:
         with open(json_path, "w") as f:
@@ -227,10 +224,9 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
         start, stop = (int(s) for s in seeds.split(":"))
     except ValueError:
         raise click.ClickException(f"bad --seeds range {seeds!r}")
-    _check_aspect(container, aspect)
+    run = _new_run(container, aspect, mode)  # a bad --b exits 1 here
     if threshold is None:
-        threshold = (bounds_mod.guarantee_rect(aspect) if container == "rect"
-                     else bounds_mod.guarantee_square(mode))
+        threshold = run.guarantee
     failures = 0
     for seed in range(start, stop):
         try:
@@ -239,7 +235,7 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
                                      r_max=rmax))
         except ValueError as exc:
             raise click.ClickException(str(exc))
-        result = _pack(container, aspect, mode, radii)
+        result = _pack(_new_run(container, aspect, mode), radii)
         summary = {
             "seed": seed,
             "n": len(radii),

@@ -11,7 +11,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import bounds
 from .classification import (ClassTable, TooLarge, TooSmall,
@@ -159,57 +159,6 @@ def _columns(table: dict, record: str, keys: tuple[str, ...]) -> list:
     return columns
 
 
-@functools.lru_cache(maxsize=4)
-def table_for(container: str, mode: Optional[str]) -> ClassTable:
-    """Class table of a container and mode, ValueError for any other pair;
-    cached, since tables are immutable."""
-    if (container, mode) == ("rect", None):
-        return build_class_table(1.0)
-    if (container, mode) == ("square", "general"):
-        return build_class_table(SQUARE_WIDTH_GENERAL, large=True)
-    if (container, mode) == ("square", "no_tiny"):
-        return build_class_table(SQUARE_WIDTH_NO_TINY, q2_override=NO_TINY_Q2,
-                                 min_radius=NO_TINY_MIN_RADIUS, large=True)
-    raise ValueError(f"no class table for container {container!r} in mode "
-                     f"{mode!r}")
-
-
-def container_rect(result: PackResult) -> Rect:
-    if result.container == "rect":
-        return Rect(0.0, 0.0, result.b, 1.0)
-    return Rect(0.0, 0.0, 1.0, 1.0)
-
-
-def square_layout(w: float) -> dict[str, tuple[Rect, Orientation]]:
-    """Lane rectangles and orientations for the unit square, given the
-
-    medium lane width w.  The four medium lanes spiral around the border;
-    the large lane is the bottom slab of height 1 - w.
-    """
-    if not (0 < w < 0.5):
-        raise ValueError(f"lane width must be in (0, 0.5), got {w}")
-    return {
-        "L0": (Rect(0.0, 0.0, 1.0, 1.0 - w), Orientation.LEFTWARDS),
-        "L1": (Rect(0.0, 1.0 - w, 1.0, 1.0), Orientation.RIGHTWARDS),
-        "L2": (Rect(1.0 - w, 0.0, 1.0, 1.0 - w), Orientation.DOWNWARDS),
-        "L3": (Rect(0.0, 0.0, 1.0 - w, w), Orientation.RIGHTWARDS),
-        "L4": (Rect(0.0, w, w, 1.0 - w), Orientation.UPWARDS),
-    }
-
-
-@functools.lru_cache(maxsize=4)
-def _square_shape(w: float):
-    """The large lane's description and the four medium lanes' (name,
-    DSLP shape); cached per lane width, all frozen."""
-    layout = square_layout(w)
-    large = LaneInfo.from_rect(*layout["L0"], "L0", "TLP", 0)
-    medium = tuple((name, _dslp_shape(name, rect.x0, rect.y0, rect.x1,
-                                      rect.y1, orientation))
-                   for name, (rect, orientation) in layout.items()
-                   if name != "L0")
-    return large, medium
-
-
 def _is_real(x) -> bool:
     # bool is an int subclass; numpy scalars register as Real.  A float
     # skips the slower ABC check.
@@ -217,34 +166,75 @@ def _is_real(x) -> bool:
                                 and not isinstance(x, bool))
 
 
-class _OnlineRun:
-    """One online packing run over a container's lane layout.
+class Layout(NamedTuple):
+    """What a container, mode and aspect fix for every run: the class
+    table, the guarantee, the container box, the large TLP lane (None in
+    the rectangle) and each medium DSLP lane's (name, shape)."""
 
-    The square is a TLP lane for the large class plus four DSLP lanes; the
-    1 x b rectangle is one DSLP lane.  A run may be fed in several pack()
-    calls; arrival indices continue across calls.  Every call checks all
-    of its radii before committing any, and a run that has rejected a
-    circle takes no further input.
+    table: ClassTable
+    guarantee: float
+    box: Rect
+    large: Optional[LaneInfo]
+    medium: tuple[tuple[str, tuple[LaneInfo, ...]], ...]
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def layout(container: str, mode: Optional[str], b) -> Layout:
+    """The layout of the 1 x b rectangle ("rect", None, b) or of the unit
+    square ("square", "general" or "no_tiny", None); ValueError for any
+    other arguments.
+
+    The rectangle is one DSLP lane.  In the square the four medium lanes
+    of width w spiral around the border, and the large lane is the bottom
+    slab of height 1 - w.  Cached, since a layout is frozen; the key holds
+    the arguments' types, so True is refused even once 1 is cached.
+    """
+    if container == "rect" and mode is None:
+        if not (_is_real(b) and 1 <= b < math.inf):
+            raise ValueError(f"aspect b must be a finite number >= 1, "
+                             f"got {b!r}")
+        box = Rect(0.0, 0.0, b, 1.0)
+        medium = (("L1", _dslp_shape("L1", box, Orientation.RIGHTWARDS)),)
+        return Layout(build_class_table(1.0), bounds.guarantee_rect(b), box,
+                      None, medium)
+    if (container != "square" or mode not in ("general", "no_tiny")
+            or b is not None):
+        raise ValueError(f"no layout for container {container!r} in mode "
+                         f"{mode!r} with aspect {b!r}")
+    if mode == "general":
+        table = build_class_table(SQUARE_WIDTH_GENERAL, large=True)
+    else:
+        table = build_class_table(SQUARE_WIDTH_NO_TINY, q2_override=NO_TINY_Q2,
+                                  min_radius=NO_TINY_MIN_RADIUS, large=True)
+    w = table.base_width
+    large = LaneInfo.from_rect(Rect(0.0, 0.0, 1.0, 1.0 - w),
+                               Orientation.LEFTWARDS, "L0", "TLP", 0)
+    medium = tuple((name, _dslp_shape(name, rect, orientation))
+                   for name, rect, orientation in (
+        ("L1", Rect(0.0, 1.0 - w, 1.0, 1.0), Orientation.RIGHTWARDS),
+        ("L2", Rect(1.0 - w, 0.0, 1.0, 1.0 - w), Orientation.DOWNWARDS),
+        ("L3", Rect(0.0, 0.0, 1.0 - w, w), Orientation.RIGHTWARDS),
+        ("L4", Rect(0.0, w, w, 1.0 - w), Orientation.UPWARDS)))
+    return Layout(table, bounds.guarantee_square(mode),
+                  Rect(0.0, 0.0, 1.0, 1.0), large, medium)
+
+
+class _OnlineRun:
+    """One online packing run over a container's layout (see layout).
+
+    A run may be fed in several pack() calls; arrival indices continue
+    across calls.  Every call checks all of its radii before committing
+    any, and a run that has rejected a circle takes no further input.
     """
 
     def __init__(self, container: str, mode: Optional[str],
                  b: Optional[float]):
-        self.table = table_for(container, mode)  # checks container and mode
-        w = self.table.base_width
-        if container == "square":
-            self.guarantee = bounds.guarantee_square(mode)
-            large, medium = _square_shape(w)
-        elif _is_real(b) and 1 <= b < math.inf:
-            # As JSON writes it: an int stays ("b": 2), other reals float.
-            b = b if type(b) in (int, float) else float(b)
-            large = None
-            medium = (("L1", _dslp_shape("L1", 0.0, 0.0, b, 1.0,
-                                         Orientation.RIGHTWARDS)),)
-            self.guarantee = bounds.guarantee_rect(b)
-        else:
-            raise ValueError(f"aspect b must be a finite number >= 1, "
-                             f"got {b!r}")
-        self.container, self.mode, self.w, self.b = container, mode, w, b
+        # As JSON writes it: an int stays ("b": 2), other reals float.
+        if _is_real(b) and type(b) not in (int, float):
+            b = float(b)
+        self.table, self.guarantee, _, large, medium = layout(
+            container, mode, b)
+        self.container, self.mode, self.b = container, mode, b
         # No-tiny inputs must fall into a class of the truncated table.
         self.min_radius = self.table.min_radius if mode == "no_tiny" else 0.0
         self.large_lane = None if large is None else LaneState(large)
@@ -322,11 +312,11 @@ class _OnlineRun:
         return PackResult(
             status=(STATUS_ALL_PACKED if self.rejected_index is None
                     else STATUS_REJECTED),
-            container=self.container, mode=self.mode, w=self.w, b=self.b,
-            guarantee=self.guarantee, placements=list(self.packing.circles),
-            lanes=lanes, rejected_index=self.rejected_index,
-            rejected_radius=self.rejected_radius,
-            per_lane=per_lane)
+            container=self.container, mode=self.mode,
+            w=self.table.base_width, b=self.b, guarantee=self.guarantee,
+            placements=list(self.packing.circles), lanes=lanes,
+            rejected_index=self.rejected_index,
+            rejected_radius=self.rejected_radius, per_lane=per_lane)
 
 
 class RectRun(_OnlineRun):

@@ -9,7 +9,6 @@ the bottom lane.  A blocks.BlockLedger holds all of one lane's state.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 from .blocks import BlockLedger, on_medium_packed, pack_small_class
@@ -19,24 +18,19 @@ from .lanes import (LaneInfo, LaneState, Packing, commit, find_position,
                     packing_length)
 
 
-@functools.lru_cache(maxsize=32, typed=True)
-def _dslp_shape(lane_id: str, x0: float, y0: float, x1: float, y1: float,
+def _dslp_shape(lane_id: str, rect: Rect,
                 orientation: Orientation) -> tuple[LaneInfo, ...]:
-    """Descriptions of a DSLP lane's host, top and bottom lanes.
-
-    Cached per shape, since they are frozen; each run builds its own
-    lane states from them.  The key holds the typed coordinates, so an
-    int and a float aspect keep their own descriptions.
-    """
-    host = LaneInfo.from_rect(Rect(x0, y0, x1, y1), orientation,
-                              f"{lane_id}:host", "SLP", 1)
+    """Descriptions of a DSLP lane's host, top and bottom lanes, frozen,
+    so that a container layout builds them once and each run builds its
+    own lane states from them."""
+    host = LaneInfo.from_rect(rect, orientation, f"{lane_id}:host", "SLP", 1)
     w, length = host.width, host.length
     halves = {"top": Rect(0.0, w / 2.0, length, w),
               "bottom": Rect(0.0, 0.0, length, w / 2.0)}
     return (host,) + tuple(
-        host.subframe(rect, Orientation.LEFTWARDS, f"{lane_id}:{name}", "SLP",
+        host.subframe(half, Orientation.LEFTWARDS, f"{lane_id}:{name}", "SLP",
                       2)
-        for name, rect in halves.items())
+        for name, half in halves.items())
 
 
 def new_dslp(lane_id: str, shape: tuple[LaneInfo, ...],

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .containers import PackResult, container_rect, square_layout
+from .containers import PackResult, layout
 
 # Fill colors indexed by circle class (class 0 first); deep classes cycle.
 _PALETTE = (
@@ -32,7 +32,8 @@ def render_svg(result: PackResult, scale: float = 600.0) -> str:
 
     y is flipped so the container's mathematical y-axis points up.
     """
-    box = container_rect(result)
+    _, _, box, large, medium = layout(result.container, result.mode,
+                                      result.b)
     width = box.width * scale
     height = box.height * scale
 
@@ -51,18 +52,22 @@ def render_svg(result: PackResult, scale: float = 600.0) -> str:
         f'fill="white" stroke="black" stroke-width="2"/>',
     ]
     # Top-level lanes, holding circles or not; sub-lanes would clutter.
-    layout = ({"L1": (box, None)} if result.container == "rect"
-              else square_layout(result.w))
-    for label, (rect, _) in layout.items():
+    frames = [(name, host) for name, (host, _, _) in medium]
+    if large is not None:
+        frames.insert(0, (large.lane_id, large))
+    for label, frame in frames:
+        # The lane's corners at (u, v) = (0, 0) and (length, width).
+        far = frame.to_container(frame.length, frame.width)
+        (x0, x1), (y0, y1) = map(sorted, zip(frame.origin, far))
         lines.append(
-            f'<rect x="{sx(rect.x0)}" y="{sy(rect.y1)}" '
-            f'width="{_fmt(rect.width * scale)}" '
-            f'height="{_fmt(rect.height * scale)}" '
+            f'<rect x="{sx(x0)}" y="{sy(y1)}" '
+            f'width="{_fmt((x1 - x0) * scale)}" '
+            f'height="{_fmt((y1 - y0) * scale)}" '
             f'fill="none" stroke="#999999" stroke-width="1" '
             f'stroke-dasharray="4 3"/>')
         lines.append(
-            f'<text x="{sx(rect.x0 + 0.01 * box.width)}" '
-            f'y="{sy(rect.y1 - 0.03 * box.height)}" '
+            f'<text x="{sx(x0 + 0.01 * box.width)}" '
+            f'y="{sy(y1 - 0.03 * box.height)}" '
             f'font-size="{_fmt(0.025 * scale)}" fill="#999999">{label}</text>')
     for c in sorted(result.placements, key=lambda c: c.seq):
         lines.append(

@@ -197,6 +197,39 @@ def test_criterion_5_worstcase_witnesses():
     print("CRITERION 5: PASS (0.5 fits every aspect, 0.5 + 1e-6 rejected)")
 
 
+# Repeated patterns that a random hill climb over radii found to reject
+# closest to the square's guarantees; the circles sit in the medium lanes
+# L1-L4.  (mode, pattern, rejected arrival, area at rejection over the
+# guarantee, the refused circle included.)
+TIGHT_WITNESSES = [
+    ("no_tiny", [0.08657108458804358], 16, 1.064815823081828),
+    ("general", [0.023926464191368232, 0.018029964057122885,
+                 0.018029982087086942, 0.006821627652308508,
+                 0.07212000000000002, 0.006875077714477755],
+     110, 1.062847411166897),
+]
+
+
+@pytest.mark.parametrize("mode, pattern, index, ratio", TIGHT_WITNESSES,
+                         ids=[w[0] for w in TIGHT_WITNESSES])
+def test_tight_witnesses(mode, pattern, index, ratio):
+    """A witness rejects above its guarantee, and the same radii scaled
+    to 0.999 of it pack completely: the guarantee holds at the bound."""
+    radii = [pattern[k % len(pattern)] for k in range(index + 1)]
+    result = pack_square_online(mode, radii)
+    assert (result.status, result.rejected_index) == ("rejected", index)
+    area = result.total_packed_area + math.pi * radii[-1] ** 2
+    assert area / guarantee_square(mode) == ratio > 1
+    assert validate(result).valid
+    scale = math.sqrt(0.999 / ratio)
+    scaled = pack_square_online(mode, [r * scale for r in radii])
+    assert scaled.status == "all_packed"
+    assert len(scaled.placements) == index + 1
+    assert validate(scaled).valid
+    print(f"TIGHT WITNESS {mode}: PASS (rejected at {ratio:.4f} of the "
+          f"guarantee, scaled to 0.999 packs)")
+
+
 def test_criterion_6_bound_goldens():
     """Golden values of the density floor and the container guarantees."""
     assert delta(0.15) == pytest.approx(0.47123, abs=1e-5)

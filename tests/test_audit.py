@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from unittest import mock
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from lanepack import audit
 from lanepack.audit import validate
 from lanepack.bounds import delta, min_slp
-from lanepack.containers import (columns, pack_rect_online,
-                                 pack_square_online, table_for)
+from lanepack.containers import (PackResult, columns, layout,
+                                 pack_rect_online, pack_square_online)
 from lanepack.geometry import Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
 from lanepack.lanes import LaneInfo, LaneState, Packing, place
@@ -107,7 +108,7 @@ class TestValidate:
             result = square_result(seed=1)
         else:
             result = pack_square_online("no_tiny", [0.3, 0.1, 0.05, 0.03])
-        rows = table_for(result.container, result.mode).rows
+        rows = layout(result.container, result.mode, result.b).table.rows
         assert (rows[0].index, rows[-1].index) == {
             "rect": (1, 40), "square": (0, 40), "no_tiny": (0, 2)}[container]
         lane = result.lanes[0]
@@ -140,11 +141,20 @@ class TestValidate:
     @pytest.mark.parametrize("make, changes", [
         (seven_circles, {"mode": "bogus"}),
         (seven_circles, {"container": "bogus"}),
-        (lambda: pack_rect_online(2.0, [0.4, 0.1]), {"mode": "general"})],
-        ids=["square-bogus", "bogus-general", "rect-general"])
+        (lambda: pack_rect_online(2.0, [0.4, 0.1]), {"mode": "general"}),
+        (lambda: pack_rect_online(2.0, [0.4, 0.1]), {"b": 0.5}),
+        (lambda: pack_rect_online(2.0, [0.4, 0.1]), {"b": True}),
+        (lambda: pack_rect_online(2.0, [0.4, 0.1]), {"b": math.inf}),
+        (lambda: pack_rect_online(2.0, [0.4, 0.1]), {"b": None}),
+        (seven_circles, {"b": 2.0})],
+        ids=["square-bogus", "bogus-general", "rect-general", "rect-half",
+             "rect-true", "rect-inf", "rect-none", "square-2"])
     def test_container_and_mode_without_a_table(self, make, changes):
+        # The audit takes its table and box from the container, mode and
+        # aspect, so a result no run could make is unreadable.
         result = dataclasses.replace(make(), **changes)
-        with pytest.raises(ValueError, match="no class table"):
+        with pytest.raises(ValueError, match="no layout for container|"
+                                             "aspect b must be"):
             validate(result)
 
     def test_lane_class_in_the_table_keeps_its_radius_range(self):
@@ -210,6 +220,20 @@ class TestValidate:
         assert result.status == "rejected"
         assert result.rejected_index == len(result.placements) == 2
         assert validate(result).valid
+
+    def test_detects_rejection_within_the_guarantee(self):
+        # Every sequence of area at most the guarantee packs, so a run
+        # that claims to have refused a second 0.1 circle broke it.
+        result = dataclasses.replace(
+            pack_square_online("general", [0.1]), status="rejected",
+            rejected_index=1, rejected_radius=0.1)
+        report = validate(result)
+        assert [v.kind for v in report.violations] == ["guarantee"]
+        # The file's own "guarantee" does not set the bound.
+        d = result.to_json_dict()
+        d["guarantee"] = 0
+        back = PackResult.from_json_dict(json.loads(json.dumps(d)))
+        assert validate(back).to_json_dict() == report.to_json_dict()
 
     def test_detects_radius_outside_lane_class(self):
         def mutate(result):

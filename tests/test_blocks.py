@@ -19,7 +19,8 @@ def make_ledger(length=8.0):
     """A DSLP lane whose host is lane "H", so its sub-lanes are H:v..."""
     host = LaneInfo.from_rect(Rect(0, 0, length, 1), Orientation.RIGHTWARDS,
                               "H", "SLP", 1)
-    small = _dslp_shape("H", 0, 0, length, 1, Orientation.RIGHTWARDS)[1:]
+    small = _dslp_shape("H", Rect(0, 0, length, 1),
+                        Orientation.RIGHTWARDS)[1:]
     return new_dslp("H", (host,) + small, TABLE), Packing()
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lanepack.classification import (MAX_CLASSES, Q_SCHEDULE, Q_TAIL,
                                      ClassTable, TooLarge, TooSmall,
                                      build_class_table, classify, table_csv)
-from lanepack.containers import table_for
+from lanepack.containers import layout
 
 # Printed approximations of the schedule constants (relative bound, and the
 # resulting lane width at base width 1).
@@ -115,9 +115,9 @@ class TestClassify:
         # above w/2 is large, anything at or below is class >= 1.
         assert classify(w / 2 + 1e-9, t) == 0
 
-    @given(st.sampled_from([table_for("rect", None),
-                            table_for("square", "general"),
-                            table_for("square", "no_tiny")]),
+    @given(st.sampled_from([layout("rect", None, 2.0).table,
+                            layout("square", "general", None).table,
+                            layout("square", "no_tiny", None).table]),
            st.floats(1e-15, 0.5))
     def test_partition_is_total_and_consistent(self, t, r):
         for prev, row in zip(t.rows, t.rows[1:]):

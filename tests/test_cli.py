@@ -394,14 +394,15 @@ class TestBatch:
         res = invoke(runner, ["batch", "--container", "square", "--b", "0.5",
                               "--seeds", "0:1"])
         assert res.exit_code == 1
-        assert "--b only applies to the rect container" in res.output
+        assert ("no layout for container 'square' in mode 'general' with "
+                "aspect 0.5") in res.output
 
     @pytest.mark.parametrize("aspect", ["nan", "inf"])
     def test_rect_refuses_non_finite_aspect(self, runner, aspect):
         res = invoke(runner, ["batch", "--container", "rect", "--b", aspect,
                               "--seeds", "0:1"])
         assert res.exit_code == 1
-        assert "requires a finite --b >= 1" in res.output
+        assert "aspect b must be a finite number >= 1" in res.output
 
     def test_bad_seed_range(self, runner):
         res = invoke(runner, ["batch", "--container", "square",

@@ -6,58 +6,77 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lanepack import containers, dslp
+from lanepack import containers
 from lanepack.audit import validate
 from lanepack.bounds import guarantee_rect, guarantee_square
 from lanepack.containers import (NO_TINY_MIN_RADIUS, NO_TINY_Q2,
                                  SQUARE_WIDTH_GENERAL, SQUARE_WIDTH_NO_TINY,
-                                 PackResult, RectRun, SquareRun,
-                                 container_rect, pack_rect_online,
-                                 pack_square_online, square_layout, table_for)
+                                 PackResult, RectRun, SquareRun, layout,
+                                 pack_rect_online, pack_square_online)
 from lanepack.genseq import GenSpec, generate
-from lanepack.geometry import EPS, Orientation, PlacedCircle
+from lanepack.geometry import EPS, PlacedCircle
+
+
+MODE_OF_WIDTH = {SQUARE_WIDTH_GENERAL: "general",
+                 SQUARE_WIDTH_NO_TINY: "no_tiny"}
+
+
+def square_lanes(w):
+    """The square layout of medium lane width w, as a dict of lane name
+    -> (x0, y0, x1, y1), the corners of its lane frame."""
+    shape = layout("square", MODE_OF_WIDTH[w], None)
+    assert shape.table.base_width == w
+    frames = {"L0": shape.large}
+    frames.update((name, host) for name, (host, _, _) in shape.medium)
+    corners = {}
+    for name, frame in frames.items():
+        far = frame.to_container(frame.length, frame.width)
+        (x0, x1), (y0, y1) = map(sorted, zip(frame.origin, far))
+        corners[name] = (x0, y0, x1, y1)
+    return corners
 
 
 class TestSquareLayout:
     @pytest.mark.parametrize("w", [SQUARE_WIDTH_GENERAL, SQUARE_WIDTH_NO_TINY])
     def test_lanes_cover_unit_square(self, w):
-        layout = square_layout(w)
         n = 800
         xs, ys = np.meshgrid(np.linspace(0, 1, n), np.linspace(0, 1, n))
         covered = np.zeros_like(xs, dtype=bool)
-        for rect, _ in layout.values():
-            covered |= ((xs >= rect.x0) & (xs <= rect.x1)
-                        & (ys >= rect.y0) & (ys <= rect.y1))
+        for x0, y0, x1, y1 in square_lanes(w).values():
+            covered |= (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
         assert covered.all()
 
     @pytest.mark.parametrize("w", [SQUARE_WIDTH_GENERAL, SQUARE_WIDTH_NO_TINY])
     def test_medium_lanes_have_width_w(self, w):
-        layout = square_layout(w)
+        lanes = square_lanes(w)
         for name in ("L1", "L2", "L3", "L4"):
-            rect, _ = layout[name]
-            assert min(rect.width, rect.height) == pytest.approx(w)
+            x0, y0, x1, y1 = lanes[name]
+            assert min(x1 - x0, y1 - y0) == pytest.approx(w)
 
     def test_large_lane_is_bottom_slab(self):
         w = SQUARE_WIDTH_GENERAL
-        rect, _ = square_layout(w)["L0"]
-        assert (rect.x0, rect.y0, rect.x1) == (0.0, 0.0, 1.0)
-        assert rect.y1 == pytest.approx(1 - w)
+        x0, y0, x1, y1 = square_lanes(w)["L0"]
+        assert (x0, y0, x1) == (0.0, 0.0, 1.0)
+        assert y1 == pytest.approx(1 - w)
 
-    def test_invalid_width(self):
-        for w in (0.0, 0.5, 0.7):
-            with pytest.raises(ValueError):
-                square_layout(w)
+    def test_invalid_arguments(self):
+        # The layout has no width argument: the mode picks the width.
+        for args in [("square", "general", 2.0), ("square", "no_tiny", 1),
+                     ("square", "bogus", None), ("square", None, None),
+                     ("rect", "general", 2.0), ("bogus", None, 2.0)]:
+            with pytest.raises(ValueError, match="no layout for container"):
+                layout(*args)
 
 
 class TestTables:
     def test_rect_table_base_width_one(self):
-        t = table_for("rect", None)
+        t = layout("rect", None, 2.0).table
         assert t.base_width == 1.0
         assert t.rows[0].index == 1  # no large class
 
     def test_square_general_table(self):
         w = SQUARE_WIDTH_GENERAL
-        t = table_for("square", "general")
+        t = layout("square", "general", None).table
         assert t.base_width == w
         assert len(t.rows) == 41
         large = t.row(0)
@@ -67,7 +86,7 @@ class TestTables:
         assert large.upper_bound == (1.0 - w) / 2.0
 
     def test_square_no_tiny_table(self):
-        t = table_for("square", "no_tiny")
+        t = layout("square", "no_tiny", None).table
         assert t.base_width == SQUARE_WIDTH_NO_TINY
         assert [row.index for row in t.rows] == [0, 1, 2]
         assert t.row(2).q == NO_TINY_Q2
@@ -185,16 +204,18 @@ class TestSharedShapes:
 
         assert len(make().pack(radii(1)).placements) > 5
         second = make().pack(radii(2)).to_json_dict()
-        dslp._dslp_shape.cache_clear()
-        containers._square_shape.cache_clear()
+        containers.layout.cache_clear()
         assert make().pack(radii(2)).to_json_dict() == second
 
     def test_equal_shapes_of_other_types_keep_their_own_frames(self):
-        # The shape (0, 0, 3, 1) equals (0.0, 0.0, 3.0, 1.0), but lane
-        # descriptions built from it hold ints, which serialize differently.
-        host = dslp._dslp_shape("L1", 0, 0, 3, 1, Orientation.RIGHTWARDS)[0]
-        assert [type(x) for x in host.origin] == [int, int]
-        result = pack_rect_online(3.0, [0.3])
+        # True == 1 and 3 == 3.0, but the layout cache tells the types
+        # apart: True stays refused, and an int aspect keeps its int box.
+        assert layout("rect", None, 1).box.x1 == 1
+        with pytest.raises(ValueError, match="aspect b must be"):
+            layout("rect", None, True)
+        assert type(layout("rect", None, 3).box.x1) is int
+        assert type(layout("rect", None, 3.0).box.x1) is float
+        result = pack_rect_online(3, [0.3])
         assert [type(x) for x in result.lanes[0].origin] == [float, float]
 
     def test_frames_shared_lanes_not(self):
@@ -260,14 +281,14 @@ class TestRunInput:
             pack_rect_online(2.0, ["0.1"])
 
     def test_no_tiny_accepts_radius_just_above_class_bound(self):
-        table = table_for("square", "no_tiny")
+        table = layout("square", "no_tiny", None).table
         assert table.min_radius < 0.0266226 < NO_TINY_MIN_RADIUS
         result = pack_square_online("no_tiny", [0.0266226])
         assert result.status == "all_packed"
         assert result.placements[0].class_index == 2
 
     def test_no_tiny_class_bound_is_exclusive(self):
-        table = table_for("square", "no_tiny")
+        table = layout("square", "no_tiny", None).table
         with pytest.raises(ValueError, match="input 0"):
             pack_square_online("no_tiny", [table.min_radius])
 
@@ -285,8 +306,9 @@ class TestRunInput:
         assert run.pack([0.05]).placements[0].seq == 0
 
     def test_table_is_cached(self):
-        assert table_for("rect", None) is RectRun(2.0).table
-        assert table_for("square", "general") is SquareRun("general").table
+        assert layout("rect", None, 2.0).table is RectRun(2.0).table
+        assert (layout("square", "general", None).table
+                is SquareRun("general").table)
 
 
 class TestRunArguments:
@@ -432,9 +454,9 @@ class TestSerialization:
 
     def test_container_rect(self):
         r = pack_rect_online(2.5, [0.1])
-        assert container_rect(r).x1 == 2.5
+        assert layout(r.container, r.mode, r.b).box.x1 == 2.5
         s = pack_square_online("general", [0.1])
-        rect = container_rect(s)
+        rect = layout(s.container, s.mode, s.b).box
         assert (rect.x1, rect.y1) == (1.0, 1.0)
 
     def test_total_packed_area(self):

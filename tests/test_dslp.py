@@ -4,7 +4,7 @@ import pytest
 
 from lanepack.classification import build_class_table
 from lanepack.dslp import _dslp_shape, dslp_metrics, dslp_pack, new_dslp
-from lanepack.geometry import Orientation
+from lanepack.geometry import Orientation, Rect
 from lanepack.lanes import Packing
 from oracles import (CommitLog, bounding_rect, circles_overlap, metrics,
                      occupied_area, vlane_extents)
@@ -16,7 +16,7 @@ R_TINY = 0.07  # class 3
 
 
 def make(b=4.0):
-    return new_dslp("L1", _dslp_shape("L1", 0, 0, b, 1,
+    return new_dslp("L1", _dslp_shape("L1", Rect(0, 0, b, 1),
                                       Orientation.RIGHTWARDS),
                     TABLE), Packing()
 

@@ -1,6 +1,8 @@
+import json
 import xml.etree.ElementTree as ET
 
-from lanepack.containers import pack_rect_online, pack_square_online
+from lanepack.containers import (PackResult, pack_rect_online,
+                                 pack_square_online)
 from lanepack.genseq import GenSpec, generate
 from lanepack.svg import render_svg
 
@@ -29,6 +31,14 @@ class TestRenderSvg:
         root = ET.fromstring(render_svg(result))
         texts = [t.text for t in root.findall(f"{SVG_NS}text")]
         assert set(texts) == {"L0", "L1", "L2", "L3", "L4"}
+
+    def test_recorded_w_does_not_move_the_lanes(self):
+        # The lanes come from the container and mode: "w" is written to
+        # the result file but not read back into the drawing.
+        d = json.loads(json.dumps(square_result().to_json_dict()))
+        svg = render_svg(PackResult.from_json_dict(d))
+        for w in (0.3, 0.6):
+            assert render_svg(PackResult.from_json_dict({**d, "w": w})) == svg
 
     def test_deterministic(self):
         result = square_result()
