@@ -18,7 +18,7 @@ from typing import Optional
 
 from .classification import ClassTable
 from .geometry import EPS
-from .lanes import LaneInfo, LaneState, Packing, PlacedCircle, place
+from .lanes import LaneInfo, LaneState, Packing, place
 
 FREE = "free"
 CLOSED = "closed"
@@ -169,24 +169,27 @@ def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
 
 
 def _place_in(ledger: BlockLedger, lane: LaneState, r: float, seq: int,
-              packing: Packing) -> Optional[PlacedCircle]:
+              packing: Packing) -> Optional[tuple[float, float]]:
     """Place into a vertical lane and widen the ledger's extent by the
-    circle, with Frame.to_local's floats; close the lane if it is full."""
-    circle = place(lane, r, seq, packing)
-    if circle is None:
+    circle, with Frame.to_local's floats; close the lane if it is full.
+    The circle's container point, or None."""
+    point = place(lane, r, seq, packing)
+    if point is None:
         lane.closed = True
         return None
     (ox, oy), (eux, euy) = ledger.host.frame.origin, ledger.host.frame.eu
-    u = (circle.x - ox) * eux + (circle.y - oy) * euy
+    u = (point[0] - ox) * eux + (point[1] - oy) * euy
     ledger.lo, ledger.hi = min(ledger.lo, u - r), max(ledger.hi, u + r)
-    return circle
+    return point
 
 
 def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
-                     seq: int, packing: Packing) -> Optional[PlacedCircle]:
+                     seq: int,
+                     packing: Packing) -> Optional[tuple[float, float]]:
     """Pack a class >= 3 circle via the five-step routine.
 
-    Returns the placed circle, or None after closing the host lane.
+    Returns the circle's container point, or None after closing the host
+    lane.
     """
     if class_index < 3:
         raise ValueError(f"five-step routine only handles classes >= 3, "
@@ -197,9 +200,9 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     # Step 1: try the open vertical lane of this class, closing it on failure.
     lane = ledger.open_vlane.get(class_index)
     if lane is not None and not lane.closed:
-        circle = _place_in(ledger, lane, r, seq, packing)
-        if circle is not None:
-            return circle
+        point = _place_in(ledger, lane, r, seq, packing)
+        if point is not None:
+            return point
 
     # Steps 2 and 3, one pass in owner order: close the exhausted sparse
     # blocks eligible for this class, and open a new vertical lane inside
@@ -218,9 +221,9 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
         if target.state == FREE:
             target.state = reservation_for(class_index)
         # A fresh lane fails only when circles of other lanes obstruct it.
-        circle = _place_in(ledger, lane, r, seq, packing)
-        if circle is not None:
-            return circle
+        point = _place_in(ledger, lane, r, seq, packing)
+        if point is not None:
+            return point
 
     # Step 4: place a vertical lane in the free area at the frontier.
     pos = _leftmost_strip(ledger.frontier(), host.frame.length, width,
@@ -228,9 +231,9 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     if pos is not None:
         lane = _create_vlane(ledger, class_index, pos, False,
                              ledger.free_vlanes)
-        circle = _place_in(ledger, lane, r, seq, packing)
-        if circle is not None:
-            return circle
+        point = _place_in(ledger, lane, r, seq, packing)
+        if point is not None:
+            return point
 
     # Step 5: the lane is exhausted for this class; close it for good.
     host.closed = True

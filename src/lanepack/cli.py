@@ -48,12 +48,16 @@ def _read_radii(stream) -> list:
 
 
 def _new_run(container: str, aspect: Optional[float],
-             mode: str) -> _OnlineRun:
-    """An empty run of the chosen container; --mode applies to the square
-    alone, and a --b the container's layout refuses exits 1."""
+             mode: Optional[str]) -> _OnlineRun:
+    """An empty run of the chosen container.  The square packs in mode
+    general unless --mode names another; a --mode or --b that the
+    container's layout refuses exits 1."""
+    if mode is not None:
+        mode = mode.replace("-", "_")
+    elif container == "square":
+        mode = "general"
     try:
-        return _OnlineRun(container, mode if container == "square" else None,
-                          aspect)
+        return _OnlineRun(container, mode, aspect)
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
@@ -102,8 +106,9 @@ def main():
 @click.option("--b", "aspect", type=float, default=None,
               help="Rectangle aspect (rect container only, b >= 1).")
 @click.option("--mode", type=click.Choice(["general", "no-tiny"]),
-              default="general", show_default=True,
-              help="Square packing mode.")
+              default=None,
+              help="Square packing mode (default general); the rectangle "
+                   "takes none.")
 @click.option("--input", "input_path", type=click.Path(exists=True,
               dir_okay=False), default=None,
               help="Radii, one per line or a JSON array; default stdin.")
@@ -113,7 +118,7 @@ def main():
               default=None, help="Write an SVG rendering here.")
 def pack_cmd(container, aspect, mode, input_path, json_path, svg_path):
     """Pack a radius sequence online; exit 0 if all packed, 2 on rejection."""
-    run = _new_run(container, aspect, mode.replace("-", "_"))
+    run = _new_run(container, aspect, mode)
     if input_path is not None:
         with open(input_path) as f:
             radii = _read_radii(f)
@@ -208,7 +213,9 @@ def gen_cmd(kind, seed, threshold, rmin, rmax, count):
               required=True)
 @click.option("--b", "aspect", type=float, default=None)
 @click.option("--mode", type=click.Choice(["general", "no-tiny"]),
-              default="general", show_default=True)
+              default=None,
+              help="Square packing mode (default general); the rectangle "
+                   "takes none.")
 @click.option("--kind", type=click.Choice(KINDS),
               default="greedy_adversary", show_default=True)
 @click.option("--seeds", default="0:10", show_default=True,
@@ -219,12 +226,11 @@ def gen_cmd(kind, seed, threshold, rmin, rmax, count):
 @click.option("--rmax", type=float, default=0.5, show_default=True)
 def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
     """Run many seeded generator sequences; one summary JSON line per run."""
-    mode = mode.replace("-", "_")
     try:
         start, stop = (int(s) for s in seeds.split(":"))
     except ValueError:
         raise click.ClickException(f"bad --seeds range {seeds!r}")
-    run = _new_run(container, aspect, mode)  # a bad --b exits 1 here
+    run = _new_run(container, aspect, mode)  # a bad --b or --mode exits 1
     if threshold is None:
         threshold = run.guarantee
     failures = 0

@@ -38,7 +38,7 @@ class PackResult:
     w: float  # medium lane width (1.0 for the rectangle)
     b: Optional[float]  # rectangle aspect, None for the square
     guarantee: float
-    placements: Sequence[PlacedCircle]  # a list, or Placements from JSON
+    placements: Sequence[PlacedCircle]  # Placements, or any such sequence
     lanes: list[LaneInfo]  # the lanes that hold circles, in lane order
     rejected_index: Optional[int] = None
     rejected_radius: Optional[float] = None
@@ -106,8 +106,9 @@ class PackResult:
 
 
 class Placements(Sequence):
-    """Placements read from JSON, kept as their six columns, read-only.  It
-    builds a PlacedCircle only when asked for one; a slice is a list."""
+    """A result's placements, from a run or from JSON, kept as their six
+    columns, read-only.  It builds a PlacedCircle only when asked for one;
+    a slice is a list."""
 
     __slots__ = ("_columns",)
 
@@ -126,6 +127,8 @@ class Placements(Sequence):
         return map(PlacedCircle, *self._columns)
 
     def __eq__(self, other) -> bool:
+        if type(other) is Placements:
+            return self._columns == other._columns
         if not isinstance(other, Sequence):
             return NotImplemented
         return list(self) == list(other)
@@ -314,7 +317,7 @@ class _OnlineRun:
                     else STATUS_REJECTED),
             container=self.container, mode=self.mode,
             w=self.table.base_width, b=self.b, guarantee=self.guarantee,
-            placements=list(self.packing.circles), lanes=lanes,
+            placements=Placements(*self.packing.columns), lanes=lanes,
             rejected_index=self.rejected_index,
             rejected_radius=self.rejected_radius, per_lane=per_lane)
 

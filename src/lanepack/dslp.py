@@ -13,7 +13,7 @@ from typing import Optional
 
 from .blocks import BlockLedger, on_medium_packed, pack_small_class
 from .classification import ClassTable
-from .geometry import Orientation, PlacedCircle, Rect
+from .geometry import Orientation, Rect
 from .lanes import (LaneInfo, LaneState, Packing, commit, find_position,
                     packing_length)
 
@@ -50,8 +50,9 @@ def _length_after(lane: LaneState, u: float, r: float) -> float:
 
 
 def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
-              packing: Packing) -> Optional[PlacedCircle]:
-    """Pack one circle; None means this lane could not take it.
+              packing: Packing) -> Optional[tuple[float, float]]:
+    """Pack one circle; its container point, or None when this lane could
+    not take it.
 
     A class >= 3 failure closes the host lane (five-step routine, last
     step); medium and small failures leave the lane open.
@@ -63,10 +64,10 @@ def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
         if pos is None:
             return None
         u, v = pos
-        circle = commit(d.host, u, v, r, seq, packing)
+        point = commit(d.host, u, v, r, seq, packing)
         half_side = "bottom" if v <= d.host.frame.width / 2.0 else "top"
         on_medium_packed(d, u, r, half_side)
-        return circle
+        return point
     if class_index >= 3:
         return pack_small_class(d, r, class_index, seq, packing)
     # Class 2: tentatively place into both small lanes, keep the shorter one.

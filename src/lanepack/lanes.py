@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .geometry import EPS, Frame, PlacedCircle, sweep
+from .geometry import EPS, Frame, sweep
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,11 +34,13 @@ _SCAN_MAX = 44
 
 
 class Packing:
-    """Container-wide registry of committed circles, with a spatial index.
+    """Container-wide table of committed circles, with a spatial index.
 
-    The index is a multi-level uniform grid, built once the packing holds
-    _SCAN_MAX circles.  A circle of radius r is filed once, in the cell
-    holding its center, at the level whose cell side h = 2**e is the
+    The circles are kept as six columns in commit order: x, y, r, seq,
+    lane_id and class_index.  The index holds each circle's (x, y, r): a
+    list scanned whole until the packing holds _SCAN_MAX circles, then a
+    multi-level uniform grid.  A circle of radius r is filed once, in the
+    cell holding its center, at the level whose cell side h = 2**e is the
     smallest power of four above 2r (e even), so a circle never reaches
     past the cells next to its own.  Levels a factor 4 apart keep the
     number of levels a query visits small when radii span orders of
@@ -46,38 +48,57 @@ class Packing:
     """
 
     def __init__(self):
-        self.circles: list[PlacedCircle] = []
-        # None while the packing is scanned; then
+        self.x, self.y, self.r = [], [], []
+        self.seq, self.lane_id, self.class_index = [], [], []
+        # The scan list, None once the grid files the circles; then
         # e -> (cell side, (i, j) -> circles filed in that cell).
+        self._scan: Optional[list[tuple[float, float, float]]] = []
         self._levels: Optional[dict[int, tuple[float, dict]]] = None
 
-    def add(self, c: PlacedCircle) -> None:
-        self.circles.append(c)
-        if self._levels is not None:
-            self._file(c)
-        elif len(self.circles) >= _SCAN_MAX:
-            self._levels = {}
-            for filed in self.circles:
-                self._file(filed)
+    @property
+    def columns(self) -> tuple[list, ...]:
+        """The (x, y, r, seq, lane_id, class_index) columns, live."""
+        return (self.x, self.y, self.r, self.seq, self.lane_id,
+                self.class_index)
 
-    def _file(self, c: PlacedCircle) -> None:
-        e = math.frexp(2.0 * c.r)[1]
+    def add(self, x: float, y: float, r: float, seq: int, lane_id: str,
+            class_index: int) -> None:
+        self.x.append(x)
+        self.y.append(y)
+        self.r.append(r)
+        self.seq.append(seq)
+        self.lane_id.append(lane_id)
+        self.class_index.append(class_index)
+        disk = (x, y, r)
+        if self._scan is None:
+            self._file(disk)
+            return
+        self._scan.append(disk)
+        if len(self._scan) >= _SCAN_MAX:
+            self._levels = {}
+            for filed in self._scan:
+                self._file(filed)
+            self._scan = None
+
+    def _file(self, disk: tuple[float, float, float]) -> None:
+        x, y, r = disk
+        e = math.frexp(2.0 * r)[1]
         e += e & 1
         level = self._levels.get(e)
         if level is None:
             level = self._levels[e] = (math.ldexp(1.0, e), {})
         h, cells = level
-        key = (math.floor(c.x / h), math.floor(c.y / h))
+        key = (math.floor(x / h), math.floor(y / h))
         cell = cells.get(key)
         if cell is None:
-            cells[key] = [c]
+            cells[key] = [disk]
         else:
-            cell.append(c)
+            cell.append(disk)
 
     def near(self, x0: float, y0: float, x1: float,
-             y1: float) -> list[PlacedCircle]:
-        """The circles whose bounding box meets the rectangle
-        [x0, x1] x [y0, y1], in no particular order.
+             y1: float) -> list[tuple[float, float, float]]:
+        """The (x, y, r) of the circles whose bounding box meets the
+        rectangle [x0, x1] x [y0, y1], in no particular order.
 
         A circle of radius r < h/2 filed in cell i has its center in
         [i*h, (i+1)*h), so its box meets [x0, x1] only if
@@ -87,9 +108,8 @@ class Packing:
         box test rounds only towards inclusion, so the result is a
         superset of the exact answer.
         """
-        if self._levels is None:
-            out = self.circles
-        else:
+        out = self._scan
+        if out is None:
             out = []
             floor = math.floor
             for h, cells in self._levels.values():
@@ -106,20 +126,17 @@ class Packing:
                         cell = cells.get((i, j))
                         if cell is not None:
                             out.extend(cell)
-        return [c for c in out if c.x - c.r <= x1 and c.x + c.r >= x0
-                and c.y - c.r <= y1 and c.y + c.r >= y0]
+        return [c for c in out if c[0] - c[2] <= x1 and c[0] + c[2] >= x0
+                and c[1] - c[2] <= y1 and c[1] + c[2] >= y0]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The x, y and r columns of the committed circles."""
+        """The x, y and r columns as numpy arrays."""
         import numpy as np
 
-        circles = self.circles
-        return (np.array([c.x for c in circles]),
-                np.array([c.y for c in circles]),
-                np.array([c.r for c in circles]))
+        return np.array(self.x), np.array(self.y), np.array(self.r)
 
     def __len__(self) -> int:
-        return len(self.circles)
+        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -192,13 +209,13 @@ def find_position(lane: LaneState, r: float, packing: Packing,
         xa, ya = ox + ua * eux + va * evx, oy + ua * euy + va * evy
         xb, yb = ox + ub * eux + vb * evx, oy + ub * euy + vb * evy
         intervals = []
-        for c in packing.near(min(xa, xb), min(ya, yb),
-                              max(xa, xb), max(ya, yb)):
-            dx = c.x - ox
-            dy = c.y - oy
+        for cx, cy, cr in packing.near(min(xa, xb), min(ya, yb),
+                                       max(xa, xb), max(ya, yb)):
+            dx = cx - ox
+            dy = cy - oy
             cu = dx * eux + dy * euy
             dv = dx * evx + dy * evy - v
-            rsum = c.r + r - half
+            rsum = cr + r - half
             if abs(dv) < rsum and cu + rsum > lo:
                 d = math.sqrt(rsum * rsum - dv * dv)
                 intervals.append((cu - d, cu + d))
@@ -211,22 +228,23 @@ def find_position(lane: LaneState, r: float, packing: Packing,
 
 
 def commit(lane: LaneState, u: float, v: float, r: float, seq: int,
-           packing: Packing) -> PlacedCircle:
-    """Commit a circle at (u, v), in the lane's class."""
+           packing: Packing) -> tuple[float, float]:
+    """Commit a circle at (u, v), in the lane's class; its container
+    point (x, y)."""
     frame = lane.frame
     x, y = frame.to_container(u, v)
-    circle = PlacedCircle(x, y, r, seq, frame.lane_id, frame.class_index)
     lane.last = (u, r)
     lane.n += 1
     lane.lo = min(lane.lo, u - r)
     lane.hi = max(lane.hi, u + r)
-    packing.add(circle)
-    return circle
+    packing.add(x, y, r, seq, frame.lane_id, frame.class_index)
+    return x, y
 
 
 def place(lane: LaneState, r: float, seq: int,
-          packing: Packing) -> Optional[PlacedCircle]:
-    """Commit the lane's next circle at its candidate position, if any."""
+          packing: Packing) -> Optional[tuple[float, float]]:
+    """Commit the lane's next circle at its candidate position, if any;
+    its container point (x, y)."""
     pos = find_position(lane, r, packing)
     if pos is None:
         return None

@@ -51,6 +51,21 @@ def bounding_rect(frame) -> Rect:
     return Rect(min(xs), min(ys), max(xs), max(ys))
 
 
+def packed(packing) -> list[PlacedCircle]:
+    """A packing's committed circles, one per row of its columns."""
+    return list(map(PlacedCircle, *packing.columns))
+
+
+def committed(packing, point) -> Optional[PlacedCircle]:
+    """The circle that a call returning `point` committed last: None for
+    None, else the packing's last row, which must sit at point."""
+    if point is None:
+        return None
+    circle = PlacedCircle(*(column[-1] for column in packing.columns))
+    assert (circle.x, circle.y) == point
+    return circle
+
+
 class LanePlacement(NamedTuple):
     """A circle in lane-canonical coordinates, as lanes.commit took it."""
 
@@ -82,10 +97,10 @@ class CommitLog:
         commit = lanes.commit
 
         def recorded(lane, u, v, r, seq, packing):
-            circle = commit(lane, u, v, r, seq, packing)
+            point = commit(lane, u, v, r, seq, packing)
             entry = self._lanes.setdefault(id(lane), (lane, []))
             entry[1].append(LanePlacement(u, v, r, seq))
-            return circle
+            return point
 
         bound = [m for m in (lanes, dslp) if m.commit is commit]
         for module in bound:

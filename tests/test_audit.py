@@ -50,6 +50,7 @@ class TestValidate:
     def _tampered(self, mutate):
         result = square_result(seed=1)
         assert len(result.placements) >= 2
+        result.placements = list(result.placements)  # an editable copy
         mutate(result)
         return validate(result)
 
@@ -132,6 +133,7 @@ class TestValidate:
         result = pack_square_online("general", [0.1, 0.05])
         c = result.placements[0]
         assert c.class_index == 1
+        result.placements = list(result.placements)  # an editable copy
         result.placements[0] = dataclasses.replace(c, r=0.148)
         report = validate(result)
         assert "class_mismatch" in {v.kind for v in report.violations}
@@ -513,7 +515,7 @@ class TestPairwiseOverlaps:
     def test_packed_stream_matches_dense_oracle(self):
         radii = [0.002 + 0.002 * ((k * 7919) % 1000) / 1000
                  for k in range(1500)]
-        placements = pack_square_online("general", radii).placements
+        placements = list(pack_square_online("general", radii).placements)
         shifted = placements + [disk(c.x + 1e-3, c.y, c.r, len(radii) + k)
                                 for k, c in enumerate(placements[::50])]
         found = audit._pairwise_overlaps(*xyr(shifted), 1e-9)

@@ -7,7 +7,7 @@ from lanepack.classification import build_class_table
 from lanepack.dslp import _dslp_shape, new_dslp
 from lanepack.geometry import Orientation, Rect
 from lanepack.lanes import LaneInfo, Packing, commit, find_position
-from oracles import LanePlacement, frontier
+from oracles import LanePlacement, committed, frontier, packed
 
 TABLE = build_class_table(1.0)
 W3 = TABLE.row(3).width  # width of a class-3 vertical sub-lane
@@ -135,7 +135,7 @@ class TestFiveStepRoutine:
     def test_opens_vlane_and_reserves_block(self):
         ledger, packing = make_ledger()
         pack_medium(ledger, packing, 0.5, 0)
-        c = pack_small_class(ledger, R3, 3, 1, packing)
+        c = committed(packing, pack_small_class(ledger, R3, 3, 1, packing))
         assert c is not None
         assert c.lane_id == "H:v3#0"
         block = ledger.sparse[0]
@@ -149,8 +149,8 @@ class TestFiveStepRoutine:
     def test_reuses_open_vlane(self):
         ledger, packing = make_ledger()
         pack_medium(ledger, packing, 0.5, 0)
-        a = pack_small_class(ledger, R3, 3, 1, packing)
-        b = pack_small_class(ledger, R3, 3, 2, packing)
+        a = committed(packing, pack_small_class(ledger, R3, 3, 1, packing))
+        b = committed(packing, pack_small_class(ledger, R3, 3, 2, packing))
         assert a.lane_id == b.lane_id
         assert len(ledger.vlanes) == 1
 
@@ -158,7 +158,7 @@ class TestFiveStepRoutine:
         ledger, packing = make_ledger()
         pack_medium(ledger, packing, 0.5, 0)
         pack_small_class(ledger, R3, 3, 1, packing)
-        c = pack_small_class(ledger, R4, 4, 2, packing)
+        c = committed(packing, pack_small_class(ledger, R4, 4, 2, packing))
         assert c is not None
         # The only sparse block is reserved for class 3, so the class-4
         # lane lands in the free area at the frontier.
@@ -177,7 +177,8 @@ class TestFiveStepRoutine:
         seq = 1
         lanes_seen = set()
         for _ in range(60):
-            c = pack_small_class(ledger, 0.084, 3, seq, packing)
+            c = committed(packing, pack_small_class(ledger, 0.084, 3, seq,
+                                                    packing))
             if c is None:
                 break
             lanes_seen.add(c.lane_id)
@@ -195,7 +196,7 @@ class TestFiveStepRoutine:
         pack_medium(ledger, packing, 0.5, 0)
         # No room for any class-3 strip: the sparse block is capped by the
         # lane end and the frontier sits at the lane end.
-        c = pack_small_class(ledger, R3, 3, 1, packing)
+        c = committed(packing, pack_small_class(ledger, R3, 3, 1, packing))
         assert c is None
         assert ledger.host.closed
         assert ledger.sparse[0].state == CLOSED
@@ -213,7 +214,7 @@ class TestFiveStepRoutine:
         pack_medium(ledger, packing, 0.5, 0)
         for seq in range(1, 12):
             pack_small_class(ledger, R3, 3, seq, packing)
-        circles = packing.circles
+        circles = packed(packing)
         for i in range(len(circles)):
             for j in range(i + 1, len(circles)):
                 assert not circles_overlap(circles[i], circles[j])

@@ -85,6 +85,26 @@ class TestPack:
                               "--mode", "no-tiny"], input="0.001\n")
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("mode", ["general", "no-tiny"])
+    def test_rect_refuses_mode(self, runner, mode):
+        # The rectangle has one layout; a --mode for it is an input error,
+        # not a run that drops the option.
+        res = invoke(runner, ["pack", "--container", "rect", "--b", "2",
+                              "--mode", mode], input="0.001\n")
+        assert res.exit_code == 1
+        assert (f"no layout for container 'rect' in mode "
+                f"{mode.replace('-', '_')!r} with aspect 2.0") in res.output
+        assert "Traceback" not in res.output
+
+    def test_mode_defaults_by_container(self, runner):
+        square = invoke(runner, ["pack", "--container", "square"],
+                        input="0.1\n")
+        rect = invoke(runner, ["pack", "--container", "rect", "--b", "2"],
+                      input="0.1\n")
+        assert square.exit_code == rect.exit_code == 0
+        assert json.loads(square.output)["mode"] == "general"
+        assert json.loads(rect.output)["mode"] is None
+
     def test_output_files(self, runner, tmp_path):
         out_json = tmp_path / "r.json"
         out_svg = tmp_path / "r.svg"
@@ -396,6 +416,14 @@ class TestBatch:
         assert res.exit_code == 1
         assert ("no layout for container 'square' in mode 'general' with "
                 "aspect 0.5") in res.output
+
+    def test_rect_refuses_mode(self, runner):
+        res = invoke(runner, ["batch", "--container", "rect", "--b", "2",
+                              "--mode", "no-tiny", "--seeds", "0:1"])
+        assert res.exit_code == 1
+        assert ("no layout for container 'rect' in mode 'no_tiny' with "
+                "aspect 2.0") in res.output
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("aspect", ["nan", "inf"])
     def test_rect_refuses_non_finite_aspect(self, runner, aspect):

@@ -465,8 +465,22 @@ class TestSerialization:
             math.pi * (0.01 + 0.04))
 
 
+def counting_placed_circles():
+    """A patch of PlacedCircle.__init__ and the list of the circles it
+    saw built while it was active."""
+    built = []
+    init = PlacedCircle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    return mock.patch.object(PlacedCircle, "__init__", counting_init), built
+
+
 class TestPlacementsView:
-    """Placements read from JSON: a read-only view of the six columns."""
+    """A result's placements, from a run or read from JSON: a read-only
+    view of the six columns."""
 
     def _pair(self):
         result = pack_rect_online(2.0, generate(GenSpec(
@@ -488,6 +502,23 @@ class TestPlacementsView:
         edited[0] = dataclasses.replace(edited[0], r=edited[0].r / 2)
         assert edited != view and view != edited
         assert view != edited[:-1] and view != 3
+
+    def test_views_compare_their_columns(self):
+        result, d, back = self._pair()
+        patch, built = counting_placed_circles()
+        with patch:
+            assert result.placements == back.placements
+            assert not result.placements != back.placements
+        assert built == []
+        # A list of circles still compares equal, either way round.
+        assert back.placements == list(result.placements)
+        assert list(result.placements) == back.placements
+        # One float one ulp off reads unequal.
+        d["placements"]["y"][3] = math.nextafter(d["placements"]["y"][3],
+                                                 math.inf)
+        moved = PackResult.from_json_dict(d).placements
+        assert moved != result.placements and result.placements != moved
+        assert not moved == back.placements
 
     def test_indexing_and_slicing(self):
         result, _, back = self._pair()
@@ -529,16 +560,58 @@ class TestPlacementsView:
 
     def test_audit_builds_no_placed_circle(self):
         _, d, _ = self._pair()
-        built = []
-        init = PlacedCircle.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        with mock.patch.object(PlacedCircle, "__init__", counting_init):
+        patch, built = counting_placed_circles()
+        with patch:
             report = validate(PackResult.from_json_dict(d))
             assert report.valid and built == []
             # The patch sees a circle that a caller asks for.
             PackResult.from_json_dict(d).placements[0]
         assert len(built) == 1
+
+
+class TestPackerResultView:
+    """A run's result holds the same read-only view of its columns as a
+    result read from JSON, copied when the result is made."""
+
+    RADII = [0.3, 0.12, 0.07, 0.05, 0.02, 0.01, 0.003]
+
+    def test_packer_result_is_a_view(self):
+        result = pack_square_online("general", self.RADII)
+        assert type(result.placements) is containers.Placements
+        assert [c.seq for c in result.placements] == list(range(7))
+
+    def test_first_result_is_a_snapshot(self):
+        run = SquareRun("general")
+        first = run.pack(self.RADII[:4])
+        before = list(first.placements)
+        text = json.dumps(first.to_json_dict())
+        second = run.pack(self.RADII[4:])
+        assert len(second.placements) == 7
+        assert len(first.placements) == 4
+        assert list(first.placements) == before
+        assert json.dumps(first.to_json_dict()) == text
+        assert second.placements[:4] == before
+
+    def test_read_only(self):
+        result = pack_rect_online(2.0, [0.4, 0.3])
+        with pytest.raises(TypeError):
+            result.placements[0] = result.placements[1]
+
+    def test_edited_copy_is_audited(self):
+        result = pack_square_online("general", self.RADII)
+        copy = list(result.placements)
+        copy[1] = dataclasses.replace(copy[1], x=copy[0].x, y=copy[0].y)
+        report = validate(dataclasses.replace(result, placements=copy))
+        assert [v.indices for v in report.violations
+                if v.kind == "overlap"] == [(0, 1)]
+        assert validate(result).valid
+
+    def test_pack_write_and_audit_build_no_placed_circle(self):
+        patch, built = counting_placed_circles()
+        with patch:
+            result = pack_rect_online(2.0, generate(GenSpec(
+                "greedy_adversary", seed=2, threshold=0.59)))
+            d = result.to_json_dict()
+            assert validate(result).valid
+            assert result.total_packed_area == d["total_packed_area"]
+        assert built == []

@@ -6,8 +6,8 @@ from lanepack.classification import build_class_table
 from lanepack.dslp import _dslp_shape, dslp_metrics, dslp_pack, new_dslp
 from lanepack.geometry import Orientation, Rect
 from lanepack.lanes import Packing
-from oracles import (CommitLog, bounding_rect, circles_overlap, metrics,
-                     occupied_area, vlane_extents)
+from oracles import (CommitLog, bounding_rect, circles_overlap, committed,
+                     metrics, occupied_area, packed, vlane_extents)
 
 TABLE = build_class_table(1.0)
 R_MEDIUM = 0.4  # class 1: 0.25 < r <= 0.5
@@ -61,7 +61,7 @@ class TestConstruction:
         assert strips == d.sparse[0].vlanes + d.free_vlanes
         assert d.top.exclusions == [(4.0 - x1, 4.0 - x0) for x0, x1 in strips]
         # A small circle keeps clear of both strips.
-        c = dslp_pack(d, R_SMALL, 2, 3, p)
+        c = committed(p, dslp_pack(d, R_SMALL, 2, 3, p))
         for x0, x1 in strips:
             assert c.x + c.r <= x0 + 1e-9 or c.x - c.r >= x1 - 1e-9
 
@@ -69,35 +69,35 @@ class TestConstruction:
 class TestRouting:
     def test_medium_goes_to_host(self):
         d, p = make()
-        c = dslp_pack(d, R_MEDIUM, 1, 0, p)
+        c = committed(p, dslp_pack(d, R_MEDIUM, 1, 0, p))
         assert c.lane_id == "L1:host"
         assert len(d.sparse) == 1
 
     def test_small_goes_to_a_small_lane(self):
         d, p = make()
-        c = dslp_pack(d, R_SMALL, 2, 0, p)
+        c = committed(p, dslp_pack(d, R_SMALL, 2, 0, p))
         assert c.lane_id in ("L1:top", "L1:bottom")
 
     def test_first_small_takes_bottom_on_tie(self):
         d, p = make()
-        c = dslp_pack(d, R_SMALL, 2, 0, p)
+        c = committed(p, dslp_pack(d, R_SMALL, 2, 0, p))
         assert c.lane_id == "L1:bottom"
 
     def test_second_small_balances_to_top(self):
         d, p = make()
         dslp_pack(d, R_SMALL, 2, 0, p)
-        c = dslp_pack(d, R_SMALL, 2, 1, p)
+        c = committed(p, dslp_pack(d, R_SMALL, 2, 1, p))
         assert c.lane_id == "L1:top"
 
     def test_small_lanes_fill_from_far_end(self):
         d, p = make(b=4.0)
-        c = dslp_pack(d, R_SMALL, 2, 0, p)
+        c = committed(p, dslp_pack(d, R_SMALL, 2, 0, p))
         assert c.x == pytest.approx(4.0 - R_SMALL, abs=1e-8)
 
     def test_tiny_uses_block_engine(self):
         d, p = make()
         dslp_pack(d, R_MEDIUM, 1, 0, p)
-        c = dslp_pack(d, R_TINY, 3, 1, p)
+        c = committed(p, dslp_pack(d, R_TINY, 3, 1, p))
         assert ":v3#" in c.lane_id
 
     def test_tiny_failure_closes_whole_lane(self):
@@ -122,7 +122,7 @@ class TestOppositeDirectionInteraction:
         for r, cls in radii:
             dslp_pack(d, r, cls, seq, p)
             seq += 1
-        circles = p.circles
+        circles = packed(p)
         for i in range(len(circles)):
             for j in range(i + 1, len(circles)):
                 assert not circles_overlap(circles[i], circles[j])

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanepack import lanes
-from lanepack.geometry import EPS, Frame, Orientation, PlacedCircle, Rect
+from lanepack.geometry import EPS, Frame, Orientation, Rect
 from lanepack.lanes import (LaneInfo, LaneState, Packing, find_position,
                             place)
-from oracles import CommitLog, metrics, packing_extent
+from oracles import CommitLog, committed, metrics, packed, packing_extent
 from test_geometry import GRID, circ, sweep_oracle
 
 
@@ -29,25 +29,25 @@ class TestSlpPlacement:
     def test_first_circle_in_corner(self):
         lane = make_lane()
         p = Packing()
-        c = place(lane, 0.5, 0, p)
+        c = committed(p, place(lane, 0.5, 0, p))
         assert (c.x, c.y) == pytest.approx((0.5, 0.5))
 
     def test_alternates_sides(self):
         lane = make_lane()
         p = Packing()
-        a = place(lane, 0.5, 0, p)
-        b = place(lane, 0.5, 1, p)
+        a = committed(p, place(lane, 0.5, 0, p))
+        b = committed(p, place(lane, 0.5, 1, p))
         assert a.y == pytest.approx(0.5)
         assert b.y == pytest.approx(0.5)  # w - r with r = w/2
         assert b.x == pytest.approx(1.5, abs=1e-8)
-        c = place(lane, 0.3, 2, p)
+        c = committed(p, place(lane, 0.3, 2, p))
         assert c.y == pytest.approx(0.3)  # bottom again
 
     def test_two_half_width_circles_touch(self):
         lane = make_lane()
         p = Packing()
         place(lane, 0.5, 0, p)
-        b = place(lane, 0.5, 1, p)
+        b = committed(p, place(lane, 0.5, 1, p))
         # Same height, so the second sits tangent one diameter along.
         assert b.x == pytest.approx(1.5, abs=1e-8)
 
@@ -56,8 +56,8 @@ class TestSlpPlacement:
         # far left geometrically; the gap rule keeps it min(r, r') ahead.
         lane = make_lane()
         p = Packing()
-        big = place(lane, 0.5, 0, p)
-        small = place(lane, 0.1, 1, p)
+        big = committed(p, place(lane, 0.5, 0, p))
+        small = committed(p, place(lane, 0.1, 1, p))
         u_big, u_small = big.x, small.x
         assert u_small - u_big >= 0.1 - 1e-9
 
@@ -65,7 +65,7 @@ class TestSlpPlacement:
         lane = make_lane()
         p = Packing()
         place(lane, 0.45, 0, p)
-        c = place(lane, 0.05, 1, p)
+        c = committed(p, place(lane, 0.05, 1, p))
         # Geometrically the tiny top circle could go to u = 0.05; the gap
         # rule forces u >= 0.45 + 0.05.
         assert c.x >= 0.5 - 1e-9
@@ -74,7 +74,7 @@ class TestSlpPlacement:
         lane = make_lane()
         lane.exclusions.append((0.0, 1.0))
         p = Packing()
-        c = place(lane, 0.2, 0, p)
+        c = committed(p, place(lane, 0.2, 0, p))
         assert c.x - c.r >= 1.0 - 1e-9
 
     def test_too_wide_rejected(self):
@@ -102,7 +102,7 @@ class TestSlpPlacement:
         lane = make_lane(lane_id="mine")
         p = Packing()
         place(other, 0.5, 0, p)
-        c = place(lane, 0.5, 1, p)
+        c = committed(p, place(lane, 0.5, 1, p))
         assert c.x == pytest.approx(1.5, abs=1e-8)
 
 
@@ -115,8 +115,8 @@ class TestTlpPlacement:
         ps, pt = Packing(), Packing()
         place(slp, 0.25, 0, ps)
         place(tlp, 0.25, 0, pt)
-        a = place(slp, 0.25, 1, ps)
-        b = place(tlp, 0.25, 1, pt)
+        a = committed(ps, place(slp, 0.25, 1, ps))
+        b = committed(pt, place(tlp, 0.25, 1, pt))
         assert a.x == pytest.approx(0.5)
         assert b.x == pytest.approx(0.25)
 
@@ -126,7 +126,7 @@ class TestTlpPlacement:
         us = []
         rng = random.Random(5)
         for i in range(30):
-            c = place(lane, rng.uniform(0.02, 0.5), i, p)
+            c = committed(p, place(lane, rng.uniform(0.02, 0.5), i, p))
             if c is None:
                 break
             us.append(c.x)
@@ -136,7 +136,7 @@ class TestTlpPlacement:
         lane = make_lane(strategy="TLP")
         lane.exclusions.append((0.0, 1.0))
         p = Packing()
-        c = place(lane, 0.2, 0, p)
+        c = committed(p, place(lane, 0.2, 0, p))
         assert c.x == pytest.approx(0.2)
 
     def test_never_longer_than_slp(self):
@@ -182,13 +182,27 @@ class TestOrientations:
                                             "SLP", 1))
         p = Packing()
         for i in range(6):
-            c = place(lane, 0.2, i, p)
+            c = committed(p, place(lane, 0.2, i, p))
             assert c is not None
             assert rect.x0 <= c.x - c.r and c.x + c.r <= rect.x1
             assert rect.y0 <= c.y - c.r and c.y + c.r <= rect.y1
         # Packing proceeds downwards: y decreases.
-        ys = [c.y for c in p.circles]
+        ys = [c.y for c in packed(p)]
         assert ys == sorted(ys, reverse=True)
+
+
+class TestPackingColumns:
+    def test_commit_appends_a_row_and_returns_its_point(self):
+        lane = make_lane(lane_id="L")
+        p = Packing()
+        for i, r in enumerate((0.2, 0.3, 0.4)):
+            point = place(lane, r, i, p)
+            assert point == (p.x[-1], p.y[-1])
+        assert len(p) == 3
+        assert (p.r, p.seq) == ([0.2, 0.3, 0.4], [0, 1, 2])
+        assert (p.lane_id, p.class_index) == (["L"] * 3, [1] * 3)
+        xs, ys, rs = p.arrays()
+        assert (xs.tolist(), ys.tolist(), rs.tolist()) == (p.x, p.y, p.r)
 
 
 class TestMetrics:
@@ -248,8 +262,8 @@ def refiled(packing, scan_max):
     patched to scan_max."""
     with mock.patch.object(lanes, "_SCAN_MAX", scan_max):
         fresh = Packing()
-        for c in packing.circles:
-            fresh.add(c)
+        for row in zip(*packing.columns):
+            fresh.add(*row)
     return fresh
 
 
@@ -266,8 +280,8 @@ def full_scan_position(lane, r, packing, eps):
         floor = lane.last[0] + min(r, lane.last[1])
     else:
         floor = lane.last[0]
-    local = [circ(*lane.frame.to_local(c.x, c.y), c.r)
-             for c in packing.circles]
+    local = [circ(*lane.frame.to_local(x, y), r)
+             for x, y, r in zip(packing.x, packing.y, packing.r)]
     exclusions = lane.exclusions if lane.frame.strategy == "SLP" else ()
     u = sweep_oracle(r, length - r, v, r, local, exclusions, floor, eps)
     return None if u is None else (u, v)
@@ -365,7 +379,7 @@ def placement_instances(draw):
             if kind == "hairline":
                 x += draw(st.integers(-4, 4)) * math.ulp(x)
                 y += draw(st.integers(-4, 4)) * math.ulp(y)
-        packing.add(PlacedCircle(x=x, y=y, r=ro, seq=seq, lane_id="o"))
+        packing.add(x, y, ro, seq, "o", -1)
     return lane, r, packing, eps
 
 
@@ -386,8 +400,7 @@ class TestFindPositionOracle:
         lane = make_lane(length=4.0, width=0.5)
         p = Packing()
         for i in range(12):
-            p.add(PlacedCircle(x=0.125 + 0.25 * i, y=0.125, r=0.125,
-                               seq=i, lane_id="o"))
+            p.add(0.125 + 0.25 * i, 0.125, 0.125, i, "o", -1)
         got = find_position(lane, 0.125, p, 0.0)
         assert got == full_scan_position(lane, 0.125, p, 0.0)
         assert got == (3.125, 0.125)
@@ -400,7 +413,7 @@ class TestFindPositionOracle:
         p = Packing()
         x, y = lane.frame.to_container(r, r + (r + ro - 0.5 * eps)
                                        - 2.0 ** -30)
-        p.add(PlacedCircle(x=x, y=y, r=ro, seq=0, lane_id="o"))
+        p.add(x, y, ro, 0, "o", -1)
         got = find_position(lane, r, p, eps)
         assert got == full_scan_position(lane, r, p, eps)
         assert got[0] > r
@@ -422,17 +435,26 @@ class TestFindPositionOracle:
                          n=n, last=(last_u, 0.1))
         p = Packing()
         x, y, ro = circle
-        p.add(PlacedCircle(x=x, y=y, r=ro, seq=0, lane_id="o"))
+        p.add(x, y, ro, 0, "o", -1)
         got = find_position(lane, r, p, 0.0)
         assert got == full_scan_position(lane, r, p, 0.0)
         assert got[0] > last_u
 
 
 def _meets(c, x0, y0, x1, y1):
-    """Exact test: the circle's bounding box meets the closed rectangle."""
-    x, y, r = Fraction(c.x), Fraction(c.y), Fraction(c.r)
+    """Exact test: the (x, y, r) circle's bounding box meets the closed
+    rectangle."""
+    x, y, r = map(Fraction, c)
     return (x - r <= Fraction(x1) and x + r >= Fraction(x0)
             and y - r <= Fraction(y1) and y + r >= Fraction(y0))
+
+
+def indexed(packing):
+    """The (x, y, r) tuples of a packing's scan list or grid cells."""
+    if packing._scan is not None:
+        return packing._scan
+    return [c for _, cells in packing._levels.values()
+            for cell in cells.values() for c in cell]
 
 
 @st.composite
@@ -447,7 +469,7 @@ def near_instances(draw):
     packing = Packing()
     for seq, (x, y, r) in enumerate(draw(st.lists(
             st.tuples(coord, coord, radius), max_size=40))):
-        packing.add(PlacedCircle(x=x, y=y, r=r, seq=seq, lane_id="o"))
+        packing.add(x, y, r, seq, "o", -1)
     xa, xb, ya, yb = (draw(coord) for _ in range(4))
     return packing, min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb)
 
@@ -457,13 +479,17 @@ class TestPackingNear:
     @given(near_instances())
     def test_superset_of_circles_meeting_the_rectangle(self, inst):
         packing, x0, y0, x1, y1 = inst
+        rows = sorted(zip(packing.x, packing.y, packing.r))
         for p in (packing, refiled(packing, GRID_ALWAYS),
                   refiled(packing, SCAN_ALWAYS)):
+            # The scan list or the grid holds every circle once.
+            disks = indexed(p)
+            assert sorted(disks) == rows
             got = p.near(x0, y0, x1, y1)
             ids = {id(c) for c in got}
             assert len(ids) == len(got)
-            assert ids <= {id(c) for c in packing.circles}
-            for c in packing.circles:
+            assert ids <= {id(c) for c in disks}
+            for c in disks:
                 if _meets(c, x0, y0, x1, y1):
                     assert id(c) in ids, c
 
@@ -471,27 +497,25 @@ class TestPackingNear:
         rng = random.Random(5)
         grown = Packing()
         for seq in range(lanes._SCAN_MAX + 1):
-            grown.add(PlacedCircle(x=rng.uniform(0, 2), y=rng.uniform(0, 1),
-                                   r=rng.choice(POWER_RADII), seq=seq,
-                                   lane_id="o"))
+            grown.add(rng.uniform(0, 2), rng.uniform(0, 1),
+                      rng.choice(POWER_RADII), seq, "o", -1)
         assert grown._levels is not None
         filed = refiled(grown, GRID_ALWAYS)
         for _ in range(200):
             xa, xb = sorted(rng.uniform(-0.5, 2.5) for _ in range(2))
             ya, yb = sorted(rng.uniform(-0.5, 1.5) for _ in range(2))
-            assert sorted(c.seq for c in grown.near(xa, ya, xb, yb)) == (
-                sorted(c.seq for c in filed.near(xa, ya, xb, yb)))
+            assert sorted(grown.near(xa, ya, xb, yb)) == (
+                sorted(filed.near(xa, ya, xb, yb)))
 
     def test_touching_boxes_below_zero(self):
         # Boxes touching the rectangle at a corner or an edge, on cell
         # boundaries of their level and at negative coordinates.
         p = Packing()
-        touching = [PlacedCircle(-0.25, -0.25, 0.25, 0, "o"),
-                    PlacedCircle(1.5, -0.5, 0.5, 1, "o"),
-                    PlacedCircle(-2.0 ** -6, 0.5, 2.0 ** -6, 2, "o")]
-        apart = [PlacedCircle(-0.25, -0.25, 0.25 - 2.0 ** -30, 3, "o")]
-        for c in touching + apart:
-            p.add(c)
-        got = {id(c) for c in p.near(0.0, 0.0, 1.0, 1.0)}
-        assert all(id(c) in got for c in touching)
-        assert id(apart[0]) not in got
+        touching = [(-0.25, -0.25, 0.25), (1.5, -0.5, 0.5),
+                    (-2.0 ** -6, 0.5, 2.0 ** -6)]
+        apart = [(-0.25, -0.25, 0.25 - 2.0 ** -30)]
+        for seq, c in enumerate(touching + apart):
+            p.add(*c, seq, "o", -1)
+        got = set(p.near(0.0, 0.0, 1.0, 1.0))
+        assert all(c in got for c in touching)
+        assert apart[0] not in got
