@@ -242,7 +242,11 @@ def validate(result: PackResult) -> AuditReport:
                 "out_of_container", f"circle {k} leaves the container", (k,)))
         area = math.pi * r * r
         total += area
-        groups.setdefault(lane_id, []).append(k)
+        ks = groups.get(lane_id)
+        if ks is None:
+            groups[lane_id] = [k]
+        else:
+            ks.append(k)
         occ[lane_id] = occ.get(lane_id, 0.0) + area
 
     # Arrival order is a packed prefix: placement k holds arrival k, and a
@@ -333,7 +337,9 @@ def validate(result: PackResult) -> AuditReport:
                     report.violations.append(Violation(
                         "order", f"circle {seq} in {lane_id} breaks the "
                         f"monotone frontier", (seq,)))
-                if slp and u - prev_u < min(r, prev_r) - _STRUCT_TOL:
+                # The comparison picks the operand min(r, prev_r) would.
+                if slp and u - prev_u < ((prev_r if prev_r < r else r)
+                                         - _STRUCT_TOL):
                     report.violations.append(Violation(
                         "order", f"circle {seq} in {lane_id} violates the "
                         f"minimum gap", (seq,)))

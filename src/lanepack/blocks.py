@@ -179,7 +179,10 @@ def _place_in(ledger: BlockLedger, lane: LaneState, r: float, seq: int,
         return None
     (ox, oy), (eux, euy) = ledger.host.frame.origin, ledger.host.frame.eu
     u = (point[0] - ox) * eux + (point[1] - oy) * euy
-    ledger.lo, ledger.hi = min(ledger.lo, u - r), max(ledger.hi, u + r)
+    if u - r < ledger.lo:
+        ledger.lo = u - r
+    if u + r > ledger.hi:
+        ledger.hi = u + r
     return point
 
 

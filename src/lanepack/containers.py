@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import bounds
-from .classification import (ClassTable, TooLarge, TooSmall,
-                             build_class_table, classify)
+from .classification import ClassTable, TooLarge, build_class_table, classify
 from .blocks import BlockLedger
 from .dslp import _dslp_shape, dslp_metrics, dslp_pack, new_dslp
 from .geometry import EPS, Orientation, PlacedCircle, Rect
@@ -238,8 +237,11 @@ class _OnlineRun:
         self.table, self.guarantee, _, large, medium = layout(
             container, mode, b)
         self.container, self.mode, self.b = container, mode, b
-        # No-tiny inputs must fall into a class of the truncated table.
-        self.min_radius = self.table.min_radius if mode == "no_tiny" else 0.0
+        # Every input must fall into a class of the table.  A radius at or
+        # below the last class's lower bound is an input error: refusing it
+        # as a rejection would break the guarantee, which its area is
+        # within, and the result would fail its own audit.
+        self.min_radius = self.table.min_radius
         self.large_lane = None if large is None else LaneState(large)
         self.medium_lanes: list[BlockLedger] = [
             new_dslp(name, shape, self.table) for name, shape in medium]
@@ -280,7 +282,7 @@ class _OnlineRun:
     def _pack_one(self, r: float, seq: int) -> bool:
         try:
             cls = classify(r, self.table)
-        except (TooLarge, TooSmall):
+        except TooLarge:
             return False
         if cls == 0:
             # Only a table with a large class, hence a layout with a TLP

@@ -25,11 +25,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-# Below this many circles a packing is scanned whole; once it holds this
-# many it files them in the grid and probes cells from then on.  On `near`
-# queries replayed from real runs the scan took 0.4x the grid's time up to
-# 24 circles, 0.6-0.95x at 25-40, about the same at 41-44 and 1.1-1.3x at
-# 45-52 circles.
+# The length at which Packing's scan list hands its fullest level to a
+# grid.  On `near` queries replayed from real runs, scanning n circles
+# whole took 0.4x the grid's time up to n = 24, 0.6-0.95x at 25-40,
+# about the same at 41-44 and 1.1-1.3x at 45-52.
 _SCAN_MAX = 44
 
 
@@ -37,23 +36,28 @@ class Packing:
     """Container-wide table of committed circles, with a spatial index.
 
     The circles are kept as six columns in commit order: x, y, r, seq,
-    lane_id and class_index.  The index holds each circle's (x, y, r): a
-    list scanned whole until the packing holds _SCAN_MAX circles, then a
-    multi-level uniform grid.  A circle of radius r is filed once, in the
-    cell holding its center, at the level whose cell side h = 2**e is the
-    smallest power of four above 2r (e even), so a circle never reaches
-    past the cells next to its own.  Levels a factor 4 apart keep the
-    number of levels a query visits small when radii span orders of
-    magnitude.
+    lane_id and class_index.  The index holds each circle's (x, y, r),
+    either in one scan list, tested whole by every query, or in a
+    multi-level uniform grid.  A circle of radius r belongs to the level
+    whose cell side h = 2**e is the smallest power of four above 2r (e
+    even), so a circle never reaches past the cells next to its own;
+    levels a factor 4 apart keep the number of levels a query visits
+    small when radii span orders of magnitude.  A circle whose level has
+    a grid is filed there, once, in the cell holding its center; any
+    other circle joins the scan list.  When the scan list reaches
+    _SCAN_MAX circles, its fullest level gets a grid and its circles
+    move there, so the list stays shorter than _SCAN_MAX, a run of
+    fewer circles is never gridded, and a level that holds only a few
+    circles costs a few box tests rather than a walk over its cells.
     """
 
     def __init__(self):
         self.x, self.y, self.r = [], [], []
         self.seq, self.lane_id, self.class_index = [], [], []
-        # The scan list, None once the grid files the circles; then
-        # e -> (cell side, (i, j) -> circles filed in that cell).
-        self._scan: Optional[list[tuple[float, float, float]]] = []
-        self._levels: Optional[dict[int, tuple[float, dict]]] = None
+        self._scan: list[tuple[float, float, float]] = []
+        # e -> (cell side, (i, j) -> circles filed in that cell), for the
+        # levels that have a grid.
+        self._levels: dict[int, tuple[float, dict]] = {}
 
     @property
     def columns(self) -> tuple[list, ...]:
@@ -70,38 +74,38 @@ class Packing:
         self.lane_id.append(lane_id)
         self.class_index.append(class_index)
         disk = (x, y, r)
-        if self._scan is None:
-            self._file(disk)
-            return
-        self._scan.append(disk)
-        if len(self._scan) >= _SCAN_MAX:
-            self._levels = {}
-            for filed in self._scan:
-                self._file(filed)
-            self._scan = None
+        if self._levels:
+            level = self._levels.get(_level(r))
+            if level is not None:
+                _file(level, disk)
+                return
+        scan = self._scan
+        scan.append(disk)
+        if len(scan) >= _SCAN_MAX:
+            self._grid_fullest_level()
 
-    def _file(self, disk: tuple[float, float, float]) -> None:
-        x, y, r = disk
-        e = math.frexp(2.0 * r)[1]
-        e += e & 1
-        level = self._levels.get(e)
-        if level is None:
-            level = self._levels[e] = (math.ldexp(1.0, e), {})
-        h, cells = level
-        key = (math.floor(x / h), math.floor(y / h))
-        cell = cells.get(key)
-        if cell is None:
-            cells[key] = [disk]
-        else:
-            cell.append(disk)
+    def _grid_fullest_level(self) -> None:
+        """Give the scan list's most frequent level a grid and move its
+        circles there."""
+        es = [_level(disk[2]) for disk in self._scan]
+        top = max(es, key=es.count)
+        level = self._levels[top] = (math.ldexp(1.0, top), {})
+        keep = []
+        for e, disk in zip(es, self._scan):
+            if e == top:
+                _file(level, disk)
+            else:
+                keep.append(disk)
+        self._scan = keep
 
     def near(self, x0: float, y0: float, x1: float,
              y1: float) -> list[tuple[float, float, float]]:
         """The (x, y, r) of the circles whose bounding box meets the
         rectangle [x0, x1] x [y0, y1], in no particular order.
 
-        A circle of radius r < h/2 filed in cell i has its center in
-        [i*h, (i+1)*h), so its box meets [x0, x1] only if
+        The scan list's circles are all tested.  A circle of radius
+        r < h/2 filed in grid cell i has its center in [i*h, (i+1)*h),
+        so its box meets [x0, x1] only if
         floor((x0 - h/2)/h) <= i <= floor((x1 + h/2)/h); the same holds
         for y.  A level with fewer occupied cells than cells in that range
         scans its occupied cells instead of probing the range.  The final
@@ -109,8 +113,8 @@ class Packing:
         superset of the exact answer.
         """
         out = self._scan
-        if out is None:
-            out = []
+        if self._levels:
+            out = out.copy()
             floor = math.floor
             for h, cells in self._levels.values():
                 half = 0.5 * h
@@ -137,6 +141,24 @@ class Packing:
 
     def __len__(self) -> int:
         return len(self.x)
+
+
+def _level(r: float) -> int:
+    """The even exponent e of a radius-r circle's grid level."""
+    e = math.frexp(2.0 * r)[1]
+    return e + (e & 1)
+
+
+def _file(level: tuple[float, dict], disk: tuple[float, float, float]
+          ) -> None:
+    """File a disk in the cell of a level's grid that holds its center."""
+    h, cells = level
+    key = (math.floor(disk[0] / h), math.floor(disk[1] / h))
+    cell = cells.get(key)
+    if cell is None:
+        cells[key] = [disk]
+    else:
+        cell.append(disk)
 
 
 @dataclass(frozen=True)
@@ -184,22 +206,27 @@ def find_position(lane: LaneState, r: float, packing: Packing,
     v = w - r if lane.n & 1 else r
     last = lane.last
     slp = frame.strategy == "SLP"
+    # The conditional expressions below return the operand that the
+    # builtin min or max would, ties included: floor adds min(r, last r),
+    # lo = max(r, floor), hi = min(x_max, lo + 2r), and the window's
+    # corners are the min and max of its x and of its y.
     if last is None:
         floor = 0.0
     elif slp:
-        floor = last[0] + min(r, last[1])
+        floor = last[0] + (last[1] if last[1] < r else r)
     else:
         # TLP keeps the left-to-right order but allows tight packing.
         floor = last[0]
     x_max = length - r
-    lo = max(r, floor)
+    lo = floor if floor > r else r
     if lo > x_max:
         return None
     (ox, oy), (eux, euy), (evx, evy) = frame.origin, frame.eu, frame.ev
     pad = r + abs(eps) + 1e-12 * (abs(ox) + abs(oy) + length + r + abs(eps))
     exclusions = lane.exclusions if slp else ()
     half = 0.5 * eps
-    hi = min(x_max, lo + 2.0 * r)
+    hi = lo + 2.0 * r
+    hi = hi if hi < x_max else x_max
     va, vb = v - pad, v + pad
     while True:
         # The window's corners by Frame.to_container, then Frame.to_local
@@ -209,8 +236,10 @@ def find_position(lane: LaneState, r: float, packing: Packing,
         xa, ya = ox + ua * eux + va * evx, oy + ua * euy + va * evy
         xb, yb = ox + ub * eux + vb * evx, oy + ub * euy + vb * evy
         intervals = []
-        for cx, cy, cr in packing.near(min(xa, xb), min(ya, yb),
-                                       max(xa, xb), max(ya, yb)):
+        for cx, cy, cr in packing.near(xb if xb < xa else xa,
+                                       yb if yb < ya else ya,
+                                       xb if xb > xa else xa,
+                                       yb if yb > ya else ya):
             dx = cx - ox
             dy = cy - oy
             cu = dx * eux + dy * euy
@@ -232,11 +261,15 @@ def commit(lane: LaneState, u: float, v: float, r: float, seq: int,
     """Commit a circle at (u, v), in the lane's class; its container
     point (x, y)."""
     frame = lane.frame
-    x, y = frame.to_container(u, v)
+    # Frame.to_container's floats, inline.
+    (ox, oy), (eux, euy), (evx, evy) = frame.origin, frame.eu, frame.ev
+    x, y = ox + u * eux + v * evx, oy + u * euy + v * evy
     lane.last = (u, r)
     lane.n += 1
-    lane.lo = min(lane.lo, u - r)
-    lane.hi = max(lane.hi, u + r)
+    if u - r < lane.lo:
+        lane.lo = u - r
+    if u + r > lane.hi:
+        lane.hi = u + r
     packing.add(x, y, r, seq, frame.lane_id, frame.class_index)
     return x, y
 

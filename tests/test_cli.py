@@ -96,6 +96,18 @@ class TestPack:
                 f"{mode.replace('-', '_')!r} with aspect 2.0") in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("args", [
+        ["--container", "square"], ["--container", "square", "--mode",
+                                    "no-tiny"],
+        ["--container", "rect", "--b", "2"]],
+        ids=["general", "no_tiny", "rect"])
+    def test_radius_below_the_deepest_class_is_an_input_error(self, runner,
+                                                             args):
+        res = invoke(runner, ["pack", *args], input="1e-25\n")
+        assert res.exit_code == 1
+        assert "not above the deepest class bound" in res.output
+        assert "Traceback" not in res.output
+
     def test_mode_defaults_by_container(self, runner):
         square = invoke(runner, ["pack", "--container", "square"],
                         input="0.1\n")

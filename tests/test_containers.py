@@ -287,10 +287,23 @@ class TestRunInput:
         assert result.status == "all_packed"
         assert result.placements[0].class_index == 2
 
-    def test_no_tiny_class_bound_is_exclusive(self):
-        table = layout("square", "no_tiny", None).table
-        with pytest.raises(ValueError, match="input 0"):
-            pack_square_online("no_tiny", [table.min_radius])
+    @pytest.mark.parametrize("make_run", [
+        lambda: RectRun(2.0), lambda: SquareRun("general"),
+        lambda: SquareRun("no_tiny")], ids=["rect", "general", "no_tiny"])
+    def test_deepest_class_bound_is_exclusive(self, make_run):
+        # A radius at or below the last class's lower bound is an input
+        # error in every layout; refused as a rejection, it would give a
+        # result that fails its own guarantee audit.
+        bound = make_run().table.min_radius
+        for r in (bound, 1e-25):
+            run = make_run()
+            with pytest.raises(ValueError,
+                               match="input 0 is not above the deepest"):
+                run.pack([r])
+            assert len(run.packing) == 0
+        result = make_run().pack([math.nextafter(bound, 1.0)])
+        assert result.status == "all_packed"
+        assert validate(result).valid
 
     @pytest.mark.parametrize("make_run,radii", [
         (lambda: SquareRun("no_tiny"), [0.1, 0.05, 0.01]),

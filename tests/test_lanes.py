@@ -253,8 +253,9 @@ class TestMetrics:
 # Radii 2^-9 .. 2^-2 fall on four grid levels (cell sides 2^-6 .. 2^0).
 POWER_RADII = tuple(2.0 ** -k for k in range(2, 10))
 
-# _SCAN_MAX values that force the grid and the linear scan.
-GRID_ALWAYS, SCAN_ALWAYS = 0, 1 << 30
+# _SCAN_MAX values that force the grid and the linear scan, and one that
+# grids some levels while others are still scanned.
+GRID_ALWAYS, SCAN_ALWAYS, MIXED = 0, 1 << 30, 3
 
 
 def refiled(packing, scan_max):
@@ -390,7 +391,7 @@ class TestFindPositionOracle:
         lane, r, packing, eps = inst
         expect = full_scan_position(lane, r, packing, eps)
         assert find_position(lane, r, packing, eps) == expect
-        for scan_max in (GRID_ALWAYS, SCAN_ALWAYS):
+        for scan_max in (GRID_ALWAYS, SCAN_ALWAYS, MIXED):
             assert find_position(lane, r, refiled(packing, scan_max),
                                  eps) == expect, scan_max
 
@@ -450,11 +451,9 @@ def _meets(c, x0, y0, x1, y1):
 
 
 def indexed(packing):
-    """The (x, y, r) tuples of a packing's scan list or grid cells."""
-    if packing._scan is not None:
-        return packing._scan
-    return [c for _, cells in packing._levels.values()
-            for cell in cells.values() for c in cell]
+    """The (x, y, r) tuples of a packing's scan list and grid cells."""
+    return packing._scan + [c for _, cells in packing._levels.values()
+                            for cell in cells.values() for c in cell]
 
 
 @st.composite
@@ -481,8 +480,8 @@ class TestPackingNear:
         packing, x0, y0, x1, y1 = inst
         rows = sorted(zip(packing.x, packing.y, packing.r))
         for p in (packing, refiled(packing, GRID_ALWAYS),
-                  refiled(packing, SCAN_ALWAYS)):
-            # The scan list or the grid holds every circle once.
+                  refiled(packing, SCAN_ALWAYS), refiled(packing, MIXED)):
+            # The scan list and the grid hold every circle once.
             disks = indexed(p)
             assert sorted(disks) == rows
             got = p.near(x0, y0, x1, y1)
@@ -499,7 +498,7 @@ class TestPackingNear:
         for seq in range(lanes._SCAN_MAX + 1):
             grown.add(rng.uniform(0, 2), rng.uniform(0, 1),
                       rng.choice(POWER_RADII), seq, "o", -1)
-        assert grown._levels is not None
+        assert grown._levels
         filed = refiled(grown, GRID_ALWAYS)
         for _ in range(200):
             xa, xb = sorted(rng.uniform(-0.5, 2.5) for _ in range(2))
@@ -516,6 +515,61 @@ class TestPackingNear:
         apart = [(-0.25, -0.25, 0.25 - 2.0 ** -30)]
         for seq, c in enumerate(touching + apart):
             p.add(*c, seq, "o", -1)
-        got = set(p.near(0.0, 0.0, 1.0, 1.0))
-        assert all(c in got for c in touching)
-        assert apart[0] not in got
+        for q in (p, refiled(p, GRID_ALWAYS)):
+            got = set(q.near(0.0, 0.0, 1.0, 1.0))
+            assert all(c in got for c in touching)
+            assert apart[0] not in got
+
+    def test_short_run_is_scanned_whole(self):
+        p = Packing()
+        for seq in range(lanes._SCAN_MAX - 1):
+            p.add(0.0, 0.0, 4.0 ** -(seq % 20), seq, "o", -1)
+        assert not p._levels
+        assert len(p._scan) == len(p)
+
+    def test_sparse_level_stays_scanned(self):
+        # Only the level that fills the scan list gets a grid; the few
+        # large circles stay in the list.
+        rng = random.Random(4)
+        p = Packing()
+        for seq in range(200):
+            r = 0.2 if seq % 50 == 0 else rng.uniform(0.002, 0.004)
+            p.add(rng.uniform(0, 2), rng.uniform(0, 1), r, seq, "o", -1)
+        assert list(p._levels) == [lanes._level(0.003)]
+        assert [c[2] for c in p._scan] == [0.2] * 4
+
+    def test_scan_list_stays_bounded_over_many_levels(self):
+        # Radii over 25 grid levels, interleaved, so the levels get grids
+        # one by one while the others are still scanned.
+        rng = random.Random(3)
+        p = Packing()
+        mixed = False
+        for seq in range(400):
+            r = rng.uniform(1.0, 4.0) * 4.0 ** -rng.randrange(2, 27)
+            p.add(rng.uniform(-1.0, 3.0), rng.uniform(-1.0, 3.0), r, seq,
+                  "o", -1)
+            # No query scans more than _SCAN_MAX circles linearly.
+            assert len(p._scan) <= lanes._SCAN_MAX
+            mixed = mixed or bool(p._scan and p._levels)
+            # Each circle is filed once: in its own level's grid if that
+            # level has one, else in the scan list.
+            assert sorted(indexed(p)) == sorted(zip(p.x, p.y, p.r))
+            assert all(lanes._level(c[2]) not in p._levels for c in p._scan)
+            for e, (_, cells) in p._levels.items():
+                assert all(lanes._level(c[2]) == e
+                           for cell in cells.values() for c in cell)
+            # A rectangle of any scale, at random or around a circle.
+            k = rng.randrange(len(p))
+            half = 4.0 ** -rng.randrange(0, 27)
+            if rng.random() < 0.5:
+                cx, cy = rng.uniform(-1.0, 3.0), rng.uniform(-1.0, 3.0)
+            else:
+                cx, cy = p.x[k], p.y[k]
+            box = (cx - half, cy - rng.uniform(0, 2) * half,
+                   cx + rng.uniform(0, 2) * half, cy + half)
+            got = set(p.near(*box))
+            for c in zip(p.x, p.y, p.r):
+                if _meets(c, *box):
+                    assert c in got, (seq, c, box)
+        assert len({lanes._level(r) for r in p.r}) >= 20
+        assert len(p._levels) >= 20 and mixed
