@@ -316,9 +316,11 @@ def validate(result: PackResult) -> AuditReport:
             ks.sort(key=seqs.__getitem__)
         # Alternation, monotone order, and (for SLP) the minimum gap, in
         # the lane's canonical frame with the arithmetic of Frame.to_local.
+        # The layout packs class 0 by TLP and every other class by SLP, so
+        # the class, not the file's strategy, decides the gap check.
         (ox, oy), (eu0, eu1), (ev0, ev1) = info.origin, info.eu, info.ev
         w = info.width
-        slp = info.strategy == "SLP"
+        slp = cls != 0
         prev_u = None
         for parity, k in enumerate(ks):
             dx = xs[k] - ox

@@ -12,7 +12,7 @@ import click
 from . import bounds as bounds_mod
 from .audit import validate
 from .classification import build_class_table, table_csv
-from .containers import PackResult, _OnlineRun
+from .containers import STATUS_ALL_PACKED, PackResult, _OnlineRun
 from .genseq import KINDS, GenSpec, generate
 from .svg import render_svg
 
@@ -134,7 +134,7 @@ def pack_cmd(container, aspect, mode, input_path, json_path, svg_path):
     if svg_path:
         with open(svg_path, "w") as f:
             f.write(render_svg(result))
-    sys.exit(EXIT_OK if result.status == "all_packed" else EXIT_REJECTED)
+    sys.exit(EXIT_OK if result.status == STATUS_ALL_PACKED else EXIT_REJECTED)
 
 
 @main.command("verify")
@@ -250,7 +250,7 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
         }
         # Slack: the area the run was asked to hold over the guarantee.
         area = summary["packed_area"]
-        if result.status != "all_packed":
+        if result.status != STATUS_ALL_PACKED:
             summary["rejected_index"] = result.rejected_index
             area += math.pi * result.rejected_radius ** 2
             failures += 1

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import bounds
-from .classification import ClassTable, TooLarge, build_class_table, classify
+from .classification import (ClassTable, TooLarge, TooSmall,
+                             build_class_table, classify)
 from .blocks import BlockLedger
 from .dslp import _dslp_shape, dslp_metrics, dslp_pack, new_dslp
 from .geometry import EPS, Orientation, PlacedCircle, Rect
@@ -23,7 +24,6 @@ from .lanes import LaneInfo, LaneState, Packing, packing_length, place
 SQUARE_WIDTH_GENERAL = 0.288480
 SQUARE_WIDTH_NO_TINY = 0.277927
 NO_TINY_Q2 = 0.191578
-NO_TINY_MIN_RADIUS = 0.026623
 
 STATUS_ALL_PACKED = "all_packed"
 STATUS_REJECTED = "rejected"
@@ -34,14 +34,22 @@ class PackResult:
     status: str
     container: str  # 'square' or 'rect'
     mode: Optional[str]  # square packing mode, None for rect
-    w: float  # medium lane width (1.0 for the rectangle)
     b: Optional[float]  # rectangle aspect, None for the square
-    guarantee: float
     placements: Sequence[PlacedCircle]  # Placements, or any such sequence
     lanes: list[LaneInfo]  # the lanes that hold circles, in lane order
     rejected_index: Optional[int] = None
     rejected_radius: Optional[float] = None
     per_lane: dict = field(default_factory=dict)
+
+    # The layout decides w and the guarantee; a file's copies are not read.
+    @property
+    def w(self) -> float:
+        """The medium lane width (1.0 for the rectangle)."""
+        return layout(self.container, self.mode, self.b).table.base_width
+
+    @property
+    def guarantee(self) -> float:
+        return layout(self.container, self.mode, self.b).guarantee
 
     @property
     def total_packed_area(self) -> float:
@@ -95,8 +103,7 @@ class PackResult:
                                  "id", "strategy", "class"))
         return PackResult(
             status=d["status"], container=d["container"], mode=d.get("mode"),
-            w=d["w"], b=d.get("b"), guarantee=d["guarantee"],
-            placements=Placements(x, y, r, i, lane, cls),
+            b=d.get("b"), placements=Placements(x, y, r, i, lane, cls),
             lanes=list(map(LaneInfo, map(tuple, origin), map(tuple, eu),
                            map(tuple, ev), *rest)),
             rejected_index=d.get("rejected_index"),
@@ -206,8 +213,8 @@ def layout(container: str, mode: Optional[str], b) -> Layout:
     if mode == "general":
         table = build_class_table(SQUARE_WIDTH_GENERAL, large=True)
     else:
-        table = build_class_table(SQUARE_WIDTH_NO_TINY, q2_override=NO_TINY_Q2,
-                                  min_radius=NO_TINY_MIN_RADIUS, large=True)
+        table = build_class_table(SQUARE_WIDTH_NO_TINY, large=True,
+                                  qs=(0.25, NO_TINY_Q2))
     w = table.base_width
     large = LaneInfo.from_rect(Rect(0.0, 0.0, 1.0, 1.0 - w),
                                Orientation.LEFTWARDS, "L0", "TLP", 0)
@@ -237,11 +244,6 @@ class _OnlineRun:
         self.table, self.guarantee, _, large, medium = layout(
             container, mode, b)
         self.container, self.mode, self.b = container, mode, b
-        # Every input must fall into a class of the table.  A radius at or
-        # below the last class's lower bound is an input error: refusing it
-        # as a rejection would break the guarantee, which its area is
-        # within, and the result would fail its own audit.
-        self.min_radius = self.table.min_radius
         self.large_lane = None if large is None else LaneState(large)
         self.medium_lanes: list[BlockLedger] = [
             new_dslp(name, shape, self.table) for name, shape in medium]
@@ -255,34 +257,40 @@ class _OnlineRun:
         if self.rejected_index is not None:
             raise ValueError(f"run stopped at arrival {self.rejected_index};"
                              f" it accepts no further circles")
-        checked = []
+        table = self.table
+        checked = []  # (radius, class), class None when too large
         for i, r in enumerate(radii):
             if type(r) is not float:
                 if not _is_real(r):
                     raise ValueError(f"radius at input {i} must be a real "
                                      f"number, got {r!r}")
                 r = float(r)
-            if not (math.isfinite(r) and r > 0):
-                raise ValueError(f"radius at input {i} must be positive "
-                                 f"and finite, got {r!r}")
-            if r <= self.min_radius:
+            try:
+                checked.append((r, classify(r, table)))
+            except TooLarge:
+                checked.append((r, None))  # rejected at its arrival
+            except TooSmall:
+                # A radius at or below the last class's lower bound is an
+                # input error: refusing it as a rejection would break the
+                # guarantee, which its area is within, and the result would
+                # fail its own audit.
                 raise ValueError(f"radius {r!r} at input {i} is not above "
                                  f"the deepest class bound "
-                                 f"{self.min_radius!r}")
-            checked.append(r)
-        for r in checked:
+                                 f"{table.min_radius!r}") from None
+            except ValueError:
+                raise ValueError(f"radius at input {i} must be positive "
+                                 f"and finite, got {r!r}") from None
+        for r, cls in checked:
             seq = self.arrivals
             self.arrivals += 1
-            if not self._pack_one(r, seq):
+            if not self._pack_one(r, cls, seq):
                 self.rejected_index = seq
                 self.rejected_radius = r
                 break
         return self._result()
 
-    def _pack_one(self, r: float, seq: int) -> bool:
-        try:
-            cls = classify(r, self.table)
-        except TooLarge:
+    def _pack_one(self, r: float, cls: Optional[int], seq: int) -> bool:
+        if cls is None:  # too large for every class
             return False
         if cls == 0:
             # Only a table with a large class, hence a layout with a TLP
@@ -317,8 +325,7 @@ class _OnlineRun:
         return PackResult(
             status=(STATUS_ALL_PACKED if self.rejected_index is None
                     else STATUS_REJECTED),
-            container=self.container, mode=self.mode,
-            w=self.table.base_width, b=self.b, guarantee=self.guarantee,
+            container=self.container, mode=self.mode, b=self.b,
             placements=Placements(*self.packing.columns), lanes=lanes,
             rejected_index=self.rejected_index,
             rejected_radius=self.rejected_radius, per_lane=per_lane)

@@ -345,6 +345,11 @@ def _tampered_cases():
     yield "large-overlap-and-swap", _swap_centres(moved, 20, 21)
     yield "large-reversed", dataclasses.replace(
         big, placements=big.placements[::-1])
+    # A class-1 lane is SLP whatever strategy the result names.
+    pair = pack_rect_online(2.0, [0.26, 0.26])
+    close = _replace_at(pair, 1, x=pair.placements[0].x + 0.22)
+    yield "gap-too-small-named-tlp", dataclasses.replace(close, lanes=[
+        dataclasses.replace(lane, strategy="TLP") for lane in close.lanes])
 
 
 @functools.cache
@@ -428,6 +433,9 @@ TAMPERED_GOLDEN = {
         "8265648efb02276e1ee4f07bb1cc9a7ea52d645ffd3f94018557935682831318",
     "large-reversed":
         "9bee8ebb0f83aef0ad2c4686cd38182981fa6164319fae81f85bbc62ac54f96d",
+    # Its lane is named TLP, but the gap check of a class-1 lane runs.
+    "gap-too-small-named-tlp":
+        "b8bd1ad2e7d7230930d1d7b6d78ae05da00b664a613ca089a001b2e649dcea6b",
 }
 
 

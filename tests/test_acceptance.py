@@ -17,8 +17,8 @@ import pytest
 from lanepack.audit import validate
 from lanepack.bounds import delta, guarantee_rect, guarantee_square
 from lanepack.classification import build_class_table
-from lanepack.containers import (NO_TINY_MIN_RADIUS, RectRun, SquareRun,
-                                 pack_rect_online, pack_square_online)
+from lanepack.containers import (RectRun, SquareRun, pack_rect_online,
+                                 pack_square_online)
 from lanepack.genseq import GenSpec, generate
 from lanepack.geometry import Orientation, Rect
 from lanepack.lanes import LaneInfo, LaneState, Packing, place
@@ -27,6 +27,9 @@ from oracles import CommitLog, audit_dslp_lane, audit_slp_lane
 RECT_ASPECTS = (1.0, 1.5, 2.0, 2.36, 3.0, 5.0)
 SEEDS_PER_ASPECT = 200
 SQUARE_SEEDS = 500
+# The no-tiny sequences' smallest radius, above the no-tiny table's deepest
+# class bound 0.0266223.
+NO_TINY_R_MIN = 0.026623
 
 
 def minimized_counterexample(pack, radii):
@@ -86,7 +89,7 @@ def no_tiny_guarantee_runs():
     for seed in range(SQUARE_SEEDS):
         radii = generate(GenSpec(kind="greedy_adversary", seed=seed,
                                  threshold=guarantee_square("no_tiny"),
-                                 r_min=NO_TINY_MIN_RADIUS))
+                                 r_min=NO_TINY_R_MIN))
         run = SquareRun("no_tiny")
         result = run.pack(radii)
         runs.append((seed, radii, run, result))
@@ -115,7 +118,7 @@ def test_criterion_1_validity_suite():
         elif kind == 3:
             radii = generate(GenSpec(kind="greedy_adversary", seed=seed,
                                      threshold=0.375898,
-                                     r_min=NO_TINY_MIN_RADIUS))
+                                     r_min=NO_TINY_R_MIN))
             result = pack_square_online("no_tiny", radii)
         else:
             radii = generate(GenSpec(kind="class_boundary", seed=seed))
@@ -176,7 +179,7 @@ def test_criterion_4_no_tiny_guarantee(no_tiny_guarantee_runs):
     for seed, radii, _run, result in no_tiny_guarantee_runs:
         total = sum(math.pi * r * r for r in radii)
         assert total <= 0.375898, "generator exceeded the budget"
-        assert all(r >= NO_TINY_MIN_RADIUS for r in radii)
+        assert all(r >= NO_TINY_R_MIN for r in radii)
         if result.status != "all_packed":
             failures.append(
                 (seed, minimized_counterexample(

@@ -129,16 +129,35 @@ class TestValidate:
 
     def test_recorded_w_does_not_pick_the_table(self):
         # Class 1 of the general square ends at w/2 = 0.14424; at w = 0.3
-        # it would end at 0.15, past the moved radius.
+        # it would end at 0.15, past the moved radius.  A file's "w" and
+        # "guarantee" are not read: the result takes both from its layout.
         result = pack_square_online("general", [0.1, 0.05])
         c = result.placements[0]
         assert c.class_index == 1
         result.placements = list(result.placements)  # an editable copy
         result.placements[0] = dataclasses.replace(c, r=0.148)
-        report = validate(result)
+        d = json.loads(json.dumps(result.to_json_dict()))
+        report = validate(PackResult.from_json_dict(d))
         assert "class_mismatch" in {v.kind for v in report.violations}
-        edited = validate(dataclasses.replace(result, w=0.3))
-        assert edited.to_json_dict() == report.to_json_dict()
+        edited = PackResult.from_json_dict({**d, "w": 0.3, "guarantee": 0})
+        shape = layout("square", "general", None)
+        assert edited.w == result.w == shape.table.base_width
+        assert edited.guarantee == result.guarantee == shape.guarantee
+        assert edited.to_json_dict() == d
+        assert validate(edited).to_json_dict() == report.to_json_dict()
+
+    def test_recorded_strategy_does_not_skip_the_gap_check(self):
+        # The layout packs every class but 0 by SLP, so the minimum gap
+        # of the class-1 lane is checked whatever strategy the file names.
+        result = pack_rect_online(2.0, [0.26, 0.26])
+        d = json.loads(json.dumps(result.to_json_dict()))
+        x = d["placements"]["x"]
+        x[1] = x[0] + 0.22
+        for strategy in ("SLP", "TLP", "none"):
+            d["lanes"]["strategy"] = [strategy]
+            report = validate(PackResult.from_json_dict(d))
+            assert [(v.kind, v.detail) for v in report.violations] == [
+                ("order", "circle 1 in L1:host violates the minimum gap")]
 
     @pytest.mark.parametrize("make, changes", [
         (seven_circles, {"mode": "bogus"}),

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lanepack.classification import (MAX_CLASSES, Q_SCHEDULE, Q_TAIL,
-                                     ClassTable, TooLarge, TooSmall,
-                                     build_class_table, classify, table_csv)
+from lanepack.classification import (Q_SCHEDULE, ClassRow, ClassTable,
+                                     TooLarge, TooSmall, build_class_table,
+                                     classify, table_csv)
 from lanepack.containers import layout
 
 # Printed approximations of the schedule constants (relative bound, and the
@@ -22,7 +22,7 @@ class TestSchedule:
     def test_constants(self):
         for i, q in PRINTED_Q.items():
             assert Q_SCHEDULE[i - 1] == q
-        assert Q_TAIL == Q_SCHEDULE[-1]
+        assert Q_SCHEDULE[13:] == (0.168262,) * 27
 
     def test_width_recurrence_base_one(self):
         table = build_class_table(1.0)
@@ -46,24 +46,28 @@ class TestSchedule:
 
     def test_depth_cap(self):
         table = build_class_table(1.0)
-        assert table.rows[-1].index == MAX_CLASSES
+        assert table.rows[-1].index == len(Q_SCHEDULE) == 40
         assert table.min_radius < 1e-18
 
-    def test_min_radius_stops_generation(self):
-        table = build_class_table(1.0, min_radius=0.01)
-        # The last row is the first whose bound dips below the cutoff.
-        assert table.rows[-1].lower_bound < 0.01
-        assert table.rows[-2].lower_bound >= 0.01
+    def test_one_class_per_schedule_entry(self):
+        # The general square's and the rectangle's tables hold one class
+        # per entry of Q_SCHEDULE, the square's led by the large class 0.
+        square = layout("square", "general", None).table
+        rect = layout("rect", None, 2.0).table
+        assert [row.index for row in square.rows] == list(range(41))
+        assert [row.index for row in rect.rows] == list(range(1, 41))
+        assert [row.q for row in rect.rows] == list(Q_SCHEDULE)
+        assert [row.q for row in square.rows[1:]] == list(Q_SCHEDULE)
 
-    def test_q2_override(self):
-        table = build_class_table(0.277927, q2_override=0.191578,
-                                  min_radius=0.026623, large=True)
-        assert table.row(2).q == 0.191578
+    def test_no_tiny_schedule(self):
+        # The no-tiny square's schedule is q_1 = 0.25, q_2 = 0.191578.
+        table = layout("square", "no_tiny", None).table
+        assert table == build_class_table(0.277927, large=True,
+                                          qs=(0.25, 0.191578))
         assert table.rows[-1].index == 2
         assert table.row(2).lower_bound == pytest.approx(
             0.191578 * 2 * 0.25 * 0.277927, rel=1e-12)
-        # The override bound sits just above the declared minimum radius.
-        assert table.row(2).lower_bound == pytest.approx(0.0266228, abs=1e-6)
+        assert table.min_radius == pytest.approx(0.0266223, abs=1e-7)
 
     def test_breakpoint_values(self):
         table = build_class_table(1.0)
@@ -75,6 +79,45 @@ class TestSchedule:
         for w in (0.0, -1.0, 1.5, math.inf, math.nan):
             with pytest.raises(ValueError):
                 build_class_table(w)
+
+
+def old_recurrence(w, large=False, q2=None, min_radius=None):
+    """A class table by a recurrence with stop rules, an independent
+    reference: q_2 replaced when q2 is given, and rows generated until
+    the first lower bound below min_radius, or class 40."""
+    rows = []
+    upper = w / 2.0
+    if large:
+        rows.append(ClassRow(0, upper / (1.0 - w), 1.0 - w, upper,
+                             (1.0 - w) / 2.0))
+    width = w
+    i = 1
+    while True:
+        if i == 2 and q2 is not None:
+            q = q2
+        else:
+            q = PRINTED_Q[i] if i in PRINTED_Q else 0.168262
+        bound = q * width
+        rows.append(ClassRow(i, q, width, bound, upper))
+        if min_radius is not None and bound < min_radius or i >= 40:
+            break
+        upper = bound
+        width = 2.0 * q * width
+        i += 1
+    return ClassTable(base_width=w, rows=tuple(rows))
+
+
+@pytest.mark.parametrize("key, old", [
+    (("rect", None, 2.0), lambda: old_recurrence(1.0)),
+    (("square", "general", None),
+     lambda: old_recurrence(0.288480, large=True)),
+    (("square", "no_tiny", None),
+     lambda: old_recurrence(0.277927, large=True, q2=0.191578,
+                            min_radius=0.026623))],
+    ids=["rect", "general", "no_tiny"])
+def test_layout_tables_match_the_old_recurrence(key, old):
+    # Row for row, every float bit for bit.
+    assert layout(*key).table == old()
 
 
 class TestClassify:

@@ -9,13 +9,17 @@ import pytest
 from lanepack import containers
 from lanepack.audit import validate
 from lanepack.bounds import guarantee_rect, guarantee_square
-from lanepack.containers import (NO_TINY_MIN_RADIUS, NO_TINY_Q2,
-                                 SQUARE_WIDTH_GENERAL, SQUARE_WIDTH_NO_TINY,
-                                 PackResult, RectRun, SquareRun, layout,
-                                 pack_rect_online, pack_square_online)
+from lanepack.containers import (NO_TINY_Q2, SQUARE_WIDTH_GENERAL,
+                                 SQUARE_WIDTH_NO_TINY, PackResult, RectRun,
+                                 SquareRun, layout, pack_rect_online,
+                                 pack_square_online)
 from lanepack.genseq import GenSpec, generate
 from lanepack.geometry import EPS, PlacedCircle
 
+
+# The no-tiny sequences' smallest radius, above the no-tiny table's deepest
+# class bound 0.0266223.
+NO_TINY_R_MIN = 0.026623
 
 MODE_OF_WIDTH = {SQUARE_WIDTH_GENERAL: "general",
                  SQUARE_WIDTH_NO_TINY: "no_tiny"}
@@ -90,7 +94,7 @@ class TestTables:
         assert t.base_width == SQUARE_WIDTH_NO_TINY
         assert [row.index for row in t.rows] == [0, 1, 2]
         assert t.row(2).q == NO_TINY_Q2
-        assert t.min_radius == pytest.approx(NO_TINY_MIN_RADIUS, abs=1e-6)
+        assert t.min_radius == pytest.approx(0.0266223, abs=1e-7)
 
 
 class TestRectRun:
@@ -154,10 +158,10 @@ class TestSquareRun:
 
     def test_no_tiny_rejects_tiny_input_as_error(self):
         with pytest.raises(ValueError):
-            pack_square_online("no_tiny", [NO_TINY_MIN_RADIUS / 2])
+            pack_square_online("no_tiny", [NO_TINY_R_MIN / 2])
 
     def test_no_tiny_accepts_boundary_radius(self):
-        result = pack_square_online("no_tiny", [NO_TINY_MIN_RADIUS])
+        result = pack_square_online("no_tiny", [NO_TINY_R_MIN])
         assert result.status == "all_packed"
 
     def test_unknown_mode(self):
@@ -196,7 +200,7 @@ class TestSharedShapes:
                                                 param):
         budget = (guarantee_rect(param) if container == "rect"
                   else guarantee_square(param))
-        r_min = NO_TINY_MIN_RADIUS if param == "no_tiny" else 0.001
+        r_min = NO_TINY_R_MIN if param == "no_tiny" else 0.001
 
         def radii(seed):
             return generate(GenSpec("greedy_adversary", seed=seed,
@@ -282,7 +286,7 @@ class TestRunInput:
 
     def test_no_tiny_accepts_radius_just_above_class_bound(self):
         table = layout("square", "no_tiny", None).table
-        assert table.min_radius < 0.0266226 < NO_TINY_MIN_RADIUS
+        assert table.min_radius < 0.0266226 < NO_TINY_R_MIN
         result = pack_square_online("no_tiny", [0.0266226])
         assert result.status == "all_packed"
         assert result.placements[0].class_index == 2
@@ -400,7 +404,7 @@ class TestSerialization:
         ("square", "general"), ("square", "no_tiny"), ("rect", 2.0)])
     def test_only_lanes_holding_circles_are_listed(self, container, param):
         run = SquareRun(param) if container == "square" else RectRun(param)
-        r_min = NO_TINY_MIN_RADIUS if param == "no_tiny" else 0.001
+        r_min = NO_TINY_R_MIN if param == "no_tiny" else 0.001
         result = run.pack(generate(GenSpec(
             "greedy_adversary", seed=3, threshold=0.3, r_min=r_min)))
         every = [] if run.large_lane is None else [run.large_lane]
