@@ -257,7 +257,8 @@ def validate(result: PackResult) -> AuditReport:
             "order"))
     expect = {STATUS_ALL_PACKED: None, STATUS_REJECTED: n}
     if (result.status not in expect
-            or result.rejected_index != expect[result.status]):
+            or result.rejected_index != expect[result.status]
+            or type(result.rejected_index) not in (int, type(None))):
         report.violations.append(Violation(
             "order", f"status {result.status!r} with rejected index "
             f"{result.rejected_index!r} after {n} placements"))

@@ -1,9 +1,9 @@
 """Executable density bounds and packing guarantees.
 
 Pure closed-form functions: the dense-block density floor delta(q), the
-lower bounds for lanes packed single-sidedly and double-sidedly, the
-overhead allowance for still-open vertical sub-lanes, and the container
-guarantees for the 1 x b rectangle and the unit square.
+lower bound for a double-sidedly packed lane, the overhead allowance for
+still-open vertical sub-lanes, and the container guarantees for the
+1 x b rectangle and the unit square.
 """
 
 from __future__ import annotations
@@ -35,24 +35,6 @@ def delta(q: float) -> float:
     if q <= _Q_MID:
         return math.pi / (3.0 * math.sqrt(3.0))
     return math.pi * q * q / math.sqrt(4.0 * q - 1.0)
-
-
-def min_slp(p: float, w: float, z: float, delta_min: float) -> float:
-    """Lower bound for the occupied area of a single-sidedly packed lane.
-
-    Two semicircles of the smallest admissible radius z plus the remaining
-    packing length at density delta_min.  Clamped for p < 2z so the bound
-    stays total on near-empty lanes.
-    """
-    rect_term = max(0.0, p - 2.0 * z) * w * delta_min
-    return rect_term + 2.0 * semicircle_area(z)
-
-
-def sparse_lower(length: float, w: float, z: float, delta_min: float) -> float:
-    """Lower bound for the occupied area of a sparse block of given length."""
-    if length < z:
-        raise ValueError(f"sparse block length {length} below minimum {z}")
-    return (length - z) * w * delta_min + semicircle_area(z)
 
 
 def min_dslp(p_t: float, p_b: float, w: float, z: float,

@@ -11,6 +11,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import bounds
@@ -91,7 +92,10 @@ class PackResult:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PackResult":
-        """Read schema 2; ValueError for another schema or uneven columns."""
+        """Read schema 2; ValueError for another schema, uneven columns or
+        a column of the wrong type: ids are strings, arrival indices and
+        classes ints, and lane frames finite ints or floats.  The audit
+        checks the placements' coordinates and radii."""
         schema = d["schema"] if "schema" in d else None
         if schema != 2:
             raise ValueError(f"result schema {schema!r} is not 2; re-run "
@@ -101,6 +105,21 @@ class PackResult:
         origin, eu, ev, *rest = _columns(
             d["lanes"], "lane", ("origin", "eu", "ev", "length", "width",
                                  "id", "strategy", "class"))
+        # A placement's lane that is not a string matches no lane id, and
+        # the audit reports it.
+        ints, ids = [*i, *cls, *rest[4]], rest[2]
+        if (list(map(type, ints)).count(int) != len(ints)
+                or list(map(type, ids)).count(str) != len(ids)):
+            raise ValueError("arrival indices and classes must be ints "
+                             "(not bools), and lane ids strings")
+        # Pairs, then numbers other than bools; a sum of finite frame
+        # numbers is finite.
+        frames = [*chain.from_iterable((*origin, *eu, *ev)), *rest[0],
+                  *rest[1]]
+        if (len(frames) != 8 * len(origin)
+                or set(map(type, frames)) - {int, float}
+                or not math.isfinite(sum(frames))):
+            raise ValueError("lane frames must be pairs of finite numbers")
         return PackResult(
             status=d["status"], container=d["container"], mode=d.get("mode"),
             b=d.get("b"), placements=Placements(x, y, r, i, lane, cls),

@@ -94,7 +94,7 @@ def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
 def dslp_metrics(d: BlockLedger) -> tuple[float, float]:
     """(p_t, p_b): the host's packing length, sub-lane circles included,
     plus the top or the bottom small lane's."""
-    p_host = packing_length(d.host, [(d.lo, d.hi)])
+    p_host = packing_length(d.host, d.lo, d.hi)
     length = d.host.frame.length
     # The host stream and a small-lane stream may interleave once the lane
     # is nearly full; their combined longitudinal extent still cannot

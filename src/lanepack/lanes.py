@@ -9,15 +9,15 @@ for the large lane of the square container.
 All logic runs in the lane's canonical frame; the four orientations are
 isometries applied at the boundary.  Placement feasibility is always
 checked against the committed circles of every lane, because lanes may
-overlap geometrically; the packing's spatial index hands over those near
-the placement.
+overlap geometrically; one loop box-tests the candidates that the
+packing's spatial index hands over and builds the sweep's intervals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .geometry import EPS, Frame, sweep
 
@@ -26,9 +26,9 @@ if TYPE_CHECKING:
 
 
 # The length at which Packing's scan list hands its fullest level to a
-# grid.  On `near` queries replayed from real runs, scanning n circles
-# whole took 0.4x the grid's time up to n = 24, 0.6-0.95x at 25-40,
-# about the same at 41-44 and 1.1-1.3x at 45-52.
+# grid.  On find_position's queries replayed from real runs, box-testing
+# n scanned circles took 0.4-0.6x the grid's time up to n = 23,
+# 0.6-0.85x at 24-39, 0.9-1.0x at 40-47 and 1.05-1.4x at 48-71.
 _SCAN_MAX = 44
 
 
@@ -40,10 +40,10 @@ class Packing:
     either in one scan list, tested whole by every query, or in a
     multi-level uniform grid.  A circle of radius r belongs to the level
     whose cell side h = 2**e is the smallest power of four above 2r (e
-    even), so a circle never reaches past the cells next to its own;
-    levels a factor 4 apart keep the number of levels a query visits
-    small when radii span orders of magnitude.  A circle whose level has
-    a grid is filed there, once, in the cell holding its center; any
+    even); levels a factor 4 apart keep the number of levels a query
+    visits small when radii span orders of magnitude.  A circle whose
+    level has a grid is filed there, once, in the cell holding its
+    center, and the level keeps the largest radius filed in it; any
     other circle joins the scan list.  When the scan list reaches
     _SCAN_MAX circles, its fullest level gets a grid and its circles
     move there, so the list stays shorter than _SCAN_MAX, a run of
@@ -55,9 +55,9 @@ class Packing:
         self.x, self.y, self.r = [], [], []
         self.seq, self.lane_id, self.class_index = [], [], []
         self._scan: list[tuple[float, float, float]] = []
-        # e -> (cell side, (i, j) -> circles filed in that cell), for the
-        # levels that have a grid.
-        self._levels: dict[int, tuple[float, dict]] = {}
+        # e -> [cell side, (i, j) -> circles filed in that cell, largest
+        # radius filed], for the levels that have a grid.
+        self._levels: dict[int, list] = {}
 
     @property
     def columns(self) -> tuple[list, ...]:
@@ -89,7 +89,7 @@ class Packing:
         circles there."""
         es = [_level(disk[2]) for disk in self._scan]
         top = max(es, key=es.count)
-        level = self._levels[top] = (math.ldexp(1.0, top), {})
+        level = self._levels[top] = [math.ldexp(1.0, top), {}, 0.0]
         keep = []
         for e, disk in zip(es, self._scan):
             if e == top:
@@ -98,39 +98,42 @@ class Packing:
                 keep.append(disk)
         self._scan = keep
 
-    def near(self, x0: float, y0: float, x1: float,
-             y1: float) -> list[tuple[float, float, float]]:
-        """The (x, y, r) of the circles whose bounding box meets the
-        rectangle [x0, x1] x [y0, y1], in no particular order.
-
-        The scan list's circles are all tested.  A circle of radius
-        r < h/2 filed in grid cell i has its center in [i*h, (i+1)*h),
-        so its box meets [x0, x1] only if
-        floor((x0 - h/2)/h) <= i <= floor((x1 + h/2)/h); the same holds
-        for y.  A level with fewer occupied cells than cells in that range
-        scans its occupied cells instead of probing the range.  The final
-        box test rounds only towards inclusion, so the result is a
-        superset of the exact answer.
+    def groups(self, x0: float, y0: float, x1: float,
+               y1: float) -> list[list[tuple[float, float, float]]]:
+        """The index's own lists, read-only, that hold each circle once and
+        every circle whose box meets [x0, x1] x [y0, y1]: the scan list,
+        then the probed cells.  A circle (x, y, r) of a level with cell
+        side h and largest radius m is in cell floor(x/h), and meets only
+        if x0 - m <= x <= x1 + m; rounding is monotone and x a float, so
+        floor((x0 - m)/h) .. floor((x1 + m)/h) holds its cell however
+        small m is.  The same holds for y.  A level whose occupied cells
+        are fewer than the range's scans those instead.
         """
-        out = self._scan
+        out = [self._scan]
         if self._levels:
-            out = out.copy()
             floor = math.floor
-            for h, cells in self._levels.values():
-                half = 0.5 * h
-                i0, i1 = floor((x0 - half) / h), floor((x1 + half) / h)
-                j0, j1 = floor((y0 - half) / h), floor((y1 + half) / h)
+            for h, cells, m in self._levels.values():
+                i0, i1 = floor((x0 - m) / h), floor((x1 + m) / h)
+                j0, j1 = floor((y0 - m) / h), floor((y1 + m) / h)
                 if (i1 - i0 + 1) * (j1 - j0 + 1) > len(cells):
                     for (i, j), cell in cells.items():
                         if i0 <= i <= i1 and j0 <= j <= j1:
-                            out.extend(cell)
+                            out.append(cell)
                     continue
+                get = cells.get
                 for i in range(i0, i1 + 1):
                     for j in range(j0, j1 + 1):
-                        cell = cells.get((i, j))
+                        cell = get((i, j))
                         if cell is not None:
-                            out.extend(cell)
-        return [c for c in out if c[0] - c[2] <= x1 and c[0] + c[2] >= x0
+                            out.append(cell)
+        return out
+
+    def near(self, x0: float, y0: float, x1: float,
+             y1: float) -> list[tuple[float, float, float]]:
+        """The circles of groups() whose box meets [x0, x1] x [y0, y1], a
+        superset of the exact answer: the test rounds towards inclusion."""
+        return [c for group in self.groups(x0, y0, x1, y1) for c in group
+                if c[0] - c[2] <= x1 and c[0] + c[2] >= x0
                 and c[1] - c[2] <= y1 and c[1] + c[2] >= y0]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,16 +152,17 @@ def _level(r: float) -> int:
     return e + (e & 1)
 
 
-def _file(level: tuple[float, dict], disk: tuple[float, float, float]
-          ) -> None:
-    """File a disk in the cell of a level's grid that holds its center."""
-    h, cells = level
+def _file(level: list, disk: tuple[float, float, float]) -> None:
+    """File a disk in its level's grid; keep the level's largest r."""
+    h, cells, m = level
     key = (math.floor(disk[0] / h), math.floor(disk[1] / h))
     cell = cells.get(key)
     if cell is None:
         cells[key] = [disk]
     else:
         cell.append(disk)
+    if disk[2] > m:
+        level[2] = disk[2]
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,7 @@ def find_position(lane: LaneState, r: float, packing: Packing,
                   eps: float = EPS) -> Optional[tuple[float, float]]:
     """Candidate canonical position for the next circle, without committing.
 
-    The sweep sees only the circles the packing's index returns near the
+    The sweep sees only the circles of Packing.groups whose boxes meet the
     window [lo, hi] at height v, widened by r + |eps| and a rounding
     margin.  Every other circle has no forbidden interval at v, or one
     that ends before lo or starts after hi, so an answer at or below hi
@@ -229,25 +233,28 @@ def find_position(lane: LaneState, r: float, packing: Packing,
     hi = hi if hi < x_max else x_max
     va, vb = v - pad, v + pad
     while True:
-        # The window's corners by Frame.to_container, then Frame.to_local
-        # and leftmost_feasible's intervals in one pass, all with the same
-        # float expressions.
+        # The window's corners by Frame.to_container, then Packing.near's
+        # box test, Frame.to_local and leftmost_feasible's intervals in one
+        # pass, all with the same float expressions.
         ua, ub = lo - pad, hi + pad
         xa, ya = ox + ua * eux + va * evx, oy + ua * euy + va * evy
         xb, yb = ox + ub * eux + vb * evx, oy + ub * euy + vb * evy
+        x0, x1 = (xb, xa) if xb < xa else (xa, xb)
+        y0, y1 = (yb, ya) if yb < ya else (ya, yb)
         intervals = []
-        for cx, cy, cr in packing.near(xb if xb < xa else xa,
-                                       yb if yb < ya else ya,
-                                       xb if xb > xa else xa,
-                                       yb if yb > ya else ya):
-            dx = cx - ox
-            dy = cy - oy
-            cu = dx * eux + dy * euy
-            dv = dx * evx + dy * evy - v
-            rsum = cr + r - half
-            if abs(dv) < rsum and cu + rsum > lo:
-                d = math.sqrt(rsum * rsum - dv * dv)
-                intervals.append((cu - d, cu + d))
+        for group in packing.groups(x0, y0, x1, y1):
+            for cx, cy, cr in group:
+                if (cx - cr > x1 or cx + cr < x0 or cy - cr > y1
+                        or cy + cr < y0):
+                    continue
+                dx = cx - ox
+                dy = cy - oy
+                cu = dx * eux + dy * euy
+                dv = dx * evx + dy * evy - v
+                rsum = cr + r - half
+                if abs(dv) < rsum and cu + rsum > lo:
+                    d = math.sqrt(rsum * rsum - dv * dv)
+                    intervals.append((cu - d, cu + d))
         u = sweep(lo, hi, r, intervals, exclusions, eps)
         if u is not None:
             return (u, v)
@@ -284,17 +291,8 @@ def place(lane: LaneState, r: float, seq: int,
     return commit(lane, pos[0], pos[1], r, seq, packing)
 
 
-def packing_length(lane: LaneState,
-                   extra_extents: Sequence[tuple[float, float]] = ()
-                   ) -> float:
-    """Longitudinal length spanned by the lane's circles, from its running
-    extent.
-
-    extra_extents lets callers include content that sits geometrically
-    inside the lane but is tracked elsewhere (vertical sub-lanes); an
-    empty one is (inf, -inf).
-    """
-    lo, hi = lane.lo, lane.hi
-    for a, b in extra_extents:
-        lo, hi = min(lo, a), max(hi, b)
-    return max(0.0, hi - lo)
+def packing_length(lane: LaneState, lo: float = math.inf,
+                   hi: float = -math.inf) -> float:
+    """Longitudinal length spanned by the lane's running extent and by an
+    extent [lo, hi] of its vertical sub-lanes' circles, or (inf, -inf)."""
+    return max(0.0, max(lane.hi, hi) - min(lane.lo, lo))

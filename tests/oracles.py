@@ -1,5 +1,6 @@
-"""Scalar geometry predicates, lane rectangles, lane scans and the lane
-density lemma audits that tests check the packer against.
+"""Scalar geometry predicates, lane rectangles, lane scans, the
+single-sided lane bounds and the lane density lemma audits that tests
+check the packer against.
 
 The packer and the audit never call these: they are written the plain
 way, one pair, one obstacle or one circle at a time, so that they can
@@ -183,6 +184,24 @@ def occupied_area(d, log: CommitLog) -> float:
     return total
 
 
+def min_slp(p: float, w: float, z: float, delta_min: float) -> float:
+    """Lower bound for the occupied area of a single-sidedly packed lane.
+
+    Two semicircles of the smallest admissible radius z plus the remaining
+    packing length at density delta_min.  Clamped for p < 2z so the bound
+    stays total on near-empty lanes.
+    """
+    rect_term = max(0.0, p - 2.0 * z) * w * delta_min
+    return rect_term + 2.0 * bounds.semicircle_area(z)
+
+
+def sparse_lower(length: float, w: float, z: float, delta_min: float) -> float:
+    """Lower bound for the occupied area of a sparse block of given length."""
+    if length < z:
+        raise ValueError(f"sparse block length {length} below minimum {z}")
+    return (length - z) * w * delta_min + bounds.semicircle_area(z)
+
+
 def audit_slp_lane(lane, placed: Sequence[LanePlacement], q: float,
                    w: float, tol: float = BOUND_TOL) -> bool:
     """Occupied area of a plain single-class lane holding `placed` meets
@@ -190,7 +209,7 @@ def audit_slp_lane(lane, placed: Sequence[LanePlacement], q: float,
     if not placed:
         raise ValueError("audit requires at least one packed circle")
     m = metrics(lane, placed)
-    bound = bounds.min_slp(m.packing_length, w, q * w, bounds.delta(q))
+    bound = min_slp(m.packing_length, w, q * w, bounds.delta(q))
     return m.occupied_area >= bound - tol
 
 

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from lanepack import audit
 from lanepack.audit import validate
-from lanepack.bounds import delta, min_slp
+from lanepack.bounds import delta
 from lanepack.containers import (PackResult, columns, layout,
                                  pack_rect_online, pack_square_online)
 from lanepack.geometry import Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
 from lanepack.lanes import LaneInfo, LaneState, Packing, place
 from oracles import (CommitLog, LanePlacement, audit_dslp_lane,
-                     audit_slp_lane, metrics)
+                     audit_slp_lane, metrics, min_slp)
 
 
 def square_result(seed=0, threshold=0.3, r_min=0.01):
@@ -221,6 +221,17 @@ class TestValidate:
                         {"status": "stopped", "rejected_index": 7}):
             assert self._order_kinds(dataclasses.replace(r, **changes)) == {
                 "order"}, changes
+
+    @pytest.mark.parametrize("index", [1.0, True])
+    def test_detects_rejected_index_that_is_not_an_int(self, index):
+        # Both equal 1, so an equality test alone let a file with such an
+        # index read valid.
+        r = pack_rect_online(1.0, [0.5, 0.5])
+        assert r.rejected_index == 1 and validate(r).valid
+        d = json.loads(json.dumps(r.to_json_dict()))
+        d["rejected_index"] = index
+        back = PackResult.from_json_dict(d)
+        assert self._order_kinds(back) == {"order"}
 
     @pytest.mark.parametrize("radius", [None, 0.0, -0.5, math.inf,
                                         math.nan, True])

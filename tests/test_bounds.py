@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from lanepack.bounds import (OVERHEAD_COEFF, RECT_INTERCEPT, RECT_SLOPE,
                              SQUARE_GENERAL, SQUARE_NO_TINY, delta,
                              guarantee_rect, guarantee_square, min_dslp,
-                             min_slp, overhead_bound, semicircle_area,
-                             sparse_lower)
+                             overhead_bound, semicircle_area)
+from oracles import min_slp, sparse_lower
 
 Q_LOW = 1.0 / (3.0 * math.sqrt(3.0))
 

@@ -211,6 +211,34 @@ class TestVerify:
         assert res.exit_code == 1
         assert "unreadable result file" in res.output
 
+    FRAME_KEYS = ("origin", "eu", "ev", "length", "width")
+
+    @pytest.mark.parametrize("table, key, value", [
+        ("placements", "i", 0.0), ("placements", "i", True),
+        ("placements", "class", 1.0), ("placements", "class", True),
+        ("lanes", "class", 1.0),
+        ("lanes", "class", False), ("lanes", "id", None),
+        ("lanes", "width", "a"), ("lanes", "length", True),
+        ("lanes", "width", math.inf), ("lanes", "origin", [0, "0"]),
+        ("lanes", "eu", [True, 0]), ("lanes", "ev", [0, 1, 0]),
+        ("lanes", "origin", [math.nan, 0.0]), ("lanes", "eu", "10"),
+    ], ids=repr)
+    def test_mistyped_columns_are_unreadable(self, runner, tmp_path, table,
+                                             key, value):
+        # Untyped, some of these read valid and others got an audit report
+        # or a TypeError's message; typed, each is unreadable for its type.
+        out = tmp_path / "r.json"
+        invoke(runner, ["pack", "--container", "rect", "--b", "2",
+                        "--json", str(out)], input="0.4\n0.3\n")
+        data = json.loads(out.read_text())
+        data[table][key][0] = value
+        out.write_text(json.dumps(data))
+        res = invoke(runner, ["verify", str(out)])
+        assert res.exit_code == 1
+        assert "unreadable result file" in res.output
+        why = "lane frames" if key in self.FRAME_KEYS else "must be ints"
+        assert why in res.output
+
     @pytest.mark.parametrize("cut", ["schema-1", "short-x", "short-lane-id"])
     def test_cut_or_old_files_are_refused(self, runner, tmp_path, cut):
         # A file cut short must not audit as a valid packing of fewer

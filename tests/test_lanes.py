@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanepack import lanes
+from lanepack.containers import pack_square_online
 from lanepack.geometry import EPS, Frame, Orientation, Rect
 from lanepack.lanes import (LaneInfo, LaneState, Packing, find_position,
                             place)
@@ -452,8 +453,25 @@ def _meets(c, x0, y0, x1, y1):
 
 def indexed(packing):
     """The (x, y, r) tuples of a packing's scan list and grid cells."""
-    return packing._scan + [c for _, cells in packing._levels.values()
+    return packing._scan + [c for _, cells, _ in packing._levels.values()
                             for cell in cells.values() for c in cell]
+
+
+def assert_superset(packing, x0, y0, x1, y1):
+    """Both the candidates that groups() hands to find_position and the
+    answer of near() hold every circle whose box meets the rectangle in
+    exact arithmetic, each at most once."""
+    disks = indexed(packing)
+    exact = [c for c in disks if _meets(c, x0, y0, x1, y1)]
+    candidates = [c for g in packing.groups(x0, y0, x1, y1) for c in g]
+    got = packing.near(x0, y0, x1, y1)
+    for found in (candidates, got):
+        ids = {id(c) for c in found}
+        assert len(ids) == len(found)
+        assert ids <= {id(c) for c in disks}
+        for c in exact:
+            assert id(c) in ids, (c, (x0, y0, x1, y1))
+    assert {id(c) for c in got} <= {id(c) for c in candidates}
 
 
 @st.composite
@@ -473,6 +491,42 @@ def near_instances(draw):
     return packing, min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb)
 
 
+@st.composite
+def cell_edge_instances(draw):
+    """Circles of one grid level, with radii that are not powers of two,
+    centered a few ulps from a cell boundary of that level, and a
+    rectangle whose edge touches one of them.  The level's cells go down
+    to far below the spacing of floats at the coordinates, and the
+    coordinates may be negative."""
+    e = 2 * draw(st.integers(-40, 2))
+    h = 2.0 ** e
+    ks = st.one_of(st.integers(-64, 64), st.integers(-2 ** 60, 2 ** 60))
+
+    def near_edge():
+        edge = draw(ks) * h
+        return edge + draw(st.integers(-3, 3)) * math.ulp(edge)
+
+    radius = st.floats(0.125, 0.5, exclude_max=True).map(lambda f: f * h)
+    disks = [(near_edge(), near_edge(), draw(radius))
+             for _ in range(draw(st.integers(1, 6)))]
+    x, y, r = draw(st.sampled_from(disks))
+    ulps = st.integers(-2, 2)
+    # The rectangle's left or bottom edge near the disk's right or top
+    # one, or its right or top edge near the disk's left or bottom one.
+    x0, x1 = x + r, x + r + draw(st.sampled_from([0.0, h, 64 * h]))
+    y0, y1 = y - draw(st.sampled_from([0.0, h])), y + r
+    if draw(st.booleans()):
+        x0, x1 = x - r - (x1 - x0), x - r
+    if draw(st.booleans()):
+        y0, y1 = y - r, y - r + (y1 - y0)
+    x0 += draw(ulps) * math.ulp(x0)
+    y1 += draw(ulps) * math.ulp(y1)
+    packing = Packing()
+    for seq, disk in enumerate(disks):
+        packing.add(*disk, seq, "o", -1)
+    return packing, min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)
+
+
 class TestPackingNear:
     @settings(max_examples=200, deadline=None)
     @given(near_instances())
@@ -482,15 +536,96 @@ class TestPackingNear:
         for p in (packing, refiled(packing, GRID_ALWAYS),
                   refiled(packing, SCAN_ALWAYS), refiled(packing, MIXED)):
             # The scan list and the grid hold every circle once.
-            disks = indexed(p)
-            assert sorted(disks) == rows
-            got = p.near(x0, y0, x1, y1)
-            ids = {id(c) for c in got}
-            assert len(ids) == len(got)
-            assert ids <= {id(c) for c in disks}
-            for c in disks:
-                if _meets(c, x0, y0, x1, y1):
-                    assert id(c) in ids, c
+            assert sorted(indexed(p)) == rows
+            assert_superset(p, x0, y0, x1, y1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_edge_instances())
+    def test_superset_at_cell_edges(self, inst):
+        packing, x0, y0, x1, y1 = inst
+        for p in (packing, refiled(packing, GRID_ALWAYS)):
+            assert_superset(p, x0, y0, x1, y1)
+
+    @pytest.mark.parametrize("x", [-3.0, -0.578125, -2.0 ** 40])
+    def test_radii_far_below_the_float_spacing(self, x):
+        # Cells of side 2**-64 at coordinates whose floats lie 2**-51 or
+        # more apart: x0 - m rounds back to x0, and the disk centered at
+        # x0 still meets the rectangle while its neighbours do not.
+        r = 1e-20
+        disks = [(x, -1.5, r), (math.nextafter(x, -math.inf), -1.5, r),
+                 (math.nextafter(x, math.inf), -1.5, 2.5e-20),
+                 (x, math.nextafter(-1.5, 0.0), 7e-21)]
+        with mock.patch.object(lanes, "_SCAN_MAX", GRID_ALWAYS):
+            p = Packing()
+            for seq, disk in enumerate(disks):
+                p.add(*disk, seq, "o", -1)
+        assert list(p._levels) == [lanes._level(r)]
+        for box in ((x, -2.0, x, -1.5), (x - 1.0, -1.5, x, -1.0),
+                    (math.nextafter(x, 0.0), -1.5, 0.0, -1.5)):
+            assert_superset(p, *box)
+        got = p.near(x, -1.5, x, -1.5)
+        assert (x, -1.5, r) in got and disks[1] not in got
+
+    def test_edge_just_across_a_cell_boundary(self):
+        # A disk centered just below the cell boundary -37h whose box
+        # touches x0 exactly: x0 - m falls in the cell below the one
+        # holding x0, and only a pad of at least r reaches it.
+        h = 2.0 ** -6
+        r = 0.003  # level h, not a power of two
+        x = math.nextafter(-37 * h, -math.inf)
+        x0 = math.nextafter(x + r, -math.inf)
+        assert Fraction(x0) <= Fraction(x) + Fraction(r)
+        assert math.floor(x0 / h) == -37 > math.floor(x / h)
+        with mock.patch.object(lanes, "_SCAN_MAX", GRID_ALWAYS):
+            p = Packing()
+            p.add(x, -0.25, r, 0, "o", -1)
+            p.add(0.5, 0.5, 0.0021, 1, "o", -1)
+        assert p._levels[lanes._level(r)][2] == r
+        assert_superset(p, x0, -0.25, x0 + h, -0.25)
+        assert (x, -0.25, r) in p.near(x0, -0.25, x0 + h, -0.25)
+
+    def test_larger_radius_filed_after_queries(self):
+        # The pad is the level's running largest radius: a disk larger
+        # than every earlier one of its level, filed after queries, is
+        # found by the next query, which the old largest radius would not
+        # have reached.
+        h = 2.0 ** -6
+        with mock.patch.object(lanes, "_SCAN_MAX", GRID_ALWAYS):
+            p = Packing()
+            p.add(0.75, 0.75, 0.002, 0, "o", -1)
+            box = (0.502, 0.25, 0.51, 0.26)
+            assert p.near(*box) == []
+            assert_superset(p, *box)
+            late = (0.499, 0.255, 0.0035)
+            assert lanes._level(late[2]) == lanes._level(0.002)
+            p.add(*late, 1, "o", -1)
+        level = p._levels[lanes._level(0.002)]
+        assert level[0] == h and level[2] == 0.0035
+        # 0.502 - 0.002 is the boundary of the cell after late's.
+        assert math.floor((box[0] - 0.002) / h) > math.floor(late[0] / h)
+        assert p.near(*box) == [late]
+        assert_superset(p, *box)
+
+    def test_tiny_stream_box_tests_per_query(self):
+        # The seeded 3,000-circle tiny stream into the general square, as
+        # the benchmark draws it at seed 7.  Padded by its largest radius,
+        # the stream's grid level hands find_position 11.6 circles to box
+        # test per query; padded by half a cell side, it handed 17.1.
+        rng = random.Random("square_tiny_stream/7")
+        radii = [rng.uniform(0.002, 0.004) for _ in range(3000)]
+        sizes = []
+        groups = Packing.groups
+
+        def counted(self, *box):
+            out = groups(self, *box)
+            sizes.append(sum(map(len, out)))
+            return out
+
+        with mock.patch.object(Packing, "groups", counted):
+            assert pack_square_online("general", radii).status == (
+                "all_packed")
+        assert (len(sizes), sum(sizes)) == (3008, 34762)
+        assert sum(sizes) / len(sizes) < 17.1
 
     def test_grid_built_at_scan_max_answers_as_from_the_start(self):
         rng = random.Random(5)
@@ -555,9 +690,11 @@ class TestPackingNear:
             # level has one, else in the scan list.
             assert sorted(indexed(p)) == sorted(zip(p.x, p.y, p.r))
             assert all(lanes._level(c[2]) not in p._levels for c in p._scan)
-            for e, (_, cells) in p._levels.items():
-                assert all(lanes._level(c[2]) == e
-                           for cell in cells.values() for c in cell)
+            for e, (_, cells, m) in p._levels.items():
+                filed = [c for cell in cells.values() for c in cell]
+                assert all(lanes._level(c[2]) == e for c in filed)
+                # The level's pad is the largest radius filed in it.
+                assert m == max(c[2] for c in filed)
             # A rectangle of any scale, at random or around a circle.
             k = rng.randrange(len(p))
             half = 4.0 ** -rng.randrange(0, 27)
@@ -567,9 +704,6 @@ class TestPackingNear:
                 cx, cy = p.x[k], p.y[k]
             box = (cx - half, cy - rng.uniform(0, 2) * half,
                    cx + rng.uniform(0, 2) * half, cy + half)
-            got = set(p.near(*box))
-            for c in zip(p.x, p.y, p.r):
-                if _meets(c, *box):
-                    assert c in got, (seq, c, box)
+            assert_superset(p, *box)
         assert len({lanes._level(r) for r in p.r}) >= 20
         assert len(p._levels) >= 20 and mixed
