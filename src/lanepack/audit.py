@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .containers import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
@@ -26,20 +25,18 @@ if TYPE_CHECKING:
 _STRUCT_TOL = 1e-7
 
 
-@dataclass
 class Violation:
-    # overlap, out_of_container, class_mismatch, order or guarantee
-    kind: str
-    detail: str
-    indices: tuple[int, ...] = ()
+    def __init__(self, kind: str, detail: str, indices: tuple[int, ...] = ()):
+        # overlap, out_of_container, class_mismatch, order or guarantee
+        self.kind, self.detail, self.indices = kind, detail, indices
 
 
-@dataclass
 class AuditReport:
-    valid: bool
-    violations: list[Violation] = field(default_factory=list)
-    density: float = 0.0
-    per_lane_occ: dict = field(default_factory=dict)
+    def __init__(self, valid: bool):
+        self.valid = valid
+        self.violations: list[Violation] = []
+        self.density = 0.0
+        self.per_lane_occ = {}
 
     def to_json_dict(self) -> dict:
         return {

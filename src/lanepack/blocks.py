@@ -13,7 +13,6 @@ sparse; when every step fails the whole lane closes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .classification import ClassTable
@@ -34,46 +33,43 @@ def reservation_for(class_index: int) -> str:
     raise ValueError(f"no reservation state for class {class_index}")
 
 
-@dataclass
 class SparseBlock:
-    owner_u: float  # center of the medium circle whose half it contains
-    owner_r: float
-    half_side: str  # 'bottom' or 'top', in host-canonical terms
-    x_cap: float
-    edge: float = 0.0  # max owner_u + owner_r of it and all blocks before
-    state: str = FREE
-    # Its sub-lanes' strips, the entries of host.exclusions they opened.
-    vlanes: list[tuple[float, float]] = field(default_factory=list)
+    def __init__(self, owner_u: float, owner_r: float, half_side: str,
+                 x_cap: float, edge: float):
+        # Center and radius of the medium circle whose half it contains.
+        self.owner_u, self.owner_r = owner_u, owner_r
+        self.half_side = half_side  # 'bottom' or 'top', host-canonical
+        self.x_cap = x_cap
+        self.edge = edge  # max owner_u + owner_r of it and all blocks before
+        self.state = FREE
+        # Its sub-lanes' strips, the entries of host.exclusions they opened.
+        self.vlanes: list[tuple[float, float]] = []
 
 
-@dataclass
 class DenseBlock:
-    x_left: float
-    x_right: float
-    mixed: bool = False
+    def __init__(self, x_left: float, x_right: float, mixed: bool):
+        self.x_left, self.x_right, self.mixed = x_left, x_right, mixed
 
 
-@dataclass
 class BlockLedger:
-    lane_id: str
-    host: LaneState
-    top: LaneState
-    bottom: LaneState
-    table: ClassTable
-    # The host's vertical sub-lane strips are host.exclusions; these are
-    # the same strips in the small lanes' u, which runs opposite.
-    mirrored: list[tuple[float, float]]
-    dense: list[DenseBlock] = field(default_factory=list)
-    sparse: list[SparseBlock] = field(default_factory=list)
-    free_vlanes: list[tuple[float, float]] = field(default_factory=list)
-    vlanes: list[LaneState] = field(default_factory=list)  # opening order
-    # Each class's newest sub-lane, the only one of its class that can be
-    # open: a class opens a sub-lane only after step 1 closed its last.
-    open_vlane: dict[int, LaneState] = field(default_factory=dict)
-    # Running extent of all sub-lane circles along the host's u axis.
-    lo: float = math.inf
-    hi: float = -math.inf
-    strip_end: float = 0.0  # max right end of host.exclusions, which grows
+    def __init__(self, lane_id: str, host: LaneState, top: LaneState,
+                 bottom: LaneState, table: ClassTable,
+                 mirrored: list[tuple[float, float]]):
+        self.lane_id, self.table = lane_id, table
+        self.host, self.top, self.bottom = host, top, bottom
+        # The host's vertical sub-lane strips are host.exclusions; these
+        # are the same strips in the small lanes' u, which runs opposite.
+        self.mirrored = mirrored
+        self.dense: list[DenseBlock] = []
+        self.sparse: list[SparseBlock] = []
+        self.free_vlanes: list[tuple[float, float]] = []
+        self.vlanes: list[LaneState] = []  # opening order
+        # Each class's newest sub-lane, the only one of its class that can
+        # be open: a class opens a sub-lane only after step 1 closed its last.
+        self.open_vlane: dict[int, LaneState] = {}
+        # Running extent of all sub-lane circles along the host's u axis.
+        self.lo, self.hi = math.inf, -math.inf
+        self.strip_end = 0.0  # max right end of host.exclusions, which grows
 
     def frontier(self) -> float:
         """Right edge of all committed content in host-canonical x.  A

@@ -12,7 +12,8 @@ carries its radius range (lower_bound, upper_bound].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .geometry import Record
 
 # q_1 .. q_13 as the paper gives them, then q_i = 0.168262 up to q_40.
 # Widths shrink by a factor of about 0.3365 per class, so 40 classes cover
@@ -42,19 +43,18 @@ class TooSmall(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ClassRow:
-    index: int
-    q: float
-    width: float
-    lower_bound: float  # exclusive
-    upper_bound: float  # inclusive
+class ClassRow(Record):
+    def __init__(self, index: int, q: float, width: float,
+                 lower_bound: float, upper_bound: float):
+        self.index, self.q, self.width = index, q, width
+        self.lower_bound = lower_bound  # exclusive
+        self.upper_bound = upper_bound  # inclusive
 
 
-@dataclass(frozen=True)
-class ClassTable:
-    base_width: float
-    rows: tuple[ClassRow, ...]  # consecutive classes from rows[0].index
+class ClassTable(Record):
+    def __init__(self, base_width: float, rows: tuple[ClassRow, ...]):
+        self.base_width = base_width
+        self.rows = rows  # consecutive classes from rows[0].index
 
     def row(self, i: int) -> ClassRow:
         return self.rows[i - self.rows[0].index]

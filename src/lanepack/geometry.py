@@ -21,7 +21,8 @@ EPS = 1e-9
 
 @dataclass(frozen=True)
 class PlacedCircle:
-    """A committed circle in container coordinates."""
+    """A committed circle in container coordinates.  It and PackResult
+    stay dataclasses, so that dataclasses.replace edits a copy of either."""
 
     x: float
     y: float
@@ -31,15 +32,22 @@ class PlacedCircle:
     class_index: int = -1
 
 
-@dataclass(frozen=True)
-class Rect:
-    x0: float
-    y0: float
-    x1: float
-    y1: float
+class Record:
+    """A plain record, equal to a record of its own type with equal fields.
+    Its fields are assigned once, in __init__; nothing edits them after."""
 
-    def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Rect(Record):
+    def __init__(self, x0: float, y0: float, x1: float, y1: float):
+        self.x0, self.y0, self.x1, self.y1 = x0, y0, x1, y1
+        if not (x0 < x1 and y0 < y1):
             raise ValueError(f"degenerate rectangle {self}")
 
     @property
@@ -73,8 +81,7 @@ _AXES = {
 }
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     """Isometric map between a lane's canonical coordinates and the container.
 
     Canonical coordinates: u in [0, length] along the packing direction,
@@ -84,11 +91,10 @@ class Frame:
     after these; from_rect and subframe pass it their trailing arguments.
     """
 
-    origin: tuple[float, float]
-    eu: tuple[int, int]
-    ev: tuple[int, int]
-    length: float
-    width: float
+    def __init__(self, origin: tuple[float, float], eu: tuple[int, int],
+                 ev: tuple[int, int], length: float, width: float):
+        self.origin, self.eu, self.ev = origin, eu, ev
+        self.length, self.width = length, width
 
     @classmethod
     def from_rect(cls, rect: Rect, orientation: Orientation, *tag) -> "Frame":

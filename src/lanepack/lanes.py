@@ -16,7 +16,6 @@ packing's spatial index hands over and builds the sweep's intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .geometry import EPS, Frame, sweep
@@ -165,29 +164,34 @@ def _file(level: list, disk: tuple[float, float, float]) -> None:
         level[2] = disk[2]
 
 
-@dataclass(frozen=True)
 class LaneInfo(Frame):
     """One lane: its frame, the strategy it packs by ("SLP" or "TLP") and
-    its size class.  Frozen, so a container shape builds it once; a
-    result's JSON writes it."""
+    its size class.  Never edited, so a container shape builds it once and
+    its runs share it; a result's JSON writes it."""
 
-    lane_id: str
-    strategy: str
-    class_index: int
+    def __init__(self, origin: tuple[float, float], eu: tuple[int, int],
+                 ev: tuple[int, int], length: float, width: float,
+                 lane_id: str, strategy: str, class_index: int):
+        super().__init__(origin, eu, ev, length, width)
+        self.lane_id, self.strategy = lane_id, strategy
+        self.class_index = class_index
 
 
-@dataclass
 class LaneState:
     """A lane's running packing state in the frame of its description."""
 
-    frame: LaneInfo
-    n: int = 0  # committed circles; an even n puts the next at the bottom
-    last: Optional[tuple[float, float]] = None  # (u, r) of the last circle
-    closed: bool = False
-    exclusions: list[tuple[float, float]] = field(default_factory=list)
-    # Running longitudinal extent of the circles: min(u - r), max(u + r).
-    lo: float = math.inf
-    hi: float = -math.inf
+    def __init__(self, frame: LaneInfo, n: int = 0,
+                 last: Optional[tuple[float, float]] = None,
+                 closed: bool = False,
+                 exclusions: Optional[list[tuple[float, float]]] = None,
+                 lo: float = math.inf, hi: float = -math.inf):
+        self.frame = frame
+        self.n = n  # committed circles; an even n puts the next at the bottom
+        self.last = last  # (u, r) of the last circle
+        self.closed = closed
+        self.exclusions = [] if exclusions is None else exclusions
+        # Running longitudinal extent of the circles: min(u - r), max(u + r).
+        self.lo, self.hi = lo, hi
 
 
 def find_position(lane: LaneState, r: float, packing: Packing,

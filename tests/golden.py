@@ -13,15 +13,15 @@ placements alone (PLACEMENT_GOLDEN) and the audit report alone
 (REPORT_GOLDEN). Any change to a single coordinate, lane, class or audit
 finding changes them. The audit of each case, and of each tampered case,
 must also find the same after a round trip through JSON, where it reads
-the placements as columns. The placement
-and report digests do not depend on the JSON layout: they were recorded
-before the result JSON became schema 2 (columns, and only the lanes that
-hold circles), and GOLDEN alone was regenerated for that format, so they
-show that no placement and no audit finding moved with it. The
-sparse-block case rect-6.0-mixed-blocks came later; its three digests
-were recorded on the code from before the audit read placements as
-columns. Placements must stay bit-identical, so never regenerate these
-values to make a test pass.
+the placements as columns, and each file in UNREADABLE must not read at
+all. The placement and report digests do not depend on the JSON layout:
+they were recorded before the result JSON became schema 2 (columns, and
+only the lanes that hold circles), and GOLDEN alone was regenerated for
+that format, so they show that no placement and no audit finding moved
+with it. The sparse-block case rect-6.0-mixed-blocks came later; its
+three digests were recorded on the code from before the audit read
+placements as columns. Placements must stay bit-identical, so never
+regenerate these values to make a test pass.
 """
 
 import dataclasses
@@ -37,6 +37,7 @@ from lanepack.bounds import guarantee_rect, guarantee_square
 from lanepack.containers import (PackResult, RectRun, SquareRun,
                                  pack_rect_online, pack_square_online)
 from lanepack.genseq import GenSpec, generate
+from lanepack.lanes import LaneInfo
 
 RECT_ASPECTS = (1.0, 1.5, 2.0, 3.0)
 SEEDS = (0, 1, 2)
@@ -349,12 +350,39 @@ def _tampered_cases():
     pair = pack_rect_online(2.0, [0.26, 0.26])
     close = _replace_at(pair, 1, x=pair.placements[0].x + 0.22)
     yield "gap-too-small-named-tlp", dataclasses.replace(close, lanes=[
-        dataclasses.replace(lane, strategy="TLP") for lane in close.lanes])
+        LaneInfo(lane.origin, lane.eu, lane.ev, lane.length, lane.width,
+                 lane.lane_id, "TLP", lane.class_index)
+        for lane in close.lanes])
 
 
 @functools.cache
 def tampered() -> dict:
     return dict(_tampered_cases())
+
+
+# Result files edited one way each, as (name, table, column, new value of
+# its first entry), that from_json_dict must refuse with ValueError rather
+# than read and audit.
+UNREADABLE = (("float-arrival", "placements", "i", 0.0),
+              ("string-width", "lanes", "width", "a"))
+
+
+@functools.cache
+def _four_circles() -> str:
+    return json.dumps(pack_square_online(
+        "general", [0.3, 0.12, 0.07, 0.05]).to_json_dict())
+
+
+def unreadable(table: str, column: str, value) -> bool:
+    """Whether from_json_dict refuses the four-circle square's file with
+    the column's first entry replaced by value."""
+    d = json.loads(_four_circles())
+    d[table][column][0] = value
+    try:
+        PackResult.from_json_dict(d)
+    except ValueError:
+        return True
+    return False
 
 
 def report_digest(result) -> str:
@@ -700,6 +728,8 @@ def main() -> int:
     checks += [(f"json-tampered-{name}", lambda name=name: report_digest(
                     from_json(tampered()[name])), want)
                for name, want in TAMPERED_GOLDEN.items()]
+    checks += [(f"unreadable-{name}", lambda t=tamper: unreadable(*t), True)
+               for name, *tamper in UNREADABLE]
     counts = {"passed": 0, "failed": 0, "skipped": 0}
     for name, run, want in checks:
         try:

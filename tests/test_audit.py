@@ -113,7 +113,9 @@ class TestValidate:
         assert (rows[0].index, rows[-1].index) == {
             "rect": (1, 40), "square": (0, 40), "no_tiny": (0, 2)}[container]
         lane = result.lanes[0]
-        result.lanes[0] = dataclasses.replace(lane, class_index=cls)
+        result.lanes[0] = LaneInfo(lane.origin, lane.eu, lane.ev, lane.length,
+                                   lane.width, lane.lane_id, lane.strategy,
+                                   cls)
         report = validate(result)
         assert [v.detail for v in report.violations if not v.indices] == [
             f"lane {lane.lane_id} has class {cls!r}, which its container's "
@@ -180,8 +182,9 @@ class TestValidate:
 
     def test_lane_class_in_the_table_keeps_its_radius_range(self):
         result = pack_rect_online(2.0, [0.4, 0.3])
-        result.lanes[0] = dataclasses.replace(result.lanes[0],
-                                              class_index=40)
+        lane = result.lanes[0]
+        result.lanes[0] = LaneInfo(lane.origin, lane.eu, lane.ev, lane.length,
+                                   lane.width, lane.lane_id, lane.strategy, 40)
         result.placements = [dataclasses.replace(c, class_index=40)
                              for c in result.placements]
         report = validate(result)

@@ -189,7 +189,7 @@ class TestSquareRun:
 
 
 class TestSharedShapes:
-    """Runs of one container shape share frozen frames, nothing else."""
+    """Runs of one container shape share one layout, nothing else."""
 
     RUNS = [(lambda: RectRun(2.0), "rect", 2.0),
             (lambda: SquareRun("general"), "square", "general"),
@@ -221,6 +221,29 @@ class TestSharedShapes:
         assert type(layout("rect", None, 3.0).box.x1) is float
         result = pack_rect_online(3, [0.3])
         assert [type(x) for x in result.lanes[0].origin] == [float, float]
+
+    @pytest.mark.parametrize("container, param", [
+        ("rect", 1.0), ("rect", 1.5), ("rect", 2.0), ("rect", 3.0),
+        ("square", "general"), ("square", "no_tiny")])
+    def test_runs_leave_the_cached_layout_as_built(self, container, param):
+        # Layout records are plain classes that nothing stops a run from
+        # editing; a run that edited its shared table or frames shows here.
+        if container == "rect":
+            make, key = RectRun, ("rect", None, param)
+            budget, r_min = guarantee_rect(param), 0.001
+        else:
+            make, key = SquareRun, ("square", param, None)
+            budget = guarantee_square(param)
+            r_min = NO_TINY_R_MIN if param == "no_tiny" else 0.001
+        for seed in (1, 2):
+            make(param).pack(generate(GenSpec(
+                "greedy_adversary", seed=seed, threshold=budget,
+                r_min=r_min)))
+        cached, fresh = layout(*key), layout.__wrapped__(*key)
+        assert cached.table.rows == fresh.table.rows
+        assert cached.box == fresh.box
+        assert cached.large == fresh.large
+        assert cached.medium == fresh.medium
 
     def test_frames_shared_lanes_not(self):
         a, b = SquareRun("general"), SquareRun("general")

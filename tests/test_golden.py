@@ -1,7 +1,7 @@
 """Golden digests of whole packings, of their placements and audit
 reports alone, and of tampered packings' audit reports, the reports
-also after a round trip through JSON; the cases and digests live in
-tests/golden.py.  The same inputs
+also after a round trip through JSON, and tampered files that must not
+read; the cases and digests live in tests/golden.py.  The same inputs
 also check that feeding a run one radius per call changes nothing, keeps
 at most one open sub-lane per class, keeps each lane's sparse blocks in
 owner order and its frontier equal to the full scan's, and that the
@@ -13,9 +13,9 @@ import math
 import pytest
 
 from golden import (CASES, GOLDEN, INPUTS, PLACEMENT_GOLDEN, REPORT_GOLDEN,
-                    STREAMS, TAMPERED_GOLDEN, TINY_STREAM_N, _mixed_stream,
-                    _tiny_stream, digest, from_json, new_run,
-                    placement_digest, report_digest, tampered)
+                    STREAMS, TAMPERED_GOLDEN, TINY_STREAM_N, UNREADABLE,
+                    _mixed_stream, _tiny_stream, digest, from_json, new_run,
+                    placement_digest, report_digest, tampered, unreadable)
 from lanepack.dslp import dslp_metrics
 from oracles import (CommitLog, frontier, metrics, packing_extent,
                      vlane_extents)
@@ -56,6 +56,11 @@ def test_golden_tampered_report(name):
 def test_golden_tampered_report_after_json(name):
     assert (report_digest(from_json(tampered()[name]))
             == TAMPERED_GOLDEN[name])
+
+
+@pytest.mark.parametrize("name, table, column, value", UNREADABLE)
+def test_golden_unreadable_file(name, table, column, value):
+    assert unreadable(table, column, value)
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))

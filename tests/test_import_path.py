@@ -1,10 +1,11 @@
 """A fresh interpreter imports lanepack without its sequence generators,
 and packs, round-trips and audits a small packing without loading numpy;
-a larger audit loads it and stays exact.  The audit imports nothing from
-the lane code it checks, and the package exports the nine names the
-README documents."""
+a larger audit loads it and stays exact.  Only its two result records
+are dataclasses.  The audit imports nothing from the lane code it checks,
+and the package exports the nine names the README documents."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -60,15 +61,49 @@ assert "numpy" in sys.modules
 print("ok")
 """
 
+# Every dataclass that a fresh import of the package and its audit defines.
+DATACLASSES = """\
+import dataclasses
+import sys
 
-def test_small_packing_path_loads_no_numpy():
+import lanepack, lanepack.audit
+
+print(*sorted(f"{name}.{cls.__qualname__}"
+              for name, module in list(sys.modules.items())
+              if name.split(".")[0] == "lanepack"
+              for cls in vars(module).values()
+              if isinstance(cls, type) and cls.__module__ == name
+              and dataclasses.is_dataclass(cls)))
+"""
+
+
+def _fresh(script: str) -> list[str]:
+    """The words a script prints in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["ok"]
+    return done.stdout.split()
+
+
+def test_small_packing_path_loads_no_numpy():
+    assert _fresh(SCRIPT) == ["ok"]
+
+
+def test_only_the_result_records_are_dataclasses():
+    # The other records are plain classes, which cost less to define on
+    # every start; these two stay editable copies through replace.
+    assert _fresh(DATACLASSES) == ["lanepack.containers.PackResult",
+                                   "lanepack.geometry.PlacedCircle"]
+    result = lanepack.pack_square_online("general", [0.1, 0.05])
+    first = result.placements[0]
+    moved = dataclasses.replace(first, x=first.x + 0.5)
+    assert (moved.x, moved.y, moved.r) == (first.x + 0.5, first.y, first.r)
+    edited = dataclasses.replace(result, placements=[moved])
+    assert edited.placements == [moved] and edited.lanes == result.lanes
+    assert edited.status == result.status
 
 
 def test_audit_imports_no_lane_module():

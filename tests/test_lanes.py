@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -319,7 +318,8 @@ def placement_instances(draw):
 
     frame = draw(st.sampled_from(FRAMES))
     strategy = draw(st.sampled_from(["SLP", "TLP"]))
-    lane = LaneState(LaneInfo(*dataclasses.astuple(frame), "q", strategy, 1),
+    lane = LaneState(LaneInfo(frame.origin, frame.eu, frame.ev, frame.length,
+                              frame.width, "q", strategy, 1),
                      n=draw(st.integers(0, 1)))
     w, length = frame.width, frame.length
     r = draw(st.one_of(st.sampled_from(POWER_RADII[2:]), st.builds(
