@@ -215,8 +215,8 @@ def validate(result: PackResult) -> AuditReport:
     ValueError when its container, mode and aspect have no layout."""
     # The container, mode and aspect pick the table, box and guarantee;
     # the file's own w and guarantee do not.
-    table, guarantee, box, _, _ = layout(result.container, result.mode,
-                                         result.b)
+    table, guarantee, box, *_ = layout(result.container, result.mode,
+                                       result.b)
     report = AuditReport(valid=True)
     xs, ys, rs, seqs, lane_ids, class_indices = columns(result.placements)
     n = len(xs)

@@ -16,7 +16,6 @@ import math
 from typing import Optional
 
 from .classification import ClassTable
-from .geometry import EPS
 from .lanes import LaneInfo, LaneState, Packing, place
 
 FREE = "free"
@@ -136,25 +135,32 @@ def _eligible(block: SparseBlock, class_index: int) -> bool:
     return block.state in (FREE, reservation_for(class_index))
 
 
+def vlane_info(host: LaneInfo, width: float, class_index: int, x0: float,
+               down: bool, ordinal: int) -> LaneInfo:
+    """Sub-lane `ordinal` of class_index on the strip [x0, x0 + width] of
+    the host, framed as Frame.subframe frames it DOWNWARDS (down) or
+    UPWARDS, by the same floats; ValueError if the strip leaves the host."""
+    (ox, oy), (eux, euy), (evx, evy) = host.origin, host.eu, host.ev
+    x1 = x0 + width
+    if not 0.0 <= x0 <= x1 <= host.length + _POS_TOL:
+        raise ValueError(f"strip [{x0!r}, {x1!r}] leaves the "
+                         f"{host.length!r}-long host {host.lane_id}")
+    v, s = (host.width, -1) if down else (0.0, 1)
+    return LaneInfo((ox + x0 * eux + v * evx, oy + x0 * euy + v * evy),
+                    (s * evx, s * evy), (eux, euy), host.width, x1 - x0,
+                    f"{host.lane_id}:v{class_index}#{ordinal}", "SLP",
+                    class_index, x0, down)
+
+
 def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
                   downwards: bool,
                   strips: list[tuple[float, float]]) -> LaneState:
-    """Open the strip [x0, x0 + width] across the host, with the frame that
-    Frame.subframe gives it DOWNWARDS or UPWARDS, by the same floats, and
-    record the strip in `strips` too."""
-    host = ledger.host.frame
-    width = ledger.table.row(class_index).width
-    (ox, oy), (eux, euy), (evx, evy) = host.origin, host.eu, host.ev
+    """Open the strip [x0, x0 + width] across the host (see vlane_info),
+    and record the strip in `strips` too."""
+    host, width = ledger.host.frame, ledger.table.row(class_index).width
+    lane = LaneState(vlane_info(host, width, class_index, x0, downwards,
+                                len(ledger.vlanes)))
     x1 = x0 + width
-    length, lane_width = host.width, x1 - x0
-    if lane_width > length + EPS:
-        raise ValueError(f"lane width {lane_width} exceeds length {length}")
-    v, s = (length, -1) if downwards else (0.0, 1)
-    info = LaneInfo((ox + x0 * eux + v * evx, oy + x0 * euy + v * evy),
-                    (s * evx, s * evy), (eux, euy), length, lane_width,
-                    f"{host.lane_id}:v{class_index}#{len(ledger.vlanes)}",
-                    "SLP", class_index)
-    lane = LaneState(info)
     ledger.vlanes.append(lane)
     ledger.open_vlane[class_index] = lane
     ledger.host.exclusions.append((x0, x1))

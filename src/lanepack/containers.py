@@ -11,13 +11,12 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import bounds
 from .classification import (ClassTable, TooLarge, TooSmall,
                              build_class_table, classify)
-from .blocks import BlockLedger
+from .blocks import BlockLedger, vlane_info
 from .dslp import _dslp_shape, dslp_metrics, dslp_pack, new_dslp
 from .geometry import EPS, Orientation, PlacedCircle, Rect
 from .lanes import LaneInfo, LaneState, Packing, packing_length, place
@@ -57,11 +56,11 @@ class PackResult:
         return _packed_area(columns(self.placements)[2])
 
     def to_json_dict(self) -> dict:
-        """Schema 2: placements and lanes each as one list per key."""
+        """Schema 3: placements and lanes each as one list per key; only a
+        sub-lane's strip start and side add to what the layout fixes."""
         x, y, r, seq, lane, cls = columns(self.placements)
-        lanes = self.lanes
         out = {
-            "schema": 2,
+            "schema": 3,
             "status": self.status,
             "container": self.container,
             "mode": self.mode,
@@ -74,14 +73,9 @@ class PackResult:
                 "i": list(seq), "x": list(x), "y": list(y), "r": list(r),
                 "class": list(cls), "lane": list(lane)},
             "lanes": {
-                "id": [li.lane_id for li in lanes],
-                "origin": [list(li.origin) for li in lanes],
-                "eu": [list(li.eu) for li in lanes],
-                "ev": [list(li.ev) for li in lanes],
-                "length": [li.length for li in lanes],
-                "width": [li.width for li in lanes],
-                "strategy": [li.strategy for li in lanes],
-                "class": [li.class_index for li in lanes]},
+                "id": [li.lane_id for li in self.lanes],
+                "x0": [li.x0 for li in self.lanes],
+                "down": [li.down for li in self.lanes]},
             "per_lane": self.per_lane,
         }
         if self.rejected_index is not None:
@@ -92,39 +86,29 @@ class PackResult:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PackResult":
-        """Read schema 2; ValueError for another schema, uneven columns or
-        a column of the wrong type: ids are strings, arrival indices and
-        classes ints, and lane frames finite ints or floats.  The audit
-        checks the placements' coordinates and radii."""
+        """Read schema 3; ValueError for another schema, uneven columns, a
+        mistyped column (arrival indices and classes ints, ids strings) or
+        a lane not in its layout (see _lane).  The audit checks the
+        placements' coordinates and radii."""
         schema = d["schema"] if "schema" in d else None
-        if schema != 2:
-            raise ValueError(f"result schema {schema!r} is not 2; re-run "
-                             f"pack to write a schema-2 file")
+        if schema != 3:
+            raise ValueError(f"result schema {schema!r} is not 3; re-run "
+                             f"pack to write a schema-3 file")
         x, y, r, i, lane, cls = _columns(d["placements"], "placement",
                                          ("x", "y", "r", "i", "lane", "class"))
-        origin, eu, ev, *rest = _columns(
-            d["lanes"], "lane", ("origin", "eu", "ev", "length", "width",
-                                 "id", "strategy", "class"))
+        ids, x0s, downs = _columns(d["lanes"], "lane", ("id", "x0", "down"))
         # A placement's lane that is not a string matches no lane id, and
         # the audit reports it.
-        ints, ids = [*i, *cls, *rest[4]], rest[2]
+        ints = [*i, *cls]
         if (list(map(type, ints)).count(int) != len(ints)
                 or list(map(type, ids)).count(str) != len(ids)):
             raise ValueError("arrival indices and classes must be ints "
                              "(not bools), and lane ids strings")
-        # Pairs, then numbers other than bools; a sum of finite frame
-        # numbers is finite.
-        frames = [*chain.from_iterable((*origin, *eu, *ev)), *rest[0],
-                  *rest[1]]
-        if (len(frames) != 8 * len(origin)
-                or set(map(type, frames)) - {int, float}
-                or not math.isfinite(sum(frames))):
-            raise ValueError("lane frames must be pairs of finite numbers")
+        frames = layout(d["container"], d.get("mode"), d.get("b"))
         return PackResult(
             status=d["status"], container=d["container"], mode=d.get("mode"),
             b=d.get("b"), placements=Placements(x, y, r, i, lane, cls),
-            lanes=list(map(LaneInfo, map(tuple, origin), map(tuple, eu),
-                           map(tuple, ev), *rest)),
+            lanes=[_lane(frames, *row) for row in zip(ids, x0s, downs)],
             rejected_index=d.get("rejected_index"),
             rejected_radius=d.get("rejected_radius"),
             per_lane=d.get("per_lane", {}))
@@ -187,6 +171,29 @@ def _columns(table: dict, record: str, keys: tuple[str, ...]) -> list:
     return columns
 
 
+def _lane(frames: Layout, lane_id: str, x0, down) -> LaneInfo:
+    """A file's lane: a layout lane, x0 and down null, or the sub-lane
+    <DSLP host id>:v<class>#<ordinal> of a table class >= 3 on the strip
+    [x0, x0 + class width] of its host, x0 a finite float, down a bool."""
+    info = frames.lanes.get(lane_id)
+    if info is not None:
+        if x0 is None and down is None:
+            return info
+        raise ValueError(f"layout lane {lane_id} has a non-null x0 or down")
+    host_id, _, sub = lane_id.rpartition(":v")
+    host, (cls, _, k) = frames.lanes.get(host_id), sub.partition("#")
+    if not (host and host.class_index == 1 and cls.isdecimal()
+            and k.isdecimal() and f"{host_id}:v{int(cls)}#{int(k)}" == lane_id
+            and 3 <= int(cls) <= frames.table.rows[-1].index):
+        raise ValueError(f"lane id {lane_id!r} names no lane of the layout "
+                         f"and no sub-lane of a table class >= 3")
+    if not (type(x0) is float and math.isfinite(x0) and type(down) is bool):
+        raise ValueError(f"sub-lane {lane_id} needs a finite float x0 and "
+                         f"a bool down, not {x0!r} and {down!r}")
+    return vlane_info(host, frames.table.row(int(cls)).width, int(cls), x0,
+                      down, int(k))
+
+
 def _is_real(x) -> bool:
     # bool is an int subclass; numpy scalars register as Real.  A float
     # skips the slower ABC check.
@@ -195,15 +202,16 @@ def _is_real(x) -> bool:
 
 
 class Layout(NamedTuple):
-    """What a container, mode and aspect fix for every run: the class
-    table, the guarantee, the container box, the large TLP lane (None in
-    the rectangle) and each medium DSLP lane's (name, shape)."""
+    """What a container, mode and aspect fix for every run: class table,
+    guarantee, box, large TLP lane (None in the rectangle), each medium
+    DSLP lane's (name, shape), and all these lanes by id."""
 
     table: ClassTable
     guarantee: float
     box: Rect
     large: Optional[LaneInfo]
     medium: tuple[tuple[str, tuple[LaneInfo, ...]], ...]
+    lanes: dict[str, LaneInfo]
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -222,29 +230,30 @@ def layout(container: str, mode: Optional[str], b) -> Layout:
             raise ValueError(f"aspect b must be a finite number >= 1, "
                              f"got {b!r}")
         box = Rect(0.0, 0.0, b, 1.0)
+        table, guarantee, large = (build_class_table(1.0),
+                                   bounds.guarantee_rect(b), None)
         medium = (("L1", _dslp_shape("L1", box, Orientation.RIGHTWARDS)),)
-        return Layout(build_class_table(1.0), bounds.guarantee_rect(b), box,
-                      None, medium)
-    if (container != "square" or mode not in ("general", "no_tiny")
+    elif (container != "square" or mode not in ("general", "no_tiny")
             or b is not None):
         raise ValueError(f"no layout for container {container!r} in mode "
                          f"{mode!r} with aspect {b!r}")
-    if mode == "general":
-        table = build_class_table(SQUARE_WIDTH_GENERAL, large=True)
     else:
-        table = build_class_table(SQUARE_WIDTH_NO_TINY, large=True,
-                                  qs=(0.25, NO_TINY_Q2))
-    w = table.base_width
-    large = LaneInfo.from_rect(Rect(0.0, 0.0, 1.0, 1.0 - w),
-                               Orientation.LEFTWARDS, "L0", "TLP", 0)
-    medium = tuple((name, _dslp_shape(name, rect, orientation))
-                   for name, rect, orientation in (
-        ("L1", Rect(0.0, 1.0 - w, 1.0, 1.0), Orientation.RIGHTWARDS),
-        ("L2", Rect(1.0 - w, 0.0, 1.0, 1.0 - w), Orientation.DOWNWARDS),
-        ("L3", Rect(0.0, 0.0, 1.0 - w, w), Orientation.RIGHTWARDS),
-        ("L4", Rect(0.0, w, w, 1.0 - w), Orientation.UPWARDS)))
-    return Layout(table, bounds.guarantee_square(mode),
-                  Rect(0.0, 0.0, 1.0, 1.0), large, medium)
+        table = (build_class_table(SQUARE_WIDTH_GENERAL, large=True)
+                 if mode == "general" else build_class_table(
+                     SQUARE_WIDTH_NO_TINY, large=True, qs=(0.25, NO_TINY_Q2)))
+        w, box = table.base_width, Rect(0.0, 0.0, 1.0, 1.0)
+        guarantee = bounds.guarantee_square(mode)
+        large = LaneInfo.from_rect(Rect(0.0, 0.0, 1.0, 1.0 - w),
+                                   Orientation.LEFTWARDS, "L0", "TLP", 0)
+        medium = tuple((name, _dslp_shape(name, rect, orientation))
+                       for name, rect, orientation in (
+            ("L1", Rect(0.0, 1.0 - w, 1.0, 1.0), Orientation.RIGHTWARDS),
+            ("L2", Rect(1.0 - w, 0.0, 1.0, 1.0 - w), Orientation.DOWNWARDS),
+            ("L3", Rect(0.0, 0.0, 1.0 - w, w), Orientation.RIGHTWARDS),
+            ("L4", Rect(0.0, w, w, 1.0 - w), Orientation.UPWARDS)))
+    lanes = {info.lane_id: info for _, shape in medium for info in shape}
+    return Layout(table, guarantee, box, large, medium,
+                  lanes if large is None else {"L0": large, **lanes})
 
 
 class _OnlineRun:
@@ -260,7 +269,7 @@ class _OnlineRun:
         # As JSON writes it: an int stays ("b": 2), other reals float.
         if _is_real(b) and type(b) not in (int, float):
             b = float(b)
-        self.table, self.guarantee, _, large, medium = layout(
+        self.table, self.guarantee, _, large, medium, _ = layout(
             container, mode, b)
         self.container, self.mode, self.b = container, mode, b
         self.large_lane = None if large is None else LaneState(large)

@@ -165,16 +165,17 @@ def _file(level: list, disk: tuple[float, float, float]) -> None:
 
 
 class LaneInfo(Frame):
-    """One lane: its frame, the strategy it packs by ("SLP" or "TLP") and
-    its size class.  Never edited, so a container shape builds it once and
-    its runs share it; a result's JSON writes it."""
+    """One lane: its frame, strategy ("SLP" or "TLP") and size class, and a
+    sub-lane's strip start x0 on its host and side (down).  Never edited,
+    so a container shape builds it once and its runs share it."""
 
     def __init__(self, origin: tuple[float, float], eu: tuple[int, int],
                  ev: tuple[int, int], length: float, width: float,
-                 lane_id: str, strategy: str, class_index: int):
+                 lane_id: str, strategy: str, class_index: int,
+                 x0: Optional[float] = None, down: Optional[bool] = None):
         super().__init__(origin, eu, ev, length, width)
         self.lane_id, self.strategy = lane_id, strategy
-        self.class_index = class_index
+        self.class_index, self.x0, self.down = class_index, x0, down
 
 
 class LaneState:

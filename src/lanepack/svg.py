@@ -32,8 +32,8 @@ def render_svg(result: PackResult, scale: float = 600.0) -> str:
 
     y is flipped so the container's mathematical y-axis points up.
     """
-    _, _, box, large, medium = layout(result.container, result.mode,
-                                      result.b)
+    _, _, box, _, _, lanes = layout(result.container, result.mode,
+                                    result.b)
     width = box.width * scale
     height = box.height * scale
 
@@ -51,11 +51,9 @@ def render_svg(result: PackResult, scale: float = 600.0) -> str:
         f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
         f'fill="white" stroke="black" stroke-width="2"/>',
     ]
-    # Top-level lanes, holding circles or not; sub-lanes would clutter.
-    frames = [(name, host) for name, (host, _, _) in medium]
-    if large is not None:
-        frames.insert(0, (large.lane_id, large))
-    for label, frame in frames:
+    # The large lane and the DSLP hosts (classes 0 and 1), used or not.
+    for frame in [lane for lane in lanes.values() if lane.class_index < 2]:
+        label = frame.lane_id.removesuffix(":host")
         # The lane's corners at (u, v) = (0, 0) and (length, width).
         far = frame.to_container(frame.length, frame.width)
         (x0, x1), (y0, y1) = map(sorted, zip(frame.origin, far))

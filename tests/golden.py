@@ -16,12 +16,16 @@ must also find the same after a round trip through JSON, where it reads
 the placements as columns, and each file in UNREADABLE must not read at
 all. The placement and report digests do not depend on the JSON layout:
 they were recorded before the result JSON became schema 2 (columns, and
-only the lanes that hold circles), and GOLDEN alone was regenerated for
-that format, so they show that no placement and no audit finding moved
-with it. The sparse-block case rect-6.0-mixed-blocks came later; its
-three digests were recorded on the code from before the audit read
-placements as columns. Placements must stay bit-identical, so never
-regenerate these values to make a test pass.
+only the lanes that hold circles). GOLDEN alone was regenerated for
+schema 2 and again for schema 3, which writes a lane as its id plus a
+sub-lane's strip start and side and reads every frame from the layout.
+So the other digests show that no placement and no audit finding moved
+with either format, and the reports after a round trip through JSON,
+tampered ones included, that schema 3 rebuilds the frames the audit
+reads. The sparse-block case rect-6.0-mixed-blocks came later; its three
+digests were recorded on the code from before the audit read placements
+as columns. Placements must stay bit-identical, so never regenerate
+these values to make a test pass.
 """
 
 import dataclasses
@@ -155,119 +159,119 @@ def placement_digest(result) -> str:
 
 GOLDEN = {
     "rect-1.0-greedy_adversary-0":
-        "9a995b03ad1a855871157b25da0e1f31b7d17e313a15b74f8881081d0bb9166a",
+        "16fabbcd1080bb91dfc8e9abfb6a68fbfd416aea87bb2224a613300053e25351",
     "rect-1.0-greedy_adversary-1":
-        "34441568ef977f5d1e15572c0e3089bcc03de64f79d6f91215707a94ce347b2c",
+        "4b1038d346265435a82b94e9fadb2836209df881923d8e2feb92bde6c5211a09",
     "rect-1.0-greedy_adversary-2":
-        "2e0095a30a8ed17dca3e7449068f813b81aa5608e360b987b0fe4f1b252d9fec",
+        "5fa3bbc7751fcc1a535ea2e5fc2eee08bc04405b6fc8b795c72f8b2afbb5b6f5",
     "rect-1.0-uniform-0":
-        "17a8f161333804058705fe0b1b3dc92f4950bf63b7e621c01a3916e39f96cb8a",
+        "7f710d17479738a061e3563c57b867d3d248cf05e1abdbf57eb3f06500cb359e",
     "rect-1.0-uniform-1":
-        "0e8f1a30078283179c81837f418b7b13e630cc7d7ebfb821e5bdf4c4b56fb18a",
+        "b9fd53ff68d4c7b07ac6deccf5eb3535cfe8c3f2b4744e25e6351d1ce1c34bb6",
     "rect-1.0-uniform-100":
-        "19ee22c82952361dafe633a38a77352ad8a7f5f3e33d3ecbf2dce2d88ae2bb1b",
+        "7dcb91cb9e74db153697b07e1c60a18deffa104948f44cf905297a9d732f6989",
     "rect-1.0-uniform-101":
-        "416f75d3ece300c43911a8be916bd21b73d329b5f0b8765df85c8ae3c6711803",
+        "afa5b075d91c81949651d0c9f86d77970cdba3ce4648c5f1c9571cf77084a609",
     "rect-1.0-uniform-102":
-        "af0b09327074168e9708eb05bbd62ed2c4e4bcd5209c0285a85b9db96c5866a0",
+        "71cee4a4e45eac7379728e03ac1ac23ffcbcbbe6c7afe17a7d2650cb61d87c1f",
     "rect-1.0-uniform-2":
-        "8aabefa910468216d6a8c122ca879c0503d7df53ea0045792e37d8d2b166cf51",
+        "0818250727a6c0cfa0108bd4db2e5a0663dfd8caa0759067b70aa88e1c61ef8a",
     "rect-1.5-greedy_adversary-0":
-        "92bcdf9bb42e45a68b6e7b5588237e8d9cff94defc1e0df7722e06d91ae28b4b",
+        "c67139a43239ca1c8864a772b98e3c9d7a8915ba5b974374d53f0e1dcdc30754",
     "rect-1.5-greedy_adversary-1":
-        "b8c837e4fa434f10f6bcaa3553abfcf8ab8de1b6b6f5f94ee14991de7ce322f6",
+        "7093dd9395432067b544f4de8d2dfa67099130c9cebe9e01170f8a71e1d40d00",
     "rect-1.5-greedy_adversary-2":
-        "96dc932bda5f1323c560e5593f96d8ac551314a6b5aaf22bb1a3713796ba261b",
+        "8f32e9b1abb69c7a724313b601a710b685a5169443c12ad47c2182d33ac28d02",
     "rect-1.5-uniform-0":
-        "222f0e6a81fe937a85009d9e6e287abc1e8bd2c55760010cebe9763c5ad3af67",
+        "5c0b0f7e6e4a146258b776b53f06a0d047bac957f551ee2251af87dac78a6acc",
     "rect-1.5-uniform-1":
-        "7dd2e36bf2150775e3484853533e2187955ee559e9543d4e4ead3917df43bb5d",
+        "cdf3fbe8f9a75a6c8ab9b183dfb543878f418d5efa8716b35b9dee84f65729b9",
     "rect-1.5-uniform-100":
-        "e3452ebf23d7c23abfcc74546b04629e72d7b6c85509369f46d4325e62e4b7ad",
+        "b769a9b826480c598d605c3e1633e5930628e03fdcb911c82ac18b4b17b8891e",
     "rect-1.5-uniform-101":
-        "2c34fd5a18ce322d370db1bd040d0bbcc60da40355639d1f45835334b8f3fdb7",
+        "17c79ba08251b537ff149c752a381857211b225dcf8c6ccad737e15f4eea5930",
     "rect-1.5-uniform-102":
-        "0f5fceec878cca324cf90bd25a59cb529f415689ac94438f1c1cf0acd9de8313",
+        "08c1aefd4090555ba07813ac197e4c4cf86efed6e2a2a82d92dad41efd4c4591",
     "rect-1.5-uniform-2":
-        "7dd2fc45776d466aa8c98378169e03bf8f451af7ea7e404317394e62c7a2765c",
+        "a2c35adec6d38d7aa695847ad7fd6354a7eff1aa4468fbf4c99da1cb5ff3d6b3",
     "rect-2.0-greedy_adversary-0":
-        "19fe31391e8004becb85635ec821e40b8107f7a11dc2817e0592a882aeb6603f",
+        "0dd4c8489d10e6168d89d3c0f50804291fab45c354cc57cee7e587391b59c41d",
     "rect-2.0-greedy_adversary-1":
-        "f923dc2f5a8318fb17c228286a461b27cb221d23429d9c2307e4dd81a447facf",
+        "864d9b472be0000a7d7938fb21c5bb4f400faeab75099475e811beb21e6249c7",
     "rect-2.0-greedy_adversary-2":
-        "191d29ce003c2c8ebb4a575de856b4e0069a98ce36ebe49742ea1fcc05919eba",
+        "f5a741bf536859c66ba0f4001072d1a47a47850a5204b2b5f70153a349d98280",
     "rect-2.0-uniform-0":
-        "47095368f0acca170ba2de8e543f21ff8b37e8144f23f2d2d9d2a70aeb4dc880",
+        "055a28f800d6d336c2fa443822e6d89081637749e4a1ed0b08c262af688b0dec",
     "rect-2.0-uniform-1":
-        "9ff14afbd5ca27013e8d9ac49b504d505f64d1d4419ecbb4c26aadd62c26d686",
+        "070dd8c43e674d499cfccba15e87eebb5645239d88521076ced5ced337e1908d",
     "rect-2.0-uniform-100":
-        "ab4ea54babf5e6a8e425dc3c97fbe745b4f47a61e60afefbb15eb5fb32576ee0",
+        "f2fedf0b2e787339c341716cfb0db3a7153615738e44f4908995f43de0c2c05a",
     "rect-2.0-uniform-101":
-        "774690141aae7146ffa299daa52f851db4b559bcc9f16cdff1f108251e831fb4",
+        "7ca000305b4090363dcd26ff34c43c32cbe846cd49f95432c1117d6535297cbd",
     "rect-2.0-uniform-102":
-        "a05e749906a894655100bf9c859fb30ea37b07fe3f542490dee289aaba9ab725",
+        "c6127fd43547e9a98a2dda4590ac4b0792a04b09529948dfac4eef298ce420b5",
     "rect-2.0-uniform-2":
-        "a2209d487d2d283522170652724e57c410091271415d028650162151dd35f97d",
+        "7052b7264c478086234e854de2468c3f18f483f645af78fd34b952bfaad5d3a1",
     "rect-3.0-greedy_adversary-0":
-        "32048c92c9d0383398dcbb5075c800fd2ffca266b47ccb66ca0cb80abd0f2bed",
+        "87cd6f54828bd5cbc213c42873a9524714b1f4009a51df3aa60149ed4f73b9fb",
     "rect-3.0-greedy_adversary-1":
-        "a815f50549c1c33d21084f7ecb432f8b8926f3aecc4ec0395402ef2ffcbe1f20",
+        "e91d2003358c9e48cba038069a38889d75a459e8e33c77f832d5bda0161434c9",
     "rect-3.0-greedy_adversary-2":
-        "2d22e79e61f45b03b29c8c0a41c51920d82aa2ef351f0556181f45e65dab7b41",
+        "f0519442fa6861d55e04a3ae8fff7ead24efb1319d4f41ab1913f42ee9122d82",
     "rect-3.0-uniform-0":
-        "3ec007070374c59596bc80051f7b12df7c9abddd992156b5fdc60b6e44604285",
+        "0f1e294a342cfb3237d376edab32eec1b527d0f01ae27fac79d6dbac7b0ca1e9",
     "rect-3.0-uniform-1":
-        "236156c8b402f88d5cd893c413865982f3ae34de7e2a4c506562e7fa947aaf0c",
+        "0d86da7733f3fb73a9aee9c2b9a2ed23ce6e68365395dfa79a83a9b92f4f9d5e",
     "rect-3.0-uniform-100":
-        "7255fa2388b07be5b40bcb8412f6996fe8fd1ffe8703f5b4df9cc258f5f761c0",
+        "773a4b890784ddbfba14b81b32c2b6be8e080008270d93a49d076b7fadb10506",
     "rect-3.0-uniform-101":
-        "03411ec48a63d9caf942c564604a46c21bb4d815983f888eed87f87912d418b1",
+        "2753f7948300042c97f5f1145cf2f93bb4711986ff4d21e1606dca3e04754aba",
     "rect-3.0-uniform-102":
-        "5813bd2fd69d26cd922034c099750838a641d2f8209b48b829ce4af291540de8",
+        "508bc8dc7cb6c8817ea59e21e56414b9aa9816a641a3e9fd0177958dd280f01a",
     "rect-3.0-uniform-2":
-        "e4f1beaecdb0754be89cb7c6b08e6df6126ecce98d641732113a116f334a1c83",
+        "db12c02eeb5c3d2ac53bc1c013ac415a152b9733d141a3754d0265f89f69eadc",
     "square-general-greedy_adversary-0":
-        "38da72c4616477b2286939a93040a6c04b6ebf0167b34b3c6f1f1ef97ca19d2b",
+        "49d661f5cd25dd08faeea7185f1ed1f47d07506fbbd89b5eb897928dbb31064f",
     "square-general-greedy_adversary-1":
-        "1cc7ac51b94c98ebca1e068d4368acec24d1fe4e3fe58f816fd2e7cbe9d5291c",
+        "3fd473c93b3a32195fdd3934cf0426daf95f776e32d38c2158e73405417849b2",
     "square-general-greedy_adversary-2":
-        "a451bf348520c4efd824f85436bda7131adccdd2b06c6e96611072edba847269",
+        "b8a15d315f345e2179001156a7dc1cd4bf2708da6941d6f0bca95148ce9d2d72",
     "square-general-uniform-0":
-        "907ca6cb3726c6caaf3dc1b72a7171e5bad0014357b249fbc346b66d08b3eaf8",
+        "faee1834fe257b537a099352fe548d9586f92830a92981ca65d94afcc99008a6",
     "square-general-uniform-1":
-        "8926e14e8134d76a14861e1e5cf98defa90de5ad4b7f133325119dcfe7e36768",
+        "28048f08c4ca1f12a828938183437c4556660d82607dacb2b7cc3c390427855c",
     "square-general-uniform-100":
-        "5dcd23952401145ebd8d066fa6b9ae9a2de7825ea721af76b32a062660a1f778",
+        "563eea5f37c41a6733b942923a97ea9fc45ba6543c55c3ba0ae26ca02cf63925",
     "square-general-uniform-101":
-        "4b030a500b2eb09312d7592018506122c6280ea320cb510bb0295714304268fa",
+        "88586b4bb510c20d8e29bc92b3e927e6c674271c03567f5ba74b1f6756195167",
     "square-general-uniform-102":
-        "5ebb9e5076ca3df4ef8d739574e0ebb342cbfb6ae803cbfaa0a4276d097dc76d",
+        "7e9a2d7c8c89c0570fe305581f0aec62753a5c9208c4df8e5f12b3c2e2f9c11b",
     "square-general-uniform-2":
-        "461d691fde9858b3a0797d5de84e38b793ff251ebb9c568669bb412a3eceb335",
+        "9ec666feac750fa0959f51a9c1f3d7610c5b6aac88738c24fa0f527a6474730e",
     "square-no_tiny-greedy_adversary-0":
-        "4bd64cb9a1623f100fd4c9130f4d3ca79c43afd35c389f66c69614ef25e99106",
+        "33f57acfc45b09725070fb80dc364fa855cf376182ea2ae1a7dcb1ecdad32268",
     "square-no_tiny-greedy_adversary-1":
-        "6cebdcf6d21114836367a04a3360e8aeaeb8de629e2541024d1ea39c1c28a8d9",
+        "7da075a053891a0bd98c28e95c52cd2ef6bcce154f20ced5b9c3bcb291b600ef",
     "square-no_tiny-greedy_adversary-2":
-        "d05d2ace5e5d233194b3a30d64de68db57c541487097f399cba63a68760a97f8",
+        "41b2e2dc553a8c9bd7e5806903a7dba21beb1acf29bd16ee7bc8c0ad4a099413",
     "square-no_tiny-uniform-0":
-        "ac989805f6ac871e63b514b0d7e65e6f11d3030a96d406333887d0a9fbdd2a9c",
+        "b2dec0f6b7449f66eb27942f134761f54820b93563535e2523fe85646cfd7771",
     "square-no_tiny-uniform-1":
-        "2182fb0568a68163b7a2f34007a2c120e57b4e6ee6ba758a3680a5119dd331aa",
+        "c4d443c3c39d64a03c0aa41a503ed4976b9ffd1e2558a6f6b47631d0859f350f",
     "square-no_tiny-uniform-100":
-        "92f486dff2be151f2c4eef7f2ab71ca57a0019894b37173ca7c076dbe4bcb9a9",
+        "1f4bd3abaf03427dc1d74842492cdbeb8ff1a3250493bf9bfe57f1189963d1ae",
     "square-no_tiny-uniform-101":
-        "cf84330ad0e2d632f1b6f6ddad4ab5dadb7c5f377262c9a67e298e93eddf4ca9",
+        "dc0dce4469caffc50c9aa650440e75548114a058b162732bda32a33bca79644d",
     "square-no_tiny-uniform-102":
-        "481e41721954d67938dc42fdab723e9a19f87c1112162bf91bc1a5f87c4761d0",
+        "5f6117fae8bc1aa6f6dd4f558a82e7556fed3fa489da0db3ca82f84259f86ef6",
     "square-no_tiny-uniform-2":
-        "53cd86d41f70ed9baa6a9b73958e7e1a1ca8a9963acb4e415aa5e3198c3479aa",
+        "6505592ceb07f45a0dbcae672bd3e3b2b56c90afca82888944949b2adfaa90c9",
     "square-general-tiny-stream":
-        "5b5764b9d0ebb660e6423ee3013d2b3f03c44a47c378e467ac8d56a3ffcc72a2",
+        "58c303165904949cc3f67dfc0148817b61576b6255fec543abc85c15192f9b54",
     "rect-2.0-mixed-stream":
-        "c59d4f202af7af34729e3e0782e6f5322e62b60eb0d70f935cb3b90e2913288b",
+        "89da8ea552d2eb7d0b9bef2d3f52c7bb8a91423d4d3a7c7ee797c9d51dcf8628",
     "rect-6.0-mixed-blocks":
-        "5e70ae5635ee373311ce82a89d77b90c9e5526c2fa737d717bc7a4a7905dc1a0",
+        "d04cf3ef3c883c26ce3c2476409fcfeb849577b45deee015c7f7b168c2ce2476",
 }
 
 
@@ -361,23 +365,24 @@ def tampered() -> dict:
 
 
 # Result files edited one way each, as (name, table, column, new value of
-# its first entry), that from_json_dict must refuse with ValueError rather
-# than read and audit.
+# its last entry), that from_json_dict must refuse with ValueError rather
+# than read and audit.  The last lane is a sub-lane of the 1-long L1 host.
 UNREADABLE = (("float-arrival", "placements", "i", 0.0),
-              ("string-width", "lanes", "width", "a"))
+              ("string-x0", "lanes", "x0", "a"),
+              ("strip-past-host", "lanes", "x0", 1.0))
 
 
 @functools.cache
-def _four_circles() -> str:
+def _five_circles() -> str:
     return json.dumps(pack_square_online(
-        "general", [0.3, 0.12, 0.07, 0.05]).to_json_dict())
+        "general", [0.3, 0.12, 0.07, 0.05, 0.003]).to_json_dict())
 
 
 def unreadable(table: str, column: str, value) -> bool:
-    """Whether from_json_dict refuses the four-circle square's file with
-    the column's first entry replaced by value."""
-    d = json.loads(_four_circles())
-    d[table][column][0] = value
+    """Whether from_json_dict refuses the five-circle square's file with
+    the column's last entry replaced by value."""
+    d = json.loads(_five_circles())
+    d[table][column][-1] = value
     try:
         PackResult.from_json_dict(d)
     except ValueError:

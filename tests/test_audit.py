@@ -150,16 +150,24 @@ class TestValidate:
 
     def test_recorded_strategy_does_not_skip_the_gap_check(self):
         # The layout packs every class but 0 by SLP, so the minimum gap
-        # of the class-1 lane is checked whatever strategy the file names.
+        # of the class-1 lane is checked whatever strategy the result
+        # names.  A file cannot name one: its lanes come from the layout.
         result = pack_rect_online(2.0, [0.26, 0.26])
-        d = json.loads(json.dumps(result.to_json_dict()))
-        x = d["placements"]["x"]
-        x[1] = x[0] + 0.22
+        result.placements = list(result.placements)  # an editable copy
+        c = result.placements[1]
+        result.placements[1] = dataclasses.replace(
+            c, x=result.placements[0].x + 0.22)
+        lane = result.lanes[0]
         for strategy in ("SLP", "TLP", "none"):
-            d["lanes"]["strategy"] = [strategy]
-            report = validate(PackResult.from_json_dict(d))
+            result.lanes = [LaneInfo(lane.origin, lane.eu, lane.ev,
+                                     lane.length, lane.width, lane.lane_id,
+                                     strategy, lane.class_index)]
+            report = validate(result)
             assert [(v.kind, v.detail) for v in report.violations] == [
                 ("order", "circle 1 in L1:host violates the minimum gap")]
+            back = PackResult.from_json_dict(result.to_json_dict())
+            assert back.lanes == [lane]
+            assert validate(back).to_json_dict() == report.to_json_dict()
 
     @pytest.mark.parametrize("make, changes", [
         (seven_circles, {"mode": "bogus"}),

@@ -211,32 +211,31 @@ class TestVerify:
         assert res.exit_code == 1
         assert "unreadable result file" in res.output
 
-    FRAME_KEYS = ("origin", "eu", "ev", "length", "width")
-
     @pytest.mark.parametrize("table, key, value", [
         ("placements", "i", 0.0), ("placements", "i", True),
         ("placements", "class", 1.0), ("placements", "class", True),
-        ("lanes", "class", 1.0),
-        ("lanes", "class", False), ("lanes", "id", None),
-        ("lanes", "width", "a"), ("lanes", "length", True),
-        ("lanes", "width", math.inf), ("lanes", "origin", [0, "0"]),
-        ("lanes", "eu", [True, 0]), ("lanes", "ev", [0, 1, 0]),
-        ("lanes", "origin", [math.nan, 0.0]), ("lanes", "eu", "10"),
+        ("lanes", "id", None), ("lanes", "x0", "a"), ("lanes", "x0", 1),
+        ("lanes", "x0", True), ("lanes", "x0", None),
+        ("lanes", "x0", math.inf), ("lanes", "x0", math.nan),
+        ("lanes", "down", 0), ("lanes", "down", None),
+        ("lanes", "down", "true"),
     ], ids=repr)
     def test_mistyped_columns_are_unreadable(self, runner, tmp_path, table,
                                              key, value):
-        # Untyped, some of these read valid and others got an audit report
-        # or a TypeError's message; typed, each is unreadable for its type.
+        # Untyped, some of these would read valid or raise a TypeError;
+        # typed, each is unreadable for its type.  The last lane is a
+        # vertical sub-lane, whose x0 and down the file must give.
         out = tmp_path / "r.json"
         invoke(runner, ["pack", "--container", "rect", "--b", "2",
-                        "--json", str(out)], input="0.4\n0.3\n")
+                        "--json", str(out)], input="0.4\n0.3\n0.01\n")
         data = json.loads(out.read_text())
-        data[table][key][0] = value
+        assert ":v" in data["lanes"]["id"][-1]
+        data[table][key][-1] = value
         out.write_text(json.dumps(data))
         res = invoke(runner, ["verify", str(out)])
         assert res.exit_code == 1
         assert "unreadable result file" in res.output
-        why = "lane frames" if key in self.FRAME_KEYS else "must be ints"
+        why = "finite float x0" if key in ("x0", "down") else "must be ints"
         assert why in res.output
 
     @pytest.mark.parametrize("cut", ["schema-1", "short-x", "short-lane-id"])
@@ -259,29 +258,63 @@ class TestVerify:
         assert "unreadable result file" in res.output
         assert '"valid"' not in res.output
 
-    @pytest.mark.parametrize("cls", [99, 0, -5])
-    def test_lane_class_outside_the_table(self, runner, tmp_path, cls):
-        # The rectangle's table has classes 1 to len(rows), and no large
-        # class 0.
+    @staticmethod
+    def _sub_lane_file(tmp_path, edit):
+        """The rectangle's file with a host and one sub-lane, L1:host:v5#0,
+        edited by edit(lanes, placements)."""
         out = tmp_path / "r.json"
-        invoke(runner, ["pack", "--container", "rect", "--b", "2",
-                        "--json", str(out)], input="0.4\n0.3\n0.01\n")
+        invoke(CliRunner(), ["pack", "--container", "rect", "--b", "2",
+                             "--json", str(out)], input="0.4\n0.3\n0.01\n")
         data = json.loads(out.read_text())
-        data["lanes"]["class"][0] = cls
+        assert data["lanes"]["id"] == ["L1:host", "L1:host:v5#0"]
+        edit(data["lanes"], data["placements"])
         out.write_text(json.dumps(data))
-        res = invoke(runner, ["verify", str(out)])
+        return out
+
+    @pytest.mark.parametrize("cls", [99, 0, -5, 2])
+    def test_lane_class_outside_the_table(self, runner, tmp_path, cls):
+        # The rectangle's table has classes 1 to 40, and a sub-lane holds
+        # a class >= 3; the file names the class in the sub-lane's id.
+        def edit(lanes, placements):
+            lanes["id"][1] = placements["lane"][2] = f"L1:host:v{cls}#0"
+
+        res = invoke(runner, ["verify", str(self._sub_lane_file(tmp_path,
+                                                                edit))])
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
-        report = json.loads(res.output)
-        assert report["valid"] is False
-        lane = data["lanes"]["id"][0]
-        assert {"kind": "class_mismatch", "indices": [],
-                "detail": f"lane {lane} has class {cls}, which its "
-                          f"container's table lacks"} in report["violations"]
+        assert "unreadable result file" in res.output
+        assert f"'L1:host:v{cls}#0' names no lane of the layout" in res.output
+
+    @pytest.mark.parametrize("column, k, value, why", [
+        ("id", 1, "L2:host:v5#0", "names no lane of the layout"),
+        ("id", 1, "L1:top:v5#0", "names no lane of the layout"),
+        ("id", 1, "L1:host:v5", "names no lane of the layout"),
+        ("id", 1, "L1:host:v5#-1", "names no lane of the layout"),
+        ("id", 1, "L1:host:v05#0", "names no lane of the layout"),
+        ("x0", 1, 2.0, "leaves the 2.0-long host L1:host"),
+        ("x0", 1, -1e-3, "leaves the 2.0-long host L1:host"),
+        ("x0", 0, 0.5, "layout lane L1:host has a non-null x0 or down"),
+        ("down", 0, False, "layout lane L1:host has a non-null x0 or down"),
+    ], ids=["other-host", "not-a-host", "no-ordinal", "negative-ordinal",
+            "padded-class", "strip-past-host-end", "strip-before-host",
+            "layout-lane-x0", "layout-lane-down"])
+    def test_lanes_the_layout_lacks_are_unreadable(self, runner, tmp_path,
+                                                   column, k, value, why):
+        # A lane's frame is the layout's: a sub-lane must name a DSLP host
+        # and lie inside it, and a layout lane has no strip of its own.
+        def edit(lanes, placements):
+            lanes[column][k] = value
+
+        res = invoke(runner, ["verify", str(self._sub_lane_file(tmp_path,
+                                                                edit))])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "unreadable result file" in res.output
+        assert why in res.output
 
 
 def schema_1(data: dict) -> dict:
-    """A schema-2 result dict in the earlier layout: no "schema" key, one
+    """A schema-3 result dict in the earliest layout: no "schema" key, one
     dict per placement and per lane."""
     old = {k: v for k, v in data.items() if k != "schema"}
     for table in ("placements", "lanes"):

@@ -410,16 +410,23 @@ class TestSerialization:
         for a, b in zip(back.lanes, result.lanes):
             assert a == b
 
-    def test_schema_2_columns(self):
+    def test_schema_3_columns(self):
+        # Lane frames come from the layout: a file holds each lane's id,
+        # and a sub-lane's strip start and side.
         result = self._result()
         d = json.loads(json.dumps(result.to_json_dict()))
-        assert d["schema"] == 2
+        assert d["schema"] == 3
         placements, lanes = d["placements"], d["lanes"]
         assert list(placements) == ["i", "x", "y", "r", "class", "lane"]
-        assert list(lanes) == ["id", "origin", "eu", "ev", "length",
-                               "width", "strategy", "class"]
+        assert list(lanes) == ["id", "x0", "down"]
         assert placements["r"] == [c.r for c in result.placements]
-        assert lanes["origin"] == [list(li.origin) for li in result.lanes]
+        assert lanes["id"] == [li.lane_id for li in result.lanes]
+        sub = [":v" in lane_id for lane_id in lanes["id"]]
+        assert True in sub and False in sub
+        assert [x0 is None for x0 in lanes["x0"]] == [not s for s in sub]
+        assert [type(down) for down in lanes["down"]] == [
+            bool if s else type(None) for s in sub]
+        # Every lane, frame and sub-lane strip included, reads back equal.
         back = PackResult.from_json_dict(d)
         assert back == result
 
@@ -449,19 +456,19 @@ class TestSerialization:
         assert validate(PackResult.from_json_dict(
             json.loads(json.dumps(result.to_json_dict())))).valid
 
-    @pytest.mark.parametrize("schema", [None, 1, "2", 3])
+    @pytest.mark.parametrize("schema", [None, 1, 2, "3", 4])
     def test_other_schemas_are_refused(self, schema):
         d = self._result().to_json_dict()
         if schema is None:
             del d["schema"]
         else:
             d["schema"] = schema
-        with pytest.raises(ValueError, match=f"schema {schema!r} is not 2"):
+        with pytest.raises(ValueError, match=f"schema {schema!r} is not 3"):
             PackResult.from_json_dict(d)
 
     @pytest.mark.parametrize("table, key", [
         ("placements", "x"), ("placements", "i"), ("placements", "lane"),
-        ("lanes", "id"), ("lanes", "origin"), ("lanes", "class")])
+        ("lanes", "id"), ("lanes", "x0"), ("lanes", "down")])
     def test_columns_of_unequal_length_are_refused(self, table, key):
         # map() would stop at the shortest column and drop records.
         d = self._result().to_json_dict()
