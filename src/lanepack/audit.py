@@ -314,8 +314,8 @@ def validate(result: PackResult) -> AuditReport:
             ks.sort(key=seqs.__getitem__)
         # Alternation, monotone order, and (for SLP) the minimum gap, in
         # the lane's canonical frame with the arithmetic of Frame.to_local.
-        # The layout packs class 0 by TLP and every other class by SLP, so
-        # the class, not the file's strategy, decides the gap check.
+        # The packer takes TLP for class 0 and SLP for every other class,
+        # so the class decides the gap check, as in find_position.
         (ox, oy), (eu0, eu1), (ev0, ev1) = info.origin, info.eu, info.ev
         w = info.width
         slp = cls != 0

@@ -3,7 +3,8 @@
 A medium circle's center line splits the host into blocks: two
 consecutive centers bound a dense block, the last center opens a sparse
 block, sparse[-1], that runs until the next medium circle caps it at its
-left tangent.  Medium centers advance strictly, so sparse is in owner
+left tangent.  Only sparse blocks are recorded: the packer never acts on
+a dense one.  Medium centers advance strictly, so sparse is in owner
 order.  Tiny and very tiny circles (classes >= 3) go into vertical
 sub-lanes placed inside sparse blocks, or directly into the host's free
 area, via a five-step routine whose steps 2 and 3 are one pass over
@@ -41,13 +42,7 @@ class SparseBlock:
         self.x_cap = x_cap
         self.edge = edge  # max owner_u + owner_r of it and all blocks before
         self.state = FREE
-        # Its sub-lanes' strips, the entries of host.exclusions they opened.
-        self.vlanes: list[tuple[float, float]] = []
-
-
-class DenseBlock:
-    def __init__(self, x_left: float, x_right: float, mixed: bool):
-        self.x_left, self.x_right, self.mixed = x_left, x_right, mixed
+        self.has_vlane = False  # whether a sub-lane opened inside it
 
 
 class BlockLedger:
@@ -59,9 +54,7 @@ class BlockLedger:
         # The host's vertical sub-lane strips are host.exclusions; these
         # are the same strips in the small lanes' u, which runs opposite.
         self.mirrored = mirrored
-        self.dense: list[DenseBlock] = []
         self.sparse: list[SparseBlock] = []
-        self.free_vlanes: list[tuple[float, float]] = []
         self.vlanes: list[LaneState] = []  # opening order
         # Each class's newest sub-lane, the only one of its class that can
         # be open: a class opens a sub-lane only after step 1 closed its last.
@@ -77,18 +70,6 @@ class BlockLedger:
         edge = self.sparse[-1].edge if self.sparse else 0.0
         return max(edge, self.strip_end)
 
-    def to_dict(self) -> dict:
-        return {
-            "dense": [{"x_left": d.x_left, "x_right": d.x_right,
-                       "mixed": d.mixed} for d in self.dense],
-            "sparse": [{"x_left": s.owner_u, "x_cap": s.x_cap,
-                        "state": s.state, "half_side": s.half_side,
-                        "vlanes": [list(strip) for strip in s.vlanes]}
-                       for s in self.sparse],
-            "free_vlanes": [list(strip) for strip in self.free_vlanes],
-        }
-
-
 def on_medium_packed(ledger: BlockLedger, u: float, r: float,
                      half_side: str) -> None:
     """Update block structure after a medium circle landed at canonical u:
@@ -96,12 +77,10 @@ def on_medium_packed(ledger: BlockLedger, u: float, r: float,
     holds no sub-lane."""
     if ledger.sparse:
         prev = ledger.sparse[-1]
-        if not prev.vlanes:
-            ledger.sparse.pop()
-            ledger.dense.append(DenseBlock(prev.owner_u, u, mixed=False))
-        else:
+        if prev.has_vlane:
             prev.x_cap = u - r
-            ledger.dense.append(DenseBlock(prev.owner_u, u, mixed=True))
+        else:
+            ledger.sparse.pop()
     edge = ledger.sparse[-1].edge if ledger.sparse else 0.0
     ledger.sparse.append(SparseBlock(owner_u=u, owner_r=r,
                                      half_side=half_side,
@@ -148,15 +127,13 @@ def vlane_info(host: LaneInfo, width: float, class_index: int, x0: float,
     v, s = (host.width, -1) if down else (0.0, 1)
     return LaneInfo((ox + x0 * eux + v * evx, oy + x0 * euy + v * evy),
                     (s * evx, s * evy), (eux, euy), host.width, x1 - x0,
-                    f"{host.lane_id}:v{class_index}#{ordinal}", "SLP",
-                    class_index, x0, down)
+                    f"{host.lane_id}:v{class_index}#{ordinal}", class_index,
+                    x0, down)
 
 
 def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
-                  downwards: bool,
-                  strips: list[tuple[float, float]]) -> LaneState:
-    """Open the strip [x0, x0 + width] across the host (see vlane_info),
-    and record the strip in `strips` too."""
+                  downwards: bool) -> LaneState:
+    """Open the strip [x0, x0 + width] across the host (see vlane_info)."""
     host, width = ledger.host.frame, ledger.table.row(class_index).width
     lane = LaneState(vlane_info(host, width, class_index, x0, downwards,
                                 len(ledger.vlanes)))
@@ -165,7 +142,6 @@ def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
     ledger.open_vlane[class_index] = lane
     ledger.host.exclusions.append((x0, x1))
     ledger.strip_end = max(ledger.strip_end, x1)
-    strips.append((x0, x1))
     ledger.mirrored.append((host.length - x1, host.length - x0))
     return lane
 
@@ -222,7 +198,8 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
                 target, target_pos = block, pos
     if target is not None:
         lane = _create_vlane(ledger, class_index, target_pos,
-                             target.half_side == "bottom", target.vlanes)
+                             target.half_side == "bottom")
+        target.has_vlane = True
         if target.state == FREE:
             target.state = reservation_for(class_index)
         # A fresh lane fails only when circles of other lanes obstruct it.
@@ -234,8 +211,7 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     pos = _leftmost_strip(ledger.frontier(), host.frame.length, width,
                           host.exclusions)
     if pos is not None:
-        lane = _create_vlane(ledger, class_index, pos, False,
-                             ledger.free_vlanes)
+        lane = _create_vlane(ledger, class_index, pos, False)
         point = _place_in(ledger, lane, r, seq, packing)
         if point is not None:
             return point

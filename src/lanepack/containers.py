@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import bounds
 from .classification import (ClassTable, TooLarge, TooSmall,
                              build_class_table, classify)
-from .blocks import BlockLedger, vlane_info
+from .blocks import _POS_TOL, BlockLedger, vlane_info
 from .dslp import _dslp_shape, dslp_metrics, dslp_pack, new_dslp
 from .geometry import EPS, Orientation, PlacedCircle, Rect
 from .lanes import LaneInfo, LaneState, Packing, packing_length, place
@@ -87,8 +87,9 @@ class PackResult:
     @staticmethod
     def from_json_dict(d: dict) -> "PackResult":
         """Read schema 3; ValueError for another schema, uneven columns, a
-        mistyped column (arrival indices and classes ints, ids strings) or
-        a lane not in its layout (see _lane).  The audit checks the
+        mistyped column (arrival indices and classes ints, ids strings), a
+        lane not in its layout (see _lane), a lane id listed twice or
+        overlapping sub-lanes (see _check_strips).  The audit checks the
         placements' coordinates and radii."""
         schema = d["schema"] if "schema" in d else None
         if schema != 3:
@@ -105,10 +106,15 @@ class PackResult:
             raise ValueError("arrival indices and classes must be ints "
                              "(not bools), and lane ids strings")
         frames = layout(d["container"], d.get("mode"), d.get("b"))
+        lanes = [_lane(frames, *row) for row in zip(ids, x0s, downs)]
+        if len(set(ids)) < len(ids):
+            twice = sorted(k for k in set(ids) if ids.count(k) > 1)
+            raise ValueError(f"lane ids listed twice: {twice}")
+        _check_strips(frames, lanes)
         return PackResult(
             status=d["status"], container=d["container"], mode=d.get("mode"),
             b=d.get("b"), placements=Placements(x, y, r, i, lane, cls),
-            lanes=[_lane(frames, *row) for row in zip(ids, x0s, downs)],
+            lanes=lanes,
             rejected_index=d.get("rejected_index"),
             rejected_radius=d.get("rejected_radius"),
             per_lane=d.get("per_lane", {}))
@@ -194,6 +200,27 @@ def _lane(frames: Layout, lane_id: str, x0, down) -> LaneInfo:
                       down, int(k))
 
 
+def _check_strips(frames: Layout, lanes: list[LaneInfo]) -> None:
+    """ValueError if two sub-lane strips [x0, x0 + class width] of one host
+    overlap by more than the _POS_TOL slack with which the packer fits a
+    strip beside another.  The test is blocks._leftmost_strip's, float for
+    float, for either of the two strips opened last."""
+    strips: dict[str, list] = {}
+    for li in lanes:
+        if li.x0 is not None:
+            x1 = li.x0 + frames.table.row(li.class_index).width
+            strips.setdefault(li.lane_id.rpartition(":v")[0], []).append(
+                (li.x0, x1, li.lane_id))
+    for row in strips.values():
+        end, last = -math.inf, None  # the largest x1 so far, and its lane
+        for x0, x1, lane_id in sorted(row):
+            if not (end <= x0 + _POS_TOL or x0 >= end - _POS_TOL):
+                raise ValueError(f"the strips of sub-lanes {last} and "
+                                 f"{lane_id} overlap")
+            if x1 > end:
+                end, last = x1, lane_id
+
+
 def _is_real(x) -> bool:
     # bool is an int subclass; numpy scalars register as Real.  A float
     # skips the slower ABC check.
@@ -244,7 +271,7 @@ def layout(container: str, mode: Optional[str], b) -> Layout:
         w, box = table.base_width, Rect(0.0, 0.0, 1.0, 1.0)
         guarantee = bounds.guarantee_square(mode)
         large = LaneInfo.from_rect(Rect(0.0, 0.0, 1.0, 1.0 - w),
-                                   Orientation.LEFTWARDS, "L0", "TLP", 0)
+                                   Orientation.LEFTWARDS, "L0", 0)
         medium = tuple((name, _dslp_shape(name, rect, orientation))
                        for name, rect, orientation in (
             ("L1", Rect(0.0, 1.0 - w, 1.0, 1.0), Orientation.RIGHTWARDS),
@@ -334,20 +361,14 @@ class _OnlineRun:
     def _result(self) -> PackResult:
         states, per_lane = [], {}
         if self.large_lane is not None:
-            lane = self.large_lane
-            states.append(lane)
-            per_lane[lane.frame.lane_id] = {
-                "n": lane.n, "p": packing_length(lane)}
-        # The rectangle's one lane also records the run's circle count.
-        count = {"n": len(self.packing)} if self.container == "rect" else {}
+            states.append(self.large_lane)
+            per_lane["L0"] = {"p": packing_length(self.large_lane)}
         for d in self.medium_lanes:
             states += [d.host, d.top, d.bottom]
             states += d.vlanes
             p_t, p_b = dslp_metrics(d)
-            per_lane[d.lane_id] = {
-                **count, "p_t": p_t, "p_b": p_b,
-                "closed": d.host.closed, "blocks": d.to_dict(),
-            }
+            per_lane[d.lane_id] = {"p_t": p_t, "p_b": p_b,
+                                   "closed": d.host.closed}
         # A result lists only the lanes that hold circles, in lane order.
         lanes = [lane.frame for lane in states if lane.n]
         return PackResult(

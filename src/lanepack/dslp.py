@@ -23,13 +23,12 @@ def _dslp_shape(lane_id: str, rect: Rect,
     """Descriptions of a DSLP lane's host, top and bottom lanes, frozen,
     so that a container layout builds them once and each run builds its
     own lane states from them."""
-    host = LaneInfo.from_rect(rect, orientation, f"{lane_id}:host", "SLP", 1)
+    host = LaneInfo.from_rect(rect, orientation, f"{lane_id}:host", 1)
     w, length = host.width, host.length
     halves = {"top": Rect(0.0, w / 2.0, length, w),
               "bottom": Rect(0.0, 0.0, length, w / 2.0)}
     return (host,) + tuple(
-        host.subframe(half, Orientation.LEFTWARDS, f"{lane_id}:{name}", "SLP",
-                      2)
+        host.subframe(half, Orientation.LEFTWARDS, f"{lane_id}:{name}", 2)
         for name, half in halves.items())
 
 

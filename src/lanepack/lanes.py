@@ -3,8 +3,9 @@
 SLP packs circles alternately touching the two long sides of a lane,
 advancing monotonically, keeping a longitudinal gap of at least
 min(r, r') between consecutive circles and staying clear of vertical
-sub-lanes.  TLP drops the gap rule and the sub-lane avoidance; it is used
-for the large lane of the square container.
+sub-lanes.  TLP drops the gap rule and the sub-lane avoidance.  A lane's
+class picks between them: TLP packs class 0, the large lane of the
+square container, and SLP every other class.
 
 All logic runs in the lane's canonical frame; the four orientations are
 isometries applied at the boundary.  Placement feasibility is always
@@ -165,34 +166,32 @@ def _file(level: list, disk: tuple[float, float, float]) -> None:
 
 
 class LaneInfo(Frame):
-    """One lane: its frame, strategy ("SLP" or "TLP") and size class, and a
-    sub-lane's strip start x0 on its host and side (down).  Never edited,
-    so a container shape builds it once and its runs share it."""
+    """One lane: its frame and size class (TLP packs class 0, SLP every
+    other), and a sub-lane's strip start x0 on its host and side (down).
+    Never edited, so a container shape builds it once and its runs share
+    it."""
 
     def __init__(self, origin: tuple[float, float], eu: tuple[int, int],
                  ev: tuple[int, int], length: float, width: float,
-                 lane_id: str, strategy: str, class_index: int,
-                 x0: Optional[float] = None, down: Optional[bool] = None):
+                 lane_id: str, class_index: int, x0: Optional[float] = None,
+                 down: Optional[bool] = None):
         super().__init__(origin, eu, ev, length, width)
-        self.lane_id, self.strategy = lane_id, strategy
-        self.class_index, self.x0, self.down = class_index, x0, down
+        self.lane_id, self.class_index = lane_id, class_index
+        self.x0, self.down = x0, down
 
 
 class LaneState:
     """A lane's running packing state in the frame of its description."""
 
-    def __init__(self, frame: LaneInfo, n: int = 0,
-                 last: Optional[tuple[float, float]] = None,
-                 closed: bool = False,
-                 exclusions: Optional[list[tuple[float, float]]] = None,
-                 lo: float = math.inf, hi: float = -math.inf):
+    def __init__(self, frame: LaneInfo,
+                 exclusions: Optional[list[tuple[float, float]]] = None):
         self.frame = frame
-        self.n = n  # committed circles; an even n puts the next at the bottom
-        self.last = last  # (u, r) of the last circle
-        self.closed = closed
+        self.n = 0  # committed circles; an even n puts the next at the bottom
+        self.last: Optional[tuple[float, float]] = None  # (u, r), last circle
+        self.closed = False
         self.exclusions = [] if exclusions is None else exclusions
         # Running longitudinal extent of the circles: min(u - r), max(u + r).
-        self.lo, self.hi = lo, hi
+        self.lo, self.hi = math.inf, -math.inf
 
 
 def find_position(lane: LaneState, r: float, packing: Packing,
@@ -214,7 +213,7 @@ def find_position(lane: LaneState, r: float, packing: Packing,
         return None
     v = w - r if lane.n & 1 else r
     last = lane.last
-    slp = frame.strategy == "SLP"
+    slp = frame.class_index != 0
     # The conditional expressions below return the operand that the
     # builtin min or max would, ties included: floor adds min(r, last r),
     # lo = max(r, floor), hi = min(x_max, lo + 2r), and the window's

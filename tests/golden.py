@@ -17,10 +17,13 @@ the placements as columns, and each file in UNREADABLE must not read at
 all. The placement and report digests do not depend on the JSON layout:
 they were recorded before the result JSON became schema 2 (columns, and
 only the lanes that hold circles). GOLDEN alone was regenerated for
-schema 2 and again for schema 3, which writes a lane as its id plus a
-sub-lane's strip start and side and reads every frame from the layout.
-So the other digests show that no placement and no audit finding moved
-with either format, and the reports after a round trip through JSON,
+schema 2, again for schema 3, which writes a lane as its id plus a
+sub-lane's strip start and side and reads every frame from the layout,
+and once more when per_lane dropped the dump of the packer's block
+records and the circle counts, keeping only the lane lengths and the
+closed flags; every other key of each file stayed the same. So the
+other digests show that no placement and no audit finding moved with
+any of these formats, and the reports after a round trip through JSON,
 tampered ones included, that schema 3 rebuilds the frames the audit
 reads. The sparse-block case rect-6.0-mixed-blocks came later; its three
 digests were recorded on the code from before the audit read placements
@@ -41,7 +44,6 @@ from lanepack.bounds import guarantee_rect, guarantee_square
 from lanepack.containers import (PackResult, RectRun, SquareRun,
                                  pack_rect_online, pack_square_online)
 from lanepack.genseq import GenSpec, generate
-from lanepack.lanes import LaneInfo
 
 RECT_ASPECTS = (1.0, 1.5, 2.0, 3.0)
 SEEDS = (0, 1, 2)
@@ -159,119 +161,119 @@ def placement_digest(result) -> str:
 
 GOLDEN = {
     "rect-1.0-greedy_adversary-0":
-        "16fabbcd1080bb91dfc8e9abfb6a68fbfd416aea87bb2224a613300053e25351",
+        "6c722684ea975d50f85c0bf93cd13307d3b06233df02fb8d307b897788bf0b4c",
     "rect-1.0-greedy_adversary-1":
-        "4b1038d346265435a82b94e9fadb2836209df881923d8e2feb92bde6c5211a09",
+        "1645b83eeb3e59e0e5691f19d18b077d9f42de37e62202267f9736f27579f446",
     "rect-1.0-greedy_adversary-2":
-        "5fa3bbc7751fcc1a535ea2e5fc2eee08bc04405b6fc8b795c72f8b2afbb5b6f5",
+        "165c180cc48b58062e667d05f5b3227c5df9cb35255ef9d931317160c2b2f1c6",
     "rect-1.0-uniform-0":
-        "7f710d17479738a061e3563c57b867d3d248cf05e1abdbf57eb3f06500cb359e",
+        "e5a561c8c74e56841de6e87263ad647063283e2d471f947a219238bbda313873",
     "rect-1.0-uniform-1":
-        "b9fd53ff68d4c7b07ac6deccf5eb3535cfe8c3f2b4744e25e6351d1ce1c34bb6",
+        "92b6cfa2380cf7d63613ec3caed25442a36c5fcdab40ddd3e35b50d9f2b94e96",
     "rect-1.0-uniform-100":
-        "7dcb91cb9e74db153697b07e1c60a18deffa104948f44cf905297a9d732f6989",
+        "987705c7364e50ffd2aae8a5d2ad3f23e32aabdab81237347c10ea03298eac45",
     "rect-1.0-uniform-101":
-        "afa5b075d91c81949651d0c9f86d77970cdba3ce4648c5f1c9571cf77084a609",
+        "f770d89f1435c04affa0cdd3a419655bc9666c3108ee7da0b034d195e42f51a4",
     "rect-1.0-uniform-102":
-        "71cee4a4e45eac7379728e03ac1ac23ffcbcbbe6c7afe17a7d2650cb61d87c1f",
+        "c0aea3c3d198158058d4d27a88fd5d5cd9c3c942bfc9884fbcf506993b0939ee",
     "rect-1.0-uniform-2":
-        "0818250727a6c0cfa0108bd4db2e5a0663dfd8caa0759067b70aa88e1c61ef8a",
+        "c40e66c76fb70ab7c98d2fa6fed35af5ad271d756fde3b682f32c21e5f1a316f",
     "rect-1.5-greedy_adversary-0":
-        "c67139a43239ca1c8864a772b98e3c9d7a8915ba5b974374d53f0e1dcdc30754",
+        "74a0f661cf6a7c77b06bf106ade3994ce6630f4a8714d58268eb806ec6f20c2b",
     "rect-1.5-greedy_adversary-1":
-        "7093dd9395432067b544f4de8d2dfa67099130c9cebe9e01170f8a71e1d40d00",
+        "df663d529c4e9ad6a83e4784d8a10a76be3d79b816ef43b9626ba140861eefcc",
     "rect-1.5-greedy_adversary-2":
-        "8f32e9b1abb69c7a724313b601a710b685a5169443c12ad47c2182d33ac28d02",
+        "921593ae8e74f6a2fd30ba5a0372d77762bc59f48fd5023b26d03823b61fc5cf",
     "rect-1.5-uniform-0":
-        "5c0b0f7e6e4a146258b776b53f06a0d047bac957f551ee2251af87dac78a6acc",
+        "342b383c65f68a1f2350d553ca49840981e8433ad7bb0909b44961cf531af7c8",
     "rect-1.5-uniform-1":
-        "cdf3fbe8f9a75a6c8ab9b183dfb543878f418d5efa8716b35b9dee84f65729b9",
+        "375f525cf9b8c3dfb44a884714cf4413e2a0b3dc55550a11bfc55c1f0c349a74",
     "rect-1.5-uniform-100":
-        "b769a9b826480c598d605c3e1633e5930628e03fdcb911c82ac18b4b17b8891e",
+        "58f2fc6dac3ad21f439adabd391f83fecc82cf3a2ecc326f0a3c8de911385aae",
     "rect-1.5-uniform-101":
-        "17c79ba08251b537ff149c752a381857211b225dcf8c6ccad737e15f4eea5930",
+        "0477c5cea7b5beb5f679977391dcfc2d5e5ecc01bb5c720262dacdaa03da9c62",
     "rect-1.5-uniform-102":
-        "08c1aefd4090555ba07813ac197e4c4cf86efed6e2a2a82d92dad41efd4c4591",
+        "8ea1d685f725bbaf8f19c6cb447b746f7e4e6b1b18df2f8434356e056f04d54d",
     "rect-1.5-uniform-2":
-        "a2c35adec6d38d7aa695847ad7fd6354a7eff1aa4468fbf4c99da1cb5ff3d6b3",
+        "00f84b2011655a60ccc23ff4c541181295b975c7bcbfe154a4ef3a996422a9ce",
     "rect-2.0-greedy_adversary-0":
-        "0dd4c8489d10e6168d89d3c0f50804291fab45c354cc57cee7e587391b59c41d",
+        "92bce2eae170eb1f49a3507f5f33edc3b3a3d6c0e81ab14068cffbfddf33da14",
     "rect-2.0-greedy_adversary-1":
-        "864d9b472be0000a7d7938fb21c5bb4f400faeab75099475e811beb21e6249c7",
+        "ceede4061b4fc298d991e1c87742d32433220948cba10378888360c074b48c8d",
     "rect-2.0-greedy_adversary-2":
-        "f5a741bf536859c66ba0f4001072d1a47a47850a5204b2b5f70153a349d98280",
+        "1c1a01060072e7863183720c186583ce69110f5b098bfa1dbcd196330b717d93",
     "rect-2.0-uniform-0":
-        "055a28f800d6d336c2fa443822e6d89081637749e4a1ed0b08c262af688b0dec",
+        "44f1f21c23cbd68bc85e4936fa7dc37464985832561fa7f947b28fede9e822bf",
     "rect-2.0-uniform-1":
-        "070dd8c43e674d499cfccba15e87eebb5645239d88521076ced5ced337e1908d",
+        "a8686b86bf15de1dca05b28560c1fb66f289f04187161885b7b0257411a95361",
     "rect-2.0-uniform-100":
-        "f2fedf0b2e787339c341716cfb0db3a7153615738e44f4908995f43de0c2c05a",
+        "89d4392890037788c7e653e2eef5d9247eda18ad5031e8a9a8b1229ef631e10a",
     "rect-2.0-uniform-101":
-        "7ca000305b4090363dcd26ff34c43c32cbe846cd49f95432c1117d6535297cbd",
+        "45fa068ff1cc2a2c21162ff8a839bfafc7e12294a1677f21ba67ea132d3a48d4",
     "rect-2.0-uniform-102":
-        "c6127fd43547e9a98a2dda4590ac4b0792a04b09529948dfac4eef298ce420b5",
+        "8255cba8c4e7a11d71cccefdd22fe006c73e0f580008c8ac622fd265b7f771cc",
     "rect-2.0-uniform-2":
-        "7052b7264c478086234e854de2468c3f18f483f645af78fd34b952bfaad5d3a1",
+        "509eb60e09d8053e36d780a8d74abc0638b17452564e403de37d3b6dad2cb598",
     "rect-3.0-greedy_adversary-0":
-        "87cd6f54828bd5cbc213c42873a9524714b1f4009a51df3aa60149ed4f73b9fb",
+        "fd6fb46103d3f9f4bf3e16a1c091da82f07f97a4476b6156865956e94d3ea174",
     "rect-3.0-greedy_adversary-1":
-        "e91d2003358c9e48cba038069a38889d75a459e8e33c77f832d5bda0161434c9",
+        "0f00b01b90f6877b02d3a18c0d2f27a8d2f1f7e8727ccbb523a790d891dccc76",
     "rect-3.0-greedy_adversary-2":
-        "f0519442fa6861d55e04a3ae8fff7ead24efb1319d4f41ab1913f42ee9122d82",
+        "cb0be82fd7021737c3e7f819922db9851c0c7476778ebbabf4eb97f6d1daf75f",
     "rect-3.0-uniform-0":
-        "0f1e294a342cfb3237d376edab32eec1b527d0f01ae27fac79d6dbac7b0ca1e9",
+        "db1029301a82aad2e12bc461617027f29e35af977e338e2c20096eaff5d55172",
     "rect-3.0-uniform-1":
-        "0d86da7733f3fb73a9aee9c2b9a2ed23ce6e68365395dfa79a83a9b92f4f9d5e",
+        "31f3c6c41fbb84ff3aa52b966baba55bf85cebf2919c76d1aad648ef142870ad",
     "rect-3.0-uniform-100":
-        "773a4b890784ddbfba14b81b32c2b6be8e080008270d93a49d076b7fadb10506",
+        "e7d03bb04807ae81e38a983b62d55cb0997905603883f65e9a8af40f28e08d26",
     "rect-3.0-uniform-101":
-        "2753f7948300042c97f5f1145cf2f93bb4711986ff4d21e1606dca3e04754aba",
+        "3eff1099a5067a70a4c9610ab09248e31005ab540ff057923cc21ea350780cdd",
     "rect-3.0-uniform-102":
-        "508bc8dc7cb6c8817ea59e21e56414b9aa9816a641a3e9fd0177958dd280f01a",
+        "39736441f63cd1c9e4c9fbcd4080e444cf8d6a987b95cfd0c1c496a665873446",
     "rect-3.0-uniform-2":
-        "db12c02eeb5c3d2ac53bc1c013ac415a152b9733d141a3754d0265f89f69eadc",
+        "a511b56c62a933756090c740edf1d1c70c6e6fcc7669d1b5d67424f061bb7662",
     "square-general-greedy_adversary-0":
-        "49d661f5cd25dd08faeea7185f1ed1f47d07506fbbd89b5eb897928dbb31064f",
+        "628fb8edb7fa480e8531db2185afd45c541d61d26178e132812d0c4b75c51df1",
     "square-general-greedy_adversary-1":
-        "3fd473c93b3a32195fdd3934cf0426daf95f776e32d38c2158e73405417849b2",
+        "a11f9ba5de11910a793f3666417299cdce0be1938c3e566f3a5b365a1309db37",
     "square-general-greedy_adversary-2":
-        "b8a15d315f345e2179001156a7dc1cd4bf2708da6941d6f0bca95148ce9d2d72",
+        "fce51f83b7faacf91b58ab981529e4e1d29d4eb857709b3c6674e2a309b9d77f",
     "square-general-uniform-0":
-        "faee1834fe257b537a099352fe548d9586f92830a92981ca65d94afcc99008a6",
+        "574f300d02414bc0f5f3def7af1dcd0d270a312d9b0e77e43a1d65daf0fbe5bb",
     "square-general-uniform-1":
-        "28048f08c4ca1f12a828938183437c4556660d82607dacb2b7cc3c390427855c",
+        "3973f2ab0dd772fd9e7228c183a0d970f7a7dd91ab1afab97387958a2665937a",
     "square-general-uniform-100":
-        "563eea5f37c41a6733b942923a97ea9fc45ba6543c55c3ba0ae26ca02cf63925",
+        "7837c837f90616b76af28ef8036ea71a5cb7495b6e037cc0a5ebf4a1a6ffcb3d",
     "square-general-uniform-101":
-        "88586b4bb510c20d8e29bc92b3e927e6c674271c03567f5ba74b1f6756195167",
+        "37fa91c7fe5c0c3805b7e8c91be915d750cea7b2305e02f84ce9b36ed49e6d8f",
     "square-general-uniform-102":
-        "7e9a2d7c8c89c0570fe305581f0aec62753a5c9208c4df8e5f12b3c2e2f9c11b",
+        "ad915b74093a448b583f1502413b88bba372e42caec7ffd1295db98d2036f988",
     "square-general-uniform-2":
-        "9ec666feac750fa0959f51a9c1f3d7610c5b6aac88738c24fa0f527a6474730e",
+        "e7d124a5b99e86981f294055e6f6f985fc4fd96623070543e3bcb0f7d4aeb7b5",
     "square-no_tiny-greedy_adversary-0":
-        "33f57acfc45b09725070fb80dc364fa855cf376182ea2ae1a7dcb1ecdad32268",
+        "e33daf789669b9afd3b5521edb323e061ac7498068c10b3cb32a4ed025861f26",
     "square-no_tiny-greedy_adversary-1":
-        "7da075a053891a0bd98c28e95c52cd2ef6bcce154f20ced5b9c3bcb291b600ef",
+        "711f8ee38da140fae1e426bb46aacff4a9f04a64e65bf05f6e2da3959ff40eff",
     "square-no_tiny-greedy_adversary-2":
-        "41b2e2dc553a8c9bd7e5806903a7dba21beb1acf29bd16ee7bc8c0ad4a099413",
+        "7d3f277d76713761be8caa6a381979df411b29fb1c630ecb72b97b905417b856",
     "square-no_tiny-uniform-0":
-        "b2dec0f6b7449f66eb27942f134761f54820b93563535e2523fe85646cfd7771",
+        "a56e7619ac67dc8f3f4e4abcc305a200de0b086777235534718dbf3ed2211145",
     "square-no_tiny-uniform-1":
-        "c4d443c3c39d64a03c0aa41a503ed4976b9ffd1e2558a6f6b47631d0859f350f",
+        "6a80c70cab961fd86725d297089f80d79c464eac71cea09e1e7f285dcb335c86",
     "square-no_tiny-uniform-100":
-        "1f4bd3abaf03427dc1d74842492cdbeb8ff1a3250493bf9bfe57f1189963d1ae",
+        "fbf56b6f8b963af5d3ace4f62d477d6b3f521d169fc344ba01d8cc99ea526dab",
     "square-no_tiny-uniform-101":
-        "dc0dce4469caffc50c9aa650440e75548114a058b162732bda32a33bca79644d",
+        "30fccd9749d755d078cbfcd208f14edd05c0ce11635745b935288464031be908",
     "square-no_tiny-uniform-102":
-        "5f6117fae8bc1aa6f6dd4f558a82e7556fed3fa489da0db3ca82f84259f86ef6",
+        "eb138f9d8fc6f78a38c79cd26d4530e26381a90a06960db835dbedead113c939",
     "square-no_tiny-uniform-2":
-        "6505592ceb07f45a0dbcae672bd3e3b2b56c90afca82888944949b2adfaa90c9",
+        "000be6911aef0cd9f0742ac848923f66c7cf1eab02af7accc56d579391b4feb4",
     "square-general-tiny-stream":
-        "58c303165904949cc3f67dfc0148817b61576b6255fec543abc85c15192f9b54",
+        "5b7bccc94e748653882b813e5a7a38e9922e80df9e6be7601f290fa6224bb284",
     "rect-2.0-mixed-stream":
-        "89da8ea552d2eb7d0b9bef2d3f52c7bb8a91423d4d3a7c7ee797c9d51dcf8628",
+        "e664699a6a3ddaaa91ebc8c5fc46101ff626cd6928861ee7647fa557c6211acd",
     "rect-6.0-mixed-blocks":
-        "d04cf3ef3c883c26ce3c2476409fcfeb849577b45deee015c7f7b168c2ce2476",
+        "531137588534df50920ef0e23fee936f0be0c5615febac824acc3f4f17e8b5c5",
 }
 
 
@@ -350,13 +352,6 @@ def _tampered_cases():
     yield "large-overlap-and-swap", _swap_centres(moved, 20, 21)
     yield "large-reversed", dataclasses.replace(
         big, placements=big.placements[::-1])
-    # A class-1 lane is SLP whatever strategy the result names.
-    pair = pack_rect_online(2.0, [0.26, 0.26])
-    close = _replace_at(pair, 1, x=pair.placements[0].x + 0.22)
-    yield "gap-too-small-named-tlp", dataclasses.replace(close, lanes=[
-        LaneInfo(lane.origin, lane.eu, lane.ev, lane.length, lane.width,
-                 lane.lane_id, "TLP", lane.class_index)
-        for lane in close.lanes])
 
 
 @functools.cache
@@ -467,8 +462,6 @@ TAMPERED_GOLDEN = {
     "large-reversed":
         "9bee8ebb0f83aef0ad2c4686cd38182981fa6164319fae81f85bbc62ac54f96d",
     # Its lane is named TLP, but the gap check of a class-1 lane runs.
-    "gap-too-small-named-tlp":
-        "b8bd1ad2e7d7230930d1d7b6d78ae05da00b664a613ca089a001b2e649dcea6b",
 }
 
 

@@ -163,12 +163,11 @@ def vlane_extents(d, log: CommitLog) -> list[tuple[float, float]]:
 
 
 def frontier(d) -> float:
-    """Right edge of a DSLP lane's host content: the max over its dense
-    blocks' right ends, its sparse blocks' owner edges and its sub-lane
-    strips' right ends, in that order."""
+    """Right edge of a DSLP lane's host content: the max over its sparse
+    blocks' owner edges and its sub-lane strips' right ends, in that
+    order.  A dense block ends at the centre of the medium circle that
+    opens the next sparse block, so it adds nothing."""
     edge = 0.0
-    for block in d.dense:
-        edge = max(edge, block.x_right)
     for block in d.sparse:
         edge = max(edge, block.owner_u + block.owner_r)
     for _, x1 in d.host.exclusions:

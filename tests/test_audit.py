@@ -114,8 +114,7 @@ class TestValidate:
             "rect": (1, 40), "square": (0, 40), "no_tiny": (0, 2)}[container]
         lane = result.lanes[0]
         result.lanes[0] = LaneInfo(lane.origin, lane.eu, lane.ev, lane.length,
-                                   lane.width, lane.lane_id, lane.strategy,
-                                   cls)
+                                   lane.width, lane.lane_id, cls)
         report = validate(result)
         assert [v.detail for v in report.violations if not v.indices] == [
             f"lane {lane.lane_id} has class {cls!r}, which its container's "
@@ -148,26 +147,21 @@ class TestValidate:
         assert edited.to_json_dict() == d
         assert validate(edited).to_json_dict() == report.to_json_dict()
 
-    def test_recorded_strategy_does_not_skip_the_gap_check(self):
-        # The layout packs every class but 0 by SLP, so the minimum gap
-        # of the class-1 lane is checked whatever strategy the result
-        # names.  A file cannot name one: its lanes come from the layout.
+    def test_the_lane_class_decides_the_gap_check(self):
+        # The packer takes SLP for every class but 0, so the minimum gap
+        # of the class-1 lane is checked.  A file cannot name a strategy:
+        # its lanes come from the layout.
         result = pack_rect_online(2.0, [0.26, 0.26])
         result.placements = list(result.placements)  # an editable copy
         c = result.placements[1]
         result.placements[1] = dataclasses.replace(
             c, x=result.placements[0].x + 0.22)
-        lane = result.lanes[0]
-        for strategy in ("SLP", "TLP", "none"):
-            result.lanes = [LaneInfo(lane.origin, lane.eu, lane.ev,
-                                     lane.length, lane.width, lane.lane_id,
-                                     strategy, lane.class_index)]
-            report = validate(result)
-            assert [(v.kind, v.detail) for v in report.violations] == [
-                ("order", "circle 1 in L1:host violates the minimum gap")]
-            back = PackResult.from_json_dict(result.to_json_dict())
-            assert back.lanes == [lane]
-            assert validate(back).to_json_dict() == report.to_json_dict()
+        report = validate(result)
+        assert [(v.kind, v.detail) for v in report.violations] == [
+            ("order", "circle 1 in L1:host violates the minimum gap")]
+        back = PackResult.from_json_dict(result.to_json_dict())
+        assert back.lanes == result.lanes
+        assert validate(back).to_json_dict() == report.to_json_dict()
 
     @pytest.mark.parametrize("make, changes", [
         (seven_circles, {"mode": "bogus"}),
@@ -192,7 +186,7 @@ class TestValidate:
         result = pack_rect_online(2.0, [0.4, 0.3])
         lane = result.lanes[0]
         result.lanes[0] = LaneInfo(lane.origin, lane.eu, lane.ev, lane.length,
-                                   lane.width, lane.lane_id, lane.strategy, 40)
+                                   lane.width, lane.lane_id, 40)
         result.placements = [dataclasses.replace(c, class_index=40)
                              for c in result.placements]
         report = validate(result)

@@ -18,7 +18,7 @@ R4 = 0.03  # a class-4 radius (bounds: 0.02383 < r <= 0.06250)
 def make_ledger(length=8.0):
     """A DSLP lane whose host is lane "H", so its sub-lanes are H:v..."""
     host = LaneInfo.from_rect(Rect(0, 0, length, 1), Orientation.RIGHTWARDS,
-                              "H", "SLP", 1)
+                              "H", 1)
     small = _dslp_shape("H", Rect(0, 0, length, 1),
                         Orientation.RIGHTWARDS)[1:]
     return new_dslp("H", (host,) + small, TABLE), Packing()
@@ -49,7 +49,6 @@ class TestBlockLifecycle:
         ledger, packing = make_ledger()
         pl = pack_medium(ledger, packing, 0.5, 0)
         assert len(ledger.sparse) == 1
-        assert not ledger.dense
         block = ledger.sparse[0]
         assert block is ledger.sparse[-1]
         assert block.owner_u == pl.u
@@ -58,26 +57,23 @@ class TestBlockLifecycle:
 
     def test_second_medium_forms_pure_dense_block(self):
         ledger, packing = make_ledger()
-        a = pack_medium(ledger, packing, 0.5, 0)
+        pack_medium(ledger, packing, 0.5, 0)
         b = pack_medium(ledger, packing, 0.5, 1)
-        assert len(ledger.dense) == 1
-        d = ledger.dense[0]
-        assert (d.x_left, d.x_right) == (a.u, b.u)
-        assert not d.mixed
-        # The vlane-free sparse block was replaced, not kept.
+        # The two centres bound a dense block, which is not recorded: the
+        # vlane-free sparse block was replaced, not kept.
         assert len(ledger.sparse) == 1
         assert ledger.sparse[0].owner_u == b.u
+        assert not ledger.sparse[0].has_vlane
 
-    def test_medium_after_vlane_caps_block_and_marks_mixed(self):
+    def test_medium_after_vlane_caps_block(self):
         ledger, packing = make_ledger()
         pack_medium(ledger, packing, 0.5, 0)
         assert pack_small_class(ledger, R3, 3, 1, packing) is not None
         first = ledger.sparse[0]
+        assert first.has_vlane
         b = pack_medium(ledger, packing, 0.5, 2)
         assert first.x_cap == pytest.approx(b.u - 0.5)
-        assert len(ledger.dense) == 1
-        assert ledger.dense[0].mixed
-        assert first in ledger.sparse  # capped mixed blocks stay recorded
+        assert ledger.sparse == [first, ledger.sparse[-1]]  # capped, kept
 
     def test_mixed_blocks_stay_in_owner_order(self):
         # Classes 3, 4 and 5 each reserve a block of their own, so every
@@ -140,11 +136,12 @@ class TestFiveStepRoutine:
         assert c.lane_id == "H:v3#0"
         block = ledger.sparse[0]
         assert block.state == "reserved_3"
-        assert len(block.vlanes) == 1
-        # The host now excludes the strip.
-        x0, x1 = block.vlanes[0]
+        assert block.has_vlane
+        # The host now excludes the strip, which starts at the owner's
+        # tangent.
+        [(x0, x1)] = ledger.host.exclusions
         assert x1 - x0 == pytest.approx(W3)
-        assert (x0, x1) in [tuple(e) for e in ledger.host.exclusions]
+        assert x0 == block.owner_u + block.owner_r
 
     def test_reuses_open_vlane(self):
         ledger, packing = make_ledger()
@@ -163,13 +160,11 @@ class TestFiveStepRoutine:
         # The only sparse block is reserved for class 3, so the class-4
         # lane lands in the free area at the frontier.
         assert c.lane_id == "H:v4#1"
-        assert len(ledger.free_vlanes) == 1
-        x0, _ = ledger.free_vlanes[0]
+        (_, in_block), (x0, _) = ledger.host.exclusions
         block = ledger.sparse[0]
-        # The frontier: past the owner's circle and the block's strips.
-        assert x0 == pytest.approx(max(
-            [block.owner_u + block.owner_r]
-            + [x1 for _, x1 in block.vlanes]))
+        # The frontier: past the owner's circle and the block's strip.
+        assert x0 == pytest.approx(max(block.owner_u + block.owner_r,
+                                       in_block))
 
     def test_full_vlane_spawns_replacement(self):
         ledger, packing = make_ledger(length=8.0)

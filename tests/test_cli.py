@@ -312,6 +312,28 @@ class TestVerify:
         assert "unreadable result file" in res.output
         assert why in res.output
 
+    @pytest.mark.parametrize("lane_id, shift, why", [
+        ("L1:host:v5#0", 0.0, "lane ids listed twice: ['L1:host:v5#0']"),
+        ("L1:host:v5#7", 0.01, "sub-lanes L1:host:v5#0 and L1:host:v5#7 "
+                               "overlap"),
+    ], ids=["sub-lane-twice", "strips-overlap"])
+    def test_sub_lanes_that_clash_are_unreadable(self, runner, tmp_path,
+                                                 lane_id, shift, why):
+        # validate keys lanes by id, and the packer fits a strip beside
+        # another; a file listing a sub-lane twice, or two whose strips
+        # overlap, would otherwise read and audit valid.
+        def edit(lanes, placements):
+            lanes["id"].append(lane_id)
+            lanes["x0"].append(lanes["x0"][1] + shift)
+            lanes["down"].append(lanes["down"][1])
+
+        res = invoke(runner, ["verify", str(self._sub_lane_file(tmp_path,
+                                                                edit))])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "unreadable result file" in res.output
+        assert why in res.output
+
 
 def schema_1(data: dict) -> dict:
     """A schema-3 result dict in the earliest layout: no "schema" key, one

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from lanepack import containers
+from lanepack.blocks import _POS_TOL
 from lanepack.audit import validate
 from lanepack.bounds import guarantee_rect, guarantee_square
 from lanepack.containers import (NO_TINY_Q2, SQUARE_WIDTH_GENERAL,
                                  SQUARE_WIDTH_NO_TINY, PackResult, RectRun,
                                  SquareRun, layout, pack_rect_online,
                                  pack_square_online)
+from lanepack.dslp import dslp_metrics
 from lanepack.genseq import GenSpec, generate
 from lanepack.geometry import EPS, PlacedCircle
+from lanepack.lanes import packing_length
 
 
 # The no-tiny sequences' smallest radius, above the no-tiny table's deepest
@@ -445,16 +448,53 @@ class TestSerialization:
         assert len(used) < len(every)
         assert result.lanes == [lane.frame for lane in every
                                 if lane.frame.lane_id in used]
-        # per_lane still covers every top-level lane.
-        assert set(result.per_lane) == (
-            {d.lane_id for d in run.medium_lanes}
-            | ({"L0"} if container == "square" else set()))
+        # per_lane still covers every top-level lane, with lane numbers
+        # alone: L0's packing length p, and each DSLP lane's p_t and p_b
+        # (dslp_metrics) and whether its host closed.
+        want = {} if run.large_lane is None else {
+            "L0": {"p": packing_length(run.large_lane)}}
+        for d in run.medium_lanes:
+            p_t, p_b = dslp_metrics(d)
+            want[d.lane_id] = {"p_t": p_t, "p_b": p_b,
+                               "closed": d.host.closed}
+        assert result.per_lane == want
+        assert {tuple(v) for v in result.per_lane.values()} == (
+            {("p_t", "p_b", "closed")}
+            | ({("p",)} if container == "square" else set()))
+        back = PackResult.from_json_dict(json.loads(json.dumps(
+            result.to_json_dict())))
+        assert back.per_lane == result.per_lane
+        assert json.dumps(back.per_lane) == json.dumps(result.per_lane)
 
     def test_all_tiny_square_lists_its_sub_lanes_alone(self):
         result = pack_square_online("general", [0.003] * 20)
         assert [li.lane_id for li in result.lanes] == ["L1:host:v5#0"]
         assert validate(PackResult.from_json_dict(
             json.loads(json.dumps(result.to_json_dict())))).valid
+
+    @pytest.mark.parametrize("side", ["after", "before"])
+    def test_sub_lane_strips_may_overlap_by_the_packer_slack(self, side):
+        # The packer fits a strip beside another with up to _POS_TOL of
+        # overlap; a file's strips of one host may overlap that much, and
+        # a clear margin more is refused.
+        d = json.loads(json.dumps(pack_rect_online(
+            2.0, [0.4, 0.3, 0.01]).to_json_dict()))
+        lanes = d["lanes"]
+        assert lanes["id"] == ["L1:host", "L1:host:v5#0"]
+        x0 = lanes["x0"][1]
+        width = layout("rect", None, 2.0).table.row(5).width
+        for overlap, reads in ((0.0, True), (0.5 * _POS_TOL, True),
+                               (4 * _POS_TOL, False)):
+            start = (x0 + width - overlap if side == "after"
+                     else x0 - width + overlap)
+            edited = {**d, "lanes": {"id": lanes["id"] + ["L1:host:v5#1"],
+                                     "x0": lanes["x0"] + [start],
+                                     "down": lanes["down"] + [False]}}
+            if reads:
+                assert len(PackResult.from_json_dict(edited).lanes) == 3
+            else:
+                with pytest.raises(ValueError, match="overlap"):
+                    PackResult.from_json_dict(edited)
 
     @pytest.mark.parametrize("schema", [None, 1, 2, "3", 4])
     def test_other_schemas_are_refused(self, schema):

@@ -58,7 +58,8 @@ class TestConstruction:
             lane.frame.width for lane in d.vlanes]
         assert len(strips) == 2
         # Class 3 reserved the sparse block; class 4 went to the free area.
-        assert strips == d.sparse[0].vlanes + d.free_vlanes
+        assert d.sparse[0].state == "reserved_3"
+        assert [lane.frame.x0 for lane in d.vlanes] == [x0 for x0, _ in strips]
         assert d.top.exclusions == [(4.0 - x1, 4.0 - x0) for x0, x1 in strips]
         # A small circle keeps clear of both strips.
         c = committed(p, dslp_pack(d, R_SMALL, 2, 3, p))

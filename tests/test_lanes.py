@@ -16,13 +16,14 @@ from oracles import CommitLog, committed, metrics, packed, packing_extent
 from test_geometry import GRID, circ, sweep_oracle
 
 
-def make_lane(length=10.0, width=1.0, strategy="SLP",
+def make_lane(length=10.0, width=1.0, class_index=1,
               orientation=Orientation.RIGHTWARDS, lane_id="L"):
+    """A lane of class_index: class 0 packs by TLP, any other by SLP."""
     rect = (Rect(0, 0, length, width)
             if orientation in (Orientation.RIGHTWARDS, Orientation.LEFTWARDS)
             else Rect(0, 0, width, length))
-    return LaneState(LaneInfo.from_rect(rect, orientation, lane_id, strategy,
-                                        1))
+    return LaneState(LaneInfo.from_rect(rect, orientation, lane_id,
+                                        class_index))
 
 
 class TestSlpPlacement:
@@ -110,8 +111,8 @@ class TestTlpPlacement:
     def test_no_gap_rule(self):
         # Two radius-0.25 circles in a width-1 lane touch diagonally: TLP
         # stacks them at the same u, SLP keeps a 0.25 longitudinal gap.
-        slp = make_lane(strategy="SLP")
-        tlp = make_lane(strategy="TLP")
+        slp = make_lane(class_index=1)
+        tlp = make_lane(class_index=0)
         ps, pt = Packing(), Packing()
         place(slp, 0.25, 0, ps)
         place(tlp, 0.25, 0, pt)
@@ -121,7 +122,7 @@ class TestTlpPlacement:
         assert b.x == pytest.approx(0.25)
 
     def test_frontier_still_monotone(self):
-        lane = make_lane(strategy="TLP")
+        lane = make_lane(class_index=0)
         p = Packing()
         us = []
         rng = random.Random(5)
@@ -133,7 +134,7 @@ class TestTlpPlacement:
         assert us == sorted(us)
 
     def test_ignores_exclusions(self):
-        lane = make_lane(strategy="TLP")
+        lane = make_lane(class_index=0)
         lane.exclusions.append((0.0, 1.0))
         p = Packing()
         c = committed(p, place(lane, 0.2, 0, p))
@@ -143,8 +144,7 @@ class TestTlpPlacement:
         rng = random.Random(11)
         for trial in range(20):
             radii = [rng.uniform(0.05, 0.5) for _ in range(25)]
-            slp, tlp = (make_lane(length=40, strategy=s)
-                        for s in ("SLP", "TLP"))
+            slp, tlp = (make_lane(length=40, class_index=k) for k in (1, 0))
             ps, pt = Packing(), Packing()
             log = CommitLog()
             with log.installed():
@@ -277,13 +277,13 @@ def full_scan_position(lane, r, packing, eps):
     v = w - r if lane.n & 1 else r
     if lane.last is None:
         floor = 0.0
-    elif lane.frame.strategy == "SLP":
+    elif lane.frame.class_index != 0:  # SLP
         floor = lane.last[0] + min(r, lane.last[1])
     else:
         floor = lane.last[0]
     local = [circ(*lane.frame.to_local(x, y), r)
              for x, y, r in zip(packing.x, packing.y, packing.r)]
-    exclusions = lane.exclusions if lane.frame.strategy == "SLP" else ()
+    exclusions = lane.exclusions if lane.frame.class_index != 0 else ()
     u = sweep_oracle(r, length - r, v, r, local, exclusions, floor, eps)
     return None if u is None else (u, v)
 
@@ -317,10 +317,10 @@ def placement_instances(draw):
         return draw(st.integers(lo, hi)) * GRID
 
     frame = draw(st.sampled_from(FRAMES))
-    strategy = draw(st.sampled_from(["SLP", "TLP"]))
+    strategy = draw(st.sampled_from(["SLP", "TLP"]))  # class 1 or 0
     lane = LaneState(LaneInfo(frame.origin, frame.eu, frame.ev, frame.length,
-                              frame.width, "q", strategy, 1),
-                     n=draw(st.integers(0, 1)))
+                              frame.width, "q", int(strategy == "SLP")))
+    lane.n = draw(st.integers(0, 1))
     w, length = frame.width, frame.length
     r = draw(st.one_of(st.sampled_from(POWER_RADII[2:]), st.builds(
         lambda k: k * GRID, st.integers(2, 256))))
@@ -433,8 +433,8 @@ class TestFindPositionOracle:
         rect = (ROUNDING_RECT if orientation is Orientation.UPWARDS else
                 Rect(3.6589044911664956, -0.042866566843218656,
                      4.1236301855210185, 3.648376391798187))
-        lane = LaneState(LaneInfo.from_rect(rect, orientation, "q", "TLP", 1),
-                         n=n, last=(last_u, 0.1))
+        lane = LaneState(LaneInfo.from_rect(rect, orientation, "q", 0))
+        lane.n, lane.last = n, (last_u, 0.1)
         p = Packing()
         x, y, ro = circle
         p.add(x, y, ro, 0, "o", -1)
