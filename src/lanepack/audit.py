@@ -1,10 +1,11 @@
 """Independent verification of packings.
 
-validate() re-derives everything from the recorded placements, lane
-descriptions, and geometry: pairwise overlaps, containment, class/lane
-consistency, and the per-lane structural rules (alternation, monotone
-order, minimum gap).  It reads a result alone, never the packer's lane
-state.
+validate() re-derives everything from the recorded placements, the lane
+table and the container's layout: pairwise overlaps, containment,
+class/lane consistency, and the per-lane structural rules (alternation,
+monotone order, minimum gap) in frames that it derives from the layout.
+It reads a result alone, never the packer's lane state, and imports no
+packer module.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import bisect
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .containers import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
-                         columns, layout)
 from .geometry import EPS
+from .layout import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
+                     columns, lane_frames, layout)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -212,11 +213,13 @@ def _pairwise_overlaps(xs: Sequence[float], ys: Sequence[float],
 
 def validate(result: PackResult) -> AuditReport:
     """Audit a result at the constant tolerance EPS, whatever it records;
-    ValueError when its container, mode and aspect have no layout."""
-    # The container, mode and aspect pick the table, box and guarantee;
-    # the file's own w and guarantee do not.
-    table, guarantee, box, *_ = layout(result.container, result.mode,
-                                       result.b)
+    ValueError when its container, mode and aspect have no layout, or
+    when its lane table does not fit that layout (see lane_frames)."""
+    # The container, mode and aspect pick the table, box, guarantee and
+    # lane frames; the file's own w and guarantee do not.
+    frames = layout(result.container, result.mode, result.b)
+    table, guarantee, box = frames.table, frames.guarantee, frames.box
+    lane_by_id = lane_frames(frames, result.lanes)
     report = AuditReport(valid=True)
     xs, ys, rs, seqs, lane_ids, class_indices = columns(result.placements)
     n = len(xs)
@@ -281,8 +284,6 @@ def validate(result: PackResult) -> AuditReport:
             "overlap", f"circles {i} and {j} overlap by {-gap:.3g}", (i, j)))
     report.violations += escaped
 
-    classes = range(table.rows[0].index, table.rows[-1].index + 1)
-    lane_by_id = {li.lane_id: li for li in result.lanes}
     for lane_id, ks in groups.items():
         info = lane_by_id.get(lane_id)
         if info is None:
@@ -290,22 +291,16 @@ def validate(result: PackResult) -> AuditReport:
                 "class_mismatch", f"unknown lane id {lane_id!r}"))
             continue
         cls = info.class_index
-        known = type(cls) is int and cls in classes
-        if known:
-            row = table.row(cls)
-            lo, hi = row.lower_bound, row.upper_bound
-            above, below = lo - EPS, hi + EPS
-        else:
-            report.violations.append(Violation(
-                "class_mismatch", f"lane {lane_id} has class {cls!r}, "
-                f"which its container's table lacks"))
+        row = table.row(cls)
+        lo, hi = row.lower_bound, row.upper_bound
+        above, below = lo - EPS, hi + EPS
         for k in ks:
             if class_indices[k] != cls:
                 report.violations.append(Violation(
                     "class_mismatch",
                     f"circle {seqs[k]} of class {class_indices[k]} recorded "
                     f"in class-{cls} lane {lane_id}", (seqs[k],)))
-            elif known and not (above < rs[k] <= below):
+            elif not (above < rs[k] <= below):
                 report.violations.append(Violation(
                     "class_mismatch",
                     f"radius {rs[k]} outside class-{cls} range "

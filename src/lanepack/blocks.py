@@ -17,12 +17,11 @@ import math
 from typing import Optional
 
 from .classification import ClassTable
-from .lanes import LaneInfo, LaneState, Packing, place
+from .lanes import LaneState, Packing, place
+from .layout import _POS_TOL, vlane_info
 
 FREE = "free"
 CLOSED = "closed"
-
-_POS_TOL = 1e-12
 
 
 def reservation_for(class_index: int) -> str:
@@ -112,23 +111,6 @@ def vlane_position(ledger: BlockLedger, block: SparseBlock,
 
 def _eligible(block: SparseBlock, class_index: int) -> bool:
     return block.state in (FREE, reservation_for(class_index))
-
-
-def vlane_info(host: LaneInfo, width: float, class_index: int, x0: float,
-               down: bool, ordinal: int) -> LaneInfo:
-    """Sub-lane `ordinal` of class_index on the strip [x0, x0 + width] of
-    the host, framed as Frame.subframe frames it DOWNWARDS (down) or
-    UPWARDS, by the same floats; ValueError if the strip leaves the host."""
-    (ox, oy), (eux, euy), (evx, evy) = host.origin, host.eu, host.ev
-    x1 = x0 + width
-    if not 0.0 <= x0 <= x1 <= host.length + _POS_TOL:
-        raise ValueError(f"strip [{x0!r}, {x1!r}] leaves the "
-                         f"{host.length!r}-long host {host.lane_id}")
-    v, s = (host.width, -1) if down else (0.0, 1)
-    return LaneInfo((ox + x0 * eux + v * evx, oy + x0 * euy + v * evy),
-                    (s * evx, s * evy), (eux, euy), host.width, x1 - x0,
-                    f"{host.lane_id}:v{class_index}#{ordinal}", class_index,
-                    x0, down)
 
 
 def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,

@@ -12,7 +12,8 @@ import click
 from . import bounds as bounds_mod
 from .audit import validate
 from .classification import build_class_table, table_csv
-from .containers import STATUS_ALL_PACKED, PackResult, _OnlineRun
+from .containers import _OnlineRun
+from .layout import STATUS_ALL_PACKED, PackResult
 from .genseq import KINDS, GenSpec, generate
 from .svg import render_svg
 

@@ -13,28 +13,13 @@ from typing import Optional
 
 from .blocks import BlockLedger, on_medium_packed, pack_small_class
 from .classification import ClassTable
-from .geometry import Orientation, Rect
-from .lanes import (LaneInfo, LaneState, Packing, commit, find_position,
-                    packing_length)
-
-
-def _dslp_shape(lane_id: str, rect: Rect,
-                orientation: Orientation) -> tuple[LaneInfo, ...]:
-    """Descriptions of a DSLP lane's host, top and bottom lanes, frozen,
-    so that a container layout builds them once and each run builds its
-    own lane states from them."""
-    host = LaneInfo.from_rect(rect, orientation, f"{lane_id}:host", 1)
-    w, length = host.width, host.length
-    halves = {"top": Rect(0.0, w / 2.0, length, w),
-              "bottom": Rect(0.0, 0.0, length, w / 2.0)}
-    return (host,) + tuple(
-        host.subframe(half, Orientation.LEFTWARDS, f"{lane_id}:{name}", 2)
-        for name, half in halves.items())
+from .lanes import LaneState, Packing, commit, find_position, packing_length
+from .layout import LaneInfo
 
 
 def new_dslp(lane_id: str, shape: tuple[LaneInfo, ...],
              table: ClassTable) -> BlockLedger:
-    """An empty DSLP lane of a shape that _dslp_shape built.  The small
+    """An empty DSLP lane of a shape that layout._dslp_shape built.  The small
     lanes share the ledger's list of mirrored sub-lane strips."""
     mirrored = []
     top, bottom = [LaneState(info, exclusions=mirrored) for info in shape[1:]]

@@ -88,7 +88,7 @@ class Frame(Record):
     v in [0, width] across the lane, (0, 0) at the corner where packing
     starts on the canonical bottom side.  The basis vectors are axis-aligned
     unit vectors, so composition stays exact.  A subclass adds fields
-    after these; from_rect and subframe pass it their trailing arguments.
+    after these; from_rect passes it its trailing arguments.
     """
 
     def __init__(self, origin: tuple[float, float], eu: tuple[int, int],
@@ -99,21 +99,14 @@ class Frame(Record):
     @classmethod
     def from_rect(cls, rect: Rect, orientation: Orientation, *tag) -> "Frame":
         (eux, euy), (evx, evy) = _AXES[orientation]
-        if orientation in (Orientation.RIGHTWARDS, Orientation.LEFTWARDS):
-            length, width = rect.width, rect.height
-        else:
-            length, width = rect.height, rect.width
+        length, width = ((rect.width, rect.height) if eux
+                         else (rect.height, rect.width))
         if width > length + EPS:
             raise ValueError(f"lane width {width} exceeds length {length}")
-        # Canonical origin: corner at u=0, v=0.
-        if orientation == Orientation.RIGHTWARDS:
-            origin = (rect.x0, rect.y0)
-        elif orientation == Orientation.LEFTWARDS:
-            origin = (rect.x1, rect.y0)
-        elif orientation == Orientation.UPWARDS:
-            origin = (rect.x0, rect.y0)
-        else:  # DOWNWARDS
-            origin = (rect.x0, rect.y1)
+        # Canonical origin: the corner at u = v = 0, from which eu and ev
+        # point into the rectangle (ev never points down or left).
+        origin = (rect.x1 if eux < 0 else rect.x0,
+                  rect.y1 if euy < 0 else rect.y0)
         return cls(origin, (eux, euy), (evx, evy), length, width, *tag)
 
     def to_container(self, u: float, v: float) -> tuple[float, float]:
@@ -132,22 +125,6 @@ class Frame(Record):
         u = dx * self.eu[0] + dy * self.eu[1]
         v = dx * self.ev[0] + dy * self.ev[1]
         return u, v
-
-    def subframe(self, local_rect: Rect, orientation: Orientation,
-                 *tag) -> "Frame":
-        """Frame, of this frame's class, of a sub-lane given by its
-        rectangle in canonical coordinates."""
-        inner = Frame.from_rect(local_rect, orientation)
-        ox, oy = self.to_container(inner.origin[0], inner.origin[1])
-
-        def _map_dir(d: tuple[int, int]) -> tuple[int, int]:
-            return (
-                d[0] * self.eu[0] + d[1] * self.ev[0],
-                d[0] * self.eu[1] + d[1] * self.ev[1],
-            )
-
-        return type(self)((ox, oy), _map_dir(inner.eu), _map_dir(inner.ev),
-                          inner.length, inner.width, *tag)
 
 
 def leftmost_feasible(x_min: float, x_max: float, y: float, r: float,

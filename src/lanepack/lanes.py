@@ -19,10 +19,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
-from .geometry import EPS, Frame, sweep
+from .geometry import EPS, sweep
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .layout import LaneInfo
 
 
 # The length at which Packing's scan list hands its fullest level to a
@@ -163,21 +165,6 @@ def _file(level: list, disk: tuple[float, float, float]) -> None:
         cell.append(disk)
     if disk[2] > m:
         level[2] = disk[2]
-
-
-class LaneInfo(Frame):
-    """One lane: its frame and size class (TLP packs class 0, SLP every
-    other), and a sub-lane's strip start x0 on its host and side (down).
-    Never edited, so a container shape builds it once and its runs share
-    it."""
-
-    def __init__(self, origin: tuple[float, float], eu: tuple[int, int],
-                 ev: tuple[int, int], length: float, width: float,
-                 lane_id: str, class_index: int, x0: Optional[float] = None,
-                 down: Optional[bool] = None):
-        super().__init__(origin, eu, ev, length, width)
-        self.lane_id, self.class_index = lane_id, class_index
-        self.x0, self.down = x0, down
 
 
 class LaneState:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .containers import PackResult, layout
+from .layout import PackResult, layout
 
 # Fill colors indexed by circle class (class 0 first); deep classes cycle.
 _PALETTE = (

@@ -13,22 +13,24 @@ placements alone (PLACEMENT_GOLDEN) and the audit report alone
 (REPORT_GOLDEN). Any change to a single coordinate, lane, class or audit
 finding changes them. The audit of each case, and of each tampered case,
 must also find the same after a round trip through JSON, where it reads
-the placements as columns, and each file in UNREADABLE must not read at
-all. The placement and report digests do not depend on the JSON layout:
-they were recorded before the result JSON became schema 2 (columns, and
-only the lanes that hold circles). GOLDEN alone was regenerated for
-schema 2, again for schema 3, which writes a lane as its id plus a
-sub-lane's strip start and side and reads every frame from the layout,
-and once more when per_lane dropped the dump of the packer's block
-records and the circle counts, keeping only the lane lengths and the
-closed flags; every other key of each file stayed the same. So the
-other digests show that no placement and no audit finding moved with
-any of these formats, and the reports after a round trip through JSON,
-tampered ones included, that schema 3 rebuilds the frames the audit
-reads. The sparse-block case rect-6.0-mixed-blocks came later; its three
-digests were recorded on the code from before the audit read placements
-as columns. Placements must stay bit-identical, so never regenerate
-these values to make a test pass.
+the placements as columns, and each file in UNREADABLE must be refused
+before any report exists. The placement and report digests do not depend
+on the JSON layout: they were recorded before the result JSON became
+schema 2 (columns, and only the lanes that hold circles). GOLDEN alone
+was regenerated for schema 2, again for schema 3, which writes a lane as
+its id plus a sub-lane's strip start and side and reads every frame from
+the layout, and once more when per_lane dropped the dump of the packer's
+block records and the circle counts, keeping only the lane lengths and
+the closed flags; every other key of each file stayed the same. So the
+other digests show that no placement and no audit finding moved with any
+of these formats, and the reports after a round trip through JSON,
+tampered ones included, that the frames the audit derives from a lane
+table are the run's. No digest changed when the audit took over deriving
+the frames of a result in memory too. The sparse-block case
+rect-6.0-mixed-blocks came later; its three digests were recorded on the
+code from before the audit read placements as columns. Placements must
+stay bit-identical, so never regenerate these values to make a test
+pass.
 """
 
 import dataclasses
@@ -41,9 +43,10 @@ import sys
 
 from lanepack.audit import validate
 from lanepack.bounds import guarantee_rect, guarantee_square
-from lanepack.containers import (PackResult, RectRun, SquareRun,
-                                 pack_rect_online, pack_square_online)
+from lanepack.containers import (RectRun, SquareRun, pack_rect_online,
+                                 pack_square_online)
 from lanepack.genseq import GenSpec, generate
+from lanepack.layout import PackResult
 
 RECT_ASPECTS = (1.0, 1.5, 2.0, 3.0)
 SEEDS = (0, 1, 2)
@@ -360,8 +363,10 @@ def tampered() -> dict:
 
 
 # Result files edited one way each, as (name, table, column, new value of
-# its last entry), that from_json_dict must refuse with ValueError rather
-# than read and audit.  The last lane is a sub-lane of the 1-long L1 host.
+# its last entry), that must be refused with ValueError before any audit
+# report exists: by from_json_dict, which types the columns, or by
+# validate, which fits the lane table to the layout.  The last lane is a
+# sub-lane of the 1-long L1 host.
 UNREADABLE = (("float-arrival", "placements", "i", 0.0),
               ("string-x0", "lanes", "x0", "a"),
               ("strip-past-host", "lanes", "x0", 1.0))
@@ -374,12 +379,12 @@ def _five_circles() -> str:
 
 
 def unreadable(table: str, column: str, value) -> bool:
-    """Whether from_json_dict refuses the five-circle square's file with
-    the column's last entry replaced by value."""
+    """Whether reading and auditing the five-circle square's file with
+    the column's last entry replaced by value raises ValueError."""
     d = json.loads(_five_circles())
     d[table][column][-1] = value
     try:
-        PackResult.from_json_dict(d)
+        validate(PackResult.from_json_dict(d))
     except ValueError:
         return True
     return False

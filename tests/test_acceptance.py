@@ -21,7 +21,8 @@ from lanepack.containers import (RectRun, SquareRun, pack_rect_online,
                                  pack_square_online)
 from lanepack.genseq import GenSpec, generate
 from lanepack.geometry import Orientation, Rect
-from lanepack.lanes import LaneInfo, LaneState, Packing, place
+from lanepack.lanes import LaneState, Packing, place
+from lanepack.layout import LaneInfo
 from oracles import CommitLog, audit_dslp_lane, audit_slp_lane
 
 RECT_ASPECTS = (1.0, 1.5, 2.0, 2.36, 3.0, 5.0)

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from lanepack import audit
 from lanepack.audit import validate
 from lanepack.bounds import delta
-from lanepack.containers import (PackResult, columns, layout,
-                                 pack_rect_online, pack_square_online)
+from lanepack.containers import pack_rect_online, pack_square_online
 from lanepack.geometry import Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
-from lanepack.lanes import LaneInfo, LaneState, Packing, place
+from lanepack.lanes import LaneState, Packing, place
+from lanepack.layout import LaneInfo, LaneRow, PackResult, columns, layout
 from oracles import (CommitLog, LanePlacement, audit_dslp_lane,
                      audit_slp_lane, metrics, min_slp)
 
@@ -109,24 +109,32 @@ class TestValidate:
             result = square_result(seed=1)
         else:
             result = pack_square_online("no_tiny", [0.3, 0.1, 0.05, 0.03])
-        rows = layout(result.container, result.mode, result.b).table.rows
+        shape = layout(result.container, result.mode, result.b)
+        rows = shape.table.rows
         assert (rows[0].index, rows[-1].index) == {
             "rect": (1, 40), "square": (0, 40), "no_tiny": (0, 2)}[container]
+        # A lane's class is its layout's, or the class >= 3 of the table
+        # that a sub-lane's id names, so a sub-lane of another class is
+        # refused before any report, in memory and in a file alike.
+        sub = LaneRow(f"L1:host:v{cls!r}#0", 0.5, False)
+        listed = dataclasses.replace(result, lanes=result.lanes + [sub])
+        for edited in (listed, PackResult.from_json_dict(json.loads(
+                json.dumps(listed.to_json_dict())))):
+            with pytest.raises(ValueError,
+                               match="names no lane of the layout"):
+                validate(edited)
+        # A circle that records the class in a lane of the layout is a
+        # class_mismatch, one per circle.
         lane = result.lanes[0]
-        result.lanes[0] = LaneInfo(lane.origin, lane.eu, lane.ev, lane.length,
-                                   lane.width, lane.lane_id, cls)
-        report = validate(result)
-        assert [v.detail for v in report.violations if not v.indices] == [
-            f"lane {lane.lane_id} has class {cls!r}, which its container's "
-            f"table lacks"]
-        # Its circles are checked against the lane's class alone, with no
-        # radius range.
         held = [c.seq for c in result.placements
                 if c.lane_id == lane.lane_id]
         assert held
-        assert [v.indices[0] for v in report.violations if v.indices] == (
-            [] if cls == lane.class_index else held)
-        assert {v.kind for v in report.violations} == {"class_mismatch"}
+        report = validate(dataclasses.replace(result, placements=[
+            dataclasses.replace(c, class_index=cls)
+            if c.lane_id == lane.lane_id else c for c in result.placements]))
+        assert [v.indices[0] for v in report.violations] == (
+            [] if cls == shape.lanes[lane.lane_id].class_index else held)
+        assert {v.kind for v in report.violations} <= {"class_mismatch"}
 
     def test_recorded_w_does_not_pick_the_table(self):
         # Class 1 of the general square ends at w/2 = 0.14424; at w = 0.3
@@ -183,16 +191,40 @@ class TestValidate:
             validate(result)
 
     def test_lane_class_in_the_table_keeps_its_radius_range(self):
-        result = pack_rect_online(2.0, [0.4, 0.3])
-        lane = result.lanes[0]
-        result.lanes[0] = LaneInfo(lane.origin, lane.eu, lane.ev, lane.length,
-                                   lane.width, lane.lane_id, 40)
-        result.placements = [dataclasses.replace(c, class_index=40)
-                             for c in result.placements]
+        # The one sub-lane renamed to class 40, the table's last: its
+        # class-5 circle is checked against class 40's radius range, in
+        # memory and in a file alike.
+        result = pack_rect_online(2.0, [0.4, 0.3, 0.01])
+        host, sub = result.lanes
+        assert sub.lane_id == "L1:host:v5#0"
+        deep = "L1:host:v40#0"
+        result = dataclasses.replace(
+            result, lanes=[host, sub._replace(lane_id=deep)],
+            placements=[dataclasses.replace(c, lane_id=deep, class_index=40)
+                        if c.lane_id == sub.lane_id else c
+                        for c in result.placements])
         report = validate(result)
-        assert [v.indices for v in report.violations] == [(0,), (1,)]
-        assert all("outside class-40 range" in v.detail
-                   for v in report.violations)
+        assert [v.indices for v in report.violations] == [(2,)]
+        assert report.violations[0].detail.startswith(
+            "radius 0.01 outside class-40 range")
+        back = PackResult.from_json_dict(json.loads(json.dumps(
+            result.to_json_dict())))
+        assert validate(back).to_json_dict() == report.to_json_dict()
+
+    @pytest.mark.parametrize("copy_first", [True, False],
+                             ids=["copy-first", "copy-last"])
+    def test_a_lane_listed_twice_is_refused_in_either_order(self,
+                                                            copy_first):
+        # Keyed by id, the copy would replace the sub-lane or be replaced
+        # by it: the report would depend on the order of the lanes.
+        result = pack_rect_online(2.0, [0.4, 0.3, 0.01])
+        host, sub = result.lanes
+        assert sub.lane_id == "L1:host:v5#0" and validate(result).valid
+        moved = sub._replace(x0=sub.x0 + 0.5)
+        lanes = [host, moved, sub] if copy_first else [host, sub, moved]
+        with pytest.raises(ValueError, match=r"lane ids listed twice: "
+                                             r"\['L1:host:v5#0'\]"):
+            validate(dataclasses.replace(result, lanes=lanes))
 
     def test_detects_duplicate_sequence(self):
         def mutate(result):

@@ -4,9 +4,10 @@ from lanepack.blocks import (CLOSED, FREE, on_medium_packed,
                              pack_small_class, reservation_for,
                              vlane_position)
 from lanepack.classification import build_class_table
-from lanepack.dslp import _dslp_shape, new_dslp
+from lanepack.dslp import new_dslp
 from lanepack.geometry import Orientation, Rect
-from lanepack.lanes import LaneInfo, Packing, commit, find_position
+from lanepack.lanes import Packing, commit, find_position
+from lanepack.layout import LaneInfo, _dslp_shape
 from oracles import LanePlacement, committed, frontier, packed
 
 TABLE = build_class_table(1.0)

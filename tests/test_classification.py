@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lanepack.classification import (Q_SCHEDULE, ClassRow, ClassTable,
                                      TooLarge, TooSmall, build_class_table,
                                      classify, table_csv)
-from lanepack.containers import layout
+from lanepack.layout import layout
 
 # Printed approximations of the schedule constants (relative bound, and the
 # resulting lane width at base width 1).

@@ -8,8 +8,8 @@ from click.testing import CliRunner
 
 from lanepack.bounds import guarantee_rect
 from lanepack.cli import main
-from lanepack.containers import PackResult
 from lanepack.genseq import KINDS, GenSpec, generate
+from lanepack.layout import PackResult
 
 
 @pytest.fixture

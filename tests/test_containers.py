@@ -6,18 +6,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lanepack import containers
-from lanepack.blocks import _POS_TOL
 from lanepack.audit import validate
 from lanepack.bounds import guarantee_rect, guarantee_square
-from lanepack.containers import (NO_TINY_Q2, SQUARE_WIDTH_GENERAL,
-                                 SQUARE_WIDTH_NO_TINY, PackResult, RectRun,
-                                 SquareRun, layout, pack_rect_online,
+from lanepack.containers import (RectRun, SquareRun, pack_rect_online,
                                  pack_square_online)
 from lanepack.dslp import dslp_metrics
 from lanepack.genseq import GenSpec, generate
 from lanepack.geometry import EPS, PlacedCircle
 from lanepack.lanes import packing_length
+from lanepack.layout import (_POS_TOL, NO_TINY_Q2, SQUARE_WIDTH_GENERAL,
+                             SQUARE_WIDTH_NO_TINY, PackResult, Placements,
+                             layout)
 
 
 # The no-tiny sequences' smallest radius, above the no-tiny table's deepest
@@ -211,7 +210,7 @@ class TestSharedShapes:
 
         assert len(make().pack(radii(1)).placements) > 5
         second = make().pack(radii(2)).to_json_dict()
-        containers.layout.cache_clear()
+        layout.cache_clear()
         assert make().pack(radii(2)).to_json_dict() == second
 
     def test_equal_shapes_of_other_types_keep_their_own_frames(self):
@@ -222,8 +221,8 @@ class TestSharedShapes:
             layout("rect", None, True)
         assert type(layout("rect", None, 3).box.x1) is int
         assert type(layout("rect", None, 3.0).box.x1) is float
-        result = pack_rect_online(3, [0.3])
-        assert [type(x) for x in result.lanes[0].origin] == [float, float]
+        origin = layout("rect", None, 3).lanes["L1:host"].origin
+        assert [type(x) for x in origin] == [float, float]
 
     @pytest.mark.parametrize("container, param", [
         ("rect", 1.0), ("rect", 1.5), ("rect", 2.0), ("rect", 3.0),
@@ -446,8 +445,9 @@ class TestSerialization:
             every += d.vlanes
         used = {c.lane_id for c in result.placements}
         assert len(used) < len(every)
-        assert result.lanes == [lane.frame for lane in every
-                                if lane.frame.lane_id in used]
+        assert result.lanes == [
+            (lane.frame.lane_id, lane.frame.x0, lane.frame.down)
+            for lane in every if lane.frame.lane_id in used]
         # per_lane still covers every top-level lane, with lane numbers
         # alone: L0's packing length p, and each DSLP lane's p_t and p_b
         # (dslp_metrics) and whether its host closed.
@@ -476,7 +476,7 @@ class TestSerialization:
     def test_sub_lane_strips_may_overlap_by_the_packer_slack(self, side):
         # The packer fits a strip beside another with up to _POS_TOL of
         # overlap; a file's strips of one host may overlap that much, and
-        # a clear margin more is refused.
+        # a clear margin more is refused by the audit.
         d = json.loads(json.dumps(pack_rect_online(
             2.0, [0.4, 0.3, 0.01]).to_json_dict()))
         lanes = d["lanes"]
@@ -490,11 +490,13 @@ class TestSerialization:
             edited = {**d, "lanes": {"id": lanes["id"] + ["L1:host:v5#1"],
                                      "x0": lanes["x0"] + [start],
                                      "down": lanes["down"] + [False]}}
+            back = PackResult.from_json_dict(edited)
+            assert len(back.lanes) == 3
             if reads:
-                assert len(PackResult.from_json_dict(edited).lanes) == 3
+                assert validate(back).valid
             else:
                 with pytest.raises(ValueError, match="overlap"):
-                    PackResult.from_json_dict(edited)
+                    validate(back)
 
     @pytest.mark.parametrize("schema", [None, 1, 2, "3", 4])
     def test_other_schemas_are_refused(self, schema):
@@ -578,7 +580,7 @@ class TestPlacementsView:
     def test_equality_both_ways(self):
         result, _, back = self._pair()
         view = back.placements
-        assert isinstance(view, containers.Placements)
+        assert isinstance(view, Placements)
         # bench/checks.py roundtrip_failures compares list != view.
         assert not result.placements != view
         assert not view != result.placements
@@ -664,7 +666,7 @@ class TestPackerResultView:
 
     def test_packer_result_is_a_view(self):
         result = pack_square_online("general", self.RADII)
-        assert type(result.placements) is containers.Placements
+        assert type(result.placements) is Placements
         assert [c.seq for c in result.placements] == list(range(7))
 
     def test_first_result_is_a_snapshot(self):

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from lanepack.classification import build_class_table
-from lanepack.dslp import _dslp_shape, dslp_metrics, dslp_pack, new_dslp
+from lanepack.dslp import dslp_metrics, dslp_pack, new_dslp
 from lanepack.geometry import Orientation, Rect
 from lanepack.lanes import Packing
+from lanepack.layout import _dslp_shape
 from oracles import (CommitLog, bounding_rect, circles_overlap, committed,
                      metrics, occupied_area, packed, vlane_extents)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lanepack.geometry import (EPS, Frame, Orientation, PlacedCircle, Rect,
                                leftmost_feasible)
+from lanepack.layout import LaneInfo, vlane_info
 from oracles import circle_in_rect, circles_overlap, forbidden_interval
 
 
@@ -295,8 +296,11 @@ class TestFrame:
         assert f.to_container(0.25, 0.1) == pytest.approx((1.75, 0.1))
 
     def test_subframe_composition_is_isometric(self):
-        host = Frame.from_rect(Rect(0, 0, 3, 1), Orientation.LEFTWARDS)
-        sub = host.subframe(Rect(0.5, 0.0, 0.7, 1.0), Orientation.DOWNWARDS)
+        # A vertical sub-lane on the strip [0.5, 0.7] of a leftwards host,
+        # packed down from the host's far side.
+        host = LaneInfo.from_rect(Rect(0, 0, 3, 1), Orientation.LEFTWARDS,
+                                  "h", 1)
+        sub = vlane_info(host, 0.2, 3, 0.5, True, 0)
         assert sub.length == pytest.approx(1.0)
         assert sub.width == pytest.approx(0.2)
         # Distances are preserved through the composition.

@@ -1,7 +1,8 @@
 """Golden digests of whole packings, of their placements and audit
 reports alone, and of tampered packings' audit reports, the reports
-also after a round trip through JSON, and tampered files that must not
-read; the cases and digests live in tests/golden.py.  The same inputs
+also after a round trip through JSON (each equal to the report of the
+result in memory), and tampered files that must not read; the cases
+and digests live in tests/golden.py.  The same inputs
 also check that feeding a run one radius per call changes nothing, keeps
 at most one open sub-lane per class, keeps each lane's sparse blocks in
 owner order and its frontier equal to the full scan's, and that the
@@ -16,6 +17,7 @@ from golden import (CASES, GOLDEN, INPUTS, PLACEMENT_GOLDEN, REPORT_GOLDEN,
                     STREAMS, TAMPERED_GOLDEN, TINY_STREAM_N, UNREADABLE,
                     _mixed_stream, _tiny_stream, digest, from_json, new_run,
                     placement_digest, report_digest, tampered, unreadable)
+from lanepack.audit import validate
 from lanepack.dslp import dslp_metrics
 from oracles import (CommitLog, frontier, metrics, packing_extent,
                      vlane_extents)
@@ -56,6 +58,18 @@ def test_golden_tampered_report(name):
 def test_golden_tampered_report_after_json(name):
     assert (report_digest(from_json(tampered()[name]))
             == TAMPERED_GOLDEN[name])
+
+
+@pytest.mark.parametrize("kind, name", [
+    *(("golden", name) for name in sorted({**CASES, **STREAMS})),
+    *(("tampered", name) for name in sorted(TAMPERED_GOLDEN))])
+def test_memory_and_file_audits_agree(kind, name):
+    # validate derives the lane frames from the layout for a result in
+    # memory as for one read from its file, so both get one report.
+    result = ({**CASES, **STREAMS}[name]() if kind == "golden"
+              else tampered()[name])
+    assert (json.dumps(validate(result).to_json_dict())
+            == json.dumps(validate(from_json(result)).to_json_dict()))
 
 
 @pytest.mark.parametrize("name, table, column, value", UNREADABLE)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from lanepack import lanes
 from lanepack.containers import pack_square_online
 from lanepack.geometry import EPS, Frame, Orientation, Rect
-from lanepack.lanes import (LaneInfo, LaneState, Packing, find_position,
-                            place)
+from lanepack.lanes import LaneState, Packing, find_position, place
+from lanepack.layout import LaneInfo, vlane_info
 from oracles import CommitLog, committed, metrics, packed, packing_extent
 from test_geometry import GRID, circ, sweep_oracle
 
@@ -300,9 +300,9 @@ def _frames():
               for o in (Orientation.RIGHTWARDS, Orientation.LEFTWARDS)]
     frames += [Frame.from_rect(Rect(0.5, 0.25, 1.0, 2.25), o)
                for o in (Orientation.UPWARDS, Orientation.DOWNWARDS)]
-    host = Frame.from_rect(Rect(0.0, 0.0, 2.5, 0.5), Orientation.LEFTWARDS)
-    frames.append(host.subframe(Rect(0.75, 0.0, 1.25, 0.5),
-                                Orientation.DOWNWARDS))
+    host = LaneInfo.from_rect(Rect(0.0, 0.0, 2.5, 0.5),
+                              Orientation.LEFTWARDS, "h", 1)
+    frames.append(vlane_info(host, 0.5, 3, 0.75, True, 0))
     # An origin off the dyadic grid, so mapping between frames rounds.
     frames.append(Frame.from_rect(ROUNDING_RECT, Orientation.UPWARDS))
     return frames

@@ -18,7 +18,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
 from lanepack.audit import validate
-from lanepack.containers import PackResult, RectRun, SquareRun, columns
+from lanepack.containers import RectRun, SquareRun
+from lanepack.layout import PackResult, columns
 
 LAYOUTS = {
     "rect-1": lambda: RectRun(1.0),

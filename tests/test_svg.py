@@ -1,9 +1,9 @@
 import json
 import xml.etree.ElementTree as ET
 
-from lanepack.containers import (PackResult, pack_rect_online,
-                                 pack_square_online)
+from lanepack.containers import pack_rect_online, pack_square_online
 from lanepack.genseq import GenSpec, generate
+from lanepack.layout import PackResult
 from lanepack.svg import render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
