@@ -6,6 +6,13 @@ class/lane consistency, and the per-lane structural rules (alternation,
 monotone order, minimum gap) in frames that it derives from the layout.
 It reads a result alone, never the packer's lane state, and imports no
 packer module.
+
+Packings of up to _ALL_PAIRS_MAX circles are audited one circle at a
+time in pure Python, without numpy.  Larger ones whose x, y and r
+columns hold floats and whose seq and class columns hold ints are
+audited by the numpy passes of audit_arrays, with the same arithmetic,
+comparisons and order of additions, so both give the same report, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from .layout import (STATUS_ALL_PACKED, STATUS_REJECTED, PackResult,
                      columns, lane_frames, layout)
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .classification import ClassTable
+    from .geometry import Rect
 
 # Structural checks run at a looser tolerance than the geometric eps:
 # canonical coordinates are reconstructed through an isometry round trip.
@@ -52,106 +60,14 @@ class AuditReport:
         }
 
 
-# Up to this many disks a pure-Python sort-and-sweep on x costs less than
-# the numpy strip sweep (in-process, prefixes of packed streams, median of
-# interleaved calls: 0.2x at 16 disks, 0.7-1.0x at 44, 1.4-1.8x at 64),
-# and the audit of a small packing never imports numpy.
-_ALL_PAIRS_MAX = 44
-
-# Candidate pairs tested per numpy pass; bounds the sweep's temporaries
-# when many disks crowd one strip.
-_PAIR_CHUNK = 1 << 18
-
-
-def _extents(d: np.ndarray, eps: float) -> np.ndarray:
-    """Padded extents of disks whose x, y and r are the rows of d, as a
-    (2, 2, n) array: [start, end] x [x, y] x disk.
-
-    The padding is |r| + |eps| plus a relative rounding margin, so no
-    pair that overlaps by more than eps (eps may be negative) has
-    disjoint extents on either axis.
-    """
-    import numpy as np
-
-    pad = np.abs(d[2]) + abs(eps)
-    half = pad + 1e-12 * (np.abs(d[:2]) + pad)
-    ext = np.empty((2,) + half.shape)
-    np.subtract(d[:2], half, out=ext[0])
-    np.add(d[:2], half, out=ext[1])
-    return ext
-
-
-def _strips(xe: np.ndarray) -> np.ndarray:
-    """First and last vertical strip, rows of an int64 (2, n) array, that
-    each x-extent [xe[0, k], xe[1, k]] meets.
-
-    The strips have width S = 2 max(sum of widths, span) / n, so there
-    are at most n/2 + 1 of them, an extent of width w meets at most
-    w/S + 2, and all n extents together at most 2.5n (about 1.5n when
-    they lie at random).  The strip index is monotone in x, so two
-    intersecting extents both meet the strip of the larger start.
-    Extents that are not all finite, or all of zero width, share one
-    strip.
-    """
-    import numpy as np
-
-    n = xe.shape[1]
-    x0 = xe[0].min()
-    width = 2.0 * max((xe[1] - xe[0]).sum(), xe[1].max() - x0) / n
-    if not (0.0 < width < math.inf and math.isfinite(x0)):
-        return np.zeros((2, n), dtype=np.int64)
-    return np.floor((xe - x0) / width).astype(np.int64)
-
-
-def _swept_pairs(d: np.ndarray, eps: float):
-    """Index arrays (a, b), a chunk at a time, covering every pair of disks
-    whose padded extents (see _extents) intersect on both axes, each pair
-    once; d holds the disks' x, y and r as rows.
-
-    Each disk is filed in every vertical strip (see _strips) its x-extent
-    meets; within a strip, a sort on the y-extents pairs the disks whose
-    y-extents meet, and a pair counts only in the strip of the larger of
-    its two x-extent starts.
-    """
-    import numpy as np
-
-    n = d.shape[1]
-    if n < 2:
-        return
-    ext = _extents(d, eps)
-    # Disks are ranked by the start of their y-extent; the y-extent of
-    # the disk ranked k meets those of the disks ranked k + 1 .. reach[k] - 1.
-    by_y = np.argsort(ext[0, 1])
-    reach = np.searchsorted(ext[0, 1, by_y], ext[1, 1, by_y], side="right")
-    first, last = _strips(ext[:, 0, by_y])
-    # One entry per (strip, disk), keyed strip * m + rank and sorted.
-    m = n + 1
-    spans = last - first + 1
-    total = int(spans.sum())
-    base = np.cumsum(spans) - spans
-    keys = np.sort(np.repeat((first - base) * m + np.arange(n), spans)
-                   + np.arange(0, total * m, m))
-    rank = keys % m
-    row_key = keys - rank  # strip * m
-    # Entries e + 1 .. e + counts[e] share the strip of e, and their
-    # y-extents meet that of e.  A pair is kept only in the first strip
-    # of one of its disks, which is the strip of the larger x-start.
-    counts = (np.searchsorted(keys, row_key + reach[rank], side="left")
-              - np.arange(1, total + 1))
-    np.maximum(counts, 0, out=counts)
-    opens = row_key == first[rank] * m
-    disk = by_y[rank]
-    ends = np.cumsum(counts)
-    row = 0
-    while row < total:
-        budget = ends[row] - counts[row] + _PAIR_CHUNK
-        stop = max(row + 1, int(np.searchsorted(ends, budget, side="right")))
-        c = counts[row:stop]
-        e = np.repeat(np.arange(row, stop), c)
-        f = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(c) - c, c)
-        keep = opens[e] | opens[f]
-        yield disk[e[keep]], disk[f[keep]]
-        row = stop
+# Up to this many disks validate runs pure-Python passes, and above it
+# the numpy passes of audit_arrays, whose fixed cost the per-disk saving
+# repays only from about 64 disks on: the numpy audit took 1.5x the
+# pure-Python time at 48 disks, 1.1-1.25x at 56-60, 0.97x at 64 and
+# 0.7-0.8x at 80 (whole validate of prefixes of both benchmark streams
+# read back from JSON, in process, median of 41 interleaved pairs;
+# Python 3.11, numpy 2.4).  A small audit never imports numpy.
+_ALL_PAIRS_MAX = 64
 
 
 def _pairwise_overlaps(xs: Sequence[float], ys: Sequence[float],
@@ -162,10 +78,9 @@ def _pairwise_overlaps(xs: Sequence[float], ys: Sequence[float],
 
     A pair with r_a + r_b <= eps never overlaps by more than eps.  Sets
     of up to _ALL_PAIRS_MAX disks sort their padded x-extents (as in
-    _extents) and test the pairs whose extents meet, or every pair when
-    an extent is not finite; larger ones only the candidate pairs of a
-    numpy strip sweep (_swept_pairs: vertical strips, then a sort on y
-    within each strip).  Both paths use the same arithmetic.
+    audit_arrays._extents) and test the pairs whose extents meet, or
+    every pair when an extent is not finite; larger ones go to
+    audit_arrays.swept_overlaps.  Both paths use the same arithmetic.
     """
     n = len(xs)
     if n <= _ALL_PAIRS_MAX:
@@ -195,20 +110,125 @@ def _pairwise_overlaps(xs: Sequence[float], ys: Sequence[float],
         return hits
     import numpy as np
 
-    d = np.array([xs, ys, rs])
-    xs, ys, rs = d
-    hits = []
-    for a, b in _swept_pairs(d, eps):
-        # The test is symmetric in a and b, bit for bit.
-        dx = xs[a] - xs[b]
-        dy = ys[a] - ys[b]
-        rsum = rs[a] + rs[b] - eps
-        np.maximum(rsum, 0.0, out=rsum)  # rsum <= 0 never overlaps
-        bad = dx * dx + dy * dy < rsum * rsum
-        if bad.any():
-            pairs = zip(a[bad].tolist(), b[bad].tolist())
-            hits.extend((min(p), max(p)) for p in pairs)
-    return sorted(hits)
+    from . import audit_arrays
+
+    return audit_arrays.swept_overlaps(np.array([xs, ys, rs]), eps)
+
+
+# The findings that _python_passes and audit_arrays.array_passes both
+# report, word for word.
+def _escape(k: int) -> Violation:
+    return Violation("out_of_container", f"circle {k} leaves the container",
+                     (k,))
+
+
+def _unknown(lane_id) -> Violation:
+    return Violation("class_mismatch", f"unknown lane id {lane_id!r}")
+
+
+def _wrong_class(seq: int, c, cls: int, lane_id: str) -> Violation:
+    return Violation("class_mismatch", f"circle {seq} of class {c} recorded "
+                     f"in class-{cls} lane {lane_id}", (seq,))
+
+
+def _wrong_radius(seq: int, r: float, cls: int, lo: float, hi: float,
+                  lane_id: str) -> Violation:
+    return Violation("class_mismatch", f"radius {r} outside class-{cls} "
+                     f"range ({lo}, {hi}] in lane {lane_id}", (seq,))
+
+
+def _off_height(seq: int, lane_id: str, v: float,
+                expect_v: float) -> Violation:
+    return Violation("order", f"circle {seq} in {lane_id} off the "
+                     f"alternation height (v={v}, expected {expect_v})",
+                     (seq,))
+
+
+def _backwards(seq: int, lane_id: str) -> Violation:
+    return Violation("order", f"circle {seq} in {lane_id} breaks the "
+                     f"monotone frontier", (seq,))
+
+
+def _too_close(seq: int, lane_id: str) -> Violation:
+    return Violation("order", f"circle {seq} in {lane_id} violates the "
+                     f"minimum gap", (seq,))
+
+
+def _python_passes(cols: tuple, box: Rect, table: ClassTable,
+                   lane_by_id: dict, occ: dict) -> tuple:
+    """Arrival order, containment, areas and each lane's rules, one circle
+    at a time: (whether the placements are in arrival order, the total
+    area, the escapes, the lane findings).  Each area is added left to
+    right, to the total and to its lane's entry of occ."""
+    xs, ys, rs, seqs, lane_ids, class_indices = cols
+    # One pass: arrival order, containment, lanes and areas.  A lane's
+    # group lists its placements' indices.
+    in_order = True
+    escaped = []
+    groups: dict[str, list[int]] = {}
+    total = 0.0
+    x0, x1 = box.x0 - EPS, box.x1 + EPS
+    y0, y1 = box.y0 - EPS, box.y1 + EPS
+    for k, (x, y, r, seq, lane_id) in enumerate(zip(xs, ys, rs, seqs,
+                                                    lane_ids)):
+        if seq != k:
+            in_order = False
+        if not (x - r >= x0 and x + r <= x1 and y - r >= y0 and y + r <= y1):
+            escaped.append(_escape(k))
+        area = math.pi * r * r
+        total += area
+        ks = groups.get(lane_id)
+        if ks is None:
+            groups[lane_id] = [k]
+        else:
+            ks.append(k)
+        occ[lane_id] = occ.get(lane_id, 0.0) + area
+
+    found = []
+    for lane_id, ks in groups.items():
+        info = lane_by_id.get(lane_id)
+        if info is None:
+            found.append(_unknown(lane_id))
+            continue
+        cls = info.class_index
+        row = table.row(cls)
+        lo, hi = row.lower_bound, row.upper_bound
+        above, below = lo - EPS, hi + EPS
+        for k in ks:
+            c = class_indices[k]
+            if type(c) is not int or c != cls:  # a bool or 1.0 too
+                found.append(_wrong_class(seqs[k], c, cls, lane_id))
+            elif not (above < rs[k] <= below):
+                found.append(_wrong_radius(seqs[k], rs[k], cls, lo, hi,
+                                           lane_id))
+        if not in_order:
+            ks.sort(key=seqs.__getitem__)
+        # Alternation, monotone order, and (for SLP) the minimum gap, in
+        # the lane's canonical frame with the arithmetic of Frame.to_local.
+        # The packer takes TLP for class 0 and SLP for every other class,
+        # so the class decides the gap check, as in find_position.
+        (ox, oy), (eu0, eu1), (ev0, ev1) = info.origin, info.eu, info.ev
+        w = info.width
+        slp = cls != 0
+        prev_u = None
+        for parity, k in enumerate(ks):
+            dx = xs[k] - ox
+            dy = ys[k] - oy
+            u = dx * eu0 + dy * eu1
+            v = dx * ev0 + dy * ev1
+            r, seq = rs[k], seqs[k]
+            expect_v = w - r if parity & 1 else r
+            if abs(v - expect_v) > _STRUCT_TOL:
+                found.append(_off_height(seq, lane_id, v, expect_v))
+            if prev_u is not None:
+                if u < prev_u - _STRUCT_TOL:
+                    found.append(_backwards(seq, lane_id))
+                # The comparison picks the operand min(r, prev_r) would.
+                if slp and u - prev_u < ((prev_r if prev_r < r else r)
+                                         - _STRUCT_TOL):
+                    found.append(_too_close(seq, lane_id))
+            prev_u, prev_r = u, r
+    return in_order, total, escaped, found
 
 
 def validate(result: PackResult) -> AuditReport:
@@ -221,33 +241,24 @@ def validate(result: PackResult) -> AuditReport:
     table, guarantee, box = frames.table, frames.guarantee, frames.box
     lane_by_id = lane_frames(frames, result.lanes)
     report = AuditReport(valid=True)
-    xs, ys, rs, seqs, lane_ids, class_indices = columns(result.placements)
+    cols = columns(result.placements)
+    xs, ys, rs = cols[:3]
     n = len(xs)
+    # Above _ALL_PAIRS_MAX every pass runs on numpy arrays, unless a
+    # column does not hold as one.
+    held = None
+    if n > _ALL_PAIRS_MAX:
+        from . import audit_arrays
 
-    # One pass: arrival order, containment, lanes and areas, each area
-    # added left to right.  A lane's group lists its placements' indices.
-    in_order = True
-    escaped = []
-    groups: dict[str, list[int]] = {}
-    occ = report.per_lane_occ
-    total = 0.0
-    x0, x1 = box.x0 - EPS, box.x1 + EPS
-    y0, y1 = box.y0 - EPS, box.y1 + EPS
-    for k, (x, y, r, seq, lane_id) in enumerate(zip(xs, ys, rs, seqs,
-                                                    lane_ids)):
-        if seq != k:
-            in_order = False
-        if not (x - r >= x0 and x + r <= x1 and y - r >= y0 and y + r <= y1):
-            escaped.append(Violation(
-                "out_of_container", f"circle {k} leaves the container", (k,)))
-        area = math.pi * r * r
-        total += area
-        ks = groups.get(lane_id)
-        if ks is None:
-            groups[lane_id] = [k]
-        else:
-            ks.append(k)
-        occ[lane_id] = occ.get(lane_id, 0.0) + area
+        held = audit_arrays.held_arrays(cols)
+    if held is None:
+        in_order, total, escaped, found = _python_passes(
+            cols, box, table, lane_by_id, report.per_lane_occ)
+        overlaps = _pairwise_overlaps(xs, ys, rs, EPS)
+    else:
+        in_order, total, escaped, found = audit_arrays.array_passes(
+            cols, *held, box, table, lane_by_id, report.per_lane_occ)
+        overlaps = audit_arrays.swept_overlaps(held[0], EPS)
 
     # Arrival order is a packed prefix: placement k holds arrival k, and a
     # rejected run stopped at the arrival right after it.
@@ -278,68 +289,11 @@ def validate(result: PackResult) -> AuditReport:
                 "guarantee", f"rejected at area {area!r}, the refused "
                 f"circle's included, within the guarantee {guarantee!r}"))
 
-    for i, j in _pairwise_overlaps(xs, ys, rs, EPS):
+    for i, j in overlaps:
         gap = math.hypot(xs[i] - xs[j], ys[i] - ys[j]) - rs[i] - rs[j]
         report.violations.append(Violation(
             "overlap", f"circles {i} and {j} overlap by {-gap:.3g}", (i, j)))
-    report.violations += escaped
-
-    for lane_id, ks in groups.items():
-        info = lane_by_id.get(lane_id)
-        if info is None:
-            report.violations.append(Violation(
-                "class_mismatch", f"unknown lane id {lane_id!r}"))
-            continue
-        cls = info.class_index
-        row = table.row(cls)
-        lo, hi = row.lower_bound, row.upper_bound
-        above, below = lo - EPS, hi + EPS
-        for k in ks:
-            if class_indices[k] != cls:
-                report.violations.append(Violation(
-                    "class_mismatch",
-                    f"circle {seqs[k]} of class {class_indices[k]} recorded "
-                    f"in class-{cls} lane {lane_id}", (seqs[k],)))
-            elif not (above < rs[k] <= below):
-                report.violations.append(Violation(
-                    "class_mismatch",
-                    f"radius {rs[k]} outside class-{cls} range "
-                    f"({lo}, {hi}] in lane {lane_id}", (seqs[k],)))
-        if not in_order:
-            ks.sort(key=seqs.__getitem__)
-        # Alternation, monotone order, and (for SLP) the minimum gap, in
-        # the lane's canonical frame with the arithmetic of Frame.to_local.
-        # The packer takes TLP for class 0 and SLP for every other class,
-        # so the class decides the gap check, as in find_position.
-        (ox, oy), (eu0, eu1), (ev0, ev1) = info.origin, info.eu, info.ev
-        w = info.width
-        slp = cls != 0
-        prev_u = None
-        for parity, k in enumerate(ks):
-            dx = xs[k] - ox
-            dy = ys[k] - oy
-            u = dx * eu0 + dy * eu1
-            v = dx * ev0 + dy * ev1
-            r, seq = rs[k], seqs[k]
-            expect_v = w - r if parity & 1 else r
-            if abs(v - expect_v) > _STRUCT_TOL:
-                report.violations.append(Violation(
-                    "order", f"circle {seq} in {lane_id} off the "
-                    f"alternation height (v={v}, expected {expect_v})",
-                    (seq,)))
-            if prev_u is not None:
-                if u < prev_u - _STRUCT_TOL:
-                    report.violations.append(Violation(
-                        "order", f"circle {seq} in {lane_id} breaks the "
-                        f"monotone frontier", (seq,)))
-                # The comparison picks the operand min(r, prev_r) would.
-                if slp and u - prev_u < ((prev_r if prev_r < r else r)
-                                         - _STRUCT_TOL):
-                    report.violations.append(Violation(
-                        "order", f"circle {seq} in {lane_id} violates the "
-                        f"minimum gap", (seq,)))
-            prev_u, prev_r = u, r
-
+    report.violations += escaped + found
     report.density = total / box.area
     report.valid = not report.violations
     return report

@@ -157,6 +157,7 @@ def lane_frames(frames: Layout,
     in blocks._leftmost_strip, for either of the two strips opened last."""
     out: dict[str, LaneInfo] = {}
     strips: dict[str, list] = {}
+    last = frames.table.rows[-1].index
     for lane_id, x0, down in lanes:
         info = frames.lanes.get(lane_id)
         if info is not None:
@@ -167,18 +168,19 @@ def lane_frames(frames: Layout,
             continue
         host_id, _, sub = str(lane_id).rpartition(":v")
         host, (cls, _, k) = frames.lanes.get(host_id), sub.partition("#")
-        if not (host and host.class_index == 1 and cls.isdecimal()
-                and k.isdecimal()
-                and f"{host_id}:v{int(cls)}#{int(k)}" == lane_id
-                and 3 <= int(cls) <= frames.table.rows[-1].index):
+        # Each field is parsed once; the id must spell its numbers so.
+        cls, k = ((int(cls), int(k)) if cls.isdecimal() and k.isdecimal()
+                  else (-1, -1))
+        if not (host and host.class_index == 1 and 3 <= cls <= last
+                and f"{host_id}:v{cls}#{k}" == lane_id):
             raise ValueError(f"lane id {lane_id!r} names no lane of the "
                              f"layout and no sub-lane of a table class >= 3")
         if not (type(x0) is float and math.isfinite(x0)
                 and type(down) is bool):
             raise ValueError(f"sub-lane {lane_id} needs a finite float x0 "
                              f"and a bool down, not {x0!r} and {down!r}")
-        width = frames.table.row(int(cls)).width
-        out[lane_id] = vlane_info(host, width, int(cls), x0, down, int(k))
+        width = frames.table.row(cls).width
+        out[lane_id] = vlane_info(host, width, cls, x0, down, k)
         strips.setdefault(host_id, []).append((x0, x0 + width, lane_id))
     if len(out) < len(lanes):
         ids = [lane[0] for lane in lanes]

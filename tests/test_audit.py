@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanepack import audit
+from lanepack import audit, audit_arrays
 from lanepack.audit import validate
 from lanepack.bounds import delta
 from lanepack.containers import pack_rect_online, pack_square_online
@@ -124,17 +124,24 @@ class TestValidate:
                                match="names no lane of the layout"):
                 validate(edited)
         # A circle that records the class in a lane of the layout is a
-        # class_mismatch, one per circle.
+        # class_mismatch, one per circle, whichever passes audit it; so is
+        # a class equal to the lane's that is not an int (1.0) or is a
+        # bool (True), as it would be in a file.
         lane = result.lanes[0]
         held = [c.seq for c in result.placements
                 if c.lane_id == lane.lane_id]
         assert held
-        report = validate(dataclasses.replace(result, placements=[
+        edited = dataclasses.replace(result, placements=[
             dataclasses.replace(c, class_index=cls)
-            if c.lane_id == lane.lane_id else c for c in result.placements]))
-        assert [v.indices[0] for v in report.violations] == (
-            [] if cls == shape.lanes[lane.lane_id].class_index else held)
-        assert {v.kind for v in report.violations} <= {"class_mismatch"}
+            if c.lane_id == lane.lane_id else c for c in result.placements])
+        same = (type(cls) is int
+                and cls == shape.lanes[lane.lane_id].class_index)
+        for split in (0, 1 << 30):
+            with mock.patch.object(audit, "_ALL_PAIRS_MAX", split):
+                report = validate(edited)
+            assert [v.indices[0] for v in report.violations] == (
+                [] if same else held)
+            assert {v.kind for v in report.violations} <= {"class_mismatch"}
 
     def test_recorded_w_does_not_pick_the_table(self):
         # Class 1 of the general square ends at w/2 = 0.14424; at w = 0.3
@@ -332,14 +339,48 @@ class TestValidate:
         assert left == math.pi != math.fsum(areas)
         result = dataclasses.replace(r, placements=placements)
         assert result.total_packed_area == left
-        report = validate(result)
-        assert report.per_lane_occ == {c.lane_id: left}
-        assert report.density == left  # the unit square
+        # The pure-Python passes, then the numpy array passes.
+        for split in (1 << 30, 0):
+            with mock.patch.object(audit, "_ALL_PAIRS_MAX", split):
+                report = validate(result)
+            assert report.per_lane_occ == {c.lane_id: left}
+            assert report.density == left  # the unit square
         lane = LaneState(LaneInfo.from_rect(
             Rect(0, 0, 10, 1), Orientation.RIGHTWARDS, "L", "SLP", 1))
         placed = [LanePlacement(u=p.x, v=p.y, r=p.r, seq=p.seq)
                   for p in placements]
         assert metrics(lane, placed).occupied_area == left
+
+    @pytest.mark.parametrize("field, value", [
+        ("x", 0), ("y", True), ("r", 1), ("seq", True), ("seq", 1 << 70),
+        ("seq", 5.0), ("class_index", True), ("class_index", 3.0),
+        ("x", "0.5")])
+    def test_a_column_that_does_not_hold_takes_the_python_passes(
+            self, field, value):
+        # Above _ALL_PAIRS_MAX validate runs numpy array passes only on
+        # float x, y, r and int64 seq and class columns; any other column
+        # gets the pure-Python passes and their report.
+        result = pack_square_online("general", generate(GenSpec(
+            "uniform", seed=100, count=400, r_min=0.001, r_max=0.032)))
+        n = len(result.placements)
+        assert n > audit._ALL_PAIRS_MAX
+        placements = list(result.placements)
+        placements[n // 2] = dataclasses.replace(placements[n // 2],
+                                                 **{field: value})
+        edited = dataclasses.replace(result, placements=placements)
+        outcomes = []
+        for split in (audit._ALL_PAIRS_MAX, 1 << 30):
+            with mock.patch.object(audit, "_ALL_PAIRS_MAX", split), \
+                    mock.patch.object(
+                        audit_arrays, "array_passes",
+                        wraps=audit_arrays.array_passes) as passes:
+                try:
+                    outcomes.append(json.dumps(
+                        validate(edited).to_json_dict()))
+                except TypeError as exc:  # a string does not subtract
+                    outcomes.append(repr(exc))
+            assert not passes.called
+        assert outcomes[0] == outcomes[1]
 
 
 class TestLaneAudits:
@@ -516,8 +557,8 @@ class TestPairwiseOverlaps:
             # the size.
             with mock.patch.object(audit, "_ALL_PAIRS_MAX", 1 << 30):
                 assert audit._pairwise_overlaps(*xyr(disks), eps) == want
-            with mock.patch.multiple(audit, _PAIR_CHUNK=chunk,
-                                     _ALL_PAIRS_MAX=0):
+            with mock.patch.object(audit_arrays, "_PAIR_CHUNK", chunk), \
+                    mock.patch.object(audit, "_ALL_PAIRS_MAX", 0):
                 assert audit._pairwise_overlaps(*xyr(disks), eps) == want
 
     @pytest.mark.parametrize("name, value", [
@@ -565,7 +606,8 @@ class TestPairwiseOverlaps:
         ("scattered", 0.5, 1 << 18), ("coincident", 1e-9, 7)])
     def test_strip_sweep_matches_dense_oracle(self, layout, eps, chunk):
         disks = strip_layout(layout)
-        with mock.patch.multiple(audit, _PAIR_CHUNK=chunk, _ALL_PAIRS_MAX=0):
+        with mock.patch.object(audit_arrays, "_PAIR_CHUNK", chunk), \
+                mock.patch.object(audit, "_ALL_PAIRS_MAX", 0):
             found = audit._pairwise_overlaps(*xyr(disks), eps)
         assert found == dense_overlaps(disks, eps)
         assert found
@@ -574,7 +616,8 @@ class TestPairwiseOverlaps:
         # Strip entries stay within the bound that the strip width sets.
         d = np.array([[c.x for c in disks], [c.y for c in disks],
                       [c.r for c in disks]])
-        first, last = audit._strips(audit._extents(d, eps)[:, 0])
+        first, last = audit_arrays._strips(
+            audit_arrays._extents(d, eps)[:, 0])
         assert (last - first + 1).sum() <= 2.5 * len(disks)
         if layout == "spanning":
             assert (first[0], last[0]) == (0, last.max()) and last[0] > 10

@@ -10,6 +10,7 @@ lanes' running extents match a scan of their circles."""
 
 import json
 import math
+from unittest import mock
 
 import pytest
 
@@ -17,8 +18,11 @@ from golden import (CASES, GOLDEN, INPUTS, PLACEMENT_GOLDEN, REPORT_GOLDEN,
                     STREAMS, TAMPERED_GOLDEN, TINY_STREAM_N, UNREADABLE,
                     _mixed_stream, _tiny_stream, digest, from_json, new_run,
                     placement_digest, report_digest, tampered, unreadable)
+from lanepack import audit, audit_arrays
 from lanepack.audit import validate
+from lanepack.containers import pack_square_online
 from lanepack.dslp import dslp_metrics
+from lanepack.genseq import GenSpec, generate
 from oracles import (CommitLog, frontier, metrics, packing_extent,
                      vlane_extents)
 
@@ -70,6 +74,40 @@ def test_memory_and_file_audits_agree(kind, name):
               else tampered()[name])
     assert (json.dumps(validate(result).to_json_dict())
             == json.dumps(validate(from_json(result)).to_json_dict()))
+
+
+def _split_packing(extra: int):
+    """A packing of exactly audit._ALL_PAIRS_MAX + extra circles."""
+    radii = generate(GenSpec("uniform", seed=100, count=400, r_min=0.001,
+                             r_max=0.032))
+    result = pack_square_online("general",
+                                radii[:audit._ALL_PAIRS_MAX + extra])
+    assert len(result.placements) == audit._ALL_PAIRS_MAX + extra
+    return result
+
+
+@pytest.mark.parametrize("kind, name", [
+    *(("golden", name) for name in sorted({**CASES, **STREAMS})),
+    *(("tampered", name) for name in sorted(TAMPERED_GOLDEN)),
+    ("split", 0), ("split", 1)])
+def test_array_and_python_passes_agree(kind, name):
+    # Above audit._ALL_PAIRS_MAX validate runs numpy array passes, and at
+    # or below it pure-Python ones; forced either way, each result gets
+    # one report, in memory and read back from JSON.
+    result = {"golden": lambda: {**CASES, **STREAMS}[name](),
+              "tampered": lambda: tampered()[name],
+              "split": lambda: _split_packing(name)}[kind]()
+    n = len(result.placements)
+    for r in (result, from_json(result)):
+        reports = []
+        for split in (audit._ALL_PAIRS_MAX, 0, 1 << 30):
+            with mock.patch.object(audit, "_ALL_PAIRS_MAX", split), \
+                    mock.patch.object(
+                        audit_arrays, "array_passes",
+                        wraps=audit_arrays.array_passes) as passes:
+                reports.append(json.dumps(validate(r).to_json_dict()))
+            assert passes.called == (n > split), (split, n)
+        assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize("name, table, column, value", UNREADABLE)
