@@ -26,14 +26,13 @@ def _read_radii(stream) -> list:
     """Radii from text lines or a JSON array; JSON values are passed on
     unconverted, so the run refuses non-numbers as input errors."""
     text = stream.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         try:
             radii = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise click.ClickException(f"malformed JSON input: {exc}")
+            raise ValueError(f"malformed JSON input: {exc}") from None
         if not isinstance(radii, list):
-            raise click.ClickException("JSON input must be an array of radii")
+            raise ValueError("JSON input must be an array of radii")
         return radii
     radii = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -43,8 +42,8 @@ def _read_radii(stream) -> list:
         try:
             radii.append(float(line))
         except ValueError:
-            raise click.ClickException(
-                f"malformed radius on line {lineno}: {line!r}")
+            raise ValueError(
+                f"malformed radius on line {lineno}: {line!r}") from None
     return radii
 
 
@@ -52,48 +51,60 @@ def _new_run(container: str, aspect: Optional[float],
              mode: Optional[str]) -> _OnlineRun:
     """An empty run of the chosen container.  The square packs in mode
     general unless --mode names another; a --mode or --b that the
-    container's layout refuses exits 1."""
+    container's layout refuses is a ValueError."""
     if mode is not None:
         mode = mode.replace("-", "_")
     elif container == "square":
         mode = "general"
-    try:
-        return _OnlineRun(container, mode, aspect)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-
-
-def _pack(run: _OnlineRun, radii) -> PackResult:
-    """Pack radii into the run; bad input exits 1."""
-    try:
-        return run.pack(radii)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-
-
-def _dump_json(data: dict) -> str:
-    """One line: an indent would make json.dumps use its Python encoder."""
-    return json.dumps(data) + "\n"
+    return _OnlineRun(container, mode, aspect)
 
 
 class _Main(click.Group):
-    """Usage errors exit 1, like other bad input: click's exit 2 would read
-    as a rejected circle.  make_context parses the group's arguments and
-    invoke a subcommand's."""
+    """Usage errors and bad input exit 1: click's exit 2 would read as a
+    rejected circle.  make_context parses the group's arguments; invoke
+    parses a subcommand's and runs it."""
 
     def make_context(self, *args, **kwargs):
-        return _usage_error_exits_1(super().make_context, *args, **kwargs)
+        return _input_errors_exit_1(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        return _usage_error_exits_1(super().invoke, ctx)
+        return _input_errors_exit_1(super().invoke, ctx)
 
 
-def _usage_error_exits_1(call, *args, **kwargs):
+def _input_errors_exit_1(call, *args, **kwargs):
+    """The one place where a ValueError from the library, such as a radius
+    or an aspect the run refuses, becomes an error message and exit 1."""
     try:
         return call(*args, **kwargs)
     except click.UsageError as exc:
         exc.exit_code = EXIT_INPUT_ERROR  # this error, not the class
         raise
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
+def _options(*options):
+    """One decorator for a group of options that commands share."""
+    def apply(f):
+        for option in reversed(options):
+            f = option(f)
+        return f
+    return apply
+
+
+_container_options = _options(
+    click.option("--container", type=click.Choice(["square", "rect"]),
+                 required=True),
+    click.option("--b", "aspect", type=float, default=None,
+                 help="Rectangle aspect (rect container only, "
+                      "1 <= b <= 2**20)."),
+    click.option("--mode", type=click.Choice(["general", "no-tiny"]),
+                 default=None,
+                 help="Square packing mode (default general); the "
+                      "rectangle takes none."))
+_radius_range_options = _options(
+    click.option("--rmin", type=float, default=0.001, show_default=True),
+    click.option("--rmax", type=float, default=0.5, show_default=True))
 
 
 @click.group(cls=_Main)
@@ -102,54 +113,35 @@ def main():
 
 
 @main.command("pack")
-@click.option("--container", type=click.Choice(["square", "rect"]),
-              required=True)
-@click.option("--b", "aspect", type=float, default=None,
-              help="Rectangle aspect (rect container only, b >= 1).")
-@click.option("--mode", type=click.Choice(["general", "no-tiny"]),
-              default=None,
-              help="Square packing mode (default general); the rectangle "
-                   "takes none.")
-@click.option("--input", "input_path", type=click.Path(exists=True,
-              dir_okay=False), default=None,
+@_container_options
+@click.option("--input", "radii_in", type=click.File("r"), default="-",
               help="Radii, one per line or a JSON array; default stdin.")
-@click.option("--json", "json_path", type=click.Path(dir_okay=False),
-              default=None, help="Write the packing result JSON here.")
-@click.option("--svg", "svg_path", type=click.Path(dir_okay=False),
-              default=None, help="Write an SVG rendering here.")
-def pack_cmd(container, aspect, mode, input_path, json_path, svg_path):
+@click.option("--json", "json_out", type=click.File("w"), default="-",
+              help="Write the packing result JSON here; default stdout.")
+@click.option("--svg", "svg_out", type=click.File("w"), default=None,
+              help="Write an SVG rendering here.")
+def pack_cmd(container, aspect, mode, radii_in, json_out, svg_out):
     """Pack a radius sequence online; exit 0 if all packed, 2 on rejection."""
     run = _new_run(container, aspect, mode)
-    if input_path is not None:
-        with open(input_path) as f:
-            radii = _read_radii(f)
-    else:
-        radii = _read_radii(sys.stdin)
-    result = _pack(run, radii)
-    payload = _dump_json(result.to_json_dict())
-    if json_path:
-        with open(json_path, "w") as f:
-            f.write(payload)
-    else:
-        click.echo(payload, nl=False)
-    if svg_path:
-        with open(svg_path, "w") as f:
-            f.write(render_svg(result))
+    result = run.pack(_read_radii(radii_in))
+    # One line: an indent would make json.dumps use its Python encoder.
+    click.echo(json.dumps(result.to_json_dict()), file=json_out)
+    if svg_out is not None:
+        svg_out.write(render_svg(result))
     sys.exit(EXIT_OK if result.status == STATUS_ALL_PACKED else EXIT_REJECTED)
 
 
 @main.command("verify")
-@click.argument("result_path", type=click.Path(exists=True, dir_okay=False))
-def verify_cmd(result_path):
+@click.argument("result_file", type=click.File("r"), metavar="RESULT_PATH")
+def verify_cmd(result_file):
     """Audit a packing result JSON; exit 0 if valid, 1 otherwise."""
-    with open(result_path) as f:
-        try:
-            # A wrong JSON type fails in either call, as a TypeError or a
-            # ValueError (json.JSONDecodeError is one).
-            report = validate(PackResult.from_json_dict(json.load(f)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise click.ClickException(f"unreadable result file: {exc}")
-    click.echo(_dump_json(report.to_json_dict()), nl=False)
+    try:
+        # A wrong JSON type fails in either call, as a TypeError or a
+        # ValueError (json.JSONDecodeError is one).
+        report = validate(PackResult.from_json_dict(json.load(result_file)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise click.ClickException(f"unreadable result file: {exc}")
+    click.echo(json.dumps(report.to_json_dict()))
     sys.exit(EXIT_OK if report.valid else EXIT_INPUT_ERROR)
 
 
@@ -166,26 +158,18 @@ def verify_cmd(result_path):
               help="Base lane width for --table.")
 def bounds_cmd(delta_q, rect_b, square_mode, show_table, width):
     """Evaluate density bounds and guarantees."""
-    did = False
-    try:
-        if delta_q is not None:
-            click.echo(repr(bounds_mod.delta(delta_q)))
-            did = True
-        if rect_b is not None:
-            click.echo(repr(bounds_mod.guarantee_rect(rect_b)))
-            did = True
-        if square_mode is not None:
-            click.echo(repr(bounds_mod.guarantee_square(
-                square_mode.replace("-", "_"))))
-            did = True
-        if show_table:
-            click.echo(table_csv(build_class_table(width)), nl=False)
-            did = True
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    if not did:
+    if (delta_q, rect_b, square_mode, show_table) == (None, None, None, False):
         raise click.ClickException(
             "nothing to do: pass --delta, --rect, --square-mode, or --table")
+    if delta_q is not None:
+        click.echo(repr(bounds_mod.delta(delta_q)))
+    if rect_b is not None:
+        click.echo(repr(bounds_mod.guarantee_rect(rect_b)))
+    if square_mode is not None:
+        click.echo(repr(bounds_mod.guarantee_square(
+            square_mode.replace("-", "_"))))
+    if show_table:
+        click.echo(table_csv(build_class_table(width)), nl=False)
 
 
 @main.command("gen")
@@ -193,38 +177,25 @@ def bounds_cmd(delta_q, rect_b, square_mode, show_table, width):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threshold", type=float, default=bounds_mod.SQUARE_GENERAL,
               show_default=True)
-@click.option("--rmin", type=float, default=0.001, show_default=True)
-@click.option("--rmax", type=float, default=0.5, show_default=True)
+@_radius_range_options
 @click.option("--count", type=int, default=100, show_default=True,
               help="Number of draws (uniform kind).")
 def gen_cmd(kind, seed, threshold, rmin, rmax, count):
     """Emit a radius sequence, one radius per line."""
-    try:
-        spec = GenSpec(kind=kind, seed=seed, threshold=threshold,
-                       r_min=rmin, r_max=rmax, count=count)
-        radii = generate(spec)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    for r in radii:
+    for r in generate(GenSpec(kind=kind, seed=seed, threshold=threshold,
+                              r_min=rmin, r_max=rmax, count=count)):
         click.echo(repr(r))
 
 
 @main.command("batch")
-@click.option("--container", type=click.Choice(["square", "rect"]),
-              required=True)
-@click.option("--b", "aspect", type=float, default=None)
-@click.option("--mode", type=click.Choice(["general", "no-tiny"]),
-              default=None,
-              help="Square packing mode (default general); the rectangle "
-                   "takes none.")
+@_container_options
 @click.option("--kind", type=click.Choice(KINDS),
               default="greedy_adversary", show_default=True)
 @click.option("--seeds", default="0:10", show_default=True,
               help="Seed range start:stop (stop exclusive).")
 @click.option("--threshold", type=float, default=None,
               help="Area budget; defaults to the container guarantee.")
-@click.option("--rmin", type=float, default=0.001, show_default=True)
-@click.option("--rmax", type=float, default=0.5, show_default=True)
+@_radius_range_options
 def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
     """Run many seeded generator sequences; one summary JSON line per run."""
     try:
@@ -236,27 +207,18 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
         threshold = run.guarantee
     failures = 0
     for seed in range(start, stop):
-        try:
-            radii = generate(GenSpec(kind=kind, seed=seed,
-                                     threshold=threshold, r_min=rmin,
-                                     r_max=rmax))
-        except ValueError as exc:
-            raise click.ClickException(str(exc))
-        result = _pack(_new_run(container, aspect, mode), radii)
-        summary = {
-            "seed": seed,
-            "n": len(radii),
-            "status": result.status,
-            "packed_area": result.total_packed_area,
-        }
+        radii = generate(GenSpec(kind=kind, seed=seed, threshold=threshold,
+                                 r_min=rmin, r_max=rmax))
+        result = _new_run(container, aspect, mode).pack(radii)
+        summary = {"seed": seed, "n": len(radii), "status": result.status,
+                   "packed_area": result.total_packed_area}
         # Slack: the area the run was asked to hold over the guarantee.
-        area = summary["packed_area"]
+        area = result.total_packed_area
         if result.status != STATUS_ALL_PACKED:
             summary["rejected_index"] = result.rejected_index
             area += math.pi * result.rejected_radius ** 2
             failures += 1
-        summary["slack"] = area / result.guarantee
-        click.echo(json.dumps(summary))
+        click.echo(json.dumps({**summary, "slack": area / result.guarantee}))
     sys.exit(EXIT_OK if failures == 0 else EXIT_REJECTED)
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from .bounds import SQUARE_GENERAL
 from .classification import build_class_table
 
-KINDS = ("greedy_adversary", "uniform", "single_worstcase", "class_boundary")
-
 # The base lane width whose class table class_boundary straddles, and how
 # far above 1/2 the single_worstcase radius lies.
 BOUNDARY_WIDTH = 1.0
@@ -31,8 +29,10 @@ class GenSpec:
     count: int = 100  # uniform kind only
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.count < 0:
+            raise ValueError(f"need count >= 0, got {self.count}")
         # A NaN or infinite bound would loop forever or emit inf radii.
         if not (0 < self.r_min <= self.r_max < math.inf):
             raise ValueError(f"need finite 0 < r_min <= r_max, got "
@@ -87,6 +87,7 @@ _GENERATORS = {
     "single_worstcase": single_worstcase,
     "class_boundary": class_boundary,
 }
+KINDS = tuple(_GENERATORS)
 
 
 def generate(spec: GenSpec) -> list[float]:

@@ -130,14 +130,6 @@ class Packing:
                             out.append(cell)
         return out
 
-    def near(self, x0: float, y0: float, x1: float,
-             y1: float) -> list[tuple[float, float, float]]:
-        """The circles of groups() whose box meets [x0, x1] x [y0, y1], a
-        superset of the exact answer: the test rounds towards inclusion."""
-        return [c for group in self.groups(x0, y0, x1, y1) for c in group
-                if c[0] - c[2] <= x1 and c[0] + c[2] >= x0
-                and c[1] - c[2] <= y1 and c[1] + c[2] >= y0]
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The x, y and r columns as numpy arrays."""
         import numpy as np
@@ -224,9 +216,9 @@ def find_position(lane: LaneState, r: float, packing: Packing,
     hi = hi if hi < x_max else x_max
     va, vb = v - pad, v + pad
     while True:
-        # The window's corners by Frame.to_container, then Packing.near's
-        # box test, Frame.to_local and leftmost_feasible's intervals in one
-        # pass, all with the same float expressions.
+        # The window's corners by Frame.to_container, then a box test of
+        # each candidate, Frame.to_local and leftmost_feasible's intervals
+        # in one pass, all with the same float expressions.
         ua, ub = lo - pad, hi + pad
         xa, ya = ox + ua * eux + va * evx, oy + ua * euy + va * evy
         xb, yb = ox + ub * eux + vb * evx, oy + ub * euy + vb * evy

@@ -27,6 +27,11 @@ STATUS_REJECTED = "rejected"
 # The packer's slack in fitting a sub-lane strip (blocks._leftmost_strip).
 _POS_TOL = 1e-12
 
+# The longest rectangle.  Lanes packed from its far end commit x = b - u,
+# which rounds by up to ulp(b)/2; up to 2**20 a float's spacing is at most
+# 2**-32 (2.3e-10), under EPS/4.  guarantee_rect is pi/4 from b = 2.36 on.
+MAX_ASPECT = 2.0 ** 20
+
 
 class LaneInfo(Frame):
     """One lane: its frame, size class (TLP packs class 0, SLP every
@@ -116,9 +121,9 @@ def layout(container: str, mode: Optional[str], b) -> Layout:
     the arguments' types, so True is refused even once 1 is cached.
     """
     if container == "rect" and mode is None:
-        if not (_is_real(b) and 1 <= b < math.inf):
-            raise ValueError(f"aspect b must be a finite number >= 1, "
-                             f"got {b!r}")
+        if not (_is_real(b) and 1 <= b <= MAX_ASPECT):
+            raise ValueError(f"aspect b must be a finite number >= 1, at "
+                             f"most 2**20, got {b!r}")
         box = Rect(0.0, 0.0, b, 1.0)
         table, guarantee, large = (build_class_table(1.0),
                                    bounds.guarantee_rect(b), None)

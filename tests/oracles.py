@@ -52,6 +52,16 @@ def bounding_rect(frame) -> Rect:
     return Rect(min(xs), min(ys), max(xs), max(ys))
 
 
+def near(packing, x0: float, y0: float, x1: float,
+         y1: float) -> list[tuple[float, float, float]]:
+    """The circles of packing.groups() whose box meets [x0, x1] x [y0, y1]
+    by find_position's box test, a superset of the exact answer: the test
+    rounds towards inclusion."""
+    return [c for group in packing.groups(x0, y0, x1, y1) for c in group
+            if c[0] - c[2] <= x1 and c[0] + c[2] >= x0
+            and c[1] - c[2] <= y1 and c[1] + c[2] >= y0]
+
+
 def packed(packing) -> list[PlacedCircle]:
     """A packing's committed circles, one per row of its columns."""
     return list(map(PlacedCircle, *packing.columns))

@@ -108,6 +108,26 @@ class TestPack:
         assert "not above the deepest class bound" in res.output
         assert "Traceback" not in res.output
 
+    def test_rect_refuses_aspect_above_2_20(self, runner):
+        # Longer rectangles round far-end coordinates past the tolerance.
+        res = invoke(runner, ["pack", "--container", "rect", "--b", "1e7"],
+                     input="0.2\n")
+        assert res.exit_code == 1
+        assert "aspect b must be a finite number >= 1, at most 2**20" in (
+            res.output)
+        assert "Traceback" not in res.output
+
+    def test_dash_names_stdin_and_stdout(self, runner):
+        default = invoke(runner, ["pack", "--container", "square"],
+                         input="0.1\n0.2\n")
+        dashes = invoke(runner, ["pack", "--container", "square", "--input",
+                                 "-", "--json", "-"], input="0.1\n0.2\n")
+        assert default.exit_code == dashes.exit_code == 0
+        assert dashes.output == default.output
+        res = invoke(runner, ["verify", "-"], input=default.output)
+        assert res.exit_code == 0
+        assert json.loads(res.output)["valid"] is True
+
     def test_mode_defaults_by_container(self, runner):
         square = invoke(runner, ["pack", "--container", "square"],
                         input="0.1\n")
@@ -430,6 +450,11 @@ class TestGen:
         assert res.exit_code == 1
         assert res.output.startswith("Error: need finite")
 
+    def test_negative_count_is_an_input_error(self, runner):
+        res = invoke(runner, ["gen", "--kind", "uniform", "--count", "-3"])
+        assert res.exit_code == 1
+        assert res.output == "Error: need count >= 0, got -3\n"
+
     def test_gen_feeds_pack(self, runner):
         seq = invoke(runner, ["gen", "--kind", "greedy_adversary",
                               "--seed", "2", "--threshold", "0.350389"]).output
@@ -531,6 +556,30 @@ class TestBatch:
         res = invoke(runner, ["batch", "--container", "square",
                               "--seeds", "oops"])
         assert res.exit_code == 1
+
+
+class TestFileArguments:
+    """A path that cannot be opened exits 1 with a message."""
+
+    @pytest.mark.parametrize("args", [
+        ["pack", "--container", "square", "--input", "{tmp}/missing.txt"],
+        ["verify", "{tmp}/missing.json"],
+        ["pack", "--container", "square", "--json", "{tmp}"]],
+        ids=["missing-input", "missing-result", "json-is-a-directory"])
+    def test_exit_1_without_a_traceback(self, runner, tmp_path, args):
+        res = invoke(runner, [a.format(tmp=tmp_path) for a in args],
+                     input="0.1\n")
+        assert res.exit_code == 1
+        assert str(tmp_path) in res.output
+        assert "Traceback" not in res.output
+
+    def test_no_json_file_when_the_input_is_refused(self, runner, tmp_path):
+        # The --json file is opened at its first write, after packing.
+        out = tmp_path / "r.json"
+        res = invoke(runner, ["pack", "--container", "square", "--json",
+                              str(out)], input="bogus\n")
+        assert res.exit_code == 1
+        assert not out.exists()
 
 
 class TestUsageErrors:

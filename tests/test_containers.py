@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -14,9 +15,9 @@ from lanepack.dslp import dslp_metrics
 from lanepack.genseq import GenSpec, generate
 from lanepack.geometry import EPS, PlacedCircle
 from lanepack.lanes import packing_length
-from lanepack.layout import (_POS_TOL, NO_TINY_Q2, SQUARE_WIDTH_GENERAL,
-                             SQUARE_WIDTH_NO_TINY, PackResult, Placements,
-                             layout)
+from lanepack.layout import (_POS_TOL, MAX_ASPECT, NO_TINY_Q2,
+                             SQUARE_WIDTH_GENERAL, SQUARE_WIDTH_NO_TINY,
+                             PackResult, Placements, layout)
 
 
 # The no-tiny sequences' smallest radius, above the no-tiny table's deepest
@@ -378,6 +379,36 @@ class TestRunArguments:
         result = pack_rect_online(b, [0.3])
         assert result.status == "all_packed"
         assert validate(result).valid
+
+    @staticmethod
+    def _mixed(seed: int) -> list[float]:
+        """60 radii drawn from three size bands, so that medium, small and
+        intermediate lanes of the DSLP lane all pack."""
+        rng = random.Random(seed)
+        bands = [(0.2, 0.5), (0.05, 0.2), (0.001, 0.05)]
+        return [rng.uniform(*rng.choice(bands)) for _ in range(60)]
+
+    def test_longest_rectangle_audits_valid(self):
+        # Lanes packed from the far end commit x = b - u, rounded to the
+        # float spacing at b, which stays under EPS/4 up to MAX_ASPECT.
+        assert MAX_ASPECT == 2.0 ** 20 and math.ulp(MAX_ASPECT) <= EPS / 4
+        for seed in range(200):
+            result = pack_rect_online(MAX_ASPECT, self._mixed(seed))
+            assert validate(result).valid, seed
+        assert pack_rect_online(2 ** 20, [0.3]).status == "all_packed"
+
+    @pytest.mark.parametrize("b", [
+        math.nextafter(MAX_ASPECT, math.inf), 2.0 ** 24, 1e7, 1e16,
+        10 ** 400], ids=repr)
+    def test_aspect_above_2_20_is_refused(self, b):
+        # Unrefused, these mixes overlapped by up to 1.4e-9 at 2**24 and
+        # 1e7 and 0.5 at 1e16, and failed their own audit; the guarantee
+        # is pi/4 from b = 2.36 on, so the bound costs none of it.
+        with pytest.raises(ValueError, match="aspect b must be a finite "
+                                             "number >= 1, at most 2"):
+            RectRun(b)
+        with pytest.raises(ValueError, match="aspect b must be"):
+            pack_rect_online(b, self._mixed(0))
 
     @pytest.mark.parametrize("b, b_json", [
         (np.float32(2.0), '"b": 2.0,'), (2, '"b": 2,')], ids=repr)

@@ -35,6 +35,14 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec(kind="uniform", r_min=r_min, r_max=r_max)
 
+    def test_negative_count(self):
+        # Refused for every kind, not drawn as an empty sequence.
+        with pytest.raises(ValueError, match="need count >= 0, got -3"):
+            GenSpec(kind="uniform", count=-3)
+        with pytest.raises(ValueError, match="need count >= 0"):
+            GenSpec(kind="greedy_adversary", count=-1)
+        assert generate(GenSpec(kind="uniform", count=0)) == []
+
     def test_all_kinds_generate(self):
         for kind in KINDS:
             radii = generate(GenSpec(kind=kind, seed=1))

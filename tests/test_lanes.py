@@ -12,7 +12,8 @@ from lanepack.containers import pack_square_online
 from lanepack.geometry import EPS, Frame, Orientation, Rect
 from lanepack.lanes import LaneState, Packing, find_position, place
 from lanepack.layout import LaneInfo, vlane_info
-from oracles import CommitLog, committed, metrics, packed, packing_extent
+from oracles import (CommitLog, committed, metrics, near, packed,
+                     packing_extent)
 from test_geometry import GRID, circ, sweep_oracle
 
 
@@ -464,7 +465,7 @@ def assert_superset(packing, x0, y0, x1, y1):
     disks = indexed(packing)
     exact = [c for c in disks if _meets(c, x0, y0, x1, y1)]
     candidates = [c for g in packing.groups(x0, y0, x1, y1) for c in g]
-    got = packing.near(x0, y0, x1, y1)
+    got = near(packing, x0, y0, x1, y1)
     for found in (candidates, got):
         ids = {id(c) for c in found}
         assert len(ids) == len(found)
@@ -563,7 +564,7 @@ class TestPackingNear:
         for box in ((x, -2.0, x, -1.5), (x - 1.0, -1.5, x, -1.0),
                     (math.nextafter(x, 0.0), -1.5, 0.0, -1.5)):
             assert_superset(p, *box)
-        got = p.near(x, -1.5, x, -1.5)
+        got = near(p, x, -1.5, x, -1.5)
         assert (x, -1.5, r) in got and disks[1] not in got
 
     def test_edge_just_across_a_cell_boundary(self):
@@ -582,7 +583,7 @@ class TestPackingNear:
             p.add(0.5, 0.5, 0.0021, 1, "o", -1)
         assert p._levels[lanes._level(r)][2] == r
         assert_superset(p, x0, -0.25, x0 + h, -0.25)
-        assert (x, -0.25, r) in p.near(x0, -0.25, x0 + h, -0.25)
+        assert (x, -0.25, r) in near(p, x0, -0.25, x0 + h, -0.25)
 
     def test_larger_radius_filed_after_queries(self):
         # The pad is the level's running largest radius: a disk larger
@@ -594,7 +595,7 @@ class TestPackingNear:
             p = Packing()
             p.add(0.75, 0.75, 0.002, 0, "o", -1)
             box = (0.502, 0.25, 0.51, 0.26)
-            assert p.near(*box) == []
+            assert near(p, *box) == []
             assert_superset(p, *box)
             late = (0.499, 0.255, 0.0035)
             assert lanes._level(late[2]) == lanes._level(0.002)
@@ -603,7 +604,7 @@ class TestPackingNear:
         assert level[0] == h and level[2] == 0.0035
         # 0.502 - 0.002 is the boundary of the cell after late's.
         assert math.floor((box[0] - 0.002) / h) > math.floor(late[0] / h)
-        assert p.near(*box) == [late]
+        assert near(p, *box) == [late]
         assert_superset(p, *box)
 
     def test_tiny_stream_box_tests_per_query(self):
@@ -638,8 +639,8 @@ class TestPackingNear:
         for _ in range(200):
             xa, xb = sorted(rng.uniform(-0.5, 2.5) for _ in range(2))
             ya, yb = sorted(rng.uniform(-0.5, 1.5) for _ in range(2))
-            assert sorted(grown.near(xa, ya, xb, yb)) == (
-                sorted(filed.near(xa, ya, xb, yb)))
+            assert sorted(near(grown, xa, ya, xb, yb)) == (
+                sorted(near(filed, xa, ya, xb, yb)))
 
     def test_touching_boxes_below_zero(self):
         # Boxes touching the rectangle at a corner or an edge, on cell
@@ -651,7 +652,7 @@ class TestPackingNear:
         for seq, c in enumerate(touching + apart):
             p.add(*c, seq, "o", -1)
         for q in (p, refiled(p, GRID_ALWAYS)):
-            got = set(q.near(0.0, 0.0, 1.0, 1.0))
+            got = set(near(q, 0.0, 0.0, 1.0, 1.0))
             assert all(c in got for c in touching)
             assert apart[0] not in got
 
