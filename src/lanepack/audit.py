@@ -7,12 +7,15 @@ monotone order, minimum gap) in frames that it derives from the layout.
 It reads a result alone, never the packer's lane state, and imports no
 packer module.
 
-Packings of up to _ALL_PAIRS_MAX circles are audited one circle at a
-time in pure Python, without numpy.  Larger ones whose x, y and r
-columns hold floats and whose seq and class columns hold ints are
-audited by the numpy passes of audit_arrays, with the same arithmetic,
-comparisons and order of additions, so both give the same report, bit
-for bit.
+Containment, class and lane findings are written by one reporter, the
+pure-Python passes, one circle at a time.  Packings of up to
+_ALL_PAIRS_MAX circles get them alone, without numpy.  Larger ones whose
+x, y and r columns hold floats and whose seq and class columns hold ints
+go first to the numpy passes of audit_arrays, which make the same
+comparisons with the same arithmetic but only accept: a packing they
+accept has no finding but its overlaps, and the areas they add, in the
+same order, are the pure-Python ones bit for bit.  Every other packing
+takes the pure-Python passes, which report what they find.
 """
 
 from __future__ import annotations
@@ -115,45 +118,6 @@ def _pairwise_overlaps(xs: Sequence[float], ys: Sequence[float],
     return audit_arrays.swept_overlaps(np.array([xs, ys, rs]), eps)
 
 
-# The findings that _python_passes and audit_arrays.array_passes both
-# report, word for word.
-def _escape(k: int) -> Violation:
-    return Violation("out_of_container", f"circle {k} leaves the container",
-                     (k,))
-
-
-def _unknown(lane_id) -> Violation:
-    return Violation("class_mismatch", f"unknown lane id {lane_id!r}")
-
-
-def _wrong_class(seq: int, c, cls: int, lane_id: str) -> Violation:
-    return Violation("class_mismatch", f"circle {seq} of class {c} recorded "
-                     f"in class-{cls} lane {lane_id}", (seq,))
-
-
-def _wrong_radius(seq: int, r: float, cls: int, lo: float, hi: float,
-                  lane_id: str) -> Violation:
-    return Violation("class_mismatch", f"radius {r} outside class-{cls} "
-                     f"range ({lo}, {hi}] in lane {lane_id}", (seq,))
-
-
-def _off_height(seq: int, lane_id: str, v: float,
-                expect_v: float) -> Violation:
-    return Violation("order", f"circle {seq} in {lane_id} off the "
-                     f"alternation height (v={v}, expected {expect_v})",
-                     (seq,))
-
-
-def _backwards(seq: int, lane_id: str) -> Violation:
-    return Violation("order", f"circle {seq} in {lane_id} breaks the "
-                     f"monotone frontier", (seq,))
-
-
-def _too_close(seq: int, lane_id: str) -> Violation:
-    return Violation("order", f"circle {seq} in {lane_id} violates the "
-                     f"minimum gap", (seq,))
-
-
 def _python_passes(cols: tuple, box: Rect, table: ClassTable,
                    lane_by_id: dict, occ: dict) -> tuple:
     """Arrival order, containment, areas and each lane's rules, one circle
@@ -174,7 +138,8 @@ def _python_passes(cols: tuple, box: Rect, table: ClassTable,
         if seq != k:
             in_order = False
         if not (x - r >= x0 and x + r <= x1 and y - r >= y0 and y + r <= y1):
-            escaped.append(_escape(k))
+            escaped.append(Violation(
+                "out_of_container", f"circle {k} leaves the container", (k,)))
         area = math.pi * r * r
         total += area
         ks = groups.get(lane_id)
@@ -188,7 +153,8 @@ def _python_passes(cols: tuple, box: Rect, table: ClassTable,
     for lane_id, ks in groups.items():
         info = lane_by_id.get(lane_id)
         if info is None:
-            found.append(_unknown(lane_id))
+            found.append(Violation("class_mismatch",
+                                   f"unknown lane id {lane_id!r}"))
             continue
         cls = info.class_index
         row = table.row(cls)
@@ -197,10 +163,13 @@ def _python_passes(cols: tuple, box: Rect, table: ClassTable,
         for k in ks:
             c = class_indices[k]
             if type(c) is not int or c != cls:  # a bool or 1.0 too
-                found.append(_wrong_class(seqs[k], c, cls, lane_id))
+                found.append(Violation(
+                    "class_mismatch", f"circle {seqs[k]} of class {c} "
+                    f"recorded in class-{cls} lane {lane_id}", (seqs[k],)))
             elif not (above < rs[k] <= below):
-                found.append(_wrong_radius(seqs[k], rs[k], cls, lo, hi,
-                                           lane_id))
+                found.append(Violation(
+                    "class_mismatch", f"radius {rs[k]} outside class-{cls} "
+                    f"range ({lo}, {hi}] in lane {lane_id}", (seqs[k],)))
         if not in_order:
             ks.sort(key=seqs.__getitem__)
         # Alternation, monotone order, and (for SLP) the minimum gap, in
@@ -219,14 +188,20 @@ def _python_passes(cols: tuple, box: Rect, table: ClassTable,
             r, seq = rs[k], seqs[k]
             expect_v = w - r if parity & 1 else r
             if abs(v - expect_v) > _STRUCT_TOL:
-                found.append(_off_height(seq, lane_id, v, expect_v))
+                found.append(Violation(
+                    "order", f"circle {seq} in {lane_id} off the alternation "
+                    f"height (v={v}, expected {expect_v})", (seq,)))
             if prev_u is not None:
                 if u < prev_u - _STRUCT_TOL:
-                    found.append(_backwards(seq, lane_id))
+                    found.append(Violation(
+                        "order", f"circle {seq} in {lane_id} breaks the "
+                        f"monotone frontier", (seq,)))
                 # The comparison picks the operand min(r, prev_r) would.
                 if slp and u - prev_u < ((prev_r if prev_r < r else r)
                                          - _STRUCT_TOL):
-                    found.append(_too_close(seq, lane_id))
+                    found.append(Violation(
+                        "order", f"circle {seq} in {lane_id} violates the "
+                        f"minimum gap", (seq,)))
             prev_u, prev_r = u, r
     return in_order, total, escaped, found
 
@@ -244,21 +219,25 @@ def validate(result: PackResult) -> AuditReport:
     cols = columns(result.placements)
     xs, ys, rs = cols[:3]
     n = len(xs)
-    # Above _ALL_PAIRS_MAX every pass runs on numpy arrays, unless a
-    # column does not hold as one.
-    held = None
+    # Above _ALL_PAIRS_MAX, columns that hold as numpy arrays go first to
+    # numpy array passes, which only accept; the pure-Python passes audit
+    # every packing they do not accept, and report what they find.
+    held = screened = None
     if n > _ALL_PAIRS_MAX:
         from . import audit_arrays
 
         held = audit_arrays.held_arrays(cols)
-    if held is None:
+        if held is not None:
+            screened = audit_arrays.array_passes(cols, *held, box, table,
+                                                 lane_by_id)
+    if screened is None:
         in_order, total, escaped, found = _python_passes(
             cols, box, table, lane_by_id, report.per_lane_occ)
-        overlaps = _pairwise_overlaps(xs, ys, rs, EPS)
     else:
-        in_order, total, escaped, found = audit_arrays.array_passes(
-            cols, *held, box, table, lane_by_id, report.per_lane_occ)
-        overlaps = audit_arrays.swept_overlaps(held[0], EPS)
+        in_order, escaped, found = True, [], []
+        total, report.per_lane_occ = screened
+    overlaps = (_pairwise_overlaps(xs, ys, rs, EPS) if held is None
+                else audit_arrays.swept_overlaps(held[0], EPS))
 
     # Arrival order is a packed prefix: placement k holds arrival k, and a
     # rejected run stopped at the arrival right after it.

@@ -1,8 +1,9 @@
 """The audit's numpy passes, for packings of more than
 audit._ALL_PAIRS_MAX circles: a strip sweep for overlapping pairs, and
-array passes that check everything else audit._python_passes checks,
-with the same arithmetic and findings.  audit.validate imports this
-module, and numpy with it, only for such packings.
+array passes that run every other check of audit._python_passes, with
+the same arithmetic, but only accept: a packing they do not accept goes
+to the pure-Python passes, which write every finding.  audit.validate
+imports this module, and numpy with it, only for such packings.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .audit import (_STRUCT_TOL, _backwards, _escape, _off_height,
-                    _too_close, _unknown, _wrong_class, _wrong_radius)
+from .audit import _STRUCT_TOL
 from .geometry import EPS
 
 if TYPE_CHECKING:
@@ -159,92 +159,61 @@ def held_arrays(cols: tuple):
 
 @np.errstate(invalid="ignore", over="ignore")
 def array_passes(cols: tuple, d: np.ndarray, ints: np.ndarray, box: Rect,
-                 table: ClassTable, lane_by_id: dict, occ: dict) -> tuple:
-    """audit._python_passes as numpy array passes over the rows d (x, y,
-    r) and ints (seq, class) of the same columns: the same arithmetic and
-    comparisons, elementwise, and the same findings in the same order."""
-    _, _, rs, seqs, lane_ids, class_indices = cols
+                 table: ClassTable, lane_by_id: dict):
+    """The checks of audit._python_passes as numpy array passes over the
+    rows d (x, y, r) and ints (seq, class) of the same columns, with the
+    same arithmetic and comparisons, elementwise: (the total area, the
+    area per lane) when none of them finds anything, and None otherwise,
+    so that the pure-Python passes report what they find."""
     x, y, r = d
     seq, klass = ints
     n = len(x)
-    in_order = bool((seq == np.arange(n)).all())
-    out = ~((x - r >= box.x0 - EPS) & (x + r <= box.x1 + EPS)
-            & (y - r >= box.y0 - EPS) & (y + r <= box.y1 + EPS))
-    escaped = [_escape(k) for k in np.flatnonzero(out).tolist()]
-    area = np.pi * r * r
-    total = np.add.accumulate(area)[-1].item()  # left to right
     # Lanes numbered 0, 1, ... in order of first appearance.
     numbers = defaultdict(count().__next__)
-    lane = np.fromiter(map(numbers.__getitem__, lane_ids), np.intp, n)
+    lane = np.fromiter(map(numbers.__getitem__, cols[4]), np.intp, n)
     ids = list(numbers)
-    m = len(ids)
-    sums = np.zeros(m)
-    np.add.at(sums, lane, area)  # in placement order, lane by lane
-    occ.update(zip(ids, sums.tolist()))
-
-    # Each lane's class, radius range and frame; NaN for an unknown lane.
     infos = [lane_by_id.get(lane_id) for lane_id in ids]
-    classes = [-1 if info is None else info.class_index for info in infos]
-    rows = [table.row(c) if c >= 0 else None for c in classes]
-    known = np.array([info is not None for info in infos])
-    cls = np.array(classes)
+    if (any(info is None for info in infos)
+            or (seq != np.arange(n)).any()
+            or (~((x - r >= box.x0 - EPS) & (x + r <= box.x1 + EPS)
+                  & (y - r >= box.y0 - EPS) & (y + r <= box.y1 + EPS))).any()):
+        return None
+
+    # Each lane's class, radius range and frame.
+    cls = np.array([info.class_index for info in infos])
+    rows = [table.row(info.class_index) for info in infos]
     frame = np.array([
-        (math.nan,) * 9 if info is None else
         (row.lower_bound - EPS, row.upper_bound + EPS, *info.origin,
          *info.eu, *info.ev, info.width)
         for info, row in zip(infos, rows)]).T
-
     # Each lane's circles in arrival order, pos being a circle's place in
     # its lane.  A stable sort on 8- or 16-bit lane numbers is a radix sort.
-    order = (np.argsort(lane.astype(np.min_scalar_type(m)), kind="stable")
-             if in_order else np.lexsort((seq, lane)))
+    m = len(ids)
+    order = np.argsort(lane.astype(np.min_scalar_type(m)), kind="stable")
     ls = lane.take(order)
     counts = np.bincount(lane, minlength=m)
     pos = np.arange(n) - (np.cumsum(counts) - counts).take(ls)
-    live, lc = known.take(ls), cls.take(ls)
+    lc = cls.take(ls)
     above, below, ox, oy, eu0, eu1, ev0, ev1, w = frame.take(ls, axis=1)
     xo, yo, ro = d.take(order, axis=1)
-    # Class and radius range.
-    wrong = live & (klass.take(order) != lc)
-    outside = live & ~wrong & ~((above < ro) & (ro <= below))
-    # Alternation, monotone order and (SLP) minimum gap.
+    # Class and radius range, then the alternation height.
+    bad = (klass.take(order) != lc) | ~((above < ro) & (ro <= below))
     dx = xo - ox
     dy = yo - oy
     u = dx * eu0 + dy * eu1
     v = dx * ev0 + dy * ev1
-    expect_v = np.where(pos & 1, w - ro, ro)
-    off = live & (np.abs(v - expect_v) > _STRUCT_TOL)
-    # Each circle but its lane's first against the one before it.
-    step = live[1:] & (pos[1:] > 0)
-    back = np.zeros(n, bool)
-    back[1:] = step & (u[1:] < u[:-1] - _STRUCT_TOL)
-    # np.where picks the operand min(r, prev_r) would, NaN included.
+    bad |= np.abs(v - np.where(pos & 1, w - ro, ro)) > _STRUCT_TOL
+    # Monotone order and (SLP) minimum gap: each circle but its lane's
+    # first against the one before it.  np.where picks the operand
+    # min(r, prev_r) would, NaN included.
     r0, r1 = ro[:-1], ro[1:]
-    close = np.zeros(n, bool)
-    close[1:] = step & (lc[1:] != 0) & (
-        u[1:] - u[:-1] < np.where(r0 < r1, r0, r1) - _STRUCT_TOL)
-
-    # The findings, lane by lane: each lane's class and radius findings in
-    # placement order, then its order findings in arrival order.
-    found = [[] if info is not None else [_unknown(lane_id)]
-             for lane_id, info in zip(ids, infos)]
-    ps = np.flatnonzero(wrong | outside)
-    ps = ps[np.argsort(order.take(ps))]
-    for j, k, bad in zip(ls[ps].tolist(), order[ps].tolist(),
-                         wrong[ps].tolist()):
-        found[j].append(_wrong_class(seqs[k], class_indices[k], classes[j],
-                                     ids[j]) if bad else _wrong_radius(
-            seqs[k], rs[k], classes[j], rows[j].lower_bound,
-            rows[j].upper_bound, ids[j]))
-    ps = np.flatnonzero(off | back | close)
-    for j, k, vp, ep, f0, f1, f2 in zip(
-            ls[ps].tolist(), order[ps].tolist(), v[ps].tolist(),
-            expect_v[ps].tolist(), off[ps].tolist(), back[ps].tolist(),
-            close[ps].tolist()):
-        if f0:
-            found[j].append(_off_height(seqs[k], ids[j], vp, ep))
-        if f1:
-            found[j].append(_backwards(seqs[k], ids[j]))
-        if f2:
-            found[j].append(_too_close(seqs[k], ids[j]))
-    return in_order, total, escaped, [f for fs in found for f in fs]
+    bad[1:] |= (pos[1:] > 0) & ((u[1:] < u[:-1] - _STRUCT_TOL) | (
+        (lc[1:] != 0)
+        & (u[1:] - u[:-1] < np.where(r0 < r1, r0, r1) - _STRUCT_TOL)))
+    if bad.any():
+        return None
+    area = np.pi * r * r
+    sums = np.zeros(m)
+    np.add.at(sums, lane, area)  # in placement order, lane by lane
+    return (np.add.accumulate(area)[-1].item(),  # left to right
+            dict(zip(ids, sums.tolist())))

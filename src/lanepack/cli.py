@@ -178,8 +178,8 @@ def bounds_cmd(delta_q, rect_b, square_mode, show_table, width):
 @click.option("--threshold", type=float, default=bounds_mod.SQUARE_GENERAL,
               show_default=True)
 @_radius_range_options
-@click.option("--count", type=int, default=100, show_default=True,
-              help="Number of draws (uniform kind).")
+@click.option("--count", type=int,
+              help="Number of draws, 100 if not given (uniform kind only).")
 def gen_cmd(kind, seed, threshold, rmin, rmax, count):
     """Emit a radius sequence, one radius per line."""
     for r in generate(GenSpec(kind=kind, seed=seed, threshold=threshold,

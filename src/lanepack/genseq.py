@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .bounds import SQUARE_GENERAL
 from .classification import build_class_table
@@ -26,13 +27,15 @@ class GenSpec:
     threshold: float = SQUARE_GENERAL
     r_min: float = 0.001
     r_max: float = 0.5
-    count: int = 100  # uniform kind only
+    count: Optional[int] = None  # uniform kind only: 100 draws if None
 
     def __post_init__(self):
         if self.kind not in _GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.count < 0:
+        if self.count is not None and self.count < 0:
             raise ValueError(f"need count >= 0, got {self.count}")
+        if self.count is not None and self.kind != "uniform":
+            raise ValueError(f"kind {self.kind!r} takes no count")
         # A NaN or infinite bound would loop forever or emit inf radii.
         if not (0 < self.r_min <= self.r_max < math.inf):
             raise ValueError(f"need finite 0 < r_min <= r_max, got "
@@ -61,7 +64,8 @@ def greedy_adversary(spec: GenSpec) -> list[float]:
 
 def uniform(spec: GenSpec) -> list[float]:
     rng = random.Random(spec.seed)
-    return [rng.uniform(spec.r_min, spec.r_max) for _ in range(spec.count)]
+    n = 100 if spec.count is None else spec.count
+    return [rng.uniform(spec.r_min, spec.r_max) for _ in range(n)]
 
 
 def single_worstcase(spec: GenSpec) -> list[float]:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -13,10 +14,11 @@ from lanepack import audit, audit_arrays
 from lanepack.audit import validate
 from lanepack.bounds import delta
 from lanepack.containers import pack_rect_online, pack_square_online
-from lanepack.geometry import Orientation, PlacedCircle, Rect
+from lanepack.geometry import EPS, Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
 from lanepack.lanes import LaneState, Packing, place
-from lanepack.layout import LaneInfo, LaneRow, PackResult, columns, layout
+from lanepack.layout import (LaneInfo, LaneRow, PackResult, columns,
+                             lane_frames, layout)
 from oracles import (CommitLog, LanePlacement, audit_dslp_lane,
                      audit_slp_lane, metrics, min_slp)
 
@@ -32,6 +34,16 @@ def seven_circles():
         "general", [0.3, 0.12, 0.07, 0.05, 0.02, 0.01, 0.003])
     assert result.status == "all_packed" and validate(result).valid
     return result
+
+
+@functools.cache
+def large_packing():
+    """The 400 circles of the uniform seed-100 sequence in the general
+    square, and the frames of its lanes."""
+    result = pack_square_online("general", generate(GenSpec(
+        "uniform", seed=100, count=400, r_min=0.001, r_max=0.032)))
+    shape = layout(result.container, result.mode, result.b)
+    return result, lane_frames(shape, result.lanes)
 
 
 class TestValidate:
@@ -381,6 +393,58 @@ class TestValidate:
                     outcomes.append(repr(exc))
             assert not passes.called
         assert outcomes[0] == outcomes[1]
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_tampered_circle_gets_one_report(self, data):
+        # The 400-circle packing with one circle moved along its lane's u
+        # or v by about the structural tolerance or EPS, given a NaN or an
+        # infinite x, y or r, another class or lane, or its arrival index
+        # swapped with another's: the array passes accept it or not, and
+        # the report is the one the pure-Python passes alone write.
+        result, frames = large_packing()
+        placements = list(result.placements)
+        n = len(placements)
+        k = data.draw(st.integers(0, n - 1))
+        c = placements[k]
+        how = data.draw(st.sampled_from(
+            ["u", "v", "special", "class", "lane", "unknown", "swap"]))
+        if how in ("u", "v"):
+            info = frames[c.lane_id]
+            ex, ey = info.eu if how == "u" else info.ev
+            step = (data.draw(st.sampled_from([-1.0, 1.0]))
+                    * data.draw(st.sampled_from([audit._STRUCT_TOL, EPS]))
+                    * data.draw(st.floats(0.5, 2.0)))
+            placements[k] = dataclasses.replace(c, x=c.x + step * ex,
+                                                y=c.y + step * ey)
+        elif how == "special":
+            placements[k] = dataclasses.replace(c, **{
+                data.draw(st.sampled_from("xyr")):
+                data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))})
+        elif how == "class":
+            placements[k] = dataclasses.replace(
+                c, class_index=c.class_index + data.draw(
+                    st.sampled_from([-1, 1])))
+        elif how in ("lane", "unknown"):
+            lane_id = ("L9" if how == "unknown" else data.draw(
+                st.sampled_from([row.lane_id for row in result.lanes])))
+            placements[k] = dataclasses.replace(c, lane_id=lane_id)
+        else:
+            j = data.draw(st.integers(0, n - 1))
+            other = placements[j]
+            placements[j] = dataclasses.replace(other, seq=c.seq)
+            placements[k] = dataclasses.replace(c, seq=other.seq)
+        edited = dataclasses.replace(result, placements=placements)
+        reports = []
+        for split in (audit._ALL_PAIRS_MAX, 1 << 30):
+            with mock.patch.object(audit, "_ALL_PAIRS_MAX", split), \
+                    mock.patch.object(
+                        audit_arrays, "array_passes",
+                        wraps=audit_arrays.array_passes) as passes:
+                reports.append(json.dumps(validate(edited).to_json_dict()))
+            assert passes.called == (split < n)
+        assert reports[0] == reports[1]
 
 
 class TestLaneAudits:

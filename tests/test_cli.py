@@ -455,6 +455,15 @@ class TestGen:
         assert res.exit_code == 1
         assert res.output == "Error: need count >= 0, got -3\n"
 
+    @pytest.mark.parametrize("kind", ["greedy_adversary", "class_boundary"])
+    def test_count_for_a_kind_that_reads_none_is_an_input_error(
+            self, runner, kind):
+        # Refused, not printed as a sequence of another length.
+        res = invoke(runner, ["gen", "--kind", kind, "--count", "5"])
+        assert res.exit_code == 1
+        assert res.output == f"Error: kind '{kind}' takes no count\n"
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_gen_feeds_pack(self, runner):
         seq = invoke(runner, ["gen", "--kind", "greedy_adversary",
                               "--seed", "2", "--threshold", "0.350389"]).output

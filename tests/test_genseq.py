@@ -43,6 +43,14 @@ class TestGenSpec:
             GenSpec(kind="greedy_adversary", count=-1)
         assert generate(GenSpec(kind="uniform", count=0)) == []
 
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "uniform"])
+    def test_count_is_refused_where_unread(self, kind):
+        # Only uniform draws a count; any other kind would ignore it.
+        with pytest.raises(ValueError, match=f"kind '{kind}' takes no count"):
+            GenSpec(kind=kind, count=5)
+        assert GenSpec(kind=kind).count is None
+        assert len(generate(GenSpec(kind="uniform"))) == 100
+
     def test_all_kinds_generate(self):
         for kind in KINDS:
             radii = generate(GenSpec(kind=kind, seed=1))

@@ -23,6 +23,7 @@ from lanepack.audit import validate
 from lanepack.containers import pack_square_online
 from lanepack.dslp import dslp_metrics
 from lanepack.genseq import GenSpec, generate
+from lanepack.layout import columns, lane_frames, layout
 from oracles import (CommitLog, frontier, metrics, packing_extent,
                      vlane_extents)
 
@@ -108,6 +109,42 @@ def test_array_and_python_passes_agree(kind, name):
                 reports.append(json.dumps(validate(r).to_json_dict()))
             assert passes.called == (n > split), (split, n)
         assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("kind, name", [
+    *(("golden", name) for name in sorted({**CASES, **STREAMS})),
+    *(("tampered", name) for name in sorted(TAMPERED_GOLDEN)),
+    ("split", 400 - audit._ALL_PAIRS_MAX)])
+def test_array_passes_accept_what_the_python_passes_pass(kind, name):
+    # The numpy array passes only accept: they decline (None) exactly the
+    # packings in which the pure-Python passes find out-of-order
+    # placements, an escape or a lane finding, and give the others' total
+    # and per-lane areas bit for bit.  Every golden packing is valid and
+    # holds as arrays, so each is accepted, the 20 of more than 64
+    # circles among them.
+    result = {"golden": lambda: {**CASES, **STREAMS}[name](),
+              "tampered": lambda: tampered()[name],
+              "split": lambda: _split_packing(name)}[kind]()
+    for r in (result, from_json(result)):
+        shape = layout(r.container, r.mode, r.b)
+        cols = columns(r.placements)
+        held = audit_arrays.held_arrays(cols)
+        try:
+            lane_by_id = lane_frames(shape, r.lanes)
+        except ValueError:  # validate refuses it before any pass
+            lane_by_id = None
+        if held is None or lane_by_id is None:
+            assert kind == "tampered"
+            continue
+        occ = {}
+        in_order, total, escaped, found = audit._python_passes(
+            cols, shape.box, shape.table, lane_by_id, occ)
+        screened = audit_arrays.array_passes(cols, *held, shape.box,
+                                             shape.table, lane_by_id)
+        if in_order and not escaped and not found:
+            assert json.dumps(screened) == json.dumps((total, occ))
+        else:
+            assert screened is None and kind != "golden"
 
 
 @pytest.mark.parametrize("name, table, column, value", UNREADABLE)
