@@ -154,13 +154,15 @@ def verify_cmd(result_file):
               default=None, help="Guaranteed packable area for the square.")
 @click.option("--table", "show_table", is_flag=True,
               help="Dump the class table as CSV (base width 1).")
-@click.option("--width", type=float, default=1.0, show_default=True,
-              help="Base lane width for --table.")
+@click.option("--width", type=float,
+              help="Base lane width for --table, 1 if not given.")
 def bounds_cmd(delta_q, rect_b, square_mode, show_table, width):
     """Evaluate density bounds and guarantees."""
     if (delta_q, rect_b, square_mode, show_table) == (None, None, None, False):
         raise click.ClickException(
             "nothing to do: pass --delta, --rect, --square-mode, or --table")
+    if width is not None and not show_table:
+        raise click.ClickException("--width applies only to --table")
     if delta_q is not None:
         click.echo(repr(bounds_mod.delta(delta_q)))
     if rect_b is not None:
@@ -169,14 +171,16 @@ def bounds_cmd(delta_q, rect_b, square_mode, show_table, width):
         click.echo(repr(bounds_mod.guarantee_square(
             square_mode.replace("-", "_"))))
     if show_table:
-        click.echo(table_csv(build_class_table(width)), nl=False)
+        click.echo(table_csv(build_class_table(
+            1.0 if width is None else width)), nl=False)
 
 
 @main.command("gen")
 @click.option("--kind", type=click.Choice(KINDS), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threshold", type=float, default=bounds_mod.SQUARE_GENERAL,
-              show_default=True)
+@click.option("--threshold", type=float,
+              help=f"Area budget, {bounds_mod.SQUARE_GENERAL} if not given "
+                   f"(greedy_adversary kind only).")
 @_radius_range_options
 @click.option("--count", type=int,
               help="Number of draws, 100 if not given (uniform kind only).")
@@ -194,7 +198,8 @@ def gen_cmd(kind, seed, threshold, rmin, rmax, count):
 @click.option("--seeds", default="0:10", show_default=True,
               help="Seed range start:stop (stop exclusive).")
 @click.option("--threshold", type=float, default=None,
-              help="Area budget; defaults to the container guarantee.")
+              help="Area budget, the container guarantee if not given "
+                   "(greedy_adversary kind only).")
 @_radius_range_options
 def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
     """Run many seeded generator sequences; one summary JSON line per run."""
@@ -202,8 +207,11 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
         start, stop = (int(s) for s in seeds.split(":"))
     except ValueError:
         raise click.ClickException(f"bad --seeds range {seeds!r}")
+    if stop <= start:
+        raise click.ClickException(
+            f"empty --seeds range {seeds!r}: stop must be above start")
     run = _new_run(container, aspect, mode)  # a bad --b or --mode exits 1
-    if threshold is None:
+    if threshold is None and kind == "greedy_adversary":
         threshold = run.guarantee
     failures = 0
     for seed in range(start, stop):

@@ -24,7 +24,8 @@ WORSTCASE_EPSILON = 1e-6
 class GenSpec:
     kind: str
     seed: int = 0
-    threshold: float = SQUARE_GENERAL
+    # greedy_adversary kind only: SQUARE_GENERAL if None
+    threshold: Optional[float] = None
     r_min: float = 0.001
     r_max: float = 0.5
     count: Optional[int] = None  # uniform kind only: 100 draws if None
@@ -40,14 +41,16 @@ class GenSpec:
         if not (0 < self.r_min <= self.r_max < math.inf):
             raise ValueError(f"need finite 0 < r_min <= r_max, got "
                              f"[{self.r_min}, {self.r_max}]")
-        if not (0 < self.threshold < math.inf):
+        if self.threshold is not None and not (0 < self.threshold < math.inf):
             raise ValueError(f"need finite threshold > 0, got {self.threshold}")
+        if self.threshold is not None and self.kind != "greedy_adversary":
+            raise ValueError(f"kind {self.kind!r} takes no threshold")
 
 
 def greedy_adversary(spec: GenSpec) -> list[float]:
     """Radii drawn to saturate the area budget; total area <= threshold."""
     rng = random.Random(spec.seed)
-    budget = spec.threshold
+    budget = SQUARE_GENERAL if spec.threshold is None else spec.threshold
     out: list[float] = []
     while True:
         cap = min(spec.r_max, math.sqrt(budget / math.pi))

@@ -1,7 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +15,8 @@ from lanepack.bounds import guarantee_rect
 from lanepack.cli import main
 from lanepack.genseq import KINDS, GenSpec, generate
 from lanepack.layout import PackResult
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -148,6 +155,13 @@ class TestPack:
         assert data["container"] == "square"
         ET.fromstring(out_svg.read_text())
 
+    def test_rect_svg_is_well_formed(self, runner, tmp_path):
+        out_svg = tmp_path / "r.svg"
+        res = invoke(runner, ["pack", "--container", "rect", "--b", "2",
+                              "--svg", str(out_svg)], input="0.3\n")
+        assert res.exit_code == 0
+        ET.fromstring(out_svg.read_text())
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         radii = "\n".join(["0.3", "0.12", "0.08", "0.05"])
         outputs = []
@@ -158,7 +172,96 @@ class TestPack:
         assert outputs[0] == outputs[1]
 
 
+SQUARE = ["--container", "square"]
+RECT_2 = ["--container", "rect", "--b", "2"]
+GREEDY_7 = ["gen", "--kind", "greedy_adversary", "--seed", "7"]
+# 400 circles, past the 64 (_ALL_PAIRS_MAX) up to which the audit runs its
+# pure-Python passes alone: the numpy array passes accept a valid packing.
+UNIFORM_400 = ["gen", "--kind", "uniform", "--seed", "100", "--count", "400",
+               "--rmin", "0.001", "--rmax", "0.032"]
+
+
+def _reverse_placements(data):
+    """Every placement column reversed: the array passes decline the
+    packing, and the pure-Python passes report an order violation."""
+    for column in data["placements"].values():
+        column.reverse()
+
+
+def _move_out_of_the_square(data):
+    """The first circle moved out of the square: the array passes
+    decline, and the pure-Python passes report it."""
+    data["placements"]["x"][0] = 1.5
+
+
+def _class_outside_the_table(data):
+    """A placement class outside the container's table is a
+    class_mismatch violation, not an unreadable file."""
+    data["placements"]["class"][0] = 99
+
+
+def _mode_without_a_table(data):
+    """A mode with no class table makes the file unreadable, not a valid
+    packing."""
+    data["mode"] = "bogus"
+
+
+def _under_the_slp_gap(data):
+    """Two class-1 circles closer than the SLP minimum gap: the audit
+    takes SLP from the lane's class (a file cannot name a strategy), so
+    this is an order violation."""
+    x = data["placements"]["x"]
+    x[1] = x[0] + 0.22
+
+
+def _rejected_within_the_guarantee(data):
+    """A run that says it refused a second 0.1 circle in the square broke
+    the guarantee, whatever "guarantee" the file records."""
+    data.update(status="rejected", rejected_index=1, rejected_radius=0.1,
+                guarantee=0)
+
+
+# Radii (a gen command or text), the container, an edit of the packing's
+# result file, and verify's exit code and a text its output must include.
+ROUND_TRIPS = [
+    pytest.param(GREEDY_7, SQUARE, None, 0, '"valid": true',
+                 id="greedy-adversary"),
+    pytest.param(UNIFORM_400, SQUARE, None, 0, '"valid": true',
+                 id="400-circles"),
+    pytest.param(UNIFORM_400, SQUARE, _reverse_placements, 1,
+                 '"kind": "order"', id="400-circles-reversed"),
+    pytest.param(UNIFORM_400, SQUARE, _move_out_of_the_square, 1,
+                 '"kind": "out_of_container"', id="400-circles-one-escaped"),
+    pytest.param(GREEDY_7, SQUARE, _class_outside_the_table, 1,
+                 '"kind": "class_mismatch"', id="class-outside-the-table"),
+    pytest.param(GREEDY_7, SQUARE, _mode_without_a_table, 1,
+                 "unreadable result file", id="mode-without-a-table"),
+    pytest.param("0.26\n0.26\n", RECT_2, _under_the_slp_gap, 1,
+                 '"kind": "order"', id="under-the-slp-gap"),
+    pytest.param("0.1\n", SQUARE, _rejected_within_the_guarantee, 1,
+                 '"kind": "guarantee"', id="rejected-within-the-guarantee"),
+]
+
+
 class TestVerify:
+    @pytest.mark.parametrize("radii, container, tamper, exit_code, expected",
+                             ROUND_TRIPS)
+    def test_round_trip(self, runner, tmp_path, radii, container, tamper,
+                        exit_code, expected):
+        if isinstance(radii, list):
+            radii = invoke(runner, radii).output
+        out = tmp_path / "r.json"
+        res = invoke(runner, ["pack", *container, "--json", str(out)],
+                     input=radii)
+        assert res.exit_code == 0
+        if tamper is not None:
+            data = json.loads(out.read_text())
+            tamper(data)
+            out.write_text(json.dumps(data))
+        res = invoke(runner, ["verify", str(out)])
+        assert res.exit_code == exit_code
+        assert expected in res.output
+
     def test_pack_then_verify_ok(self, runner, tmp_path):
         out = tmp_path / "r.json"
         invoke(runner, ["pack", "--container", "rect", "--b", "2",
@@ -258,16 +361,19 @@ class TestVerify:
         why = "finite float x0" if key in ("x0", "down") else "must be ints"
         assert why in res.output
 
-    @pytest.mark.parametrize("cut", ["schema-1", "short-x", "short-lane-id"])
+    @pytest.mark.parametrize("cut", ["schema-1", "short-x", "short-lane-id",
+                                     "schema-2"])
     def test_cut_or_old_files_are_refused(self, runner, tmp_path, cut):
         # A file cut short must not audit as a valid packing of fewer
-        # circles, and a schema-1 file is not read at all.
+        # circles, and a schema-1 or schema-2 file is not read at all.
         out = tmp_path / "r.json"
         invoke(runner, ["pack", "--container", "rect", "--b", "2",
                         "--json", str(out)], input="0.4\n0.3\n0.01\n")
         data = json.loads(out.read_text())
         if cut == "schema-1":
             data = schema_1(data)
+        elif cut == "schema-2":  # wrote the lane frames schema 3 derives
+            data["schema"] = 2
         elif cut == "short-x":
             del data["placements"]["x"][-1]
         else:
@@ -408,6 +514,12 @@ class TestBounds:
         res = invoke(runner, ["bounds"])
         assert res.exit_code == 1
 
+    def test_width_without_table_is_refused(self, runner):
+        # Refused, not dropped while the other values print.
+        res = invoke(runner, ["bounds", "--delta", "0.2", "--width", "0.5"])
+        assert res.exit_code == 1
+        assert res.output == "Error: --width applies only to --table\n"
+
     def test_domain_error(self, runner):
         res = invoke(runner, ["bounds", "--delta", "0.9"])
         assert res.exit_code == 1
@@ -463,6 +575,14 @@ class TestGen:
         assert res.exit_code == 1
         assert res.output == f"Error: kind '{kind}' takes no count\n"
         assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS
+                                      if k != "greedy_adversary"])
+    def test_threshold_for_a_kind_that_reads_none_is_an_input_error(
+            self, runner, kind):
+        res = invoke(runner, ["gen", "--kind", kind, "--threshold", "0.9"])
+        assert res.exit_code == 1
+        assert res.output == f"Error: kind '{kind}' takes no threshold\n"
 
     def test_gen_feeds_pack(self, runner):
         seq = invoke(runner, ["gen", "--kind", "greedy_adversary",
@@ -566,6 +686,24 @@ class TestBatch:
                               "--seeds", "oops"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("seeds", ["3:1", "2:2"])
+    def test_empty_seed_range_is_refused(self, runner, seeds):
+        # Refused, not a run of no sequences that exits 0.
+        res = invoke(runner, ["batch", "--container", "square",
+                              "--seeds", seeds])
+        assert res.exit_code == 1
+        assert res.output == (f"Error: empty --seeds range '{seeds}': "
+                              f"stop must be above start\n")
+
+    def test_threshold_for_a_kind_that_reads_none_is_an_input_error(
+            self, runner):
+        # The container's guarantee is the default budget of the greedy
+        # adversary alone.
+        res = invoke(runner, ["batch", "--container", "square", "--kind",
+                              "uniform", "--threshold", "5"])
+        assert res.exit_code == 1
+        assert res.output == "Error: kind 'uniform' takes no threshold\n"
+
 
 class TestFileArguments:
     """A path that cannot be opened exits 1 with a message."""
@@ -605,3 +743,51 @@ class TestUsageErrors:
         assert res.exit_code == 1
         assert "Usage:" in res.output
         assert "Traceback" not in res.output
+
+
+def _interpreters():
+    """The CLI run as a module of the source tree, and the installed
+    console script where there is one, each with its environment."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    yield [sys.executable, "-m", "lanepack.cli"], env
+    script = shutil.which("lanepack")
+    if script is not None:
+        env = dict(os.environ)
+        env.pop("PYTHONPATH", None)  # the installed package, not src
+        yield [script], env
+
+
+def test_real_interpreter(tmp_path):
+    """Exit codes and stderr as a shell sees them, which an in-process
+    runner cannot show: a traceback would print, and exit 1."""
+    for command, env in _interpreters():
+        def run(*args, stdin=""):
+            return subprocess.run([*command, *args], input=stdin, env=env,
+                                  cwd=tmp_path, capture_output=True,
+                                  text=True, timeout=60)
+
+        gen = run(*UNIFORM_400)
+        pack = run("pack", *SQUARE, "--json", "big.json", stdin=gen.stdout)
+        verify = run("verify", "big.json")
+        assert [gen.returncode, pack.returncode, verify.returncode] == [
+            0, 0, 0], (command, gen.stderr + pack.stderr + verify.stderr)
+
+        data = json.loads((tmp_path / "big.json").read_text())
+        _reverse_placements(data)
+        (tmp_path / "reversed.json").write_text(json.dumps(data))
+        tampered = run("verify", "reversed.json")
+        assert tampered.returncode == 1, (command, tampered.stderr)
+        assert json.loads(tampered.stdout)["valid"] is False
+        assert "Traceback" not in tampered.stderr
+
+        usage = run("pack", *SQUARE, "--eps", "1e-9")
+        assert usage.returncode == 1, (command, usage.stderr)
+        refused = run("pack", *SQUARE, stdin="1e-25\n")
+        assert refused.returncode == 1, (command, refused.stderr)
+        for res in (usage, refused):
+            assert "Error:" in res.stderr and "Traceback" not in res.stderr
+
+        rejected = run("pack", *RECT_2, stdin="0.500001\n")
+        assert rejected.returncode == 2, (command, rejected.stderr)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lanepack.bounds import SQUARE_GENERAL
 from lanepack.classification import build_class_table
 from lanepack.genseq import (KINDS, GenSpec, class_boundary, generate,
                              greedy_adversary, single_worstcase, uniform)
@@ -50,6 +51,18 @@ class TestGenSpec:
             GenSpec(kind=kind, count=5)
         assert GenSpec(kind=kind).count is None
         assert len(generate(GenSpec(kind="uniform"))) == 100
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS
+                                      if k != "greedy_adversary"])
+    def test_threshold_is_refused_where_unread(self, kind):
+        # Only the greedy adversary spends a budget; its default is the
+        # general square's guarantee.
+        with pytest.raises(ValueError,
+                           match=f"kind '{kind}' takes no threshold"):
+            GenSpec(kind=kind, threshold=0.9)
+        assert GenSpec(kind=kind).threshold is None
+        assert generate(GenSpec(kind="greedy_adversary", seed=4)) == generate(
+            GenSpec(kind="greedy_adversary", seed=4, threshold=SQUARE_GENERAL))
 
     def test_all_kinds_generate(self):
         for kind in KINDS:
