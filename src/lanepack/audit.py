@@ -20,7 +20,6 @@ takes the pure-Python passes, which report what they find.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import TYPE_CHECKING, Sequence
 
@@ -99,10 +98,11 @@ def _pairwise_overlaps(xs: Sequence[float], ys: Sequence[float],
             ext.sort()
         else:  # a NaN does not sort: make every pair a candidate
             ext = [(-math.inf, math.inf, k) for _, _, k in ext]
-        starts = [e[0] for e in ext]
         hits = []
         for s, (_, end, i) in enumerate(ext, 1):
-            for _, _, j in ext[s:bisect.bisect_right(starts, end, s)]:
+            for start, _, j in ext[s:]:
+                if start > end:  # so does every later start
+                    break
                 # The test is symmetric in i and j, bit for bit.
                 dx = xs[i] - xs[j]
                 dy = ys[i] - ys[j]

@@ -41,6 +41,9 @@ class GenSpec:
         if not (0 < self.r_min <= self.r_max < math.inf):
             raise ValueError(f"need finite 0 < r_min <= r_max, got "
                              f"[{self.r_min}, {self.r_max}]")
+        if self.kind == "single_worstcase" and (
+                (self.r_min, self.r_max) != (GenSpec.r_min, GenSpec.r_max)):
+            raise ValueError(f"kind {self.kind!r} takes no r_min or r_max")
         if self.threshold is not None and not (0 < self.threshold < math.inf):
             raise ValueError(f"need finite threshold > 0, got {self.threshold}")
         if self.threshold is not None and self.kind != "greedy_adversary":

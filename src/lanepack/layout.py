@@ -11,6 +11,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from operator import countOf
 from typing import NamedTuple, Optional, Sequence
 
 from . import bounds
@@ -42,7 +43,9 @@ class LaneInfo(Frame):
                  ev: tuple[int, int], length: float, width: float,
                  lane_id: str, class_index: int, x0: Optional[float] = None,
                  down: Optional[bool] = None):
-        super().__init__(origin, eu, ev, length, width)
+        # Set here, not by Frame.__init__: a sub-lane is built per strip.
+        self.origin, self.eu, self.ev = origin, eu, ev
+        self.length, self.width = length, width
         self.lane_id, self.class_index = lane_id, class_index
         self.x0, self.down = x0, down
 
@@ -151,6 +154,17 @@ def layout(container: str, mode: Optional[str], b) -> Layout:
                   lanes if large is None else {"L0": large, **lanes})
 
 
+@functools.lru_cache(maxsize=1024)  # short results repeat a few ids
+def _sub_lane_id(lane_id: str) -> Optional[tuple[str, int, int]]:
+    """(host id, class, ordinal) if f"{host}:v{cls}#{k}" spells lane_id."""
+    host_id, _, sub = lane_id.rpartition(":v")
+    cls, _, k = sub.partition("#")
+    if not (cls.isdecimal() and k.isdecimal()):
+        return None
+    cls, k = int(cls), int(k)
+    return (host_id, cls, k) if f"{host_id}:v{cls}#{k}" == lane_id else None
+
+
 def lane_frames(frames: Layout,
                 lanes: Sequence[LaneRow]) -> dict[str, LaneInfo]:
     """The frames of a lane table's lanes, by id, from the layout alone.
@@ -171,13 +185,10 @@ def lane_frames(frames: Layout,
                                  f"or down")
             out[lane_id] = info
             continue
-        host_id, _, sub = str(lane_id).rpartition(":v")
-        host, (cls, _, k) = frames.lanes.get(host_id), sub.partition("#")
-        # Each field is parsed once; the id must spell its numbers so.
-        cls, k = ((int(cls), int(k)) if cls.isdecimal() and k.isdecimal()
-                  else (-1, -1))
-        if not (host and host.class_index == 1 and 3 <= cls <= last
-                and f"{host_id}:v{cls}#{k}" == lane_id):
+        host_id, cls, k = (isinstance(lane_id, str) and _sub_lane_id(lane_id)
+                           or (None, -1, -1))
+        host = frames.lanes.get(host_id)
+        if not (host and host.class_index == 1 and 3 <= cls <= last):
             raise ValueError(f"lane id {lane_id!r} names no lane of the "
                              f"layout and no sub-lane of a table class >= 3")
         if not (type(x0) is float and math.isfinite(x0)
@@ -271,9 +282,9 @@ class PackResult:
         ids, x0s, downs = _columns(d["lanes"], "lane", ("id", "x0", "down"))
         # A placement's lane that is not a string matches no lane id, and
         # the audit reports it.
-        ints = [*i, *cls]
-        if (list(map(type, ints)).count(int) != len(ints)
-                or list(map(type, ids)).count(str) != len(ids)):
+        if (countOf(map(type, i), int) != len(i)
+                or countOf(map(type, cls), int) != len(cls)
+                or countOf(map(type, ids), str) != len(ids)):
             raise ValueError("arrival indices and classes must be ints "
                              "(not bools), and lane ids strings")
         return PackResult(
@@ -335,8 +346,9 @@ def _packed_area(rs) -> float:
 def _columns(table: dict, record: str, keys: tuple[str, ...]) -> list:
     """The named columns of a table, refused unless all are one length."""
     columns = [table[key] for key in keys]
-    lengths = [len(column) for column in columns]
-    if min(lengths) != max(lengths):
-        raise ValueError(f"{record} columns differ in length: "
-                         f"{dict(zip(keys, lengths))}")
+    n = len(columns[0])
+    for column in columns:
+        if len(column) != n:
+            raise ValueError(f"{record} columns differ in length: "
+                             f"{dict(zip(keys, map(len, columns)))}")
     return columns

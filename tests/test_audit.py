@@ -17,8 +17,8 @@ from lanepack.containers import pack_rect_online, pack_square_online
 from lanepack.geometry import EPS, Orientation, PlacedCircle, Rect
 from lanepack.genseq import GenSpec, generate
 from lanepack.lanes import LaneState, Packing, place
-from lanepack.layout import (LaneInfo, LaneRow, PackResult, columns,
-                             lane_frames, layout)
+from lanepack.layout import (LaneInfo, LaneRow, PackResult, _sub_lane_id,
+                             columns, lane_frames, layout)
 from oracles import (CommitLog, LanePlacement, audit_dslp_lane,
                      audit_slp_lane, metrics, min_slp)
 
@@ -244,6 +244,44 @@ class TestValidate:
         with pytest.raises(ValueError, match=r"lane ids listed twice: "
                                              r"\['L1:host:v5#0'\]"):
             validate(dataclasses.replace(result, lanes=lanes))
+
+    @pytest.mark.parametrize("lane_id", [
+        "L1:host:v06#1", "L1:host:v6#01", "L1:host:v6#1 ", 5, None,
+        "L1:top:v6#1"])
+    def test_sub_lane_id_refusals_do_not_depend_on_the_cache(self, lane_id):
+        # Ids that spell a number otherwise than int() writes it, ids that
+        # are not strings and sub-lanes of a class-2 host are refused with
+        # one message, whether or not the canonical id is cached.
+        shape = layout("rect", None, 2.0)
+
+        def refusal():
+            with pytest.raises(ValueError) as err:
+                lane_frames(shape, [LaneRow(lane_id, 0.5, False)])
+            return str(err.value)
+
+        _sub_lane_id.cache_clear()
+        before = refusal()
+        assert before == (f"lane id {lane_id!r} names no lane of the layout "
+                          f"and no sub-lane of a table class >= 3")
+        canonical = lane_frames(shape, [LaneRow("L1:host:v6#1", 0.5, False)])
+        assert canonical["L1:host:v6#1"].class_index == 6
+        calls = _sub_lane_id.cache_info()
+        assert refusal() == before
+        # An id that is not a string never reaches the cache.
+        after = _sub_lane_id.cache_info()
+        if not isinstance(lane_id, str):
+            assert after == calls
+        else:
+            assert after.hits + after.misses == calls.hits + calls.misses + 1
+
+    def test_sub_lane_id_cache_stays_bounded(self):
+        shape = layout("rect", None, 2.0)
+        for k in range(_sub_lane_id.cache_info().maxsize + 100):
+            frames = lane_frames(shape, [LaneRow(f"L1:host:v6#{k}", 0.0,
+                                                 False)])
+            assert frames[f"L1:host:v6#{k}"].lane_id == f"L1:host:v6#{k}"
+        info = _sub_lane_id.cache_info()
+        assert info.currsize <= info.maxsize
 
     def test_detects_duplicate_sequence(self):
         def mutate(result):
@@ -567,6 +605,11 @@ def strip_layout(layout):
         # With eps = 0.5, only disks with r_a + r_b > 0.5 can overlap.
         xy = [(rng.uniform(0, 20), rng.uniform(0, 20), rng.uniform(0.1, 1))
               for _ in range(300)]
+    elif layout == "touching":
+        # Disk 1's padded x-extent at eps = 1e-9 starts where disk 0's
+        # ends, to the bit; disk 2 overlaps disk 1.
+        xy = [(0.0, 0.0, 0.5), (0.62500000200125, 0.0, 0.125),
+              (0.8, 0.0, 0.125)]
     else:
         xy = [(0.25, 0.75, 0.125)] * 200
     return [disk(x, y, r, k) for k, (x, y, r) in enumerate(xy)]
@@ -667,7 +710,8 @@ class TestPairwiseOverlaps:
     @pytest.mark.parametrize("layout, eps, chunk", [
         ("spanning", 1e-9, 1 << 18), ("column", 1e-9, 1 << 18),
         ("row", 1e-9, 1 << 18), ("negative", 1e-9, 1 << 18),
-        ("scattered", 0.5, 1 << 18), ("coincident", 1e-9, 7)])
+        ("scattered", 0.5, 1 << 18), ("coincident", 1e-9, 7),
+        ("touching", 1e-9, 1 << 18)])
     def test_strip_sweep_matches_dense_oracle(self, layout, eps, chunk):
         disks = strip_layout(layout)
         with mock.patch.object(audit_arrays, "_PAIR_CHUNK", chunk), \
@@ -685,6 +729,26 @@ class TestPairwiseOverlaps:
         assert (last - first + 1).sum() <= 2.5 * len(disks)
         if layout == "spanning":
             assert (first[0], last[0]) == (0, last.max()) and last[0] > 10
+
+    def test_touching_extents_stay_candidates(self):
+        # A pair whose padded x-extents meet at one point cannot overlap by
+        # more than eps, but the sweep still tests it: it stops only at a
+        # start beyond the end, as a bisect_right over the starts did.
+        disks = strip_layout("touching")
+        ext = audit_arrays._extents(np.array(xyr(disks)), 1e-9)
+        assert ext[1, 0, 0] == ext[0, 0, 1]
+        tested = set()
+
+        class X(float):  # records the pairs whose centres are compared
+            def __sub__(self, other):
+                if type(other) is X:
+                    tested.add(frozenset((float(self), float(other))))
+                return float(self) - other
+
+        xs, ys, rs = xyr(disks)
+        found = audit._pairwise_overlaps(list(map(X, xs)), ys, rs, 1e-9)
+        assert found == dense_overlaps(disks, 1e-9) == [(1, 2)]
+        assert frozenset(xs[:2]) in tested
 
     def test_packed_stream_matches_dense_oracle(self):
         radii = [0.002 + 0.002 * ((k * 7919) % 1000) / 1000

@@ -584,6 +584,18 @@ class TestGen:
         assert res.exit_code == 1
         assert res.output == f"Error: kind '{kind}' takes no threshold\n"
 
+    @pytest.mark.parametrize("args", [
+        ["--rmin", "0.6", "--rmax", "0.7"], ["--rmax", "0.7"]])
+    def test_bounds_for_single_worstcase_are_an_input_error(self, runner,
+                                                           args):
+        # Refused, not ignored: the kind prints one fixed radius.
+        res = invoke(runner, ["gen", "--kind", "single_worstcase"] + args)
+        assert res.exit_code == 1
+        assert res.output == ("Error: kind 'single_worstcase' takes no "
+                              "r_min or r_max\n")
+        res = invoke(runner, ["gen", "--kind", "single_worstcase"])
+        assert (res.exit_code, res.output) == (0, "0.500001\n")
+
     def test_gen_feeds_pack(self, runner):
         seq = invoke(runner, ["gen", "--kind", "greedy_adversary",
                               "--seed", "2", "--threshold", "0.350389"]).output

@@ -124,6 +124,16 @@ class TestSingleWorstcase:
         [r] = single_worstcase(GenSpec(kind="single_worstcase"))
         assert math.pi * r * r > math.pi / 4
 
+    @pytest.mark.parametrize("r_min, r_max", [
+        (0.6, 0.7), (0.001, 0.7), (0.01, 0.5)])
+    def test_bounds_are_refused(self, r_min, r_max):
+        # The one radius is fixed; bounds would be read by nothing.
+        with pytest.raises(ValueError, match="kind 'single_worstcase' "
+                                             "takes no r_min or r_max"):
+            GenSpec(kind="single_worstcase", r_min=r_min, r_max=r_max)
+        assert generate(GenSpec(kind="single_worstcase", r_min=0.001,
+                                r_max=0.5)) == [0.5 + 1e-6]
+
 
 class TestClassBoundary:
     def test_straddles_every_in_range_boundary(self):
