@@ -20,28 +20,19 @@ from .classification import ClassTable
 from .lanes import LaneState, Packing, place
 from .layout import _POS_TOL, vlane_info
 
-FREE = "free"
-CLOSED = "closed"
-
-
-def reservation_for(class_index: int) -> str:
-    if class_index in (3, 4):
-        return f"reserved_{class_index}"
-    if class_index >= 5:
-        return "reserved_ge5"
-    raise ValueError(f"no reservation state for class {class_index}")
-
 
 class SparseBlock:
-    def __init__(self, owner_u: float, owner_r: float, half_side: str,
+    def __init__(self, owner_u: float, owner_r: float, down: bool,
                  x_cap: float, edge: float):
         # Center and radius of the medium circle whose half it contains.
         self.owner_u, self.owner_r = owner_u, owner_r
-        self.half_side = half_side  # 'bottom' or 'top', host-canonical
+        self.down = down  # whether that half is the host-canonical bottom
         self.x_cap = x_cap
         self.edge = edge  # max owner_u + owner_r of it and all blocks before
-        self.state = FREE
-        self.has_vlane = False  # whether a sub-lane opened inside it
+        # min(class, 5) of its sub-lanes, or None before the first opens:
+        # classes 3 and 4 each reserve a block, and classes >= 5 share one.
+        self.reserved: Optional[int] = None
+        self.closed = False  # takes no more sub-lanes; keeps its reservation
 
 
 class BlockLedger:
@@ -69,20 +60,20 @@ class BlockLedger:
         edge = self.sparse[-1].edge if self.sparse else 0.0
         return max(edge, self.strip_end)
 
+
 def on_medium_packed(ledger: BlockLedger, u: float, r: float,
-                     half_side: str) -> None:
+                     down: bool) -> None:
     """Update block structure after a medium circle landed at canonical u:
     the previous medium's block, sparse[-1], is capped, or dropped if it
     holds no sub-lane."""
     if ledger.sparse:
         prev = ledger.sparse[-1]
-        if prev.has_vlane:
+        if prev.reserved is not None:
             prev.x_cap = u - r
         else:
             ledger.sparse.pop()
     edge = ledger.sparse[-1].edge if ledger.sparse else 0.0
-    ledger.sparse.append(SparseBlock(owner_u=u, owner_r=r,
-                                     half_side=half_side,
+    ledger.sparse.append(SparseBlock(owner_u=u, owner_r=r, down=down,
                                      x_cap=ledger.host.frame.length,
                                      edge=max(edge, u + r)))
 
@@ -102,17 +93,6 @@ def _leftmost_strip(start: float, cap: float, width: float,
     return None
 
 
-def vlane_position(ledger: BlockLedger, block: SparseBlock,
-                   width: float) -> Optional[float]:
-    """Leftmost feasible position for a new vertical lane inside a block."""
-    return _leftmost_strip(block.owner_u + block.owner_r, block.x_cap,
-                           width, ledger.host.exclusions)
-
-
-def _eligible(block: SparseBlock, class_index: int) -> bool:
-    return block.state in (FREE, reservation_for(class_index))
-
-
 def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
                   downwards: bool) -> LaneState:
     """Open the strip [x0, x0 + width] across the host (see vlane_info)."""
@@ -128,12 +108,12 @@ def _create_vlane(ledger: BlockLedger, class_index: int, x0: float,
     return lane
 
 
-def _place_in(ledger: BlockLedger, lane: LaneState, r: float, seq: int,
+def _place_in(ledger: BlockLedger, lane: LaneState, r: float,
               packing: Packing) -> Optional[tuple[float, float]]:
     """Place into a vertical lane and widen the ledger's extent by the
     circle, with Frame.to_local's floats; close the lane if it is full.
     The circle's container point, or None."""
-    point = place(lane, r, seq, packing)
+    point = place(lane, r, packing)
     if point is None:
         lane.closed = True
         return None
@@ -147,7 +127,6 @@ def _place_in(ledger: BlockLedger, lane: LaneState, r: float, seq: int,
 
 
 def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
-                     seq: int,
                      packing: Packing) -> Optional[tuple[float, float]]:
     """Pack a class >= 3 circle via the five-step routine.
 
@@ -163,29 +142,28 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
     # Step 1: try the open vertical lane of this class, closing it on failure.
     lane = ledger.open_vlane.get(class_index)
     if lane is not None and not lane.closed:
-        point = _place_in(ledger, lane, r, seq, packing)
+        point = _place_in(ledger, lane, r, packing)
         if point is not None:
             return point
 
-    # Steps 2 and 3, one pass in owner order: close the exhausted sparse
-    # blocks eligible for this class, and open a new vertical lane inside
-    # the leftmost eligible block with room.
+    # Steps 2 and 3, one pass in owner order over the open sparse blocks
+    # that are free or reserved for this class: close the exhausted ones,
+    # and open a new vertical lane inside the leftmost one with room.
+    reserve = min(class_index, 5)
     target = None
     for block in ledger.sparse:
-        if _eligible(block, class_index):
-            pos = vlane_position(ledger, block, width)
+        if not block.closed and block.reserved in (None, reserve):
+            pos = _leftmost_strip(block.owner_u + block.owner_r, block.x_cap,
+                                  width, host.exclusions)
             if pos is None:
-                block.state = CLOSED
+                block.closed = True
             elif target is None:
                 target, target_pos = block, pos
     if target is not None:
-        lane = _create_vlane(ledger, class_index, target_pos,
-                             target.half_side == "bottom")
-        target.has_vlane = True
-        if target.state == FREE:
-            target.state = reservation_for(class_index)
+        lane = _create_vlane(ledger, class_index, target_pos, target.down)
+        target.reserved = reserve
         # A fresh lane fails only when circles of other lanes obstruct it.
-        point = _place_in(ledger, lane, r, seq, packing)
+        point = _place_in(ledger, lane, r, packing)
         if point is not None:
             return point
 
@@ -194,7 +172,7 @@ def pack_small_class(ledger: BlockLedger, r: float, class_index: int,
                           host.exclusions)
     if pos is not None:
         lane = _create_vlane(ledger, class_index, pos, False)
-        point = _place_in(ledger, lane, r, seq, packing)
+        point = _place_in(ledger, lane, r, packing)
         if point is not None:
             return point
 

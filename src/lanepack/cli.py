@@ -221,7 +221,7 @@ def batch_cmd(container, aspect, mode, kind, seeds, threshold, rmin, rmax):
         summary = {"seed": seed, "n": len(radii), "status": result.status,
                    "packed_area": result.total_packed_area}
         # Slack: the area the run was asked to hold over the guarantee.
-        area = result.total_packed_area
+        area = summary["packed_area"]
         if result.status != STATUS_ALL_PACKED:
             summary["rejected_index"] = result.rejected_index
             area += math.pi * result.rejected_radius ** 2

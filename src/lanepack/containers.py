@@ -22,7 +22,8 @@ class _OnlineRun:
 
     A run may be fed in several pack() calls; arrival indices continue
     across calls.  Every call checks all of its radii before committing
-    any, and a run that has rejected a circle takes no further input.
+    any, and a run that has rejected a circle takes no further input, so
+    committed circle k is arrival k and a rejection arrival len(packing).
     """
 
     def __init__(self, container: str, mode: Optional[str],
@@ -37,14 +38,12 @@ class _OnlineRun:
         self.medium_lanes: list[BlockLedger] = [
             new_dslp(name, shape, self.table) for name, shape in medium]
         self.packing = Packing()
-        self.arrivals = 0
-        self.rejected_index: Optional[int] = None
         self.rejected_radius: Optional[float] = None
 
     def pack(self, radii: Iterable[float]) -> PackResult:
         """Place radii in arrival order; the result covers the whole run."""
-        if self.rejected_index is not None:
-            raise ValueError(f"run stopped at arrival {self.rejected_index};"
+        if self.rejected_radius is not None:
+            raise ValueError(f"run stopped at arrival {len(self.packing)};"
                              f" it accepts no further circles")
         table = self.table
         checked = []  # (radius, class), class None when too large
@@ -70,25 +69,22 @@ class _OnlineRun:
                 raise ValueError(f"radius at input {i} must be positive "
                                  f"and finite, got {r!r}") from None
         for r, cls in checked:
-            seq = self.arrivals
-            self.arrivals += 1
-            if not self._pack_one(r, cls, seq):
-                self.rejected_index = seq
+            if not self._pack_one(r, cls):
                 self.rejected_radius = r
                 break
         return self._result()
 
-    def _pack_one(self, r: float, cls: Optional[int], seq: int) -> bool:
+    def _pack_one(self, r: float, cls: Optional[int]) -> bool:
         if cls is None:  # too large for every class
             return False
         if cls == 0:
             # Only a table with a large class, hence a layout with a TLP
             # lane, yields class 0.
-            return place(self.large_lane, r, seq, self.packing) is not None
+            return place(self.large_lane, r, self.packing) is not None
         for d in self.medium_lanes:
             if d.host.closed:
                 continue
-            if dslp_pack(d, r, cls, seq, self.packing) is not None:
+            if dslp_pack(d, r, cls, self.packing) is not None:
                 return True
         return False
 
@@ -106,12 +102,12 @@ class _OnlineRun:
         # A result lists only the lanes that hold circles, in lane order.
         lanes = [LaneRow(lane.frame.lane_id, lane.frame.x0, lane.frame.down)
                  for lane in states if lane.n]
+        stopped = self.rejected_radius is not None
         return PackResult(
-            status=(STATUS_ALL_PACKED if self.rejected_index is None
-                    else STATUS_REJECTED),
+            status=STATUS_REJECTED if stopped else STATUS_ALL_PACKED,
             container=self.container, mode=self.mode, b=self.b,
             placements=Placements(*self.packing.columns), lanes=lanes,
-            rejected_index=self.rejected_index,
+            rejected_index=len(self.packing) if stopped else None,
             rejected_radius=self.rejected_radius, per_lane=per_lane)
 
 

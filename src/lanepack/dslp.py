@@ -33,7 +33,7 @@ def _length_after(lane: LaneState, u: float, r: float) -> float:
     return max(lane.hi, u + r) - min(lane.lo, u - r)
 
 
-def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
+def dslp_pack(d: BlockLedger, r: float, class_index: int,
               packing: Packing) -> Optional[tuple[float, float]]:
     """Pack one circle; its container point, or None when this lane could
     not take it.
@@ -48,12 +48,11 @@ def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
         if pos is None:
             return None
         u, v = pos
-        point = commit(d.host, u, v, r, seq, packing)
-        half_side = "bottom" if v <= d.host.frame.width / 2.0 else "top"
-        on_medium_packed(d, u, r, half_side)
+        point = commit(d.host, u, v, r, packing)
+        on_medium_packed(d, u, r, v <= d.host.frame.width / 2.0)
         return point
     if class_index >= 3:
-        return pack_small_class(d, r, class_index, seq, packing)
+        return pack_small_class(d, r, class_index, packing)
     # Class 2: tentatively place into both small lanes, keep the shorter one.
     # The small lanes honor the host's vertical sub-lane strips, mirrored
     # (see BlockLedger.mirrored).
@@ -72,7 +71,7 @@ def dslp_pack(d: BlockLedger, r: float, class_index: int, seq: int,
             lane, pos = d.bottom, pos_bottom
         else:
             lane, pos = d.top, pos_top
-    return commit(lane, pos[0], pos[1], r, seq, packing)
+    return commit(lane, pos[0], pos[1], r, packing)
 
 
 def dslp_metrics(d: BlockLedger) -> tuple[float, float]:

@@ -37,7 +37,7 @@ _SCAN_MAX = 44
 class Packing:
     """Container-wide table of committed circles, with a spatial index.
 
-    The circles are kept as six columns in commit order: x, y, r, seq,
+    The circles are kept as five columns whose row k is arrival k: x, y, r,
     lane_id and class_index.  The index holds each circle's (x, y, r),
     either in one scan list, tested whole by every query, or in a
     multi-level uniform grid.  A circle of radius r belongs to the level
@@ -55,24 +55,24 @@ class Packing:
 
     def __init__(self):
         self.x, self.y, self.r = [], [], []
-        self.seq, self.lane_id, self.class_index = [], [], []
+        self.lane_id, self.class_index = [], []
         self._scan: list[tuple[float, float, float]] = []
         # e -> [cell side, (i, j) -> circles filed in that cell, largest
         # radius filed], for the levels that have a grid.
         self._levels: dict[int, list] = {}
 
     @property
-    def columns(self) -> tuple[list, ...]:
-        """The (x, y, r, seq, lane_id, class_index) columns, live."""
-        return (self.x, self.y, self.r, self.seq, self.lane_id,
+    def columns(self) -> tuple:
+        """The (x, y, r, arrival, lane_id, class_index) columns: the lists
+        live, the arrival column range(len(self))."""
+        return (self.x, self.y, self.r, range(len(self.x)), self.lane_id,
                 self.class_index)
 
-    def add(self, x: float, y: float, r: float, seq: int, lane_id: str,
+    def add(self, x: float, y: float, r: float, lane_id: str,
             class_index: int) -> None:
         self.x.append(x)
         self.y.append(y)
         self.r.append(r)
-        self.seq.append(seq)
         self.lane_id.append(lane_id)
         self.class_index.append(class_index)
         disk = (x, y, r)
@@ -246,7 +246,7 @@ def find_position(lane: LaneState, r: float, packing: Packing,
         hi = x_max
 
 
-def commit(lane: LaneState, u: float, v: float, r: float, seq: int,
+def commit(lane: LaneState, u: float, v: float, r: float,
            packing: Packing) -> tuple[float, float]:
     """Commit a circle at (u, v), in the lane's class; its container
     point (x, y)."""
@@ -260,18 +260,18 @@ def commit(lane: LaneState, u: float, v: float, r: float, seq: int,
         lane.lo = u - r
     if u + r > lane.hi:
         lane.hi = u + r
-    packing.add(x, y, r, seq, frame.lane_id, frame.class_index)
+    packing.add(x, y, r, frame.lane_id, frame.class_index)
     return x, y
 
 
-def place(lane: LaneState, r: float, seq: int,
+def place(lane: LaneState, r: float,
           packing: Packing) -> Optional[tuple[float, float]]:
     """Commit the lane's next circle at its candidate position, if any;
     its container point (x, y)."""
     pos = find_position(lane, r, packing)
     if pos is None:
         return None
-    return commit(lane, pos[0], pos[1], r, seq, packing)
+    return commit(lane, pos[0], pos[1], r, packing)
 
 
 def packing_length(lane: LaneState, lo: float = math.inf,

@@ -107,8 +107,9 @@ class CommitLog:
     def installed(self):
         commit = lanes.commit
 
-        def recorded(lane, u, v, r, seq, packing):
-            point = commit(lane, u, v, r, seq, packing)
+        def recorded(lane, u, v, r, packing):
+            seq = len(packing)  # the arrival index is the row
+            point = commit(lane, u, v, r, packing)
             entry = self._lanes.setdefault(id(lane), (lane, []))
             entry[1].append(LanePlacement(u, v, r, seq))
             return point

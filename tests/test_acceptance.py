@@ -255,12 +255,10 @@ def _random_slp_lane(rng):
     lane = LaneState(LaneInfo.from_rect(Rect(0, 0, length, w),
                                         Orientation.RIGHTWARDS, "L", "SLP", 1))
     packing = Packing()
-    seq = 0
     log = CommitLog()
     with log.installed():
-        while place(lane, rng.uniform(q * w, 0.5 * w), seq,
-                    packing) is not None:
-            seq += 1
+        while place(lane, rng.uniform(q * w, 0.5 * w), packing) is not None:
+            pass
     return lane, log.placed(lane), q, w
 
 

@@ -493,14 +493,10 @@ class TestLaneAudits:
         lane = LaneState(LaneInfo.from_rect(
             Rect(0, 0, length, w), Orientation.RIGHTWARDS, "L", "SLP", 1))
         p = Packing()
-        seq = 0
         log = CommitLog()
         with log.installed():
-            while True:
-                r = rng.uniform(q * w, 0.5 * w)
-                if place(lane, r, seq, p) is None:
-                    break
-                seq += 1
+            while place(lane, rng.uniform(q * w, 0.5 * w), p) is not None:
+                pass
         return lane, log.placed(lane), q, w
 
     def test_slp_lower_bound_on_random_lanes(self):

@@ -1,8 +1,11 @@
-"""Every function the benchmark's tracer wraps still exists.
+"""Every function the benchmark's tracer wraps still exists, and a traced
+pack still runs.
 
 bench/tracing.py stops a traced run when a target it wraps has been
 renamed or removed; this resolves each target the same way, so such a
-change fails here rather than only in a traced benchmark run.  The
+change fails here rather than only in a traced benchmark run.  A short
+traced pack into each container checks the tracer's counters, whose
+probes read the wrapped functions' arguments by position.  The
 module is read and executed, not imported, so no bytecode is written
 under bench/.
 """
@@ -39,3 +42,27 @@ def test_traced_target_resolves(module_name, path):
 def test_a_missing_target_is_reported():
     with pytest.raises(tracing.TraceTargetMissing):
         tracing._resolve("lanepack.lanes", "no_such_function")
+
+
+# Circles of every kind each container's lanes take, so the DSLP lanes
+# and the five-step routine run under the tracer, as in a traced
+# benchmark run.
+TINY = [0.04, 0.01, 0.005, 0.04, 0.01, 0.002]
+
+
+@pytest.mark.parametrize("name, first, radii", [
+    ("pack_rect_online", 2.0, [0.3, 0.2, 0.1, 0.2] + TINY),
+    ("pack_square_online", "general", [0.2, 0.1, 0.06, 0.1] + TINY),
+], ids=["rect", "square"])
+def test_a_traced_pack_counts_its_commits(name, first, radii):
+    from lanepack import containers, lanes
+
+    find_position = lanes.find_position
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = getattr(containers, name)(first, radii)  # the traced one
+    assert result.status == "all_packed"
+    assert tracer.counts["lanes.commits"] == len(result.placements) == 10
+    # find_position's probe reads its third argument as the packing.
+    assert type(tracer.counts["lanes.obstacles"]) is int
+    assert lanes.find_position is find_position

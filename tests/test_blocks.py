@@ -1,8 +1,6 @@
 import pytest
 
-from lanepack.blocks import (CLOSED, FREE, on_medium_packed,
-                             pack_small_class, reservation_for,
-                             vlane_position)
+from lanepack.blocks import _leftmost_strip, on_medium_packed, pack_small_class
 from lanepack.classification import build_class_table
 from lanepack.dslp import new_dslp
 from lanepack.geometry import Orientation, Rect
@@ -25,54 +23,66 @@ def make_ledger(length=8.0):
     return new_dslp("H", (host,) + small, TABLE), Packing()
 
 
-def pack_medium(ledger, packing, r, seq):
+def pack_medium(ledger, packing, r):
     pos = find_position(ledger.host, r, packing)
     assert pos is not None
-    placement = LanePlacement(*pos, r, seq)
-    commit(ledger.host, *placement, packing)
-    half = "bottom" if placement.v <= ledger.host.frame.width / 2 else "top"
-    on_medium_packed(ledger, placement.u, r, half)
-    return placement
+    u, v = pos
+    commit(ledger.host, u, v, r, packing)
+    on_medium_packed(ledger, u, r, v <= ledger.host.frame.width / 2)
+    return LanePlacement(u, v, r, len(packing) - 1)
+
+
+def strip_in(ledger, block, width):
+    """Where steps 2-3 would open a sub-lane of this width in the block."""
+    return _leftmost_strip(block.owner_u + block.owner_r, block.x_cap, width,
+                           ledger.host.exclusions)
 
 
 class TestReservations:
-    def test_states(self):
-        assert reservation_for(3) == "reserved_3"
-        assert reservation_for(4) == "reserved_4"
-        assert reservation_for(5) == "reserved_ge5"
-        assert reservation_for(9) == "reserved_ge5"
-        with pytest.raises(ValueError):
-            reservation_for(2)
+    def test_classes_5_and_up_share_a_block(self):
+        # Classes 5 and 6 open sub-lanes in the block that class 5
+        # reserved, on the block's side; class 4, and later class 3, go to
+        # the frontier, while class 7 still joins the block.
+        ledger, packing = make_ledger()
+        pack_medium(ledger, packing, 0.5)
+        for cls in (5, 6, 4, 7, 3):
+            r = TABLE.row(cls).lower_bound * 1.01
+            assert pack_small_class(ledger, r, cls, packing) is not None
+        assert ledger.sparse[0].down
+        assert [(lane.frame.lane_id, lane.frame.down)
+                for lane in ledger.vlanes] == [
+            ("H:v5#0", True), ("H:v6#1", True), ("H:v4#2", False),
+            ("H:v7#3", True), ("H:v3#4", False)]
 
 
 class TestBlockLifecycle:
     def test_first_medium_opens_sparse_block(self):
         ledger, packing = make_ledger()
-        pl = pack_medium(ledger, packing, 0.5, 0)
+        pl = pack_medium(ledger, packing, 0.5)
         assert len(ledger.sparse) == 1
         block = ledger.sparse[0]
         assert block is ledger.sparse[-1]
         assert block.owner_u == pl.u
         assert block.x_cap == ledger.host.frame.length
-        assert block.state == FREE
+        assert block.reserved is None and not block.closed
 
     def test_second_medium_forms_pure_dense_block(self):
         ledger, packing = make_ledger()
-        pack_medium(ledger, packing, 0.5, 0)
-        b = pack_medium(ledger, packing, 0.5, 1)
+        pack_medium(ledger, packing, 0.5)
+        b = pack_medium(ledger, packing, 0.5)
         # The two centres bound a dense block, which is not recorded: the
         # vlane-free sparse block was replaced, not kept.
         assert len(ledger.sparse) == 1
         assert ledger.sparse[0].owner_u == b.u
-        assert not ledger.sparse[0].has_vlane
+        assert ledger.sparse[0].reserved is None
 
     def test_medium_after_vlane_caps_block(self):
         ledger, packing = make_ledger()
-        pack_medium(ledger, packing, 0.5, 0)
-        assert pack_small_class(ledger, R3, 3, 1, packing) is not None
+        pack_medium(ledger, packing, 0.5)
+        assert pack_small_class(ledger, R3, 3, packing) is not None
         first = ledger.sparse[0]
-        assert first.has_vlane
-        b = pack_medium(ledger, packing, 0.5, 2)
+        assert first.reserved == 3
+        b = pack_medium(ledger, packing, 0.5)
         assert first.x_cap == pytest.approx(b.u - 0.5)
         assert ledger.sparse == [first, ledger.sparse[-1]]  # capped, kept
 
@@ -81,9 +91,9 @@ class TestBlockLifecycle:
         # medium circle caps a block with a sub-lane and sparse grows.
         ledger, packing = make_ledger()
         for k, cls in enumerate((3, 4, 5, 3)):
-            pack_medium(ledger, packing, 0.3, 2 * k)
+            pack_medium(ledger, packing, 0.3)
             r = TABLE.row(cls).lower_bound * 1.01
-            assert pack_small_class(ledger, r, cls, 2 * k + 1, packing)
+            assert pack_small_class(ledger, r, cls, packing)
             owners = [s.owner_u for s in ledger.sparse]
             assert len(owners) == k + 1
             assert all(a < b for a, b in zip(owners, owners[1:]))
@@ -91,53 +101,52 @@ class TestBlockLifecycle:
 
     def test_frontier_tracks_content(self):
         ledger, packing = make_ledger()
-        pl = pack_medium(ledger, packing, 0.5, 0)
+        pl = pack_medium(ledger, packing, 0.5)
         assert ledger.frontier() == pytest.approx(pl.u + 0.5)
-        pack_small_class(ledger, R3, 3, 1, packing)
+        pack_small_class(ledger, R3, 3, packing)
         assert ledger.frontier() == pytest.approx(pl.u + 0.5 + W3)
 
 
 class TestStripFitting:
     def test_vlane_position_starts_at_owner_tangent(self):
         ledger, packing = make_ledger()
-        pl = pack_medium(ledger, packing, 0.5, 0)
+        pl = pack_medium(ledger, packing, 0.5)
         block = ledger.sparse[0]
-        assert vlane_position(ledger, block, 0.3) == pytest.approx(pl.u + 0.5)
+        assert strip_in(ledger, block, 0.3) == pytest.approx(pl.u + 0.5)
 
     def test_existing_vlanes_shift_position(self):
         ledger, packing = make_ledger()
-        pl = pack_medium(ledger, packing, 0.5, 0)
-        pack_small_class(ledger, R3, 3, 1, packing)
+        pl = pack_medium(ledger, packing, 0.5)
+        pack_small_class(ledger, R3, 3, packing)
         block = ledger.sparse[0]
-        assert vlane_position(ledger, block, 0.3) == pytest.approx(
+        assert strip_in(ledger, block, 0.3) == pytest.approx(
             pl.u + 0.5 + W3)
 
     def test_cap_limits_fit(self):
         ledger, packing = make_ledger()
-        pl = pack_medium(ledger, packing, 0.5, 0)
+        pl = pack_medium(ledger, packing, 0.5)
         block = ledger.sparse[0]
         block.x_cap = pl.u + 0.5 + 0.25
-        assert vlane_position(ledger, block, 0.25) is not None
-        assert vlane_position(ledger, block, 0.26) is None
+        assert strip_in(ledger, block, 0.25) is not None
+        assert strip_in(ledger, block, 0.26) is None
 
 
 class TestFiveStepRoutine:
     def test_rejects_medium_and_small_classes(self):
         ledger, _ = make_ledger()
         with pytest.raises(ValueError):
-            pack_small_class(ledger, 0.3, 1, 0, Packing())
+            pack_small_class(ledger, 0.3, 1, Packing())
         with pytest.raises(ValueError):
-            pack_small_class(ledger, 0.1, 2, 0, Packing())
+            pack_small_class(ledger, 0.1, 2, Packing())
 
     def test_opens_vlane_and_reserves_block(self):
         ledger, packing = make_ledger()
-        pack_medium(ledger, packing, 0.5, 0)
-        c = committed(packing, pack_small_class(ledger, R3, 3, 1, packing))
+        pack_medium(ledger, packing, 0.5)
+        c = committed(packing, pack_small_class(ledger, R3, 3, packing))
         assert c is not None
         assert c.lane_id == "H:v3#0"
         block = ledger.sparse[0]
-        assert block.state == "reserved_3"
-        assert block.has_vlane
+        assert block.reserved == 3
         # The host now excludes the strip, which starts at the owner's
         # tangent.
         [(x0, x1)] = ledger.host.exclusions
@@ -146,17 +155,17 @@ class TestFiveStepRoutine:
 
     def test_reuses_open_vlane(self):
         ledger, packing = make_ledger()
-        pack_medium(ledger, packing, 0.5, 0)
-        a = committed(packing, pack_small_class(ledger, R3, 3, 1, packing))
-        b = committed(packing, pack_small_class(ledger, R3, 3, 2, packing))
+        pack_medium(ledger, packing, 0.5)
+        a = committed(packing, pack_small_class(ledger, R3, 3, packing))
+        b = committed(packing, pack_small_class(ledger, R3, 3, packing))
         assert a.lane_id == b.lane_id
         assert len(ledger.vlanes) == 1
 
     def test_other_class_goes_to_free_area(self):
         ledger, packing = make_ledger()
-        pack_medium(ledger, packing, 0.5, 0)
-        pack_small_class(ledger, R3, 3, 1, packing)
-        c = committed(packing, pack_small_class(ledger, R4, 4, 2, packing))
+        pack_medium(ledger, packing, 0.5)
+        pack_small_class(ledger, R3, 3, packing)
+        c = committed(packing, pack_small_class(ledger, R4, 4, packing))
         assert c is not None
         # The only sparse block is reserved for class 3, so the class-4
         # lane lands in the free area at the frontier.
@@ -169,16 +178,13 @@ class TestFiveStepRoutine:
 
     def test_full_vlane_spawns_replacement(self):
         ledger, packing = make_ledger(length=8.0)
-        pack_medium(ledger, packing, 0.5, 0)
-        seq = 1
+        pack_medium(ledger, packing, 0.5)
         lanes_seen = set()
         for _ in range(60):
-            c = committed(packing, pack_small_class(ledger, 0.084, 3, seq,
-                                                    packing))
+            c = committed(packing, pack_small_class(ledger, 0.084, 3, packing))
             if c is None:
                 break
             lanes_seen.add(c.lane_id)
-            seq += 1
         assert len(lanes_seen) >= 2
         # Exhausted vlanes are closed, exactly one can be open per class,
         # and it is the class's newest.
@@ -189,27 +195,26 @@ class TestFiveStepRoutine:
 
     def test_step5_closes_host(self):
         ledger, packing = make_ledger(length=1.0)
-        pack_medium(ledger, packing, 0.5, 0)
+        pack_medium(ledger, packing, 0.5)
         # No room for any class-3 strip: the sparse block is capped by the
         # lane end and the frontier sits at the lane end.
-        c = committed(packing, pack_small_class(ledger, R3, 3, 1, packing))
+        c = committed(packing, pack_small_class(ledger, R3, 3, packing))
         assert c is None
         assert ledger.host.closed
-        assert ledger.sparse[0].state == CLOSED
+        assert ledger.sparse[0].closed
 
     def test_closed_block_stays_closed(self):
         ledger, packing = make_ledger(length=1.0)
-        pack_medium(ledger, packing, 0.5, 0)
-        pack_small_class(ledger, R3, 3, 1, packing)
-        state_after = ledger.sparse[0].state
-        assert state_after == CLOSED
+        pack_medium(ledger, packing, 0.5)
+        pack_small_class(ledger, R3, 3, packing)
+        assert ledger.sparse[0].closed
 
     def test_placements_avoid_host_circles(self):
         from oracles import circles_overlap
         ledger, packing = make_ledger()
-        pack_medium(ledger, packing, 0.5, 0)
-        for seq in range(1, 12):
-            pack_small_class(ledger, R3, 3, seq, packing)
+        pack_medium(ledger, packing, 0.5)
+        for _ in range(11):
+            pack_small_class(ledger, R3, 3, packing)
         circles = packed(packing)
         for i in range(len(circles)):
             for j in range(i + 1, len(circles)):

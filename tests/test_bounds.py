@@ -134,8 +134,10 @@ class TestGuarantees:
             assert guarantee_rect(float(b)) == pytest.approx(lin, abs=5e-6)
 
     def test_rect_domain(self):
-        with pytest.raises(ValueError):
-            guarantee_rect(0.99)
+        # True is not an aspect, though it compares equal to 1.
+        for b in (0.99, True):
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                guarantee_rect(b)
 
     @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
     def test_rect_refuses_non_finite_aspect(self, b):

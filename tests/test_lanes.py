@@ -31,25 +31,25 @@ class TestSlpPlacement:
     def test_first_circle_in_corner(self):
         lane = make_lane()
         p = Packing()
-        c = committed(p, place(lane, 0.5, 0, p))
+        c = committed(p, place(lane, 0.5, p))
         assert (c.x, c.y) == pytest.approx((0.5, 0.5))
 
     def test_alternates_sides(self):
         lane = make_lane()
         p = Packing()
-        a = committed(p, place(lane, 0.5, 0, p))
-        b = committed(p, place(lane, 0.5, 1, p))
+        a = committed(p, place(lane, 0.5, p))
+        b = committed(p, place(lane, 0.5, p))
         assert a.y == pytest.approx(0.5)
         assert b.y == pytest.approx(0.5)  # w - r with r = w/2
         assert b.x == pytest.approx(1.5, abs=1e-8)
-        c = committed(p, place(lane, 0.3, 2, p))
+        c = committed(p, place(lane, 0.3, p))
         assert c.y == pytest.approx(0.3)  # bottom again
 
     def test_two_half_width_circles_touch(self):
         lane = make_lane()
         p = Packing()
-        place(lane, 0.5, 0, p)
-        b = committed(p, place(lane, 0.5, 1, p))
+        place(lane, 0.5, p)
+        b = committed(p, place(lane, 0.5, p))
         # Same height, so the second sits tangent one diameter along.
         assert b.x == pytest.approx(1.5, abs=1e-8)
 
@@ -58,16 +58,16 @@ class TestSlpPlacement:
         # far left geometrically; the gap rule keeps it min(r, r') ahead.
         lane = make_lane()
         p = Packing()
-        big = committed(p, place(lane, 0.5, 0, p))
-        small = committed(p, place(lane, 0.1, 1, p))
+        big = committed(p, place(lane, 0.5, p))
+        small = committed(p, place(lane, 0.1, p))
         u_big, u_small = big.x, small.x
         assert u_small - u_big >= 0.1 - 1e-9
 
     def test_gap_binds_when_geometry_is_loose(self):
         lane = make_lane()
         p = Packing()
-        place(lane, 0.45, 0, p)
-        c = committed(p, place(lane, 0.05, 1, p))
+        place(lane, 0.45, p)
+        c = committed(p, place(lane, 0.05, p))
         # Geometrically the tiny top circle could go to u = 0.05; the gap
         # rule forces u >= 0.45 + 0.05.
         assert c.x >= 0.5 - 1e-9
@@ -76,35 +76,35 @@ class TestSlpPlacement:
         lane = make_lane()
         lane.exclusions.append((0.0, 1.0))
         p = Packing()
-        c = committed(p, place(lane, 0.2, 0, p))
+        c = committed(p, place(lane, 0.2, p))
         assert c.x - c.r >= 1.0 - 1e-9
 
     def test_too_wide_rejected(self):
         lane = make_lane(width=0.5)
-        assert place(lane, 0.26, 0, Packing()) is None
+        assert place(lane, 0.26, Packing()) is None
 
     def test_longer_than_half_lane_rejected(self):
         lane = make_lane(length=1.0, width=1.0)
-        assert place(lane, 0.51, 0, Packing()) is None
+        assert place(lane, 0.51, Packing()) is None
 
     def test_closed_lane_rejects(self):
         lane = make_lane()
         lane.closed = True
-        assert place(lane, 0.2, 0, Packing()) is None
+        assert place(lane, 0.2, Packing()) is None
 
     def test_full_lane_rejects(self):
         lane = make_lane(length=1.0)
         p = Packing()
-        assert place(lane, 0.5, 0, p) is not None
-        assert place(lane, 0.5, 1, p) is None
+        assert place(lane, 0.5, p) is not None
+        assert place(lane, 0.5, p) is None
 
     def test_cross_lane_obstacles_respected(self):
         # A circle committed by another lane blocks this lane's corner.
         other = make_lane(lane_id="other")
         lane = make_lane(lane_id="mine")
         p = Packing()
-        place(other, 0.5, 0, p)
-        c = committed(p, place(lane, 0.5, 1, p))
+        place(other, 0.5, p)
+        c = committed(p, place(lane, 0.5, p))
         assert c.x == pytest.approx(1.5, abs=1e-8)
 
 
@@ -115,10 +115,10 @@ class TestTlpPlacement:
         slp = make_lane(class_index=1)
         tlp = make_lane(class_index=0)
         ps, pt = Packing(), Packing()
-        place(slp, 0.25, 0, ps)
-        place(tlp, 0.25, 0, pt)
-        a = committed(ps, place(slp, 0.25, 1, ps))
-        b = committed(pt, place(tlp, 0.25, 1, pt))
+        place(slp, 0.25, ps)
+        place(tlp, 0.25, pt)
+        a = committed(ps, place(slp, 0.25, ps))
+        b = committed(pt, place(tlp, 0.25, pt))
         assert a.x == pytest.approx(0.5)
         assert b.x == pytest.approx(0.25)
 
@@ -128,7 +128,7 @@ class TestTlpPlacement:
         us = []
         rng = random.Random(5)
         for i in range(30):
-            c = committed(p, place(lane, rng.uniform(0.02, 0.5), i, p))
+            c = committed(p, place(lane, rng.uniform(0.02, 0.5), p))
             if c is None:
                 break
             us.append(c.x)
@@ -138,7 +138,7 @@ class TestTlpPlacement:
         lane = make_lane(class_index=0)
         lane.exclusions.append((0.0, 1.0))
         p = Packing()
-        c = committed(p, place(lane, 0.2, 0, p))
+        c = committed(p, place(lane, 0.2, p))
         assert c.x == pytest.approx(0.2)
 
     def test_never_longer_than_slp(self):
@@ -149,9 +149,9 @@ class TestTlpPlacement:
             ps, pt = Packing(), Packing()
             log = CommitLog()
             with log.installed():
-                for i, r in enumerate(radii):
-                    place(slp, r, i, ps)
-                    place(tlp, r, i, pt)
+                for r in radii:
+                    place(slp, r, ps)
+                    place(tlp, r, pt)
             p_slp = metrics(slp, log.placed(slp)).packing_length
             p_tlp = metrics(tlp, log.placed(tlp)).packing_length
             assert p_tlp <= p_slp + 1e-9
@@ -166,7 +166,7 @@ class TestOrientations:
             p = Packing()
             log = CommitLog()
             with log.installed():
-                placed = [place(lane, r, i, p) for i, r in enumerate(radii)]
+                placed = [place(lane, r, p) for r in radii]
             assert all(c is not None for c in placed)
             local = [(pl.u, pl.v) for pl in log.placed(lane)]
             assert len(local) == len(radii)
@@ -182,8 +182,8 @@ class TestOrientations:
         lane = LaneState(LaneInfo.from_rect(rect, Orientation.DOWNWARDS, "d",
                                             "SLP", 1))
         p = Packing()
-        for i in range(6):
-            c = committed(p, place(lane, 0.2, i, p))
+        for _ in range(6):
+            c = committed(p, place(lane, 0.2, p))
             assert c is not None
             assert rect.x0 <= c.x - c.r and c.x + c.r <= rect.x1
             assert rect.y0 <= c.y - c.r and c.y + c.r <= rect.y1
@@ -196,11 +196,11 @@ class TestPackingColumns:
     def test_commit_appends_a_row_and_returns_its_point(self):
         lane = make_lane(lane_id="L")
         p = Packing()
-        for i, r in enumerate((0.2, 0.3, 0.4)):
-            point = place(lane, r, i, p)
+        for r in (0.2, 0.3, 0.4):
+            point = place(lane, r, p)
             assert point == (p.x[-1], p.y[-1])
         assert len(p) == 3
-        assert (p.r, p.seq) == ([0.2, 0.3, 0.4], [0, 1, 2])
+        assert (p.r, p.columns[3]) == ([0.2, 0.3, 0.4], range(3))
         assert (p.lane_id, p.class_index) == (["L"] * 3, [1] * 3)
         xs, ys, rs = p.arrays()
         assert (xs.tolist(), ys.tolist(), rs.tolist()) == (p.x, p.y, p.r)
@@ -227,7 +227,7 @@ class TestMetrics:
     def test_single_circle(self, log):
         lane = make_lane()
         p = Packing()
-        place(lane, 0.5, 0, p)
+        place(lane, 0.5, p)
         m = metrics(lane, log.placed(lane))
         assert m.packing_length == pytest.approx(1.0)
         assert m.free_length == pytest.approx(9.0)
@@ -236,7 +236,7 @@ class TestMetrics:
     def test_extra_extents_extend_length(self, log):
         lane = make_lane()
         p = Packing()
-        place(lane, 0.5, 0, p)
+        place(lane, 0.5, p)
         m = metrics(lane, log.placed(lane), extra_extents=((2.0, 3.5),))
         assert m.packing_length == pytest.approx(3.5)
 
@@ -244,8 +244,8 @@ class TestMetrics:
         lane = make_lane(length=20)
         p = Packing()
         radii = [0.5, 0.3, 0.2, 0.45]
-        for i, r in enumerate(radii):
-            place(lane, r, i, p)
+        for r in radii:
+            place(lane, r, p)
         assert lane.n == len(radii)
         assert metrics(lane, log.placed(lane)).occupied_area == pytest.approx(
             sum(math.pi * r * r for r in radii))
@@ -264,7 +264,8 @@ def refiled(packing, scan_max):
     patched to scan_max."""
     with mock.patch.object(lanes, "_SCAN_MAX", scan_max):
         fresh = Packing()
-        for row in zip(*packing.columns):
+        for row in zip(packing.x, packing.y, packing.r, packing.lane_id,
+                       packing.class_index):
             fresh.add(*row)
     return fresh
 
@@ -344,7 +345,7 @@ def placement_instances(draw):
         lo = max(r, lane.last[0])
     packing = Packing()
     anchor = lo  # tangent obstacles chain forward from the sweep's start
-    for seq in range(draw(st.integers(0, 40))):
+    for _ in range(draw(st.integers(0, 40))):
         ro = draw(st.one_of(st.sampled_from(POWER_RADII), st.builds(
             lambda k: k * GRID, st.integers(1, 256))))
         kind = draw(st.sampled_from(["anywhere", "cell_edge", "near_start",
@@ -382,7 +383,7 @@ def placement_instances(draw):
             if kind == "hairline":
                 x += draw(st.integers(-4, 4)) * math.ulp(x)
                 y += draw(st.integers(-4, 4)) * math.ulp(y)
-        packing.add(x, y, ro, seq, "o", -1)
+        packing.add(x, y, ro, "o", -1)
     return lane, r, packing, eps
 
 
@@ -403,7 +404,7 @@ class TestFindPositionOracle:
         lane = make_lane(length=4.0, width=0.5)
         p = Packing()
         for i in range(12):
-            p.add(0.125 + 0.25 * i, 0.125, 0.125, i, "o", -1)
+            p.add(0.125 + 0.25 * i, 0.125, 0.125, "o", -1)
         got = find_position(lane, 0.125, p, 0.0)
         assert got == full_scan_position(lane, 0.125, p, 0.0)
         assert got == (3.125, 0.125)
@@ -416,7 +417,7 @@ class TestFindPositionOracle:
         p = Packing()
         x, y = lane.frame.to_container(r, r + (r + ro - 0.5 * eps)
                                        - 2.0 ** -30)
-        p.add(x, y, ro, 0, "o", -1)
+        p.add(x, y, ro, "o", -1)
         got = find_position(lane, r, p, eps)
         assert got == full_scan_position(lane, r, p, eps)
         assert got[0] > r
@@ -438,7 +439,7 @@ class TestFindPositionOracle:
         lane.n, lane.last = n, (last_u, 0.1)
         p = Packing()
         x, y, ro = circle
-        p.add(x, y, ro, 0, "o", -1)
+        p.add(x, y, ro, "o", -1)
         got = find_position(lane, r, p, 0.0)
         assert got == full_scan_position(lane, r, p, 0.0)
         assert got[0] > last_u
@@ -485,9 +486,9 @@ def near_instances(draw):
                        st.integers(1, 511).map(lambda k: k * GRID),
                        st.floats(2.0 ** -12, 0.5, exclude_max=True))
     packing = Packing()
-    for seq, (x, y, r) in enumerate(draw(st.lists(
-            st.tuples(coord, coord, radius), max_size=40))):
-        packing.add(x, y, r, seq, "o", -1)
+    for x, y, r in draw(st.lists(st.tuples(coord, coord, radius),
+                                 max_size=40)):
+        packing.add(x, y, r, "o", -1)
     xa, xb, ya, yb = (draw(coord) for _ in range(4))
     return packing, min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb)
 
@@ -523,8 +524,8 @@ def cell_edge_instances(draw):
     x0 += draw(ulps) * math.ulp(x0)
     y1 += draw(ulps) * math.ulp(y1)
     packing = Packing()
-    for seq, disk in enumerate(disks):
-        packing.add(*disk, seq, "o", -1)
+    for disk in disks:
+        packing.add(*disk, "o", -1)
     return packing, min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)
 
 
@@ -558,8 +559,8 @@ class TestPackingNear:
                  (x, math.nextafter(-1.5, 0.0), 7e-21)]
         with mock.patch.object(lanes, "_SCAN_MAX", GRID_ALWAYS):
             p = Packing()
-            for seq, disk in enumerate(disks):
-                p.add(*disk, seq, "o", -1)
+            for disk in disks:
+                p.add(*disk, "o", -1)
         assert list(p._levels) == [lanes._level(r)]
         for box in ((x, -2.0, x, -1.5), (x - 1.0, -1.5, x, -1.0),
                     (math.nextafter(x, 0.0), -1.5, 0.0, -1.5)):
@@ -579,8 +580,8 @@ class TestPackingNear:
         assert math.floor(x0 / h) == -37 > math.floor(x / h)
         with mock.patch.object(lanes, "_SCAN_MAX", GRID_ALWAYS):
             p = Packing()
-            p.add(x, -0.25, r, 0, "o", -1)
-            p.add(0.5, 0.5, 0.0021, 1, "o", -1)
+            p.add(x, -0.25, r, "o", -1)
+            p.add(0.5, 0.5, 0.0021, "o", -1)
         assert p._levels[lanes._level(r)][2] == r
         assert_superset(p, x0, -0.25, x0 + h, -0.25)
         assert (x, -0.25, r) in near(p, x0, -0.25, x0 + h, -0.25)
@@ -593,13 +594,13 @@ class TestPackingNear:
         h = 2.0 ** -6
         with mock.patch.object(lanes, "_SCAN_MAX", GRID_ALWAYS):
             p = Packing()
-            p.add(0.75, 0.75, 0.002, 0, "o", -1)
+            p.add(0.75, 0.75, 0.002, "o", -1)
             box = (0.502, 0.25, 0.51, 0.26)
             assert near(p, *box) == []
             assert_superset(p, *box)
             late = (0.499, 0.255, 0.0035)
             assert lanes._level(late[2]) == lanes._level(0.002)
-            p.add(*late, 1, "o", -1)
+            p.add(*late, "o", -1)
         level = p._levels[lanes._level(0.002)]
         assert level[0] == h and level[2] == 0.0035
         # 0.502 - 0.002 is the boundary of the cell after late's.
@@ -631,9 +632,9 @@ class TestPackingNear:
     def test_grid_built_at_scan_max_answers_as_from_the_start(self):
         rng = random.Random(5)
         grown = Packing()
-        for seq in range(lanes._SCAN_MAX + 1):
+        for _ in range(lanes._SCAN_MAX + 1):
             grown.add(rng.uniform(0, 2), rng.uniform(0, 1),
-                      rng.choice(POWER_RADII), seq, "o", -1)
+                      rng.choice(POWER_RADII), "o", -1)
         assert grown._levels
         filed = refiled(grown, GRID_ALWAYS)
         for _ in range(200):
@@ -649,8 +650,8 @@ class TestPackingNear:
         touching = [(-0.25, -0.25, 0.25), (1.5, -0.5, 0.5),
                     (-2.0 ** -6, 0.5, 2.0 ** -6)]
         apart = [(-0.25, -0.25, 0.25 - 2.0 ** -30)]
-        for seq, c in enumerate(touching + apart):
-            p.add(*c, seq, "o", -1)
+        for c in touching + apart:
+            p.add(*c, "o", -1)
         for q in (p, refiled(p, GRID_ALWAYS)):
             got = set(near(q, 0.0, 0.0, 1.0, 1.0))
             assert all(c in got for c in touching)
@@ -658,8 +659,8 @@ class TestPackingNear:
 
     def test_short_run_is_scanned_whole(self):
         p = Packing()
-        for seq in range(lanes._SCAN_MAX - 1):
-            p.add(0.0, 0.0, 4.0 ** -(seq % 20), seq, "o", -1)
+        for k in range(lanes._SCAN_MAX - 1):
+            p.add(0.0, 0.0, 4.0 ** -(k % 20), "o", -1)
         assert not p._levels
         assert len(p._scan) == len(p)
 
@@ -668,9 +669,9 @@ class TestPackingNear:
         # large circles stay in the list.
         rng = random.Random(4)
         p = Packing()
-        for seq in range(200):
-            r = 0.2 if seq % 50 == 0 else rng.uniform(0.002, 0.004)
-            p.add(rng.uniform(0, 2), rng.uniform(0, 1), r, seq, "o", -1)
+        for k in range(200):
+            r = 0.2 if k % 50 == 0 else rng.uniform(0.002, 0.004)
+            p.add(rng.uniform(0, 2), rng.uniform(0, 1), r, "o", -1)
         assert list(p._levels) == [lanes._level(0.003)]
         assert [c[2] for c in p._scan] == [0.2] * 4
 
@@ -680,10 +681,9 @@ class TestPackingNear:
         rng = random.Random(3)
         p = Packing()
         mixed = False
-        for seq in range(400):
+        for _ in range(400):
             r = rng.uniform(1.0, 4.0) * 4.0 ** -rng.randrange(2, 27)
-            p.add(rng.uniform(-1.0, 3.0), rng.uniform(-1.0, 3.0), r, seq,
-                  "o", -1)
+            p.add(rng.uniform(-1.0, 3.0), rng.uniform(-1.0, 3.0), r, "o", -1)
             # No query scans more than _SCAN_MAX circles linearly.
             assert len(p._scan) <= lanes._SCAN_MAX
             mixed = mixed or bool(p._scan and p._levels)
